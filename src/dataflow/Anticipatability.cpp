@@ -11,6 +11,8 @@
 #include "support/Statistic.h"
 #include "support/Worklist.h"
 
+#include <optional>
+
 using namespace depflow;
 
 // Work counters for both anticipatability solvers: an "eval" is one
@@ -368,7 +370,8 @@ Status depflow::runExpressionAnticipatability(Function &F, const CFGEdges &E,
                                               const Expression &Expr,
                                               EvalMode Mode,
                                               std::vector<bool> &Ant,
-                                              std::vector<bool> *Pan) {
+                                              std::vector<bool> *Pan,
+                                              const ProjectionContext *Ctx) {
   if (Mode == EvalMode::DenseCFG) {
     CFGAntResult R;
     Status S = runCFGAnticipatability(F, E, Expr, R);
@@ -396,14 +399,16 @@ Status depflow::runExpressionAnticipatability(Function &F, const CFGEdges &E,
     Ant = std::move(R.ANT);
     return Status::success();
   }
-  ProjectionContext Ctx(F, E);
+  std::optional<ProjectionContext> OwnCtx;
+  if (!Ctx)
+    Ctx = &OwnCtx.emplace(F, E);
   Ant.assign(E.size(), true);
   for (VarId X : Vars) {
     DFGAntResult R;
     Status S = runRelativeAnticipatability(F, *G, Expr, X, R);
     if (!S.ok())
       return S;
-    std::vector<bool> Proj = projectRelativeAnt(F, E, *G, R, X, Ctx);
+    std::vector<bool> Proj = projectRelativeAnt(F, E, *G, R, X, *Ctx);
     for (unsigned C = 0; C != E.size(); ++C)
       Ant[C] = Ant[C] && Proj[C];
   }

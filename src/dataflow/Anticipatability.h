@@ -107,7 +107,9 @@ inline DFGAntResult dfgRelativeAnticipatability(Function &F,
 class DomTree;
 
 /// Reusable context for projections: the edge-split dominator and
-/// postdominator trees (rebuild after CFG mutation).
+/// postdominator trees. It depends only on the CFG shape (blocks and
+/// successor lists), so it stays valid across instruction edits and must
+/// be rebuilt after any change to the shape.
 struct ProjectionContext {
   std::unique_ptr<DomTree> DT;
   std::unique_ptr<DomTree> PDT;
@@ -144,12 +146,17 @@ std::vector<bool> projectRelativePan(Function &F, const CFGEdges &E,
 /// matching Section 5.1's scope); `DenseCFG` runs the Figure 5a equations
 /// directly. \p Pan (optional) additionally receives PAN per CFG edge —
 /// only the dense equations produce it, so requesting it in sparse mode is
-/// a Status error rather than a silently empty result.
+/// a Status error rather than a silently empty result. \p Ctx (optional)
+/// is a projection context built for \p F's current CFG shape; a caller
+/// that queries many expressions over one shape passes it to skip
+/// rebuilding the edge-split dominator trees per query. Sparse mode builds
+/// its own when it is null.
 Status runExpressionAnticipatability(Function &F, const CFGEdges &E,
                                      const DepFlowGraph *G,
                                      const Expression &Expr, EvalMode Mode,
                                      std::vector<bool> &Ant,
-                                     std::vector<bool> *Pan = nullptr);
+                                     std::vector<bool> *Pan = nullptr,
+                                     const ProjectionContext *Ctx = nullptr);
 
 /// Deprecated: use runExpressionAnticipatability(F, E, &G, Expr,
 /// EvalMode::SparseDFG, Ant).

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -19,32 +20,68 @@
 
 namespace {
 
-/// Per-thread counters, chained into a process-wide lock-free list so the
-/// process totals can be summed. Single-writer: only the owning thread
-/// stores; other threads only load. Nodes are malloc'd (never operator
-/// new — the hook below would recurse) and intentionally never freed: one
-/// node per thread that ever allocated, reachable from the list head.
+/// Per-thread counters. Single-writer: only the owning thread stores;
+/// other threads only load. Records are malloc'd (never operator new — the
+/// hook below would recurse) and chained into one process-wide list. When
+/// a thread exits, its counts fold into the retired totals and its record
+/// goes back to the pool for the next thread, so the list is as long as
+/// the most threads ever alive at once, not the number ever started.
 struct ThreadCounters {
   std::atomic<std::uint64_t> Bytes{0};
   std::atomic<std::uint64_t> Count{0};
   ThreadCounters *Next = nullptr;
+  bool InUse = false;
 };
 
-std::atomic<ThreadCounters *> CountersHead{nullptr};
+/// Guards the record list, the InUse flags and the retired totals.
+/// Allocations never take it; only a thread's first allocation, its exit,
+/// and the process-wide readings do.
+std::mutex CountersLock;
+ThreadCounters *CountersHead = nullptr;
+std::uint64_t RetiredBytes = 0;
+std::uint64_t RetiredCount = 0;
+
+thread_local constinit ThreadCounters *LocalCounters = nullptr;
+
+/// Retires this thread's record at thread exit.
+struct CountersRetire {
+  ~CountersRetire() {
+    ThreadCounters *C = LocalCounters;
+    if (!C)
+      return;
+    std::lock_guard<std::mutex> G(CountersLock);
+    RetiredBytes += C->Bytes.load(std::memory_order_relaxed);
+    RetiredCount += C->Count.load(std::memory_order_relaxed);
+    C->Bytes.store(0, std::memory_order_relaxed);
+    C->Count.store(0, std::memory_order_relaxed);
+    C->InUse = false;
+    LocalCounters = nullptr;
+  }
+};
+
+ThreadCounters &acquireCounters() {
+  static thread_local CountersRetire Retire; // Constructed once per thread.
+  (void)Retire;
+  std::lock_guard<std::mutex> G(CountersLock);
+  ThreadCounters *C = CountersHead;
+  while (C && C->InUse)
+    C = C->Next;
+  if (!C) {
+    void *Mem = std::malloc(sizeof(ThreadCounters));
+    if (!Mem)
+      std::abort(); // No record to count this thread's allocations in.
+    C = new (Mem) ThreadCounters();
+    C->Next = CountersHead;
+    CountersHead = C;
+  }
+  C->InUse = true;
+  LocalCounters = C;
+  return *C;
+}
 
 ThreadCounters &localCounters() {
-  static thread_local ThreadCounters *Local = nullptr;
-  if (!Local) {
-    void *Mem = std::malloc(sizeof(ThreadCounters));
-    Local = new (Mem) ThreadCounters();
-    ThreadCounters *Head = CountersHead.load(std::memory_order_relaxed);
-    do {
-      Local->Next = Head;
-    } while (!CountersHead.compare_exchange_weak(Head, Local,
-                                                 std::memory_order_release,
-                                                 std::memory_order_relaxed));
-  }
-  return *Local;
+  ThreadCounters *C = LocalCounters;
+  return C ? *C : acquireCounters();
 }
 
 /// Count + allocate. Single-writer counters: a load/store pair is cheaper
@@ -183,19 +220,27 @@ std::uint64_t threadAllocationCount() {
 }
 
 std::uint64_t processAllocatedBytes() {
-  std::uint64_t Sum = 0;
-  for (ThreadCounters *C = CountersHead.load(std::memory_order_acquire); C;
-       C = C->Next)
+  std::lock_guard<std::mutex> G(CountersLock);
+  std::uint64_t Sum = RetiredBytes;
+  for (ThreadCounters *C = CountersHead; C; C = C->Next)
     Sum += C->Bytes.load(std::memory_order_relaxed);
   return Sum;
 }
 
 std::uint64_t processAllocationCount() {
-  std::uint64_t Sum = 0;
-  for (ThreadCounters *C = CountersHead.load(std::memory_order_acquire); C;
-       C = C->Next)
+  std::lock_guard<std::mutex> G(CountersLock);
+  std::uint64_t Sum = RetiredCount;
+  for (ThreadCounters *C = CountersHead; C; C = C->Next)
     Sum += C->Count.load(std::memory_order_relaxed);
   return Sum;
+}
+
+std::size_t allocationRecordCount() {
+  std::lock_guard<std::mutex> G(CountersLock);
+  std::size_t N = 0;
+  for (ThreadCounters *C = CountersHead; C; C = C->Next)
+    ++N;
+  return N;
 }
 
 std::uint64_t peakRSSBytes() {

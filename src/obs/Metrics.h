@@ -29,6 +29,7 @@
 #ifndef DEPFLOW_OBS_METRICS_H
 #define DEPFLOW_OBS_METRICS_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace depflow {
@@ -41,11 +42,17 @@ std::uint64_t threadAllocatedBytes();
 /// Cumulative number of `operator new` calls on this thread.
 std::uint64_t threadAllocationCount();
 
-/// Process-wide totals, summed over all threads that ever allocated.
-/// Consistent only when no other thread is allocating (drivers read this
+/// Process-wide totals over all threads that ever allocated: the retired
+/// total of exited threads plus one record per live thread, so the cost
+/// of a reading follows the threads alive now, not the threads ever
+/// started. Exact when no other thread is allocating (drivers read this
 /// after workers join).
 std::uint64_t processAllocatedBytes();
 std::uint64_t processAllocationCount();
+
+/// Number of per-thread counter records. Exited threads' records are
+/// reused, so this is the most threads ever alive at once.
+std::size_t allocationRecordCount();
 
 /// The process's peak resident set size in bytes, or 0 when unavailable.
 std::uint64_t peakRSSBytes();

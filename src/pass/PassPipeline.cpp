@@ -19,6 +19,7 @@
 #include "support/Statistic.h"
 
 #include <chrono>
+#include <optional>
 
 using namespace depflow;
 
@@ -256,13 +257,19 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
     // rebuilt before the next expression. (The seed driver rebuilt the
     // DFG per expression unconditionally — most candidates don't move, so
     // most of those rebuilds answered queries a cached graph could have.)
+    // From here on the CFG shape is fixed: applyPRE only inserts into
+    // existing blocks. So a motion keeps every CFG-shape analysis, and one
+    // projection context, built on the first candidate, serves them all.
+    std::optional<ProjectionContext> Ctx;
     for (const Expression &Ex : collectExpressions(F)) {
       ++NumExpressionsConsidered;
       const CFGEdges &E = AM.getResult<CFGEdgesAnalysis>();
       const DepFlowGraph &G = AM.getResult<DFGAnalysis>();
+      if (!Ctx)
+        Ctx.emplace(F, E);
       std::vector<bool> Ant;
-      Status S =
-          runExpressionAnticipatability(F, E, &G, Ex, EvalMode::SparseDFG, Ant);
+      Status S = runExpressionAnticipatability(
+          F, E, &G, Ex, EvalMode::SparseDFG, Ant, /*Pan=*/nullptr, &*Ctx);
       if (!S.ok())
         return S;
       PREDecisions D;
@@ -275,7 +282,7 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
       if (D.Inserts.empty() && D.Deletes.empty())
         continue;
       applyPRE(F, Ex, D);
-      AM.invalidate(PreservedAnalyses::none());
+      AM.invalidate(preserveCFGShapeAnalyses());
     }
     break;
   }

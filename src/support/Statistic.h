@@ -10,7 +10,8 @@
 /// registers itself with a process-wide registry on first use; drivers
 /// print the accumulated counts with `printStatistics` (depflow-opt's
 /// `--print-stats`). Counters are cheap enough to leave enabled
-/// unconditionally — one relaxed atomic increment.
+/// unconditionally — a bump is one relaxed load and store into the calling
+/// thread's own shard, with no shared cache line.
 ///
 /// Three kinds exist:
 ///
@@ -21,14 +22,26 @@
 ///     values (e.g. tokens sent per DFG edge) that also tracks count,
 ///     sum, and max.
 ///
-/// Thread-safety contract (audited for `ModulePipeline -j N`): every
-/// mutation on every kind is a relaxed atomic RMW — fetch_add for counts
-/// and bucket adds, a compare-exchange loop for maxima. All of these
-/// commute, and the per-function work each pass performs is independent
-/// of worker scheduling, so aggregated totals are byte-identical for any
-/// `-j N` even though increments interleave. No mutation takes the
-/// registry lock; only registration (once per counter per process) and
-/// snapshot/reset do.
+/// Thread-safety contract (audited for `ModulePipeline -j N`):
+///
+///   * **Shards.** Registration gives each counter one slot index and each
+///     histogram a run of slots (count, sum, buckets). Every thread owns a
+///     shard, an array indexed by slot; only the owner stores into it, so a
+///     bump is a single-writer relaxed load and store, never an RMW.
+///   * **Fold.** A reading — `value()`, `statisticsSnapshot()`,
+///     `statisticValue()` — adds a retired total to every live shard, under
+///     the registry lock. When a thread exits, its shard folds into the
+///     retired total and is kept for reuse by the next thread.
+///   * **Maxima** (`MaxStatistic`, a histogram's max) stay one process-wide
+///     atomic with a compare-exchange loop: it writes only when the maximum
+///     rises.
+///
+/// Sums and maxima commute, and the per-function work each pass performs is
+/// independent of worker scheduling, so totals are byte-identical for any
+/// `-j N`. A reading is exact once the writers have joined (or otherwise
+/// stopped); taken while a thread still bumps, it may miss that thread's
+/// in-flight increments. `resetStatistics()` has the same rule: call it
+/// with no writer running.
 ///
 /// Usage:
 /// \code
@@ -55,6 +68,42 @@
 #include <vector>
 
 namespace depflow {
+namespace detail {
+
+/// Slots per shard. Slot 0 is reserved as "not registered yet"; a
+/// registration past the last slot is a fatal error.
+inline constexpr unsigned MaxStatSlots = 2048;
+
+/// One thread's statistic slots. Only the owning thread stores into
+/// `Slots`; readers load them under the registry lock.
+struct StatShard {
+  std::atomic<std::uint64_t> Slots[MaxStatSlots] = {};
+  StatShard *Next = nullptr; // Every shard ever made (registry-owned).
+  bool InUse = false;        // Owned by a live thread.
+};
+
+/// The calling thread's shard, or null before its first bump.
+extern thread_local constinit StatShard *LocalShard;
+
+/// Slow path of `localShard`: takes a free shard (or makes one) for this
+/// thread and arranges the fold into the retired total at thread exit.
+StatShard &acquireShard();
+
+inline StatShard &localShard() {
+  StatShard *S = LocalShard;
+  return S ? *S : acquireShard();
+}
+
+/// Single-writer add: the owning thread is the only one that stores.
+inline void bump(std::atomic<std::uint64_t> &Slot, std::uint64_t N) {
+  Slot.store(Slot.load(std::memory_order_relaxed) + N,
+             std::memory_order_relaxed);
+}
+
+/// The process-wide registry (Statistic.cpp); reads each statistic's slot.
+struct StatRegistry;
+
+} // namespace detail
 
 /// Which flavor of statistic a snapshot row came from.
 enum class StatKind : std::uint8_t { Counter, Max, Histogram };
@@ -63,10 +112,14 @@ class Statistic {
   const char *Group;
   const char *Name;
   const char *Desc;
-  std::atomic<std::uint64_t> Value{0};
-  std::atomic<bool> Registered{false};
+  std::atomic<unsigned> Slot{0}; // 0 until registered.
 
-  void registerOnce();
+  unsigned slot() {
+    unsigned S = Slot.load(std::memory_order_acquire);
+    return S ? S : registerOnce();
+  }
+  unsigned registerOnce();
+  friend struct detail::StatRegistry;
 
 public:
   constexpr Statistic(const char *Group, const char *Name, const char *Desc)
@@ -78,19 +131,14 @@ public:
   const char *group() const { return Group; }
   const char *name() const { return Name; }
   const char *desc() const { return Desc; }
-  std::uint64_t value() const { return Value.load(std::memory_order_relaxed); }
+  std::uint64_t value() const;
 
   Statistic &operator++() {
     return *this += 1;
   }
   Statistic &operator+=(std::uint64_t N) {
-    registerOnce();
-    Value.fetch_add(N, std::memory_order_relaxed);
-    return *this;
-  }
-  Statistic &operator=(std::uint64_t N) {
-    registerOnce();
-    Value.store(N, std::memory_order_relaxed);
+    unsigned S = slot();
+    detail::bump(detail::localShard().Slots[S], N);
     return *this;
   }
 };
@@ -135,18 +183,23 @@ public:
 class HistStatistic {
 public:
   static constexpr unsigned NumBuckets = 16;
+  /// Shard slots per histogram: count, sum, then the buckets.
+  static constexpr unsigned NumSlots = 2 + NumBuckets;
 
 private:
   const char *Group;
   const char *Name;
   const char *Desc;
-  std::atomic<std::uint64_t> Count{0};
-  std::atomic<std::uint64_t> Sum{0};
+  std::atomic<unsigned> Slot{0}; // First of NumSlots; 0 until registered.
   std::atomic<std::uint64_t> Max{0};
-  std::atomic<std::uint64_t> Buckets[NumBuckets] = {};
-  std::atomic<bool> Registered{false};
 
-  void registerOnce();
+  unsigned slot() {
+    unsigned S = Slot.load(std::memory_order_acquire);
+    return S ? S : registerOnce();
+  }
+  unsigned registerOnce();
+  std::uint64_t slotValue(unsigned Offset) const;
+  friend struct detail::StatRegistry;
   friend void resetStatistics();
 
 public:
@@ -160,12 +213,10 @@ public:
   const char *group() const { return Group; }
   const char *name() const { return Name; }
   const char *desc() const { return Desc; }
-  std::uint64_t count() const { return Count.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
+  std::uint64_t count() const { return slotValue(0); }
+  std::uint64_t sum() const { return slotValue(1); }
   std::uint64_t max() const { return Max.load(std::memory_order_relaxed); }
-  std::uint64_t bucket(unsigned I) const {
-    return Buckets[I].load(std::memory_order_relaxed);
-  }
+  std::uint64_t bucket(unsigned I) const { return slotValue(2 + I); }
 
   /// Maps a sample value to its bucket index.
   static unsigned bucketIndex(std::uint64_t V) {
@@ -178,10 +229,11 @@ public:
   }
 
   void sample(std::uint64_t V) {
-    registerOnce();
-    Count.fetch_add(1, std::memory_order_relaxed);
-    Sum.fetch_add(V, std::memory_order_relaxed);
-    Buckets[bucketIndex(V)].fetch_add(1, std::memory_order_relaxed);
+    unsigned S = slot();
+    std::atomic<std::uint64_t> *Slots = detail::localShard().Slots + S;
+    detail::bump(Slots[0], 1);
+    detail::bump(Slots[1], V);
+    detail::bump(Slots[2 + bucketIndex(V)], 1);
     std::uint64_t Cur = Max.load(std::memory_order_relaxed);
     while (Cur < V &&
            !Max.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
@@ -217,7 +269,8 @@ std::uint64_t statisticValue(const char *Group, const char *Name);
 /// Renders the report in the classic `--print-stats` table form.
 void printStatistics(std::FILE *Out);
 
-/// Zeroes every registered counter (tests and long-lived drivers).
+/// Zeroes every registered counter, live shards and retired totals alike
+/// (tests and long-lived drivers). Call it with no writer running.
 void resetStatistics();
 
 } // namespace depflow

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 using namespace depflow;
 
 namespace {
@@ -374,6 +376,58 @@ TEST_P(AntPropertyTest, DFGExpressionAntMatchesCFG) {
       EXPECT_EQ(ViaDFG[C], Full.ANT[C])
           << "edge " << C << " expr " << printExpression(*F, Expr) << "\n"
           << printFunction(*F);
+  }
+}
+
+std::vector<std::vector<unsigned>> successorLists(const Function &F) {
+  std::vector<std::vector<unsigned>> Succs(F.numBlocks());
+  for (const auto &BB : F.blocks())
+    for (const BasicBlock *S : BB->successors())
+      Succs[BB->id()].push_back(S->id());
+  return Succs;
+}
+
+// The PRE pass builds one projection context after splitting critical
+// edges and reuses it for every candidate, across motions. Replay that
+// loop: after each motion, ANT through the shared context must equal ANT
+// through a context built fresh for the edited function.
+TEST_P(AntPropertyTest, SharedProjectionContextMatchesFresh) {
+  auto F = antProgram(GetParam());
+  splitCriticalEdges(*F);
+  std::optional<ProjectionContext> Shared;
+  for (const Expression &Expr : collectExpressions(*F)) {
+    CFGEdges E(*F);
+    DepFlowGraph G = DepFlowGraph::build(*F, E);
+    if (!Shared)
+      Shared.emplace(*F, E);
+    std::vector<bool> ViaShared, ViaFresh;
+    ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Expr,
+                                              EvalMode::SparseDFG, ViaShared,
+                                              /*Pan=*/nullptr, &*Shared)
+                    .ok());
+    ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Expr,
+                                              EvalMode::SparseDFG, ViaFresh)
+                    .ok());
+    EXPECT_EQ(ViaShared, ViaFresh)
+        << "expr " << printExpression(*F, Expr) << "\n"
+        << printFunction(*F);
+    applyPRE(*F, Expr, morelRenvoise(*F, E, Expr, ViaFresh));
+  }
+}
+
+// The premise of sharing the context: code motion edits instructions only.
+TEST_P(AntPropertyTest, ApplyPREKeepsSuccessorLists) {
+  auto F = antProgram(GetParam());
+  splitCriticalEdges(*F);
+  const std::vector<std::vector<unsigned>> Shape = successorLists(*F);
+  for (const Expression &Expr : collectExpressions(*F)) {
+    CFGEdges E(*F);
+    std::vector<bool> Ant = cfgAnticipatability(*F, E, Expr).ANT;
+    // Busy code motion inserts at every frontier edge: the most edits.
+    applyPRE(*F, Expr, busyCodeMotion(*F, E, Expr, Ant));
+    ASSERT_EQ(successorLists(*F), Shape)
+        << "expr " << printExpression(*F, Expr) << "\n"
+        << printFunction(*F);
   }
 }
 

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace depflow;
 
 //===----------------------------------------------------------------------===//
@@ -66,6 +68,78 @@ TEST(MaxStatistic, HighWaterOnly) {
   M.update(3); // Lower: must not regress the gauge.
   EXPECT_GE(M.value(), 7u);
   EXPECT_EQ(statisticValue("counters-test", "MaxHighWater"), M.value());
+}
+
+//===----------------------------------------------------------------------===//
+// Per-thread shards
+//===----------------------------------------------------------------------===//
+
+TEST(StatisticShards, ThreadsSumExactly) {
+  static Statistic S("counters-test", "ShardThreadsCounter", "test");
+  static HistStatistic H("counters-test", "ShardThreadsHist", "test");
+  constexpr unsigned NumThreads = 8, PerThread = 5000;
+  resetStatistics();
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([T] {
+      for (unsigned I = 0; I != PerThread; ++I) {
+        ++S;
+        H.sample(T * PerThread + I);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  // The samples are 0 .. NumThreads * PerThread - 1, once each.
+  const std::uint64_t N = NumThreads * PerThread;
+  std::vector<std::uint64_t> WantBuckets(HistStatistic::NumBuckets, 0);
+  for (std::uint64_t V = 0; V != N; ++V)
+    ++WantBuckets[HistStatistic::bucketIndex(V)];
+  EXPECT_EQ(S.value(), N);
+  EXPECT_EQ(statisticValue("counters-test", "ShardThreadsCounter"), N);
+  EXPECT_EQ(H.count(), N);
+  EXPECT_EQ(H.sum(), N * (N - 1) / 2);
+  EXPECT_EQ(H.max(), N - 1);
+  for (const StatisticSnapshot &Row : statisticsSnapshot())
+    if (Row.Name == "ShardThreadsHist") {
+      EXPECT_EQ(Row.Count, N);
+      EXPECT_EQ(Row.Value, N * (N - 1) / 2);
+      EXPECT_EQ(Row.Buckets, WantBuckets);
+    }
+}
+
+TEST(StatisticShards, ExitedThreadStillCounted) {
+  static Statistic S("counters-test", "ShardExitedThread", "test");
+  resetStatistics();
+  ++S; // The main thread's live shard.
+  std::thread([] { S += 41; }).join(); // Folded into the retired total.
+  EXPECT_EQ(S.value(), 42u);
+  EXPECT_EQ(statisticValue("counters-test", "ShardExitedThread"), 42u);
+}
+
+TEST(StatisticShards, ResetClearsLiveAndRetired) {
+  static Statistic S("counters-test", "ShardReset", "test");
+  static HistStatistic H("counters-test", "ShardResetHist", "test");
+  S += 3;
+  H.sample(9);
+  std::thread([] {
+    S += 4;
+    H.sample(100);
+  }).join();
+  ASSERT_GE(S.value(), 7u);
+  resetStatistics();
+  EXPECT_EQ(S.value(), 0u);
+  EXPECT_EQ(H.count(), 0u);
+  EXPECT_EQ(H.sum(), 0u);
+  EXPECT_EQ(H.max(), 0u);
+  for (unsigned I = 0; I != HistStatistic::NumBuckets; ++I)
+    EXPECT_EQ(H.bucket(I), 0u) << "bucket " << I;
+
+  // Counting restarts from zero in the live shard and in a shard that a
+  // new thread takes over from the exited one.
+  ++S;
+  std::thread([] { S += 5; }).join();
+  EXPECT_EQ(S.value(), 6u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,9 +23,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace depflow;
@@ -348,6 +350,54 @@ TEST(Metrics, CountersAdvanceWithAllocation) {
   // Process totals include this thread.
   EXPECT_GE(obs::processAllocatedBytes(), obs::threadAllocatedBytes());
   EXPECT_GT(obs::peakRSSBytes(), 0u);
+}
+
+TEST(Metrics, ExitedThreadsFoldIntoProcessTotals) {
+  // Rounds of 64 threads, all alive at once, each allocating a different
+  // amount. An exited thread's counts fold into the retired total and its
+  // record is reused, so the process totals stay exact while the record
+  // list stops growing after the first round.
+  constexpr unsigned NumThreads = 64;
+  std::size_t RecordsAfterFirstRound = 0;
+  for (unsigned Round = 0; Round != 4; ++Round) {
+    std::vector<std::uint64_t> Bytes(NumThreads), Counts(NumThreads);
+    std::vector<std::uint64_t> StartBytes(NumThreads, ~std::uint64_t(0));
+    std::vector<std::thread> Threads;
+    Threads.reserve(NumThreads);
+    std::latch AllStarted(NumThreads);
+    const std::uint64_t ProcBytes0 = obs::processAllocatedBytes();
+    const std::uint64_t ProcCount0 = obs::processAllocationCount();
+    const std::uint64_t MainBytes0 = obs::threadAllocatedBytes();
+    const std::uint64_t MainCount0 = obs::threadAllocationCount();
+    for (unsigned T = 0; T != NumThreads; ++T)
+      Threads.emplace_back([&, T] {
+        StartBytes[T] = obs::threadAllocatedBytes();
+        AllStarted.arrive_and_wait();
+        std::vector<std::unique_ptr<int>> Keep;
+        for (unsigned I = 0; I != T + Round; ++I)
+          Keep.push_back(std::make_unique<int>(int(I)));
+        Keep.clear();
+        Bytes[T] = obs::threadAllocatedBytes();
+        Counts[T] = obs::threadAllocationCount();
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+
+    std::uint64_t WantBytes = obs::threadAllocatedBytes() - MainBytes0;
+    std::uint64_t WantCount = obs::threadAllocationCount() - MainCount0;
+    for (unsigned T = 0; T != NumThreads; ++T) {
+      EXPECT_EQ(StartBytes[T], 0u) << "a reused record starts from zero";
+      WantBytes += Bytes[T];
+      WantCount += Counts[T];
+    }
+    EXPECT_EQ(obs::processAllocatedBytes() - ProcBytes0, WantBytes);
+    EXPECT_EQ(obs::processAllocationCount() - ProcCount0, WantCount);
+    if (Round == 0)
+      RecordsAfterFirstRound = obs::allocationRecordCount();
+    else
+      EXPECT_EQ(obs::allocationRecordCount(), RecordsAfterFirstRound)
+          << "round " << Round;
+  }
 }
 
 } // namespace

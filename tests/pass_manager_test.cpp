@@ -211,6 +211,43 @@ TEST(AnalysisManager, CachingDisabledKeepsDisplacedResultsAlive) {
   AM.invalidate(PreservedAnalyses::none());
 }
 
+// a + b is computed in thn and again in join: Morel-Renvoise inserts it
+// at the end of els and deletes the join computation. a * b is a second
+// candidate, queried after that motion.
+const char *PartialRedundancySrc = R"(
+func pr(p, a, b) {
+entry:
+  x = 0
+  if p goto thn else els
+thn:
+  x = a + b
+  goto join
+els:
+  goto join
+join:
+  y = a + b
+  z = a * b
+  ret x, y, z
+}
+)";
+
+TEST(AnalysisManager, PREMotionKeepsCFGShapeAnalyses) {
+  auto F = parseFunctionOrDie(PartialRedundancySrc);
+  FunctionAnalysisManager AM(*F);
+  AM.getResult<DFGAnalysis>();
+  std::string Before = printFunction(*F);
+
+  // The motion edits instructions but no successor list: the next
+  // candidate needs a new DFG, built over the cached cycle equivalence
+  // and PST.
+  ASSERT_TRUE(runPass(*F, PassId::PRE, AM).ok());
+  ASSERT_NE(printFunction(*F), Before) << "pre should have moved a + b";
+  EXPECT_EQ(missesOf(AM, "dfg"), 2u);
+  EXPECT_EQ(missesOf(AM, "cycle-equiv"), 1u);
+  EXPECT_EQ(missesOf(AM, "pst"), 1u);
+  EXPECT_EQ(missesOf(AM, "cfg-edges"), 1u);
+}
+
 TEST(PassPipeline, ParsesCanonicalNames) {
   std::vector<PassId> Passes;
   ASSERT_TRUE(
