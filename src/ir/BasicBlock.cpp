@@ -115,15 +115,13 @@ RetInst *BasicBlock::setRet(std::vector<Operand> Outputs) {
       setTerminator(std::make_unique<RetInst>(std::move(Outputs))));
 }
 
-std::vector<BasicBlock *> BasicBlock::successors() const {
+const std::vector<BasicBlock *> &BasicBlock::successors() const {
+  // A terminator's block references are exactly its successors in order
+  // (a ret holds none); only the phi, a non-terminator, uses them for
+  // something else.
+  static const std::vector<BasicBlock *> NoSuccessors;
   Instruction *Term = terminator();
-  if (!Term)
-    return {};
-  if (auto *J = dyn_cast<JumpInst>(Term))
-    return {J->target()};
-  if (auto *C = dyn_cast<CondBrInst>(Term))
-    return {C->trueTarget(), C->falseTarget()};
-  return {};
+  return Term ? Term->blockRefs() : NoSuccessors;
 }
 
 unsigned BasicBlock::numSuccessors() const {

@@ -96,9 +96,12 @@ public:
                         BasicBlock *FalseTarget);
   RetInst *setRet(std::vector<Operand> Outputs);
 
-  /// Successor blocks, derived from the terminator. Empty if no terminator
-  /// or a ret.
-  std::vector<BasicBlock *> successors() const;
+  /// Successor blocks in branch order: the terminator's block references
+  /// (goto: the target; if: true then false target), or an empty list if
+  /// there is no terminator or it is a ret. The reference stays valid until
+  /// the block's terminator changes; a caller that retargets, replaces, or
+  /// clears the terminator while iterating must copy the list first.
+  const std::vector<BasicBlock *> &successors() const;
   /// Successor count without materializing the vector (hot: the DFG
   /// builder asks this per block per variable).
   unsigned numSuccessors() const;

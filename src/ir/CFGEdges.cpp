@@ -13,7 +13,7 @@ CFGEdges::CFGEdges(const Function &F) {
   Out.resize(F.numBlocks());
   In.resize(F.numBlocks());
   for (const auto &BB : F.blocks()) {
-    std::vector<BasicBlock *> Succs = BB->successors();
+    const std::vector<BasicBlock *> &Succs = BB->successors();
     for (unsigned SI = 0, E = unsigned(Succs.size()); SI != E; ++SI) {
       unsigned Id = unsigned(Edges.size());
       Edges.push_back({Id, BB.get(), Succs[SI], SI});

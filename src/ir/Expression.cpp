@@ -12,6 +12,11 @@
 using namespace depflow;
 
 std::string depflow::printExpression(const Function &F, const Expression &E) {
-  return printOperand(F, E.Lhs) + " " + binOpName(E.Op) + " " +
-         printOperand(F, E.Rhs);
+  std::string S;
+  appendOperand(F, E.Lhs, S);
+  S += ' ';
+  S += binOpName(E.Op);
+  S += ' ';
+  appendOperand(F, E.Rhs, S);
+  return S;
 }

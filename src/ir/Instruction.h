@@ -175,8 +175,7 @@ class BinaryInst : public DefInst {
 public:
   BinaryInst(VarId Def, BinOp Op, Operand A, Operand B)
       : DefInst(Kind::Binary, Def), Op(Op) {
-    Ops.push_back(A);
-    Ops.push_back(B);
+    Ops = {A, B};
   }
   BinOp op() const { return Op; }
   const Operand &lhs() const { return Ops[0]; }
@@ -242,7 +241,7 @@ public:
 class JumpInst : public Instruction {
 public:
   explicit JumpInst(BasicBlock *Target) : Instruction(Kind::Jump) {
-    Blocks.push_back(Target);
+    Blocks = {Target};
   }
   BasicBlock *target() const { return Blocks[0]; }
   static bool classof(const Instruction *I) { return I->kind() == Kind::Jump; }
@@ -253,9 +252,8 @@ class CondBrInst : public Instruction {
 public:
   CondBrInst(Operand Cond, BasicBlock *TrueTarget, BasicBlock *FalseTarget)
       : Instruction(Kind::CondBr) {
-    Ops.push_back(Cond);
-    Blocks.push_back(TrueTarget);
-    Blocks.push_back(FalseTarget);
+    Ops = {Cond};
+    Blocks = {TrueTarget, FalseTarget};
   }
   const Operand &cond() const { return Ops[0]; }
   BasicBlock *trueTarget() const { return Blocks[0]; }

@@ -32,7 +32,7 @@ Status Module::replaceFunction(unsigned I, std::unique_ptr<Function> F) {
 }
 
 Function *Module::lookup(std::string_view FnName) const {
-  auto It = IndexOf.find(std::string(FnName));
+  auto It = IndexOf.find(FnName);
   return It == IndexOf.end() ? nullptr : Funcs[It->second].get();
 }
 

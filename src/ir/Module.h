@@ -25,7 +25,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace depflow {
@@ -33,7 +32,7 @@ namespace depflow {
 class Module {
   std::string Name;
   std::vector<std::unique_ptr<Function>> Funcs;
-  std::unordered_map<std::string, unsigned> IndexOf;
+  StringMap<unsigned> IndexOf;
 
 public:
   explicit Module(std::string Name = "module") : Name(std::move(Name)) {}

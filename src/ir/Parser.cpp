@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -18,69 +20,152 @@ using namespace depflow;
 
 namespace {
 
+/// Token kinds. Every punctuator has its own kind, so the parser matches
+/// punctuation by comparing one byte.
 enum class TokKind : std::uint8_t {
   Ident,
   Int,
-  Punct, // Single string for multi-char operators too.
   End,
+  LParen,
+  RParen,
+  LBrace,
+  RBrace,
+  Colon,
+  Comma,
+  Assign,
+  Plus,
+  Minus,
+  Star,
+  Slash,
+  Less,
+  Greater,
+  Bang,
+  EqEq,
+  NotEq,
+  LessEq,
+  GreaterEq,
+  AndAnd,
+  OrOr,
 };
 
+/// Source spelling of each punctuator, indexed from TokKind::LParen on.
+constexpr const char *PunctSpellings[] = {
+    "(", ")", "{", "}", ":", ",", "=", "+", "-", "*",
+    "/", "<", ">", "!", "==", "!=", "<=", ">=", "&&", "||"};
+
+const char *punctSpelling(TokKind K) {
+  assert(K >= TokKind::LParen && "not a punctuator");
+  return PunctSpellings[unsigned(K) - unsigned(TokKind::LParen)];
+}
+
+/// Keywords are contextual: a keyword token is still an identifier (a
+/// variable or label may be called `read` or `phi`), tagged so the parser
+/// can test for it without comparing text.
+enum class Keyword : std::uint8_t {
+  None,
+  Func,
+  Goto,
+  If,
+  Else,
+  Ret,
+  Read,
+  Call,
+  Phi,
+};
+
+Keyword classifyKeyword(std::string_view S) {
+  switch (S.size()) {
+  case 2:
+    return S == "if" ? Keyword::If : Keyword::None;
+  case 3:
+    if (S == "ret")
+      return Keyword::Ret;
+    return S == "phi" ? Keyword::Phi : Keyword::None;
+  case 4:
+    switch (S[0]) {
+    case 'f':
+      return S == "func" ? Keyword::Func : Keyword::None;
+    case 'g':
+      return S == "goto" ? Keyword::Goto : Keyword::None;
+    case 'e':
+      return S == "else" ? Keyword::Else : Keyword::None;
+    case 'r':
+      return S == "read" ? Keyword::Read : Keyword::None;
+    case 'c':
+      return S == "call" ? Keyword::Call : Keyword::None;
+    default:
+      return Keyword::None;
+    }
+  default:
+    return Keyword::None;
+  }
+}
+
+/// A token. Identifier text is a view into the source, which outlives the
+/// parse; only names the IR keeps are copied out of it.
 struct Token {
   TokKind Kind;
-  std::string Text;
-  std::int64_t IntValue = 0;
+  Keyword Kw = Keyword::None;
   unsigned Line = 0;
+  std::string_view Text; // Ident only.
+  std::int64_t IntValue = 0;
 };
 
-/// A whole-input tokenizer; the parser then works on the token vector, which
-/// makes the label pre-scan (to fix block creation order) trivial.
+/// An on-demand tokenizer: next() lexes one token. At the end of the input,
+/// and after a bad character or literal, it returns End tokens from then on;
+/// failed() tells the two apart.
 class Lexer {
   std::string_view Src;
   std::size_t Pos = 0;
   unsigned Line = 1;
+  bool Done = false;
+  std::string Error;
   unsigned ErrLine = 0;
 
 public:
   explicit Lexer(std::string_view Src) : Src(Src) {}
 
+  bool failed() const { return ErrLine != 0; }
+  const std::string &error() const { return Error; }
   unsigned errorLine() const { return ErrLine; }
 
-  /// Tokenizes the whole input; returns false (with \p Error set) on a bad
-  /// character.
-  bool run(std::vector<Token> &Out, std::string &Error) {
-    while (true) {
-      skipWhitespaceAndComments();
-      if (Pos >= Src.size())
-        break;
-      char C = Src[Pos];
-      if (isIdentStart(C)) {
-        std::size_t Begin = Pos;
-        while (Pos < Src.size() && isIdentChar(Src[Pos]))
-          ++Pos;
-        Out.push_back({TokKind::Ident,
-                       std::string(Src.substr(Begin, Pos - Begin)), 0, Line});
-        continue;
-      }
-      if (C >= '0' && C <= '9') {
-        if (!lexInt(Out, Error, /*Negative=*/false))
-          return false;
-        continue;
-      }
-      if (C == '-' && Pos + 1 < Src.size() && Src[Pos + 1] >= '0' &&
-          Src[Pos + 1] <= '9') {
-        ++Pos;
-        if (!lexInt(Out, Error, /*Negative=*/true))
-          return false;
-        continue;
-      }
-      if (!lexPunct(Out, Error))
-        return false;
+  Token next() {
+    if (Done)
+      return endToken();
+    skipWhitespaceAndComments();
+    if (Pos >= Src.size()) {
+      Done = true;
+      return endToken();
     }
-    Out.push_back({TokKind::End, "", 0, Line});
-    return true;
+    char C = Src[Pos];
+    if (isIdentStart(C)) {
+      std::size_t Begin = Pos;
+      while (Pos < Src.size() && isIdentChar(Src[Pos]))
+        ++Pos;
+      std::string_view Text = Src.substr(Begin, Pos - Begin);
+      return {TokKind::Ident, classifyKeyword(Text), Line, Text, 0};
+    }
+    if (C >= '0' && C <= '9')
+      return lexInt(/*Negative=*/false);
+    if (C == '-' && Pos + 1 < Src.size() && Src[Pos + 1] >= '0' &&
+        Src[Pos + 1] <= '9') {
+      ++Pos;
+      return lexInt(/*Negative=*/true);
+    }
+    return lexPunct();
+  }
+
+  /// Lexes the rest of the input, so that a bad character anywhere in it
+  /// is found (and wins over any parse error, as if the whole input had
+  /// been tokenized first).
+  void drain() {
+    while (!Done)
+      next();
   }
 
 private:
+  Token endToken() const { return {TokKind::End, Keyword::None, Line, {}, 0}; }
+
   static bool isIdentStart(char C) {
     return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_' ||
            C == '.';
@@ -106,73 +191,133 @@ private:
     }
   }
 
-  bool lexInt(std::vector<Token> &Out, std::string &Error, bool Negative) {
-    std::uint64_t Value = 0;
-    std::size_t Begin = Pos;
-    while (Pos < Src.size() && Src[Pos] >= '0' && Src[Pos] <= '9') {
-      Value = Value * 10 + std::uint64_t(Src[Pos] - '0');
-      ++Pos;
-    }
-    if (Pos - Begin > 19) {
-      Error = "line " + std::to_string(Line) + ": integer literal too large";
-      ErrLine = Line;
-      return false;
-    }
-    std::int64_t Signed =
-        Negative ? std::int64_t(-Value) : std::int64_t(Value);
-    Out.push_back({TokKind::Int, "", Signed, Line});
-    return true;
+  Token fail(std::string_view Msg) {
+    Error = "line " + std::to_string(Line) + ": ";
+    Error += Msg;
+    ErrLine = Line;
+    Done = true;
+    return endToken();
   }
 
-  bool lexPunct(std::vector<Token> &Out, std::string &Error) {
-    static const char *TwoChar[] = {"==", "!=", "<=", ">=", "&&", "||"};
-    for (const char *Op : TwoChar) {
-      if (Src.substr(Pos, 2) == Op) {
-        Out.push_back({TokKind::Punct, Op, 0, Line});
-        Pos += 2;
-        return true;
-      }
+  /// Lexes the digits at Pos. The magnitude must fit an int64: at most
+  /// INT64_MAX, or 2^63 after a '-' (INT64_MIN).
+  Token lexInt(bool Negative) {
+    const std::uint64_t Limit =
+        std::uint64_t(std::numeric_limits<std::int64_t>::max()) + Negative;
+    std::uint64_t Value = 0;
+    bool TooLarge = false;
+    while (Pos < Src.size() && Src[Pos] >= '0' && Src[Pos] <= '9') {
+      const unsigned Digit = unsigned(Src[Pos] - '0');
+      if (Value > (Limit - Digit) / 10)
+        TooLarge = true;
+      else
+        Value = Value * 10 + Digit;
+      ++Pos;
     }
-    char C = Src[Pos];
-    static const char OneChar[] = "(){}:,=+-*/<>!";
-    for (char Op : OneChar) {
-      if (C == Op) {
-        Out.push_back({TokKind::Punct, std::string(1, C), 0, Line});
-        ++Pos;
-        return true;
-      }
+    if (TooLarge)
+      return fail("integer literal too large");
+    std::int64_t Signed =
+        Negative ? std::int64_t(0 - Value) : std::int64_t(Value);
+    return {TokKind::Int, Keyword::None, Line, {}, Signed};
+  }
+
+  Token lexPunct() {
+    const char C = Src[Pos];
+    const char Next = Pos + 1 < Src.size() ? Src[Pos + 1] : '\0';
+    TokKind Kind;
+    switch (C) {
+    case '(':
+      Kind = TokKind::LParen;
+      break;
+    case ')':
+      Kind = TokKind::RParen;
+      break;
+    case '{':
+      Kind = TokKind::LBrace;
+      break;
+    case '}':
+      Kind = TokKind::RBrace;
+      break;
+    case ':':
+      Kind = TokKind::Colon;
+      break;
+    case ',':
+      Kind = TokKind::Comma;
+      break;
+    case '+':
+      Kind = TokKind::Plus;
+      break;
+    case '-':
+      Kind = TokKind::Minus;
+      break;
+    case '*':
+      Kind = TokKind::Star;
+      break;
+    case '/':
+      Kind = TokKind::Slash;
+      break;
+    case '=':
+      Kind = Next == '=' ? TokKind::EqEq : TokKind::Assign;
+      break;
+    case '!':
+      Kind = Next == '=' ? TokKind::NotEq : TokKind::Bang;
+      break;
+    case '<':
+      Kind = Next == '=' ? TokKind::LessEq : TokKind::Less;
+      break;
+    case '>':
+      Kind = Next == '=' ? TokKind::GreaterEq : TokKind::Greater;
+      break;
+    case '&':
+      if (Next != '&')
+        return fail("unexpected character '&'");
+      Kind = TokKind::AndAnd;
+      break;
+    case '|':
+      if (Next != '|')
+        return fail("unexpected character '|'");
+      Kind = TokKind::OrOr;
+      break;
+    default:
+      return fail(std::string("unexpected character '") + C + "'");
     }
-    Error = "line " + std::to_string(Line) + ": unexpected character '" +
-            std::string(1, C) + "'";
-    ErrLine = Line;
-    return false;
+    Pos += std::strlen(punctSpelling(Kind));
+    return {Kind, Keyword::None, Line, {}, 0};
   }
 };
 
 class Parser {
+  Lexer Lex;
+  /// Tokens of the function being parsed, lexed on demand; Toks[Pos] is the
+  /// current one. Each function starts a fresh window, so the buffer stays
+  /// the size of one function however long the input is.
   std::vector<Token> Toks;
   std::size_t Pos = 0;
   std::unique_ptr<Function> Fn;
-  std::unordered_map<std::string, BasicBlock *> BlockOf;
+  /// Label -> block of the function being parsed, keyed by views into the
+  /// source; LabelSeen marks, per block id, whether its label line has
+  /// been parsed (a second one is a duplicate label).
+  std::unordered_map<std::string_view, BasicBlock *> BlockOf;
+  std::vector<bool> LabelSeen;
   std::string Error;
   unsigned ErrorLine = 0;
   unsigned FnNameLine = 0; // Line of the current function's name token.
 
 public:
-  ParseResult run(std::string_view Source) {
-    Lexer Lex(Source);
-    if (!Lex.run(Toks, Error))
-      return {nullptr, Error, Lex.errorLine()};
+  explicit Parser(std::string_view Source) : Lex(Source) {}
+
+  ParseResult run() {
     if (!parseFunctionBody())
-      return {nullptr, Error, ErrorLine};
+      return failure<ParseResult>();
+    // Tokens past the function are ignored, but must still lex.
+    Lex.drain();
+    if (Lex.failed())
+      return failure<ParseResult>();
     Fn->recomputePreds();
     return {std::move(Fn), "", 0};
   }
 
-  ParseModuleResult runModule(std::string_view Source) {
-    Lexer Lex(Source);
-    if (!Lex.run(Toks, Error))
-      return {nullptr, Error, Lex.errorLine()};
+  ParseModuleResult runModule() {
     auto M = std::make_unique<Module>();
     // An input with no functions at all is rejected the same way a
     // truncated one is — the empty module is never produced.
@@ -180,18 +325,19 @@ public:
       // Per-function parser state: the block namespace is function-local.
       Fn.reset();
       BlockOf.clear();
+      Toks.erase(Toks.begin(), Toks.begin() + Pos);
+      Pos = 0;
       if (!parseFunctionBody())
-        return {nullptr, Error, ErrorLine};
+        return failure<ParseModuleResult>();
       Fn->recomputePreds();
-      unsigned NameLine = FnNameLine;
-      std::string FnName = Fn->name();
-      if (!M->addFunction(std::move(Fn)).ok()) {
-        failAt(NameLine, "duplicate function '" + FnName + "'");
-        return {nullptr, Error, ErrorLine};
+      if (M->lookup(Fn->name())) {
+        failAt(FnNameLine, "duplicate function '" + Fn->name() + "'");
+        return failure<ParseModuleResult>();
       }
+      M->addFunction(std::move(Fn));
     } while (cur().Kind != TokKind::End);
-    if (!resolveCalls(*M))
-      return {nullptr, Error, ErrorLine};
+    if (Lex.failed() || !resolveCalls(*M))
+      return failure<ParseModuleResult>();
     return {std::move(M), "", 0};
   }
 
@@ -225,9 +371,28 @@ private:
     return true;
   }
 
-  const Token &cur() const { return Toks[Pos]; }
+  /// The parse failed (or the lexer did): a bad character anywhere in the
+  /// input is reported in preference to any parse error.
+  template <typename Result> Result failure() {
+    Lex.drain();
+    if (Lex.failed())
+      return {nullptr, Lex.error(), Lex.errorLine()};
+    return {nullptr, Error, ErrorLine};
+  }
+
+  /// Token \p I of the current window, lexing up to it on demand. Past
+  /// the end of the input every token is End.
+  const Token &tok(std::size_t I) {
+    while (Toks.size() <= I) {
+      if (!Toks.empty() && Toks.back().Kind == TokKind::End)
+        return Toks.back();
+      Toks.push_back(Lex.next());
+    }
+    return Toks[I];
+  }
+  const Token &cur() { return tok(Pos); }
   void advance() {
-    if (Pos + 1 < Toks.size())
+    if (cur().Kind != TokKind::End)
       ++Pos;
   }
 
@@ -241,21 +406,24 @@ private:
     return false;
   }
 
-  bool isPunct(const char *P) const {
-    return cur().Kind == TokKind::Punct && cur().Text == P;
+  bool is(TokKind K) { return cur().Kind == K; }
+  bool isKeyword(Keyword K) {
+    return cur().Kind == TokKind::Ident && cur().Kw == K;
   }
-  bool isIdent(const char *S) const {
-    return cur().Kind == TokKind::Ident && cur().Text == S;
+  /// True when the token after the current one is a ':' (a label line, or
+  /// a phi's `label: value` pair).
+  bool nextIsColon() {
+    return cur().Kind != TokKind::End && tok(Pos + 1).Kind == TokKind::Colon;
   }
 
-  bool expectPunct(const char *P) {
-    if (!isPunct(P))
-      return fail(std::string("expected '") + P + "'");
+  bool expect(TokKind K) {
+    if (!is(K))
+      return fail(std::string("expected '") + punctSpelling(K) + "'");
     advance();
     return true;
   }
 
-  bool expectIdent(std::string &Out) {
+  bool expectIdent(std::string_view &Out) {
     if (cur().Kind != TokKind::Ident)
       return fail("expected identifier");
     Out = cur().Text;
@@ -268,53 +436,54 @@ private:
   /// entry regardless of forward references.
   void preScanLabels(std::size_t BodyBegin) {
     int Depth = 0;
-    for (std::size_t I = BodyBegin; I + 1 < Toks.size(); ++I) {
+    for (std::size_t I = BodyBegin; tok(I).Kind != TokKind::End; ++I) {
+      const TokKind NextKind = tok(I + 1).Kind; // May grow Toks: lex first.
       const Token &T = Toks[I];
-      if (T.Kind == TokKind::Punct) {
-        if (T.Text == "(")
-          ++Depth;
-        else if (T.Text == ")")
-          --Depth;
-        else if (T.Text == "}")
-          break;
-      }
+      if (T.Kind == TokKind::LParen)
+        ++Depth;
+      else if (T.Kind == TokKind::RParen)
+        --Depth;
+      else if (T.Kind == TokKind::RBrace)
+        break;
       if (Depth == 0 && T.Kind == TokKind::Ident &&
-          Toks[I + 1].Kind == TokKind::Punct && Toks[I + 1].Text == ":" &&
-          !BlockOf.count(T.Text))
-        BlockOf[T.Text] = Fn->makeBlock(T.Text);
+          NextKind == TokKind::Colon) {
+        auto [It, Inserted] = BlockOf.try_emplace(T.Text, nullptr);
+        if (Inserted)
+          It->second = Fn->makeBlock(std::string(T.Text));
+      }
     }
   }
 
-  BasicBlock *lookupBlock(const std::string &Label) {
+  BasicBlock *lookupBlock(std::string_view Label) {
     auto It = BlockOf.find(Label);
     return It == BlockOf.end() ? nullptr : It->second;
   }
 
   bool parseFunctionBody() {
-    if (!isIdent("func"))
+    if (!isKeyword(Keyword::Func))
       return fail("expected 'func'");
     advance();
     FnNameLine = cur().Line;
-    std::string Name;
+    std::string_view Name;
     if (!expectIdent(Name))
       return false;
-    Fn = std::make_unique<Function>(Name);
-    if (!expectPunct("("))
+    Fn = std::make_unique<Function>(std::string(Name));
+    if (!expect(TokKind::LParen))
       return false;
-    if (!isPunct(")")) {
+    if (!is(TokKind::RParen)) {
       while (true) {
-        std::string Param;
+        std::string_view Param;
         if (!expectIdent(Param))
           return false;
         Fn->addParam(Fn->makeVar(Param));
-        if (isPunct(",")) {
+        if (is(TokKind::Comma)) {
           advance();
           continue;
         }
         break;
       }
     }
-    if (!expectPunct(")") || !expectPunct("{"))
+    if (!expect(TokKind::RParen) || !expect(TokKind::LBrace))
       return false;
 
     preScanLabels(Pos);
@@ -322,18 +491,17 @@ private:
       return fail("function has no blocks");
 
     BasicBlock *Current = nullptr;
-    std::unordered_map<std::string, bool> LabelSeen;
-    while (!isPunct("}")) {
-      if (cur().Kind == TokKind::End)
+    LabelSeen.assign(Fn->numBlocks(), false);
+    while (!is(TokKind::RBrace)) {
+      if (is(TokKind::End))
         return fail("unexpected end of input; missing '}'");
       // Label?
-      if (cur().Kind == TokKind::Ident && Pos + 1 < Toks.size() &&
-          Toks[Pos + 1].Kind == TokKind::Punct && Toks[Pos + 1].Text == ":") {
-        if (LabelSeen[cur().Text])
-          return fail("duplicate label '" + cur().Text + "'");
-        LabelSeen[cur().Text] = true;
+      if (is(TokKind::Ident) && nextIsColon()) {
         Current = lookupBlock(cur().Text);
         assert(Current && "label was pre-scanned");
+        if (LabelSeen[Current->id()])
+          return fail("duplicate label '" + std::string(cur().Text) + "'");
+        LabelSeen[Current->id()] = true;
         advance();
         advance();
         continue;
@@ -361,35 +529,62 @@ private:
     return fail("expected operand (integer or variable)");
   }
 
-  std::optional<BinOp> currentBinOp() const {
-    if (cur().Kind != TokKind::Punct)
-      return std::nullopt;
-    const std::string &T = cur().Text;
-    if (T == "+")
+  /// Parses `operand (',' operand)*` into \p Out.
+  bool parseOperandList(std::vector<Operand> &Out) {
+    while (true) {
+      Operand O;
+      if (!parseOperand(O))
+        return false;
+      Out.push_back(O);
+      if (!is(TokKind::Comma))
+        return true;
+      advance();
+    }
+  }
+
+  std::optional<BinOp> currentBinOp() {
+    switch (cur().Kind) {
+    case TokKind::Plus:
       return BinOp::Add;
-    if (T == "-")
+    case TokKind::Minus:
       return BinOp::Sub;
-    if (T == "*")
+    case TokKind::Star:
       return BinOp::Mul;
-    if (T == "/")
+    case TokKind::Slash:
       return BinOp::Div;
-    if (T == "==")
+    case TokKind::EqEq:
       return BinOp::Eq;
-    if (T == "!=")
+    case TokKind::NotEq:
       return BinOp::Ne;
-    if (T == "<")
+    case TokKind::Less:
       return BinOp::Lt;
-    if (T == "<=")
+    case TokKind::LessEq:
       return BinOp::Le;
-    if (T == ">")
+    case TokKind::Greater:
       return BinOp::Gt;
-    if (T == ">=")
+    case TokKind::GreaterEq:
       return BinOp::Ge;
-    if (T == "&&")
+    case TokKind::AndAnd:
       return BinOp::And;
-    if (T == "||")
+    case TokKind::OrOr:
       return BinOp::Or;
-    return std::nullopt;
+    default:
+      return std::nullopt;
+    }
+  }
+
+  /// Parses a label reference and resolves it to a block; \p Context is
+  /// appended to the unknown-label diagnostic.
+  bool parseLabelRef(BasicBlock *&Out, const char *Context = "") {
+    std::string_view Label;
+    unsigned LabelLine = cur().Line;
+    if (!expectIdent(Label))
+      return false;
+    Out = lookupBlock(Label);
+    if (!Out)
+      return failAt(LabelLine, "unknown label '" + std::string(Label) + "'" +
+                                   Context);
+    return true;
   }
 
   bool parseInstruction(BasicBlock *BB) {
@@ -399,31 +594,27 @@ private:
     // Every instruction remembers the line its first token sits on;
     // `--slice func:line` criteria resolve against this.
     const unsigned InstLine = cur().Line;
-    if (isIdent("goto")) {
+    if (isKeyword(Keyword::Goto)) {
       advance();
-      std::string Label;
-      unsigned LabelLine = cur().Line;
-      if (!expectIdent(Label))
+      BasicBlock *Target;
+      if (!parseLabelRef(Target))
         return false;
-      BasicBlock *Target = lookupBlock(Label);
-      if (!Target)
-        return failAt(LabelLine, "unknown label '" + Label + "'");
       BB->setJump(Target)->setLine(InstLine);
       return true;
     }
-    if (isIdent("if")) {
+    if (isKeyword(Keyword::If)) {
       advance();
       Operand Cond;
       if (!parseOperand(Cond))
         return false;
-      if (!isIdent("goto"))
+      if (!isKeyword(Keyword::Goto))
         return fail("expected 'goto' in conditional branch");
       advance();
-      std::string TrueLabel, FalseLabel;
+      std::string_view TrueLabel, FalseLabel;
       unsigned TrueLine = cur().Line;
       if (!expectIdent(TrueLabel))
         return false;
-      if (!isIdent("else"))
+      if (!isKeyword(Keyword::Else))
         return fail("expected 'else' in conditional branch");
       advance();
       unsigned FalseLine = cur().Line;
@@ -432,107 +623,82 @@ private:
       BasicBlock *T = lookupBlock(TrueLabel);
       BasicBlock *E = lookupBlock(FalseLabel);
       if (!T)
-        return failAt(TrueLine, "unknown label '" + TrueLabel + "'");
+        return failAt(TrueLine,
+                      "unknown label '" + std::string(TrueLabel) + "'");
       if (!E)
-        return failAt(FalseLine, "unknown label '" + FalseLabel + "'");
+        return failAt(FalseLine,
+                      "unknown label '" + std::string(FalseLabel) + "'");
       BB->setCondBr(Cond, T, E)->setLine(InstLine);
       return true;
     }
-    if (isIdent("ret")) {
+    if (isKeyword(Keyword::Ret)) {
       advance();
       std::vector<Operand> Outputs;
       // Outputs are optional; they end at the next label/instr/'}'. Since
       // operands are single tokens, parse a comma-separated list greedily.
-      if (cur().Kind == TokKind::Int ||
-          (cur().Kind == TokKind::Ident &&
-           !(Pos + 1 < Toks.size() && Toks[Pos + 1].Text == ":"))) {
-        while (true) {
-          Operand O;
-          if (!parseOperand(O))
-            return false;
-          Outputs.push_back(O);
-          if (isPunct(",")) {
-            advance();
-            continue;
-          }
-          break;
-        }
-      }
+      if (is(TokKind::Int) || (is(TokKind::Ident) && !nextIsColon()))
+        if (!parseOperandList(Outputs))
+          return false;
       BB->setRet(std::move(Outputs))->setLine(InstLine);
       return true;
     }
     // Definition: IDENT '=' ...
-    std::string DefName;
+    std::string_view DefName;
     if (!expectIdent(DefName))
       return false;
-    if (!expectPunct("="))
+    if (!expect(TokKind::Assign))
       return false;
     VarId Def = Fn->makeVar(DefName);
 
-    if (isIdent("read")) {
+    if (isKeyword(Keyword::Read)) {
       advance();
-      if (!expectPunct("(") || !expectPunct(")"))
+      if (!expect(TokKind::LParen) || !expect(TokKind::RParen))
         return false;
       BB->appendRead(Def)->setLine(InstLine);
       return true;
     }
-    if (isIdent("call")) {
+    if (isKeyword(Keyword::Call)) {
       advance();
-      std::string Callee;
+      std::string_view Callee;
       if (!expectIdent(Callee))
         return false;
-      if (!expectPunct("("))
+      if (!expect(TokKind::LParen))
         return false;
       std::vector<Operand> Args;
-      if (!isPunct(")")) {
-        while (true) {
-          Operand O;
-          if (!parseOperand(O))
-            return false;
-          Args.push_back(O);
-          if (isPunct(",")) {
-            advance();
-            continue;
-          }
-          break;
-        }
-      }
-      if (!expectPunct(")"))
+      if (!is(TokKind::RParen) && !parseOperandList(Args))
         return false;
-      BB->appendCall(Def, std::move(Callee), std::move(Args))
+      if (!expect(TokKind::RParen))
+        return false;
+      BB->appendCall(Def, std::string(Callee), std::move(Args))
           ->setLine(InstLine);
       return true;
     }
-    if (isIdent("phi")) {
+    if (isKeyword(Keyword::Phi)) {
       advance();
-      if (!expectPunct("("))
+      if (!expect(TokKind::LParen))
         return false;
       PhiInst *Phi = BB->appendPhi(Def);
       Phi->setLine(InstLine);
       while (true) {
-        std::string Label;
-        unsigned LabelLine = cur().Line;
-        if (!expectIdent(Label))
+        BasicBlock *Pred;
+        if (!parseLabelRef(Pred, " in phi"))
           return false;
-        BasicBlock *Pred = lookupBlock(Label);
-        if (!Pred)
-          return failAt(LabelLine, "unknown label '" + Label + "' in phi");
-        if (!expectPunct(":"))
+        if (!expect(TokKind::Colon))
           return false;
         Operand Value;
         if (!parseOperand(Value))
           return false;
         Phi->addIncoming(Pred, Value);
-        if (isPunct(",")) {
+        if (is(TokKind::Comma)) {
           advance();
           continue;
         }
         break;
       }
-      return expectPunct(")");
+      return expect(TokKind::RParen);
     }
-    if (isPunct("-") || isPunct("!")) {
-      UnOp Op = isPunct("-") ? UnOp::Neg : UnOp::Not;
+    if (is(TokKind::Minus) || is(TokKind::Bang)) {
+      UnOp Op = is(TokKind::Minus) ? UnOp::Neg : UnOp::Not;
       advance();
       Operand Src;
       if (!parseOperand(Src))
@@ -559,13 +725,11 @@ private:
 } // namespace
 
 ParseResult depflow::parseFunction(std::string_view Source) {
-  Parser P;
-  return P.run(Source);
+  return Parser(Source).run();
 }
 
 ParseModuleResult depflow::parseModule(std::string_view Source) {
-  Parser P;
-  return P.runModule(Source);
+  return Parser(Source).runModule();
 }
 
 std::string depflow::sourceExcerpt(std::string_view Source, unsigned Line,

@@ -9,108 +9,181 @@
 
 #include "support/GraphWriter.h"
 
+#include <charconv>
+
 using namespace depflow;
 
-std::string depflow::printOperand(const Function &F, const Operand &Op) {
-  if (Op.isImm())
-    return std::to_string(Op.imm());
-  if (Op.isVar())
-    return F.varName(Op.var());
-  return "<none>";
+void depflow::appendOperand(const Function &F, const Operand &Op,
+                            std::string &Out) {
+  if (Op.isImm()) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Op.imm()).ptr);
+  } else if (Op.isVar()) {
+    Out += F.varName(Op.var());
+  } else {
+    Out += "<none>";
+  }
 }
 
-std::string depflow::printInstruction(const Function &F,
-                                      const Instruction &I) {
-  switch (I.kind()) {
-  case Instruction::Kind::Copy: {
-    const auto &C = *cast<CopyInst>(&I);
-    return F.varName(C.def()) + " = " + printOperand(F, C.src());
+/// Appends `Op, Op, ...`.
+static void appendOperandList(const Function &F,
+                              const std::vector<Operand> &Ops,
+                              std::string &Out) {
+  for (unsigned Idx = 0, E = unsigned(Ops.size()); Idx != E; ++Idx) {
+    if (Idx)
+      Out += ", ";
+    appendOperand(F, Ops[Idx], Out);
   }
+}
+
+void depflow::appendInstruction(const Function &F, const Instruction &I,
+                                std::string &Out) {
+  if (const auto *D = dyn_cast<DefInst>(&I)) {
+    Out += F.varName(D->def());
+    Out += " = ";
+  }
+  switch (I.kind()) {
+  case Instruction::Kind::Copy:
+    appendOperand(F, cast<CopyInst>(&I)->src(), Out);
+    return;
   case Instruction::Kind::Unary: {
     const auto &U = *cast<UnaryInst>(&I);
-    return F.varName(U.def()) + " = " + unOpName(U.op()) + " " +
-           printOperand(F, U.src());
+    Out += unOpName(U.op());
+    Out += ' ';
+    appendOperand(F, U.src(), Out);
+    return;
   }
   case Instruction::Kind::Binary: {
     const auto &B = *cast<BinaryInst>(&I);
-    return F.varName(B.def()) + " = " + printOperand(F, B.lhs()) + " " +
-           binOpName(B.op()) + " " + printOperand(F, B.rhs());
+    appendOperand(F, B.lhs(), Out);
+    Out += ' ';
+    Out += binOpName(B.op());
+    Out += ' ';
+    appendOperand(F, B.rhs(), Out);
+    return;
   }
-  case Instruction::Kind::Read: {
-    const auto &R = *cast<ReadInst>(&I);
-    return F.varName(R.def()) + " = read()";
-  }
-  case Instruction::Kind::Call: {
-    const auto &C = *cast<CallInst>(&I);
-    std::string S = F.varName(C.def()) + " = call " + C.callee() + "(";
-    for (unsigned Idx = 0, E = C.numArgs(); Idx != E; ++Idx) {
-      if (Idx)
-        S += ", ";
-      S += printOperand(F, C.arg(Idx));
-    }
-    return S + ")";
-  }
+  case Instruction::Kind::Read:
+    Out += "read()";
+    return;
+  case Instruction::Kind::Call:
+    Out += "call ";
+    Out += cast<CallInst>(&I)->callee();
+    Out += '(';
+    appendOperandList(F, I.operands(), Out);
+    Out += ')';
+    return;
   case Instruction::Kind::Phi: {
     const auto &P = *cast<PhiInst>(&I);
-    std::string S = F.varName(P.def()) + " = phi(";
+    Out += "phi(";
     for (unsigned Idx = 0, E = P.numIncoming(); Idx != E; ++Idx) {
       if (Idx)
-        S += ", ";
-      S += P.incomingBlock(Idx)->label() + ": " +
-           printOperand(F, P.incomingValue(Idx));
+        Out += ", ";
+      Out += P.incomingBlock(Idx)->label();
+      Out += ": ";
+      appendOperand(F, P.incomingValue(Idx), Out);
     }
-    return S + ")";
+    Out += ')';
+    return;
   }
   case Instruction::Kind::Jump:
-    return "goto " + cast<JumpInst>(&I)->target()->label();
+    Out += "goto ";
+    Out += cast<JumpInst>(&I)->target()->label();
+    return;
   case Instruction::Kind::CondBr: {
     const auto &C = *cast<CondBrInst>(&I);
-    return "if " + printOperand(F, C.cond()) + " goto " +
-           C.trueTarget()->label() + " else " + C.falseTarget()->label();
+    Out += "if ";
+    appendOperand(F, C.cond(), Out);
+    Out += " goto ";
+    Out += C.trueTarget()->label();
+    Out += " else ";
+    Out += C.falseTarget()->label();
+    return;
   }
-  case Instruction::Kind::Ret: {
-    std::string S = "ret";
-    const auto &Ops = I.operands();
-    for (unsigned Idx = 0, E = unsigned(Ops.size()); Idx != E; ++Idx)
-      S += (Idx ? ", " : " ") + printOperand(F, Ops[Idx]);
-    return S;
-  }
+  case Instruction::Kind::Ret:
+    Out += "ret";
+    if (!I.operands().empty()) {
+      Out += ' ';
+      appendOperandList(F, I.operands(), Out);
+    }
+    return;
   }
   depflow_unreachable("unknown instruction kind");
 }
 
-std::string depflow::printFunction(const Function &F) {
-  std::string S = "func " + F.name() + "(";
+/// A little more than the printed size of \p F for typical code (about 19
+/// bytes per instruction line), so printing into a fresh buffer reserves
+/// once instead of doubling its way up.
+static std::size_t printedSizeHint(const Function &F) {
+  return 20 * std::size_t(F.numInstructions()) + 8 * F.numBlocks() + 32;
+}
+
+/// Appends the whole function, one instruction per line.
+static void appendFunction(const Function &F, std::string &Out) {
+  Out += "func ";
+  Out += F.name();
+  Out += '(';
   for (unsigned Idx = 0, E = unsigned(F.params().size()); Idx != E; ++Idx) {
     if (Idx)
-      S += ", ";
-    S += F.varName(F.params()[Idx]);
+      Out += ", ";
+    Out += F.varName(F.params()[Idx]);
   }
-  S += ") {\n";
+  Out += ") {\n";
   for (const auto &BB : F.blocks()) {
-    S += BB->label() + ":\n";
-    for (const auto &I : BB->instructions())
-      S += "  " + printInstruction(F, *I) + "\n";
+    Out += BB->label();
+    Out += ":\n";
+    for (const auto &I : BB->instructions()) {
+      Out += "  ";
+      appendInstruction(F, *I, Out);
+      Out += '\n';
+    }
   }
-  return S + "}\n";
+  Out += "}\n";
+}
+
+std::string depflow::printOperand(const Function &F, const Operand &Op) {
+  std::string S;
+  appendOperand(F, Op, S);
+  return S;
+}
+
+std::string depflow::printInstruction(const Function &F,
+                                      const Instruction &I) {
+  std::string S;
+  appendInstruction(F, I, S);
+  return S;
+}
+
+std::string depflow::printFunction(const Function &F) {
+  std::string S;
+  S.reserve(printedSizeHint(F));
+  appendFunction(F, S);
+  return S;
 }
 
 std::string depflow::printModule(const Module &M) {
+  std::size_t Hint = 0;
+  for (const auto &F : M.functions())
+    Hint += printedSizeHint(*F) + 1;
   std::string S;
+  S.reserve(Hint);
   for (unsigned I = 0, E = M.numFunctions(); I != E; ++I) {
     if (I)
-      S += "\n";
-    S += printFunction(*M.function(I));
+      S += '\n';
+    appendFunction(*M.function(I), S);
   }
   return S;
 }
 
 std::string depflow::printCFGDot(const Function &F) {
   GraphWriter GW("cfg");
+  std::string Body;
   for (const auto &BB : F.blocks()) {
-    std::string Body = BB->label() + ":";
-    for (const auto &I : BB->instructions())
-      Body += "\n" + printInstruction(F, *I);
+    Body = BB->label();
+    Body += ':';
+    for (const auto &I : BB->instructions()) {
+      Body += '\n';
+      appendInstruction(F, *I, Body);
+    }
     GW.node(BB->label(), Body, "shape=box");
   }
   for (const auto &BB : F.blocks())

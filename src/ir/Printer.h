@@ -20,6 +20,15 @@
 
 namespace depflow {
 
+/// Appends \p Op in source syntax (a variable name or integer literal) to
+/// \p Out.
+void appendOperand(const Function &F, const Operand &Op, std::string &Out);
+
+/// Appends a single instruction (without trailing newline) to \p Out. All
+/// textual printing below goes through this one append path.
+void appendInstruction(const Function &F, const Instruction &I,
+                       std::string &Out);
+
 /// Renders \p Op in source syntax (a variable name or integer literal).
 std::string printOperand(const Function &F, const Operand &Op);
 

@@ -10,6 +10,9 @@
 #include "support/BitVector.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <initializer_list>
+#include <string_view>
 
 using namespace depflow;
 
@@ -17,12 +20,15 @@ using namespace depflow;
 /// forward (or, if \p Backward, predecessor) edges.
 static void markReachable(const Function &F, BasicBlock *Root, bool Backward,
                           BitVector &Seen) {
-  std::vector<BasicBlock *> Stack{Root};
+  // Each block is pushed at most once, so one reservation covers the walk.
+  std::vector<BasicBlock *> Stack;
+  Stack.reserve(F.numBlocks());
+  Stack.push_back(Root);
   Seen.set(Root->id());
   while (!Stack.empty()) {
     BasicBlock *BB = Stack.back();
     Stack.pop_back();
-    const std::vector<BasicBlock *> Next =
+    const std::vector<BasicBlock *> &Next =
         Backward ? BB->predecessors() : BB->successors();
     for (BasicBlock *N : Next) {
       if (!Seen.test(N->id())) {
@@ -31,7 +37,6 @@ static void markReachable(const Function &F, BasicBlock *Root, bool Backward,
       }
     }
   }
-  (void)F;
 }
 
 std::vector<std::string> depflow::verifyFunction(Function &F) {
@@ -117,10 +122,23 @@ std::vector<std::string> depflow::verifyFunction(Function &F) {
 
 bool depflow::isWellFormed(Function &F) { return verifyFunction(F).empty(); }
 
+/// Concatenates \p Parts into one string with a single allocation.
+static std::string concat(std::initializer_list<std::string_view> Parts) {
+  std::size_t Size = 0;
+  for (std::string_view P : Parts)
+    Size += P.size();
+  std::string S;
+  S.reserve(Size);
+  for (std::string_view P : Parts)
+    S += P;
+  return S;
+}
+
 std::vector<std::string> depflow::verifyDefUseHygiene(Function &F) {
   std::vector<std::string> Warnings;
   const unsigned NumVars = F.numVars();
-  if (NumVars == 0 || F.numBlocks() == 0)
+  const unsigned NumBlocks = F.numBlocks();
+  if (NumVars == 0 || NumBlocks == 0)
     return Warnings;
   F.recomputePreds();
 
@@ -139,44 +157,77 @@ std::vector<std::string> depflow::verifyDefUseHygiene(Function &F) {
 
   for (VarId V = 0; V != NumVars; ++V)
     if (IsUsed.test(V) && !HasDef.test(V) && !IsParam.test(V))
-      Warnings.push_back("variable '" + F.varName(V) +
-                         "' is read but never assigned (reads the "
-                         "implicit 0)");
+      Warnings.push_back(concat({"variable '", F.varName(V),
+                                 "' is read but never assigned (reads the "
+                                 "implicit 0)"}));
 
   // Definitely-assigned dataflow: In[b] = intersection of Out[preds];
   // entry starts from the parameter set. Phi defs count at the block head;
-  // phi incoming values are uses at the end of the incoming block.
-  std::vector<BitVector> In(F.numBlocks()), Out(F.numBlocks());
-  for (unsigned B = 0; B != F.numBlocks(); ++B) {
-    In[B] = BitVector(NumVars, true);
-    Out[B] = BitVector(NumVars, true);
+  // phi incoming values are uses at the end of the incoming block. The
+  // per-block sets live in flat word arrays, NumWords words per block:
+  // Gen[b] (every variable b assigns), In[b] and Out[b] = In[b] | Gen[b].
+  using Word = std::uint64_t;
+  const unsigned NumWords = (NumVars + 63) / 64;
+  const Word LastMask =
+      NumVars % 64 ? (Word(1) << (NumVars % 64)) - 1 : ~Word(0);
+  auto setBit = [](Word *Set, unsigned V) {
+    Set[V / 64] |= Word(1) << (V % 64);
+  };
+  auto testBit = [](const Word *Set, unsigned V) {
+    return (Set[V / 64] >> (V % 64)) & 1;
+  };
+  std::vector<Word> Gen(std::size_t(NumBlocks) * NumWords, 0);
+  std::vector<Word> In(std::size_t(NumBlocks) * NumWords, ~Word(0));
+  for (unsigned B = 0; B != NumBlocks; ++B)
+    In[std::size_t(B) * NumWords + NumWords - 1] = LastMask;
+  std::vector<Word> Out(In);
+  std::vector<Word> NewIn(NumWords);
+  for (const auto &BB : F.blocks()) {
+    Word *BGen = &Gen[std::size_t(BB->id()) * NumWords];
+    for (const auto &I : BB->instructions())
+      if (const auto *D = dyn_cast<DefInst>(I.get()))
+        setBit(BGen, D->def());
   }
-  In[F.entry()->id()] = IsParam;
+  const unsigned EntryId = F.entry()->id();
+  Word *EntryIn = &In[std::size_t(EntryId) * NumWords];
+  std::fill(EntryIn, EntryIn + NumWords, 0);
+  for (VarId P : F.params())
+    setBit(EntryIn, P);
 
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (const auto &BB : F.blocks()) {
-      BitVector NewIn = In[BB->id()];
-      if (BB.get() != F.entry()) {
-        NewIn = BitVector(NumVars, true);
-        for (BasicBlock *P : BB->predecessors())
-          NewIn &= Out[P->id()];
+      const unsigned B = BB->id();
+      Word *BIn = &In[std::size_t(B) * NumWords];
+      Word *BOut = &Out[std::size_t(B) * NumWords];
+      const Word *BGen = &Gen[std::size_t(B) * NumWords];
+      if (B == EntryId) {
+        std::copy(BIn, BIn + NumWords, NewIn.begin());
+      } else {
+        std::fill(NewIn.begin(), NewIn.end(), ~Word(0));
+        NewIn.back() &= LastMask;
+        for (BasicBlock *P : BB->predecessors()) {
+          const Word *POut = &Out[std::size_t(P->id()) * NumWords];
+          for (unsigned W = 0; W != NumWords; ++W)
+            NewIn[W] &= POut[W];
+        }
       }
-      BitVector NewOut = NewIn;
-      for (const auto &I : BB->instructions())
-        if (const auto *D = dyn_cast<DefInst>(I.get()))
-          NewOut.set(D->def());
-      if (NewIn != In[BB->id()] || NewOut != Out[BB->id()]) {
-        In[BB->id()] = std::move(NewIn);
-        Out[BB->id()] = std::move(NewOut);
-        Changed = true;
+      for (unsigned W = 0; W != NumWords; ++W) {
+        const Word NewOut = NewIn[W] | BGen[W];
+        if (NewIn[W] != BIn[W] || NewOut != BOut[W]) {
+          BIn[W] = NewIn[W];
+          BOut[W] = NewOut;
+          Changed = true;
+        }
       }
     }
   }
 
+  std::vector<Word> Defined(NumWords);
   for (const auto &BB : F.blocks()) {
-    BitVector Defined = In[BB->id()];
+    const Word *BIn = &In[std::size_t(BB->id()) * NumWords];
+    std::copy(BIn, BIn + NumWords, Defined.begin());
     // Phi defs take effect at the head, before any non-phi use.
     for (const auto &I : BB->instructions()) {
       const auto *Phi = dyn_cast<PhiInst>(I.get());
@@ -184,29 +235,30 @@ std::vector<std::string> depflow::verifyDefUseHygiene(Function &F) {
         break;
       for (unsigned K = 0, E = Phi->numIncoming(); K != E; ++K) {
         const Operand &Op = Phi->incomingValue(K);
-        if (Op.isVar() && !Out[Phi->incomingBlock(K)->id()].test(Op.var()) &&
+        const BasicBlock *From = Phi->incomingBlock(K);
+        if (Op.isVar() &&
+            !testBit(&Out[std::size_t(From->id()) * NumWords], Op.var()) &&
             (HasDef.test(Op.var()) || IsParam.test(Op.var())))
-          Warnings.push_back("phi use of '" + F.varName(Op.var()) +
-                             "' in block '" + BB->label() +
-                             "' may arrive from '" +
-                             Phi->incomingBlock(K)->label() +
-                             "' before any assignment (reads the "
-                             "implicit 0)");
+          Warnings.push_back(concat({"phi use of '", F.varName(Op.var()),
+                                     "' in block '", BB->label(),
+                                     "' may arrive from '", From->label(),
+                                     "' before any assignment (reads the "
+                                     "implicit 0)"}));
       }
-      Defined.set(Phi->def());
+      setBit(Defined.data(), Phi->def());
     }
     for (const auto &I : BB->instructions()) {
       if (isa<PhiInst>(I.get()))
         continue;
       for (const Operand &Op : I->operands())
-        if (Op.isVar() && !Defined.test(Op.var()) &&
+        if (Op.isVar() && !testBit(Defined.data(), Op.var()) &&
             (HasDef.test(Op.var()) || IsParam.test(Op.var())))
-          Warnings.push_back("use of '" + F.varName(Op.var()) +
-                             "' in block '" + BB->label() +
-                             "' may execute before any assignment "
-                             "(reads the implicit 0)");
+          Warnings.push_back(concat({"use of '", F.varName(Op.var()),
+                                     "' in block '", BB->label(),
+                                     "' may execute before any assignment "
+                                     "(reads the implicit 0)"}));
       if (const auto *D = dyn_cast<DefInst>(I.get()))
-        Defined.set(D->def());
+        setBit(Defined.data(), D->def());
     }
   }
   return Warnings;

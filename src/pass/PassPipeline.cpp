@@ -209,12 +209,18 @@ void PassInstrumentation::printReport(
 namespace {
 
 /// Successor-list snapshot; two equal shapes mean every CFG-shape analysis
-/// (block ids, edge ids, dominance, regions) is still valid.
-std::vector<std::vector<unsigned>> cfgShape(const Function &F) {
-  std::vector<std::vector<unsigned>> Shape(F.numBlocks());
-  for (const auto &BB : F.blocks())
-    for (const BasicBlock *S : BB->successors())
-      Shape[BB->id()].push_back(S->id());
+/// (block ids, edge ids, dominance, regions) is still valid. Flattened
+/// into one vector: each block in id order contributes its successor
+/// count followed by the successor ids, an encoding that decodes uniquely.
+std::vector<unsigned> cfgShape(const Function &F) {
+  std::vector<unsigned> Shape;
+  Shape.reserve(3 * std::size_t(F.numBlocks()));
+  for (const auto &BB : F.blocks()) {
+    const std::vector<BasicBlock *> &Succs = BB->successors();
+    Shape.push_back(unsigned(Succs.size()));
+    for (const BasicBlock *S : Succs)
+      Shape.push_back(S->id());
+  }
   return Shape;
 }
 
@@ -341,7 +347,7 @@ Status depflow::runPass(Function &F, PassId P, FunctionAnalysisManager &AM,
   }
 
   ++NumPassesRun;
-  const std::vector<std::vector<unsigned>> ShapeBefore = cfgShape(F);
+  const std::vector<unsigned> ShapeBefore = cfgShape(F);
   const std::string TextBefore = printFunction(F);
   std::uint64_t HitsBefore = AM.totalHits();
 

@@ -16,6 +16,7 @@
 #define DEPFLOW_SUPPORT_STRINGINTERNER_H
 
 #include <cassert>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -23,14 +24,28 @@
 
 namespace depflow {
 
+/// Hash for string-keyed unordered maps that lets find() take a
+/// std::string_view without building a std::string key.
+struct StringViewHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view S) const {
+    return std::hash<std::string_view>()(S);
+  }
+};
+
+/// A string-keyed unordered map whose lookups accept std::string_view.
+template <typename T>
+using StringMap =
+    std::unordered_map<std::string, T, StringViewHash, std::equal_to<>>;
+
 class StringInterner {
-  std::unordered_map<std::string, unsigned> IdOf;
+  StringMap<unsigned> IdOf;
   std::vector<std::string> Names;
 
 public:
   /// Interns \p Name, returning its dense id (allocating one if new).
   unsigned intern(std::string_view Name) {
-    auto It = IdOf.find(std::string(Name));
+    auto It = IdOf.find(Name);
     if (It != IdOf.end())
       return It->second;
     unsigned Id = unsigned(Names.size());
@@ -41,7 +56,7 @@ public:
 
   /// Returns the id of \p Name, or -1 if it was never interned.
   int lookup(std::string_view Name) const {
-    auto It = IdOf.find(std::string(Name));
+    auto It = IdOf.find(Name);
     return It == IdOf.end() ? -1 : int(It->second);
   }
 

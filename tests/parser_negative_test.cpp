@@ -12,6 +12,7 @@
 
 #include "ParseOrDie.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
@@ -58,6 +59,21 @@ const NegativeCase Cases[] = {
     {"oversized literal",
      "func f() {\nb:\n  x = 123456789012345678901234567890\n  ret\n}\n",
      "integer literal too large", 3},
+    // Literals must fit an int64: INT64_MAX and INT64_MIN parse, one past
+    // either end is rejected instead of wrapping.
+    {"INT64_MAX + 1", "func f() {\nb:\n  x = 9223372036854775808\n  ret x\n}\n",
+     "integer literal too large", 3},
+    {"INT64_MAX + 2", "func f() {\nb:\n  x = 9223372036854775809\n  ret x\n}\n",
+     "integer literal too large", 3},
+    {"INT64_MIN - 1",
+     "func f() {\nb:\n  x = -9223372036854775809\n  ret x\n}\n",
+     "integer literal too large", 3},
+    {"19 digits past INT64_MAX",
+     "func f() {\nb:\n  x = 9300000000000000000\n  ret x\n}\n",
+     "integer literal too large", 3},
+    {"19 digits past INT64_MIN",
+     "func f() {\nb:\n  x = -9300000000000000000\n  ret x\n}\n",
+     "integer literal too large", 3},
     {"instruction after terminator",
      "func f() {\nb:\n  ret\n  x = 1\n}\n", "instruction after terminator", 4},
     // Parses fine; the *verifier* must reject these without crashing.
@@ -83,6 +99,29 @@ TEST(ParserNegative, TableNeverCrashesAndReportsLines) {
       ASSERT_TRUE(R.ok()) << R.Error;
       EXPECT_FALSE(verifyFunction(*R.Fn).empty());
     }
+  }
+}
+
+TEST(ParserNegative, IntegerLiteralLimitsParseExactly) {
+  struct {
+    const char *Literal;
+    std::int64_t Value;
+  } const Limits[] = {
+      {"9223372036854775807", INT64_MAX},
+      {"-9223372036854775807", -INT64_MAX},
+      {"-9223372036854775808", INT64_MIN},
+      // Leading zeros do not count against the magnitude.
+      {"000000000000000000000042", 42},
+  };
+  for (const auto &L : Limits) {
+    SCOPED_TRACE(L.Literal);
+    ParseResult R = parseFunction(std::string("func f() {\nb:\n  x = ") +
+                                  L.Literal + "\n  ret x\n}\n");
+    ASSERT_TRUE(R.ok()) << R.Error;
+    const auto *Copy = cast<CopyInst>(R.Fn->entry()->instructions()[0].get());
+    EXPECT_EQ(Copy->src().imm(), L.Value);
+    // The printer writes the value back in a form that parses to it.
+    EXPECT_EQ(printOperand(*R.Fn, Copy->src()), std::to_string(L.Value));
   }
 }
 

@@ -13,8 +13,10 @@
 # (--sched-report prints, --log-json journals the run's task lifecycle —
 # including a task-failed line on a fault-injected --keep-going run —
 # and trace_analyze.py's offline invariant check passes), a quick-mode
-# run of the two pipeline benchmarks with BENCH_*.json schema
-# validation, and the docs consistency checks. Any verifier violation, oracle mismatch, sanitizer
+# run of the two pipeline benchmarks plus the counter sweep of every
+# baselined benchmark, with BENCH_*.json schema validation and an exact
+# counter comparison against bench/baselines, and the docs consistency
+# checks. Any verifier violation, oracle mismatch, sanitizer
 # report, or test failure fails CI.
 #
 # This script is the single source of truth for "what CI runs": the
@@ -329,15 +331,19 @@ mkdir -p "$MODDIR/bench"
 DEPFLOW_BENCH_JSON="$MODDIR/bench" "$BUILD/bench/bench_pipeline" 6
 DEPFLOW_BENCH_JSON="$MODDIR/bench" DEPFLOW_BENCH_QUICK=1 \
     "$BUILD/bench/bench_parallel"
-# bench_sdg_build with no timed benchmarks selected runs only its
-# deterministic counter sweep: the sdg counter group over the call-DAG
-# ladder plus the nodes-linear-in-instructions claim, which must pass.
-DEPFLOW_BENCH_JSON="$MODDIR/bench" "$BUILD/bench/bench_sdg_build" \
-    --benchmark_filter='^$' > "$MODDIR/bench-sdg.log" 2>&1 || {
-  cat "$MODDIR/bench-sdg.log" >&2
-  echo "ci: bench_sdg_build counter sweep failed" >&2
-  exit 1
-}
+# Every benchmark with a checked-in baseline, run with no timed benchmarks
+# selected, runs only its deterministic counter sweep (algorithm and
+# allocation counters over a size ladder, plus its complexity claims,
+# which must pass), so bench_compare below gates all six baselines.
+for B in bench_dfg_construction bench_cycle_equiv bench_constprop \
+         bench_ant_epr bench_sparse_clients bench_sdg_build; do
+  DEPFLOW_BENCH_JSON="$MODDIR/bench" "$BUILD/bench/$B" \
+      --benchmark_filter='^$' > "$MODDIR/$B.log" 2>&1 || {
+    cat "$MODDIR/$B.log" >&2
+    echo "ci: $B counter sweep failed" >&2
+    exit 1
+  }
+done
 python3 "$ROOT/tools/bench_report.py" "$MODDIR/bench" --check
 python3 "$ROOT/tools/bench_compare.py" "$ROOT/bench/baselines" \
     "$MODDIR/bench" --no-time --subset
