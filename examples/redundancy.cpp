@@ -101,13 +101,14 @@ low:
                     Operand::var(unsigned(F7->lookupVar("x"))),
                     Operand::var(unsigned(F7->lookupVar("y")))};
   DepFlowGraph G7 = DepFlowGraph::build(*F7);
+  ProjectionContext Ctx7(*F7, E7);
   for (VarId V : XPlusY.variables()) {
     DFGAntResult R;
     if (!runRelativeAnticipatability(*F7, G7, XPlusY, V, R).ok())
       return 1;
     printAnt(*F7, E7,
              ("ANT(x+y) relative to " + F7->varName(V)).c_str(),
-             projectRelativeAnt(*F7, E7, G7, R, V));
+             projectRelativeAnt(*F7, E7, G7, R, V, Ctx7));
   }
   std::vector<bool> D7;
   if (!runExpressionAnticipatability(*F7, E7, &G7, XPlusY,

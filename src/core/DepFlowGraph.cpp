@@ -66,10 +66,37 @@ class depflow::DFGBuilder {
   std::unique_ptr<ProgramStructureTree> OwnedPST; // ...or built here.
   std::vector<std::uint64_t> RegionDefs; // flat [region][word] def bitsets
   std::size_t DefWords = 0;              // words per region
-  std::vector<unsigned> RPO;         // block ids in reverse postorder
+  /// Block ids in reverse postorder, each tagged with its merge/switch
+  /// flags so the per-variable loops read no block state for them.
+  std::vector<unsigned> RPO;
   std::vector<std::uint64_t> BypassPerRegion; // histogram accumulator
   std::vector<Source> Dep;           // per CFG edge; reused across variables
   std::vector<std::uint32_t> InstrBase; // block id -> first instr index
+
+  static constexpr unsigned MergeBit = 1u << 31;
+  static constexpr unsigned SwitchBit = 1u << 30;
+  static constexpr unsigned BlockIdMask = SwitchBit - 1;
+
+  /// Exact pre-prune sizes, counted before routing.
+  std::uint32_t NumBaseNodes = 0;
+  std::uint32_t NumBaseEdges = 0;
+
+  /// The prune's scratch, carved from one arena before routing (its size
+  /// needs only the exact pre-prune counts). Until the prune runs, routing
+  /// borrows four of its arrays for the per-variable occurrence lists
+  /// ("taps"): TapOff = InCnt, TapFill = Fill, TapInst = Stack and
+  /// TapCode = NewId. A tap is (instruction index, code), where code is
+  /// the operand index of a use (numOperands() for the control use) or
+  /// DefTap for the def; variable V's taps are [TapOff[V], TapOff[V+1]),
+  /// in RPO block order and instruction order within a block.
+  BumpArena Scratch;
+  std::uint32_t *InCnt = nullptr;
+  std::uint32_t *InTmp = nullptr;
+  std::uint32_t *Fill = nullptr;
+  std::uint64_t *Alive = nullptr;
+  std::uint32_t *Stack = nullptr;
+  std::int32_t *NewId = nullptr;
+  static constexpr std::int32_t DefTap = -1;
 
 public:
   DFGBuilder(Function &F, const CFGEdges &E, DepFlowGraph::BypassMode Mode,
@@ -105,9 +132,12 @@ public:
     }
 
     reserveColumns();
+    collectTaps();
     Dep.resize(E.size());
     for (VarId V = 0; V != NumVarsWithCtrl; ++V)
       routeVariable(V);
+    assert(G.numNodes() == NumBaseNodes && G.numEdges() == NumBaseEdges &&
+           "pre-prune counts predicted exactly");
 
     // Region 0 is the whole function and never closes, so the histogram
     // covers only canonical regions.
@@ -117,6 +147,7 @@ public:
     G.BuildStats.NodesBeforePrune = G.numNodes();
     G.BuildStats.EdgesBeforePrune = G.numEdges();
     prune();
+    Scratch = BumpArena();
     buildAdjacency();
     NumDFGDeadEdgesRemoved += G.BuildStats.EdgesBeforePrune - G.numEdges();
     NumDFGDeadNodesRemoved += G.BuildStats.NodesBeforePrune - G.numNodes();
@@ -186,28 +217,37 @@ private:
       }
     }
     RPO.assign(Postorder.rbegin(), Postorder.rend());
+    for (unsigned &R : RPO) {
+      assert(R <= BlockIdMask && "block id collides with the RPO flag bits");
+      const BasicBlock *BB = F.block(R);
+      if (BB->isMerge())
+        R |= MergeBit;
+      if (BB->isSwitch())
+        R |= SwitchBit;
+    }
   }
 
-  /// Reserves every node/edge column at its exact pre-prune size: the base
-  /// routing is fully predictable (one entry per variable, one merge/switch
-  /// per join/branch per variable, one use per variable operand, one def
-  /// per assignment), so the columns never reallocate while routing.
+  /// Counts the base routing exactly (one entry per variable, one
+  /// merge/switch per join/branch per variable, one use per variable
+  /// operand, one def per assignment) and reserves every node/edge column
+  /// at that size, so the columns never reallocate while routing.
   void reserveColumns() {
     std::uint32_t MergeBlocks = 0, SwitchBlocks = 0, MergeIndeg = 0,
                   SwitchOut = 0;
-    for (const auto &BB : F.blocks()) {
-      if (BB->numPredecessors() > 1) {
-        ++MergeBlocks;
-        MergeIndeg += std::uint32_t(E.inEdges(BB.get()).size());
-      }
-      if (BB->numSuccessors() > 1)
-        ++SwitchBlocks;
-      if (E.outEdges(BB.get()).size() > 1)
-        ++SwitchOut;
-    }
     std::uint32_t VarUses = 0, CtrlUses = 0, Defs = 0;
-    for (const auto &BB : F.blocks())
+    for (unsigned R : RPO) {
+      const BasicBlock *BB = F.block(R & BlockIdMask);
+      if (R & MergeBit) {
+        ++MergeBlocks;
+        MergeIndeg += std::uint32_t(E.inEdges(BB).size());
+      }
+      if (R & SwitchBit)
+        ++SwitchBlocks;
+      if (E.outEdges(BB).size() > 1)
+        ++SwitchOut;
       for (const auto &I : BB->instructions()) {
+        assert(!isa<PhiInst>(I.get()) &&
+               "DFG construction runs on phi-free IR");
         bool HasVarOperand = false;
         for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx)
           if (I->operand(OpIdx).isVar()) {
@@ -219,17 +259,71 @@ private:
         if (isa<DefInst>(I.get()))
           ++Defs;
       }
-    std::uint32_t Nodes =
-        NumVarsWithCtrl * (1 + MergeBlocks + SwitchBlocks) + VarUses +
-        CtrlUses + Defs;
-    std::uint32_t EdgeCount =
+    }
+    NumBaseNodes = NumVarsWithCtrl * (1 + MergeBlocks + SwitchBlocks) +
+                   VarUses + CtrlUses + Defs;
+    NumBaseEdges =
         VarUses + CtrlUses + NumVarsWithCtrl * (SwitchOut + MergeIndeg);
-    G.NodeKinds.reserve(Nodes);
-    G.NodeVars.reserve(Nodes);
-    G.NodeInst.reserve(Nodes);
-    G.NodeOp.reserve(Nodes);
-    G.NodeBlock.reserve(Nodes);
-    G.Edges.reserve(EdgeCount);
+    G.NodeKinds.reserve(NumBaseNodes);
+    G.NodeVars.reserve(NumBaseNodes);
+    G.NodeInst.reserve(NumBaseNodes);
+    G.NodeOp.reserve(NumBaseNodes);
+    G.NodeBlock.reserve(NumBaseNodes);
+    G.Edges.reserve(NumBaseEdges);
+  }
+
+  /// Carves the prune's scratch and buckets every variable's taps with one
+  /// stable counting sort over the instructions in RPO block order. Each
+  /// instruction contributes its variable uses in operand order, then the
+  /// control use (Section 3.3: statements with no variable operands; also
+  /// terminators carrying only immediates, so that dead code reporting
+  /// covers their operands uniformly), then its def.
+  void collectTaps() {
+    const std::uint32_t NN = NumBaseNodes, NE = NumBaseEdges;
+    Scratch = BumpArena(std::size_t(NN) * 12 + std::size_t(NE) * 4 + 256);
+    InCnt = Scratch.allocateFilled<std::uint32_t>(NN + 1, 0);
+    InTmp = Scratch.allocateArray<std::uint32_t>(NE);
+    Fill = Scratch.allocateArray<std::uint32_t>(NN);
+    Alive = Scratch.allocateFilled<std::uint64_t>((std::size_t(NN) + 63) / 64,
+                                                  0);
+    Stack = Scratch.allocateArray<std::uint32_t>(NN);
+    NewId = Scratch.allocateArray<std::int32_t>(NN);
+
+    // Every variable owns an entry node and every tap a node, so the
+    // borrowed arrays are large enough: NN >= NumVarsWithCtrl + taps.
+    std::uint32_t *TapOff = InCnt, *TapFill = Fill, *TapInst = Stack;
+    std::int32_t *TapCode = NewId;
+    auto ForEachTap = [&](auto Visit) {
+      for (unsigned R : RPO) {
+        const BasicBlock *BB = F.block(R & BlockIdMask);
+        std::uint32_t InstIdx = InstrBase[R & BlockIdMask];
+        for (const auto &IPtr : BB->instructions()) {
+          const Instruction *I = IPtr.get();
+          assert(G.InstrByIdx[InstIdx] == I && "canonical numbering in sync");
+          bool HasVarOperand = false;
+          for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx)
+            if (const Operand &Op = I->operand(OpIdx); Op.isVar()) {
+              HasVarOperand = true;
+              Visit(Op.var(), InstIdx, std::int32_t(OpIdx));
+            }
+          if (!HasVarOperand && (isa<DefInst>(I) || I->numOperands() > 0))
+            Visit(G.ControlVar, InstIdx, std::int32_t(I->numOperands()));
+          if (const auto *D = dyn_cast<DefInst>(I))
+            Visit(D->def(), InstIdx, DefTap);
+          ++InstIdx;
+        }
+      }
+    };
+    ForEachTap([&](VarId V, std::uint32_t, std::int32_t) { ++TapOff[V + 1]; });
+    for (VarId V = 0; V != NumVarsWithCtrl; ++V) {
+      TapOff[V + 1] += TapOff[V];
+      TapFill[V] = TapOff[V];
+    }
+    ForEachTap([&](VarId V, std::uint32_t InstIdx, std::int32_t Code) {
+      std::uint32_t K = TapFill[V]++;
+      TapInst[K] = InstIdx;
+      TapCode[K] = Code;
+    });
   }
 
   void computeRegionDefs() {
@@ -298,12 +392,12 @@ private:
     G.EntryOfVarTab[V] = int(EntryNode);
 
     // Pre-create merge and switch nodes (base level: at every join/branch).
-    for (unsigned B : RPO) {
-      BasicBlock *BB = F.block(B);
-      if (BB->numPredecessors() > 1)
+    for (unsigned R : RPO) {
+      unsigned B = R & BlockIdMask;
+      if (R & MergeBit)
         mergeSlot(B, V) = std::int32_t(makeNode(
             DepFlowGraph::NodeKind::Merge, V, -1, 0, std::int32_t(B)));
-      if (BB->numSuccessors() > 1)
+      if (R & SwitchBit)
         switchSlot(B, V) = std::int32_t(makeNode(
             DepFlowGraph::NodeKind::Switch, V, -1, 0, std::int32_t(B)));
     }
@@ -328,14 +422,19 @@ private:
       Dep[EdgeId] = Src;
     };
 
-    for (unsigned B : RPO) {
+    const std::uint32_t *TapOff = InCnt, *TapInst = Stack;
+    const std::int32_t *TapCode = NewId;
+    std::uint32_t K = TapOff[V];
+    const std::uint32_t KEnd = TapOff[V + 1];
+    for (unsigned R : RPO) {
+      unsigned B = R & BlockIdMask;
       BasicBlock *BB = F.block(B);
       // Incoming dependence.
       Source Cur;
       if (BB == F.entry()) {
         Cur = {int(EntryNode), 0};
-      } else if (int M = mergeSlot(B, V); M >= 0) {
-        Cur = {M, 0};
+      } else if (R & MergeBit) {
+        Cur = {mergeSlot(B, V), 0};
       } else {
         const auto &In = E.inEdges(BB);
         assert(In.size() == 1 && "non-entry block without merge has one pred");
@@ -343,46 +442,27 @@ private:
         Cur = Dep[In[0]];
       }
 
-      // Instruction stream: taps for uses, then def updates.
-      std::uint32_t InstIdx = InstrBase[B];
-      for (const auto &IPtr : BB->instructions()) {
-        Instruction *I = IPtr.get();
-        assert(!isa<PhiInst>(I) && "DFG construction runs on phi-free IR");
-        assert(G.InstrByIdx[InstIdx] == I && "canonical numbering in sync");
-        std::int32_t *Slots = G.UseSlots + G.UseOff[InstIdx];
-        bool HasVarOperand = false;
-        for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx) {
-          const Operand &Op = I->operand(OpIdx);
-          if (!Op.isVar())
-            continue;
-          HasVarOperand = true;
-          if (Op.var() != V)
-            continue;
-          unsigned UseId = makeNode(DepFlowGraph::NodeKind::Use, V,
-                                    std::int32_t(InstIdx), OpIdx,
-                                    std::int32_t(B));
-          Slots[OpIdx] = std::int32_t(UseId);
-          addEdge(Cur, UseId, V);
-        }
-        // Control use: statements with no variable operands (Section 3.3).
-        // Also given to terminators carrying only immediates so that dead
-        // code reporting covers their operands uniformly.
-        if (G.isControl(V) && !HasVarOperand &&
-            (isa<DefInst>(I) || I->numOperands() > 0)) {
-          unsigned UseId = makeNode(DepFlowGraph::NodeKind::Use, V,
-                                    std::int32_t(InstIdx), I->numOperands(),
-                                    std::int32_t(B));
-          Slots[I->numOperands()] = std::int32_t(UseId);
-          addEdge(Cur, UseId, V);
-        }
-        if (auto *D = dyn_cast<DefInst>(I); D && D->def() == V) {
+      // This block's taps (the next ones in V's list whose instruction
+      // index falls in the block's range): uses read Cur, a def replaces
+      // it.
+      const std::uint32_t First = InstrBase[B];
+      const std::uint32_t Size = std::uint32_t(BB->size());
+      for (; K != KEnd && TapInst[K] - First < Size; ++K) {
+        const std::uint32_t InstIdx = TapInst[K];
+        if (TapCode[K] == DefTap) {
           unsigned DefId = makeNode(DepFlowGraph::NodeKind::Def, V,
                                     std::int32_t(InstIdx), 0,
                                     std::int32_t(B));
           G.DefNodeOfInstr[InstIdx] = std::int32_t(DefId);
           Cur = {int(DefId), 0};
+          continue;
         }
-        ++InstIdx;
+        const std::uint32_t OpIdx = std::uint32_t(TapCode[K]);
+        unsigned UseId = makeNode(DepFlowGraph::NodeKind::Use, V,
+                                  std::int32_t(InstIdx), OpIdx,
+                                  std::int32_t(B));
+        G.UseSlots[G.UseOff[InstIdx] + OpIdx] = std::int32_t(UseId);
+        addEdge(Cur, UseId, V);
       }
 
       // Outgoing dependence.
@@ -397,12 +477,14 @@ private:
         SetDep(Out[0], Cur);
       }
     }
+    assert(K == KEnd && "every tap of V lies in a reachable block");
 
     // Wire merges now that every dep slot (including back edges) is known.
-    for (unsigned B : RPO) {
-      int M = mergeSlot(B, V);
-      if (M < 0)
+    for (unsigned R : RPO) {
+      if (!(R & MergeBit))
         continue;
+      unsigned B = R & BlockIdMask;
+      int M = mergeSlot(B, V);
       const auto &In = E.inEdges(F.block(B));
       for (unsigned PI = 0; PI != In.size(); ++PI) {
         assert(Dep[In[PI]].Node >= 0 && "all deps resolved after block pass");
@@ -418,36 +500,31 @@ private:
 
   /// Dead edge removal: keep exactly the nodes that can reach a Use.
   /// Compaction preserves ascending node/edge order, so the surviving ids
-  /// are a dense prefix-order renumbering — identical across builds.
+  /// are a dense prefix-order renumbering — identical across builds — and
+  /// each variable's edges stay one contiguous id range.
   void prune() {
     const unsigned NN = G.numNodes();
     const unsigned NE = G.numEdges();
 
-    // All traversal scratch comes from one throwaway arena: a temporary
-    // in-edge CSR (counting sort over edges — ascending per node), the
-    // alive bitset, and the DFS stack.
-    BumpArena Scratch(std::size_t(NN) * 12 + std::size_t(NE) * 4 + 256);
-    std::uint32_t *InCnt = Scratch.allocateFilled<std::uint32_t>(NN + 1, 0);
+    // Traversal scratch (carved in collectTaps, the taps now dead): a
+    // temporary in-edge CSR (counting sort over edges — ascending per
+    // node), the alive bitset, and the DFS stack.
+    std::fill(InCnt, InCnt + NN + 1, 0);
     for (const DepFlowGraph::Edge &Ed : G.Edges)
       ++InCnt[Ed.Dst + 1];
     for (unsigned N = 0; N != NN; ++N)
       InCnt[N + 1] += InCnt[N];
-    std::uint32_t *InTmp = Scratch.allocateArray<std::uint32_t>(NE);
-    std::uint32_t *Fill = Scratch.allocateArray<std::uint32_t>(NN);
     for (unsigned N = 0; N != NN; ++N)
       Fill[N] = InCnt[N];
     for (unsigned Id = 0; Id != NE; ++Id)
       InTmp[Fill[G.Edges[Id].Dst]++] = Id;
 
-    std::uint64_t *Alive =
-        Scratch.allocateFilled<std::uint64_t>((std::size_t(NN) + 63) / 64, 0);
     auto IsAlive = [&](unsigned N) {
       return (Alive[N >> 6] >> (N & 63)) & 1;
     };
     auto SetAlive = [&](unsigned N) {
       Alive[N >> 6] |= std::uint64_t(1) << (N & 63);
     };
-    std::uint32_t *Stack = Scratch.allocateArray<std::uint32_t>(NN);
     std::uint32_t SP = 0;
     for (unsigned N = 0; N != NN; ++N) {
       if (DepFlowGraph::NodeKind(G.NodeKinds[N]) ==
@@ -468,7 +545,6 @@ private:
     }
 
     // Compact node columns and edges in place (ascending order).
-    std::int32_t *NewId = Scratch.allocateArray<std::int32_t>(NN);
     std::uint32_t LiveN = 0;
     for (unsigned N = 0; N != NN; ++N) {
       if (IsAlive(N)) {
@@ -564,6 +640,15 @@ DepFlowGraph DepFlowGraph::build(Function &F, BypassMode Mode) {
   F.recomputePreds();
   CFGEdges E(F);
   return build(F, E, Mode);
+}
+
+DepFlowGraph::EdgeIdRange DepFlowGraph::edgesOfVar(VarId V) const {
+  struct ByVar {
+    bool operator()(const Edge &Ed, VarId V) const { return Ed.Var < V; }
+    bool operator()(VarId V, const Edge &Ed) const { return V < Ed.Var; }
+  };
+  auto [Lo, Hi] = std::equal_range(Edges.begin(), Edges.end(), V, ByVar{});
+  return {unsigned(Lo - Edges.begin()), unsigned(Hi - Edges.begin())};
 }
 
 std::vector<unsigned> DepFlowGraph::multiedge(unsigned NodeId,

@@ -116,6 +116,34 @@ public:
     bool empty() const { return Len == 0; }
   };
 
+  /// The ascending edge ids [First, Last) of one variable's slice.
+  class EdgeIdRange {
+    unsigned First = 0;
+    unsigned Last = 0;
+
+  public:
+    class iterator {
+      unsigned Id;
+
+    public:
+      explicit iterator(unsigned Id) : Id(Id) {}
+      unsigned operator*() const { return Id; }
+      iterator &operator++() {
+        ++Id;
+        return *this;
+      }
+      bool operator==(const iterator &O) const { return Id == O.Id; }
+      bool operator!=(const iterator &O) const { return Id != O.Id; }
+    };
+
+    EdgeIdRange() = default;
+    EdgeIdRange(unsigned First, unsigned Last) : First(First), Last(Last) {}
+    iterator begin() const { return iterator(First); }
+    iterator end() const { return iterator(Last); }
+    unsigned size() const { return Last - First; }
+    bool empty() const { return First == Last; }
+  };
+
 private:
   struct DepSlot {
     std::int32_t Node;
@@ -208,6 +236,12 @@ public:
   EdgeRange inEdges(unsigned NodeId) const {
     return {InIdx + InOff[NodeId], InOff[NodeId + 1] - InOff[NodeId]};
   }
+
+  /// Edges of variable \p V (possibly the control variable). The builder
+  /// creates edges one variable at a time in ascending variable order and
+  /// the prune keeps their order, so each slice is one contiguous id
+  /// range, found by binary search over the edge column.
+  EdgeIdRange edgesOfVar(VarId V) const;
 
   /// Out-edges of (node, port) — one multiedge (tail with its heads).
   std::vector<unsigned> multiedge(unsigned NodeId, unsigned Port) const;

@@ -255,10 +255,10 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
   };
 
   std::vector<bool> Out(E.size(), false);
-  for (unsigned DId = 0; DId != G.numEdges(); ++DId) {
-    const DepFlowGraph::Edge &D = G.edge(DId);
-    if (D.Var != X || !EdgeVal[DId])
+  for (unsigned DId : G.edgesOfVar(X)) {
+    if (!EdgeVal[DId])
       continue;
+    const DepFlowGraph::Edge &D = G.edge(DId);
     const DepFlowGraph::Node &Tail = G.node(D.Src);
     const DepFlowGraph::Node &Head = G.node(D.Dst);
     bool SameBlock = Tail.Block == Head.Block;
@@ -339,23 +339,9 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
 
 std::vector<bool> depflow::projectRelativeAnt(Function &F, const CFGEdges &E,
                                               const DepFlowGraph &G,
-                                              const DFGAntResult &R,
-                                              VarId X) {
-  return projectEdgeValues(F, E, G, R.AntEdge, X, ProjectionContext(F, E));
-}
-
-std::vector<bool> depflow::projectRelativeAnt(Function &F, const CFGEdges &E,
-                                              const DepFlowGraph &G,
                                               const DFGAntResult &R, VarId X,
                                               const ProjectionContext &Ctx) {
   return projectEdgeValues(F, E, G, R.AntEdge, X, Ctx);
-}
-
-std::vector<bool> depflow::projectRelativePan(Function &F, const CFGEdges &E,
-                                              const DepFlowGraph &G,
-                                              const DFGAntResult &R,
-                                              VarId X) {
-  return projectEdgeValues(F, E, G, R.PanEdge, X, ProjectionContext(F, E));
 }
 
 std::vector<bool> depflow::projectRelativePan(Function &F, const CFGEdges &E,

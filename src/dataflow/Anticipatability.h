@@ -120,10 +120,9 @@ struct ProjectionContext {
 /// Projects the per-dependence-edge result onto CFG edges: relative ANT at
 /// CFG edge c is true iff some dependence edge for \p X spans c (its tail
 /// dominates c, its head postdominates c, and c cannot revisit the tail
-/// before the head).
-std::vector<bool> projectRelativeAnt(Function &F, const CFGEdges &E,
-                                     const DepFlowGraph &G,
-                                     const DFGAntResult &R, VarId X);
+/// before the head). \p Ctx must be built for \p F's current CFG shape;
+/// one context serves every projection over that shape. Only \p X's
+/// slice of \p G is visited (`DepFlowGraph::edgesOfVar`).
 std::vector<bool> projectRelativeAnt(Function &F, const CFGEdges &E,
                                      const DepFlowGraph &G,
                                      const DFGAntResult &R, VarId X,
@@ -132,9 +131,6 @@ std::vector<bool> projectRelativeAnt(Function &F, const CFGEdges &E,
 /// The PAN analogue: partially anticipatable at c iff some spanning
 /// dependence edge has PAN at its head (same span rule; PAN's existential
 /// reading makes the disjunction exact as well).
-std::vector<bool> projectRelativePan(Function &F, const CFGEdges &E,
-                                     const DepFlowGraph &G,
-                                     const DFGAntResult &R, VarId X);
 std::vector<bool> projectRelativePan(Function &F, const CFGEdges &E,
                                      const DepFlowGraph &G,
                                      const DFGAntResult &R, VarId X,

@@ -680,12 +680,12 @@ public:
     const std::uint64_t MaxEvals =
         64 + 1024 * (std::uint64_t(G.numEdges()) + 1);
     std::uint64_t Evals = 0;
-    // Worklist over X's edges; when an edge's value changes, the edges
-    // entering its source node must be re-evaluated.
+    // Worklist over X's edges (one contiguous id range); when an edge's
+    // value changes, the edges entering its source node must be
+    // re-evaluated.
     Worklist WL(G.numEdges());
-    for (unsigned EId = 0; EId != G.numEdges(); ++EId)
-      if (G.edge(EId).Var == X)
-        WL.push(EId);
+    for (unsigned EId : G.edgesOfVar(X))
+      WL.push(EId);
     while (!WL.empty()) {
       if (++Evals > MaxEvals)
         return Status::error("backward engine: work bound exceeded "

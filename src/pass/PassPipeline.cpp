@@ -258,38 +258,48 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
     NumCriticalEdgesSplit += Split;
     if (Split)
       AM.invalidate(PreservedAnalyses::none());
-    // One cached DFG serves every expression that causes no motion; an
-    // actual motion mutates the function, so the graph is invalidated and
-    // rebuilt before the next expression. (The seed driver rebuilt the
-    // DFG per expression unconditionally — most candidates don't move, so
-    // most of those rebuilds answered queries a cached graph could have.)
-    // From here on the CFG shape is fixed: applyPRE only inserts into
-    // existing blocks. So a motion keeps every CFG-shape analysis, and one
-    // projection context, built on the first candidate, serves them all.
-    std::optional<ProjectionContext> Ctx;
-    for (const Expression &Ex : collectExpressions(F)) {
+    // From here on the CFG shape is fixed, and a motion of expression e1
+    // only inserts `t = e1` into a fresh temporary and rewrites e1's own
+    // computations in place. No computation of another candidate e2
+    // appears, moves or disappears, and neither does any assignment to
+    // one of e2's operands, so ANT(e2) is the same on every CFG edge
+    // before and after the motion. Hence every candidate's ANT is solved
+    // up front against one DFG and one projection context, and the
+    // motions then run in candidate order on the current function. A
+    // failing solve fails the pass before any motion is applied.
+    std::vector<Expression> Candidates = collectExpressions(F);
+    if (Candidates.empty())
+      break;
+    const CFGEdges &E = AM.getResult<CFGEdgesAnalysis>();
+    const DepFlowGraph &G = AM.getResult<DFGAnalysis>();
+    ProjectionContext Ctx(F, E);
+    std::vector<std::vector<bool>> Ants(Candidates.size());
+    for (std::size_t K = 0; K != Candidates.size(); ++K) {
       ++NumExpressionsConsidered;
-      const CFGEdges &E = AM.getResult<CFGEdgesAnalysis>();
-      const DepFlowGraph &G = AM.getResult<DFGAnalysis>();
-      if (!Ctx)
-        Ctx.emplace(F, E);
-      std::vector<bool> Ant;
-      Status S = runExpressionAnticipatability(
-          F, E, &G, Ex, EvalMode::SparseDFG, Ant, /*Pan=*/nullptr, &*Ctx);
+      Status S = runExpressionAnticipatability(F, E, &G, Candidates[K],
+                                               EvalMode::SparseDFG, Ants[K],
+                                               /*Pan=*/nullptr, &Ctx);
       if (!S.ok())
         return S;
+    }
+    bool Moved = false;
+    for (std::size_t K = 0; K != Candidates.size(); ++K) {
       PREDecisions D;
-      S = runPRE(F, E, Ex, Ant,
-                 P == PassId::PREBusy ? PREStrategy::Busy
-                                      : PREStrategy::MorelRenvoise,
-                 D);
+      Status S = runPRE(F, E, Candidates[K], Ants[K],
+                        P == PassId::PREBusy ? PREStrategy::Busy
+                                             : PREStrategy::MorelRenvoise,
+                        D);
       if (!S.ok())
         return S;
       if (D.Inserts.empty() && D.Deletes.empty())
         continue;
-      applyPRE(F, Ex, D);
-      AM.invalidate(preserveCFGShapeAnalyses());
+      applyPRE(F, Candidates[K], D);
+      Moved = true;
     }
+    // The motions edited instructions only: the DFG (which holds
+    // instruction pointers) dies, every CFG-shape analysis survives.
+    if (Moved)
+      AM.invalidate(preserveCFGShapeAnalyses());
     break;
   }
   case PassId::Range:

@@ -227,6 +227,29 @@ Status depflow::verifyDFGWellFormed(Function &F) {
       S.addError("merge in-port " + std::to_string(Ed.DstPort) +
                  " out of range at '" + G.nodeLabel(F, Ed.Dst) + "'");
   }
+  // Per-variable slices: the backward engine and the projection visit
+  // only edgesOfVar(V), so each variable's edges must form one contiguous
+  // id range, and that range must be exactly what a full scan finds.
+  for (VarId V = 0; V <= G.controlVar(); ++V) {
+    unsigned First = G.numEdges(), Last = 0, Count = 0;
+    for (unsigned Id = 0; Id != G.numEdges(); ++Id)
+      if (G.edge(Id).Var == V) {
+        First = std::min(First, Id);
+        Last = Id + 1;
+        ++Count;
+      }
+    std::string Name = G.isControl(V) ? std::string("ctrl") : F.varName(V);
+    if (Count && Last - First != Count)
+      S.addError("dependence edges of '" + Name +
+                 "' do not form one contiguous id range");
+    DepFlowGraph::EdgeIdRange R = G.edgesOfVar(V);
+    bool Matches = Count ? (R.size() == Count && *R.begin() == First)
+                         : R.empty();
+    if (!Matches)
+      S.addError("edgesOfVar('" + Name + "') disagrees with a full scan (" +
+                 std::to_string(R.size()) + " edges, scan found " +
+                 std::to_string(Count) + ")");
+  }
   for (unsigned N = 0; N != G.numNodes(); ++N) {
     const auto &Node = G.node(N);
     if (Node.Kind == DepFlowGraph::NodeKind::Switch && !Node.Block->isSwitch())

@@ -16,8 +16,10 @@
 ///    every use, the definitions with a dependence path to it are exactly
 ///    the classic reaching definitions; switch/merge nodes sit only at
 ///    branch/join blocks with in-range ports; every node reaches a use
-///    (the dead-edge-removal invariant); the per-CFG-edge dependence map
-///    is consistent with the node table.
+///    (the dead-edge-removal invariant); each variable's edges form one
+///    contiguous id range that `edgesOfVar` returns exactly (the sparse
+///    backward engine and the ANT projection visit only that range); the
+///    per-CFG-edge dependence map is consistent with the node table.
 ///  * `crossCheckCycleEquivalence` — the O(E) bracket-list result equals
 ///    the naive O(E^2·(N+E)) Definition 7 evaluation on the augmented CFG
 ///    (validates Claims 1-2 on this exact input).

@@ -20,6 +20,8 @@
 #include "ir/Printer.h"
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
+#include "pass/AnalysisManager.h"
+#include "pass/PassPipeline.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
@@ -76,7 +78,8 @@ TEST(Anticipatability, Figure6SingleVariable) {
 
   DepFlowGraph G = DepFlowGraph::build(*F);
   DFGAntResult R = dfgRelativeAnticipatability(*F, G, XPlus1, X);
-  std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X);
+  std::vector<bool> Proj =
+      projectRelativeAnt(*F, E, G, R, X, ProjectionContext(*F, E));
   for (unsigned C = 0; C != E.size(); ++C)
     EXPECT_EQ(Proj[C], CFG.ANT[C]) << "projected edge " << C;
 
@@ -302,6 +305,7 @@ TEST_P(AntPropertyTest, ProjectionMatchesCFGRelativeANT) {
   auto F = antProgram(GetParam());
   CFGEdges E(*F);
   DepFlowGraph G = DepFlowGraph::build(*F, E);
+  ProjectionContext Ctx(*F, E);
   std::vector<Expression> Exprs = collectExpressions(*F);
   unsigned Tested = 0;
   for (const Expression &Expr : Exprs) {
@@ -310,7 +314,7 @@ TEST_P(AntPropertyTest, ProjectionMatchesCFGRelativeANT) {
     for (VarId X : Expr.variables()) {
       CFGAntResult CFG = cfgRelativeAnticipatability(*F, E, Expr, X);
       DFGAntResult R = dfgRelativeAnticipatability(*F, G, Expr, X);
-      std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X);
+      std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X, Ctx);
       for (unsigned C = 0; C != E.size(); ++C)
         EXPECT_EQ(Proj[C], CFG.ANT[C])
             << "edge " << C << " (" << E.edge(C).From->label() << "->"
@@ -387,10 +391,10 @@ std::vector<std::vector<unsigned>> successorLists(const Function &F) {
   return Succs;
 }
 
-// The PRE pass builds one projection context after splitting critical
-// edges and reuses it for every candidate, across motions. Replay that
-// loop: after each motion, ANT through the shared context must equal ANT
-// through a context built fresh for the edited function.
+// A projection context depends only on the CFG shape, which motions keep.
+// Replay a motion loop: after each motion, ANT through the context built
+// before the first one must equal ANT through a context built fresh for
+// the edited function.
 TEST_P(AntPropertyTest, SharedProjectionContextMatchesFresh) {
   auto F = antProgram(GetParam());
   splitCriticalEdges(*F);
@@ -428,6 +432,39 @@ TEST_P(AntPropertyTest, ApplyPREKeepsSuccessorLists) {
     ASSERT_EQ(successorLists(*F), Shape)
         << "expr " << printExpression(*F, Expr) << "\n"
         << printFunction(*F);
+  }
+}
+
+// The PRE pass solves every candidate's ANT on one DFG before its first
+// motion. The reference is the per-motion driver it replaced, which built
+// a fresh DFG of the current function before each candidate and applied
+// only non-empty decisions. Both must produce the same function text.
+TEST_P(AntPropertyTest, OneGraphPREMatchesPerMotionRebuild) {
+  const std::string Source = printFunction(*antProgram(GetParam()));
+  for (PREStrategy Strategy : {PREStrategy::Busy, PREStrategy::MorelRenvoise}) {
+    auto Ref = parseFunctionOrDie(Source);
+    splitCriticalEdges(*Ref);
+    for (const Expression &Expr : collectExpressions(*Ref)) {
+      CFGEdges E(*Ref);
+      DepFlowGraph G = DepFlowGraph::build(*Ref, E);
+      std::vector<bool> Ant;
+      ASSERT_TRUE(runExpressionAnticipatability(*Ref, E, &G, Expr,
+                                                EvalMode::SparseDFG, Ant)
+                      .ok());
+      PREDecisions D;
+      ASSERT_TRUE(runPRE(*Ref, E, Expr, Ant, Strategy, D).ok());
+      if (!D.Inserts.empty() || !D.Deletes.empty())
+        applyPRE(*Ref, Expr, D);
+    }
+
+    auto Pass = parseFunctionOrDie(Source);
+    FunctionAnalysisManager AM(*Pass);
+    PassId P =
+        Strategy == PREStrategy::Busy ? PassId::PREBusy : PassId::PRE;
+    Status S = runPass(*Pass, P, AM);
+    ASSERT_TRUE(S.ok()) << S.str();
+    EXPECT_EQ(printFunction(*Pass), printFunction(*Ref))
+        << "pass --" << passName(P) << " on\n" << Source;
   }
 }
 

@@ -276,6 +276,29 @@ TEST_P(DFGPropertyTest, BypassNeverGrowsTheGraph) {
   EXPECT_LE(Full.numNodes(), Base.numNodes());
 }
 
+// The per-variable slices tile the edge ids in ascending variable order,
+// in both bypass modes; a variable the prune removed entirely has an
+// empty slice.
+TEST_P(DFGPropertyTest, EdgesOfVarTileTheEdgeIds) {
+  auto F = generateRandomCFGProgram(std::uint64_t(GetParam()) * 31 + 5, 10,
+                                    45, 5, 2);
+  for (auto Mode :
+       {DepFlowGraph::BypassMode::None, DepFlowGraph::BypassMode::SESE}) {
+    DepFlowGraph G = DepFlowGraph::build(*F, Mode);
+    unsigned Next = 0;
+    for (VarId V = 0; V <= G.controlVar(); ++V) {
+      DepFlowGraph::EdgeIdRange R = G.edgesOfVar(V);
+      if (R.empty())
+        continue;
+      EXPECT_EQ(*R.begin(), Next) << "var " << V;
+      for (unsigned Id : R)
+        EXPECT_EQ(G.edge(Id).Var, V) << "edge " << Id;
+      Next += R.size();
+    }
+    EXPECT_EQ(Next, G.numEdges());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DFGPropertyTest, ::testing::Range(0, 30));
 
 } // namespace

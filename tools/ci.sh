@@ -66,20 +66,24 @@ done
 
 # Module smoke: a fuzz-generated 60-function module must optimize to
 # byte-identical output at -j 8 and -j 1 (the parallel driver's core
-# contract), under the sanitizers.
+# contract), under the sanitizers, through the default pipeline, the
+# bigfn-opt benchmark pipeline and busy code motion.
 MODDIR="$(mktemp -d)"
 trap 'rm -rf "$MODDIR"' EXIT
 "$BUILD/tools/depflow-fuzz" --emit-module 60 --seed "$FUZZ_SEED" \
     > "$MODDIR/module.df"
-"$BUILD/tools/depflow-opt" --passes=separate,constprop,pre -j 1 \
-    "$MODDIR/module.df" 2>/dev/null > "$MODDIR/j1.df"
-"$BUILD/tools/depflow-opt" --passes=separate,constprop,pre -j 8 \
-    "$MODDIR/module.df" 2>/dev/null > "$MODDIR/j8.df"
-if ! cmp -s "$MODDIR/j1.df" "$MODDIR/j8.df"; then
-  echo "ci: MODULE MISMATCH -- -j 8 output differs from -j 1 (seed $FUZZ_SEED)" >&2
-  diff "$MODDIR/j1.df" "$MODDIR/j8.df" | head -40 >&2 || true
-  exit 1
-fi
+for PIPE in separate,constprop,pre separate,constprop,pre,ssa-dfg \
+            separate,pre-busy; do
+  "$BUILD/tools/depflow-opt" --passes="$PIPE" -j 1 \
+      "$MODDIR/module.df" 2>/dev/null > "$MODDIR/j1.df"
+  "$BUILD/tools/depflow-opt" --passes="$PIPE" -j 8 \
+      "$MODDIR/module.df" 2>/dev/null > "$MODDIR/j8.df"
+  if ! cmp -s "$MODDIR/j1.df" "$MODDIR/j8.df"; then
+    echo "ci: MODULE MISMATCH -- --passes=$PIPE -j 8 output differs from -j 1 (seed $FUZZ_SEED)" >&2
+    diff "$MODDIR/j1.df" "$MODDIR/j8.df" | head -40 >&2 || true
+    exit 1
+  fi
+done
 
 # Observability smoke: --trace-json / --stats-json on a parallel run must
 # produce documents that parse and agree with each other (the full 5%
