@@ -6,7 +6,8 @@
 // C4: DFG construction is O(EV) (Section 3.2); sweeping E at fixed V and
 // V at fixed E shows the product scaling. Counters record how much region
 // bypassing plus dead-edge removal shrink the base-level graph (Figure 2's
-// point).
+// point). The builder creates only the live graph; the base-level figures
+// are the paper's graph, counted exactly without being built.
 //
 //===----------------------------------------------------------------------===//
 
@@ -90,9 +91,11 @@ BENCHMARK(BM_DFG_Build_NoBypass)
 //===----------------------------------------------------------------------===//
 // Deterministic counter sweep + the O(EV) claim fit, in benchMain's Extra
 // hook (outside the machine-dependent timing loops). The fitted work is
-// the number of base-level DFG edges the per-variable routing creates,
-// against the paper's E·(V+1) budget (V variables plus the control
-// token), combining the E sweep at fixed V with the V sweep at fixed E.
+// the number of edges in the paper's base-level DFG (counted in closed
+// form; the builder routes only the live subset, so this is an upper
+// bound on its routing work), against the paper's E·(V+1) budget (V
+// variables plus the control token), combining the E sweep at fixed V
+// with the V sweep at fixed E.
 //===----------------------------------------------------------------------===//
 
 static void addCounterSweeps(obs::BenchReport &Report) {

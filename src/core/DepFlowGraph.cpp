@@ -12,14 +12,19 @@
 #include "support/Statistic.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 using namespace depflow;
 
-// Telemetry for the paper's O(E·V) construction claim: base edges created
-// is the unit of routing work, so bench_dfg_construction fits its slope
-// against E·(V+1). The bypass histogram records how much switch/merge
-// traffic each SESE region's redirect short-circuits.
+// Telemetry for the paper's O(E·V) construction claim. The counters
+// describe the paper's construction — the base-level graph, its bypass
+// redirects (one per region exit edge per variable the region does not
+// assign) and what dead-edge removal drops from it — which the builder
+// counts exactly without building it (it creates only the live graph).
+// bench_dfg_construction fits the base edge count against E·(V+1), an
+// upper bound on the routing work. The bypass histogram records how much
+// switch/merge traffic each SESE region's redirect short-circuits.
 DEPFLOW_STATISTIC(NumDFGBaseEdges, "dfg-build",
                   "DFG edges created by the per-variable routing");
 DEPFLOW_STATISTIC(NumDFGBypassRedirects, "dfg-build",
@@ -30,16 +35,6 @@ DEPFLOW_STATISTIC(NumDFGDeadNodesRemoved, "dfg-build",
                   "Nodes removed by the dead-edge prune");
 DEPFLOW_HIST_STATISTIC(HistDFGBypassPerRegion, "dfg-build",
                        "Bypass redirects per SESE region (all variables)");
-
-namespace {
-
-/// A dependence value's identity while routing: a node output port.
-struct Source {
-  int Node = -1;
-  std::uint16_t Port = 0;
-};
-
-} // namespace
 
 int DepFlowGraph::instrIndex(const Instruction *I) const {
   const InstKey *First = InstIndex;
@@ -55,47 +50,88 @@ int DepFlowGraph::instrIndex(const Instruction *I) const {
 
 /// Builds a DepFlowGraph; a friend of the class so it can fill the private
 /// tables directly.
+///
+/// The paper's construction (Section 3.2) routes every variable through
+/// every block (the base level), bypasses SESE regions, and then removes
+/// dead edges: a node survives iff a use is reachable from it, i.e. iff
+/// the value it produces is live. The builder computes that liveness first
+/// and then creates exactly the nodes and edges the removal would keep, in
+/// the order the base level creates them, so the graph is identical node
+/// for node and edge for edge to base level plus dead-edge removal without
+/// materializing the base level.
 class depflow::DFGBuilder {
+  /// A dependence value's identity while routing: a node output port.
+  using Source = DepFlowGraph::DepSlot;
+  static constexpr Source NoSource = {-1, 0};
+
   Function &F;
   const CFGEdges &E;
   DepFlowGraph::BypassMode Mode;
   DepFlowGraph G;
 
   unsigned NumVarsWithCtrl;
+  std::size_t Words = 0; // 64-bit words per set over the variables
   const ProgramStructureTree *PST = nullptr;  // Borrowed (caller's cache)...
   std::unique_ptr<ProgramStructureTree> OwnedPST; // ...or built here.
   std::vector<std::uint64_t> RegionDefs; // flat [region][word] def bitsets
-  std::size_t DefWords = 0;              // words per region
   /// Block ids in reverse postorder, each tagged with its merge/switch
-  /// flags so the per-variable loops read no block state for them.
+  /// flags and (SESE bypass only) whether one of its out-edges is a
+  /// region's exit edge, so the per-variable loops read no block state for
+  /// them.
   std::vector<unsigned> RPO;
-  std::vector<std::uint64_t> BypassPerRegion; // histogram accumulator
-  std::vector<Source> Dep;           // per CFG edge; reused across variables
   std::vector<std::uint32_t> InstrBase; // block id -> first instr index
 
   static constexpr unsigned MergeBit = 1u << 31;
   static constexpr unsigned SwitchBit = 1u << 30;
-  static constexpr unsigned BlockIdMask = SwitchBit - 1;
+  static constexpr unsigned ExitBit = 1u << 29;
+  static constexpr unsigned BlockIdMask = ExitBit - 1;
 
-  /// Exact pre-prune sizes, counted before routing.
+  /// Exact sizes of the paper's base-level graph (counted, never built),
+  /// the tap counts, and the exact live sizes (read off the liveness sets
+  /// before routing).
   std::uint32_t NumBaseNodes = 0;
   std::uint32_t NumBaseEdges = 0;
+  std::uint32_t NumUses = 0;
+  std::uint32_t NumTaps = 0;
+  std::uint32_t NumLiveNodes = 0;
+  std::uint32_t NumLiveEdges = 0;
+  /// Defs whose value a later use in the same block reads.
+  std::uint32_t NumDefsUsedLocally = 0;
 
-  /// The prune's scratch, carved from one arena before routing (its size
-  /// needs only the exact pre-prune counts). Until the prune runs, routing
-  /// borrows four of its arrays for the per-variable occurrence lists
-  /// ("taps"): TapOff = InCnt, TapFill = Fill, TapInst = Stack and
-  /// TapCode = NewId. A tap is (instruction index, code), where code is
-  /// the operand index of a use (numOperands() for the control use) or
-  /// DefTap for the def; variable V's taps are [TapOff[V], TapOff[V+1]),
-  /// in RPO block order and instruction order within a block.
+  /// Routing scratch, carved from one arena at its exact size.
+  ///
+  /// Taps: a tap is (instruction index, code), where code is the operand
+  /// index of a use (numOperands() for the control use) or DefTap for the
+  /// def; variable V's taps are [TapOff[V], TapOff[V+1]), in RPO block
+  /// order and instruction order within a block.
+  ///
+  /// Liveness, each a `Words`-word bitset over the variables and the
+  /// control variable: per block id, Gen (used before any def in the
+  /// block), Kill (defined in the block), DefEnd (the block's last tap is
+  /// a def), LiveIn and LiveOut; per CFG edge, LiveEdge (the value crossing
+  /// the edge reaches a use). LiveOut covers only the out-edges that are
+  /// not bypass-redirected: it is the liveness of the block's own outgoing
+  /// value.
+  ///
+  /// Routing plan, the same facts transposed to one `RPOWords`-word bitset
+  /// over RPO positions per variable, so routing V touches only its own
+  /// blocks: VisitRows (blocks holding V's taps, a live incoming value, or
+  /// a live out-edge), MergeRows and SwitchRows (the live merges and
+  /// switches).
   BumpArena Scratch;
-  std::uint32_t *InCnt = nullptr;
-  std::uint32_t *InTmp = nullptr;
-  std::uint32_t *Fill = nullptr;
-  std::uint64_t *Alive = nullptr;
-  std::uint32_t *Stack = nullptr;
-  std::int32_t *NewId = nullptr;
+  std::uint32_t *TapOff = nullptr;
+  std::uint32_t *TapInst = nullptr;
+  std::int32_t *TapCode = nullptr;
+  std::uint64_t *Gen = nullptr;
+  std::uint64_t *Kill = nullptr;
+  std::uint64_t *DefEnd = nullptr;
+  std::uint64_t *LiveIn = nullptr;
+  std::uint64_t *LiveOut = nullptr;
+  std::uint64_t *LiveEdge = nullptr;
+  std::size_t RPOWords = 0;
+  std::uint64_t *VisitRows = nullptr;
+  std::uint64_t *MergeRows = nullptr;
+  std::uint64_t *SwitchRows = nullptr;
   static constexpr std::int32_t DefTap = -1;
 
 public:
@@ -105,8 +141,10 @@ public:
 
   DepFlowGraph run() {
     assert(F.exit() && "DFG construction requires a verified function");
+    assert(E.inEdges(F.entry()).empty() && "the entry block has no preds");
     G.ControlVar = F.numVars();
     NumVarsWithCtrl = F.numVars() + 1;
+    Words = (NumVarsWithCtrl + 63) / 64;
     G.NumVarsWithCtrl = NumVarsWithCtrl;
     G.NumBlocksAtBuild = F.numBlocks();
     G.NumCFGEdges = E.size();
@@ -121,6 +159,7 @@ public:
         std::size_t(NumVarsWithCtrl) * E.size(), {-1, 0});
 
     computeRPO();
+    unsigned Redirects = 0;
     if (Mode == DepFlowGraph::BypassMode::SESE) {
       if (!PST) {
         CycleEquivalence CE = cycleEquivalenceClasses(F, E);
@@ -128,29 +167,28 @@ public:
         PST = OwnedPST.get();
       }
       computeRegionDefs();
-      BypassPerRegion.assign(PST->numRegions(), 0);
+      Redirects = markRegionExits();
     }
 
-    reserveColumns();
+    countBase();
+    carveScratch();
     collectTaps();
-    Dep.resize(E.size());
+    computeLiveness();
+    planRouting();
     for (VarId V = 0; V != NumVarsWithCtrl; ++V)
       routeVariable(V);
-    assert(G.numNodes() == NumBaseNodes && G.numEdges() == NumBaseEdges &&
-           "pre-prune counts predicted exactly");
-
-    // Region 0 is the whole function and never closes, so the histogram
-    // covers only canonical regions.
-    for (unsigned R = 1; R < BypassPerRegion.size(); ++R)
-      HistDFGBypassPerRegion.sample(BypassPerRegion[R]);
-
-    G.BuildStats.NodesBeforePrune = G.numNodes();
-    G.BuildStats.EdgesBeforePrune = G.numEdges();
-    prune();
+    assert(G.numNodes() == NumLiveNodes && G.numEdges() == NumLiveEdges &&
+           "live counts predicted exactly");
     Scratch = BumpArena();
     buildAdjacency();
-    NumDFGDeadEdgesRemoved += G.BuildStats.EdgesBeforePrune - G.numEdges();
-    NumDFGDeadNodesRemoved += G.BuildStats.NodesBeforePrune - G.numNodes();
+
+    G.BuildStats.EdgesBeforePrune = NumBaseEdges;
+    G.BuildStats.NodesBeforePrune = NumBaseNodes;
+    G.BuildStats.BypassRedirects = Redirects;
+    NumDFGBaseEdges += NumBaseEdges;
+    NumDFGBypassRedirects += Redirects;
+    NumDFGDeadEdgesRemoved += NumBaseEdges - G.numEdges();
+    NumDFGDeadNodesRemoved += NumBaseNodes - G.numNodes();
     return std::move(G);
   }
 
@@ -227,111 +265,11 @@ private:
     }
   }
 
-  /// Counts the base routing exactly (one entry per variable, one
-  /// merge/switch per join/branch per variable, one use per variable
-  /// operand, one def per assignment) and reserves every node/edge column
-  /// at that size, so the columns never reallocate while routing.
-  void reserveColumns() {
-    std::uint32_t MergeBlocks = 0, SwitchBlocks = 0, MergeIndeg = 0,
-                  SwitchOut = 0;
-    std::uint32_t VarUses = 0, CtrlUses = 0, Defs = 0;
-    for (unsigned R : RPO) {
-      const BasicBlock *BB = F.block(R & BlockIdMask);
-      if (R & MergeBit) {
-        ++MergeBlocks;
-        MergeIndeg += std::uint32_t(E.inEdges(BB).size());
-      }
-      if (R & SwitchBit)
-        ++SwitchBlocks;
-      if (E.outEdges(BB).size() > 1)
-        ++SwitchOut;
-      for (const auto &I : BB->instructions()) {
-        assert(!isa<PhiInst>(I.get()) &&
-               "DFG construction runs on phi-free IR");
-        bool HasVarOperand = false;
-        for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx)
-          if (I->operand(OpIdx).isVar()) {
-            HasVarOperand = true;
-            ++VarUses;
-          }
-        if (!HasVarOperand && (isa<DefInst>(I.get()) || I->numOperands() > 0))
-          ++CtrlUses;
-        if (isa<DefInst>(I.get()))
-          ++Defs;
-      }
-    }
-    NumBaseNodes = NumVarsWithCtrl * (1 + MergeBlocks + SwitchBlocks) +
-                   VarUses + CtrlUses + Defs;
-    NumBaseEdges =
-        VarUses + CtrlUses + NumVarsWithCtrl * (SwitchOut + MergeIndeg);
-    G.NodeKinds.reserve(NumBaseNodes);
-    G.NodeVars.reserve(NumBaseNodes);
-    G.NodeInst.reserve(NumBaseNodes);
-    G.NodeOp.reserve(NumBaseNodes);
-    G.NodeBlock.reserve(NumBaseNodes);
-    G.Edges.reserve(NumBaseEdges);
-  }
-
-  /// Carves the prune's scratch and buckets every variable's taps with one
-  /// stable counting sort over the instructions in RPO block order. Each
-  /// instruction contributes its variable uses in operand order, then the
-  /// control use (Section 3.3: statements with no variable operands; also
-  /// terminators carrying only immediates, so that dead code reporting
-  /// covers their operands uniformly), then its def.
-  void collectTaps() {
-    const std::uint32_t NN = NumBaseNodes, NE = NumBaseEdges;
-    Scratch = BumpArena(std::size_t(NN) * 12 + std::size_t(NE) * 4 + 256);
-    InCnt = Scratch.allocateFilled<std::uint32_t>(NN + 1, 0);
-    InTmp = Scratch.allocateArray<std::uint32_t>(NE);
-    Fill = Scratch.allocateArray<std::uint32_t>(NN);
-    Alive = Scratch.allocateFilled<std::uint64_t>((std::size_t(NN) + 63) / 64,
-                                                  0);
-    Stack = Scratch.allocateArray<std::uint32_t>(NN);
-    NewId = Scratch.allocateArray<std::int32_t>(NN);
-
-    // Every variable owns an entry node and every tap a node, so the
-    // borrowed arrays are large enough: NN >= NumVarsWithCtrl + taps.
-    std::uint32_t *TapOff = InCnt, *TapFill = Fill, *TapInst = Stack;
-    std::int32_t *TapCode = NewId;
-    auto ForEachTap = [&](auto Visit) {
-      for (unsigned R : RPO) {
-        const BasicBlock *BB = F.block(R & BlockIdMask);
-        std::uint32_t InstIdx = InstrBase[R & BlockIdMask];
-        for (const auto &IPtr : BB->instructions()) {
-          const Instruction *I = IPtr.get();
-          assert(G.InstrByIdx[InstIdx] == I && "canonical numbering in sync");
-          bool HasVarOperand = false;
-          for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx)
-            if (const Operand &Op = I->operand(OpIdx); Op.isVar()) {
-              HasVarOperand = true;
-              Visit(Op.var(), InstIdx, std::int32_t(OpIdx));
-            }
-          if (!HasVarOperand && (isa<DefInst>(I) || I->numOperands() > 0))
-            Visit(G.ControlVar, InstIdx, std::int32_t(I->numOperands()));
-          if (const auto *D = dyn_cast<DefInst>(I))
-            Visit(D->def(), InstIdx, DefTap);
-          ++InstIdx;
-        }
-      }
-    };
-    ForEachTap([&](VarId V, std::uint32_t, std::int32_t) { ++TapOff[V + 1]; });
-    for (VarId V = 0; V != NumVarsWithCtrl; ++V) {
-      TapOff[V + 1] += TapOff[V];
-      TapFill[V] = TapOff[V];
-    }
-    ForEachTap([&](VarId V, std::uint32_t InstIdx, std::int32_t Code) {
-      std::uint32_t K = TapFill[V]++;
-      TapInst[K] = InstIdx;
-      TapCode[K] = Code;
-    });
-  }
-
   void computeRegionDefs() {
-    DefWords = (NumVarsWithCtrl + 63) / 64;
-    RegionDefs.assign(PST->numRegions() * DefWords, 0);
+    RegionDefs.assign(PST->numRegions() * Words, 0);
     for (const auto &BB : F.blocks()) {
       std::uint64_t *Defs =
-          RegionDefs.data() + PST->regionOfBlock(BB->id()) * DefWords;
+          RegionDefs.data() + PST->regionOfBlock(BB->id()) * Words;
       for (const auto &I : BB->instructions())
         if (const auto *D = dyn_cast<DefInst>(I.get()))
           Defs[D->def() / 64] |= std::uint64_t(1) << (D->def() % 64);
@@ -347,9 +285,275 @@ private:
     });
     for (unsigned R : Order)
       if (int P = PST->region(R).Parent; P >= 0)
-        for (std::size_t W = 0; W != DefWords; ++W)
-          RegionDefs[unsigned(P) * DefWords + W] |=
-              RegionDefs[R * DefWords + W];
+        for (std::size_t W = 0; W != Words; ++W)
+          RegionDefs[unsigned(P) * Words + W] |= RegionDefs[R * Words + W];
+  }
+
+  /// Flags the blocks that own a region exit edge and counts the bypass
+  /// redirects: the exit edge of canonical region R carries its entry
+  /// edge's value for every variable R does not assign (always for the
+  /// control variable). Region 0 is the whole function and never closes,
+  /// so the histogram covers only canonical regions.
+  unsigned markRegionExits() {
+    for (unsigned &R : RPO)
+      for (unsigned EId : E.outEdges(F.block(R & BlockIdMask)))
+        if (PST->regionClosedBy(EId) >= 0)
+          R |= ExitBit;
+    unsigned Total = 0;
+    for (unsigned R = 1; R < PST->numRegions(); ++R) {
+      assert(PST->regionClosedBy(unsigned(PST->region(R).ExitEdge)) ==
+                 int(R) &&
+             "one exit edge closes each canonical region");
+      unsigned Assigned = 0;
+      for (std::size_t W = 0; W != Words; ++W)
+        Assigned += unsigned(std::popcount(RegionDefs[R * Words + W]));
+      unsigned Bypassed = NumVarsWithCtrl - Assigned;
+      HistDFGBypassPerRegion.sample(Bypassed);
+      Total += Bypassed;
+    }
+    return Total;
+  }
+
+  /// Counts the paper's base-level graph exactly (one entry per variable,
+  /// one merge/switch per join/branch per variable, one use per variable
+  /// operand, one def per assignment) and the taps. The base level is only
+  /// counted, for the statistics; it is never built.
+  void countBase() {
+    std::uint32_t MergeBlocks = 0, SwitchBlocks = 0, MergeIndeg = 0;
+    std::uint32_t VarUses = 0, CtrlUses = 0, Defs = 0;
+    for (unsigned R : RPO) {
+      const BasicBlock *BB = F.block(R & BlockIdMask);
+      if (R & MergeBit) {
+        ++MergeBlocks;
+        MergeIndeg += std::uint32_t(E.inEdges(BB).size());
+      }
+      if (R & SwitchBit)
+        ++SwitchBlocks;
+      for (const auto &I : BB->instructions()) {
+        assert(!isa<PhiInst>(I.get()) &&
+               "DFG construction runs on phi-free IR");
+        bool HasVarOperand = false;
+        for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx)
+          if (I->operand(OpIdx).isVar()) {
+            HasVarOperand = true;
+            ++VarUses;
+          }
+        if (!HasVarOperand && (isa<DefInst>(I.get()) || I->numOperands() > 0))
+          ++CtrlUses;
+        if (isa<DefInst>(I.get()))
+          ++Defs;
+      }
+    }
+    NumUses = VarUses + CtrlUses;
+    NumTaps = NumUses + Defs;
+    NumBaseNodes = NumVarsWithCtrl * (1 + MergeBlocks + SwitchBlocks) +
+                   NumUses + Defs;
+    NumBaseEdges = NumUses + NumVarsWithCtrl * (SwitchBlocks + MergeIndeg);
+  }
+
+  /// Carves the taps and the liveness sets from one arena chunk sized
+  /// exactly (the 64-bit sets first, so no array needs padding).
+  void carveScratch() {
+    const std::size_t BlockWords = std::size_t(F.numBlocks()) * Words;
+    RPOWords = (RPO.size() + 63) / 64;
+    const std::size_t RowWords = std::size_t(NumVarsWithCtrl) * RPOWords;
+    const std::size_t SetWords =
+        5 * BlockWords + std::size_t(E.size()) * Words + 3 * RowWords;
+    Scratch = BumpArena(SetWords * 8 +
+                        (2 * std::size_t(NumVarsWithCtrl) + 1 +
+                         2 * std::size_t(NumTaps)) * 4);
+    std::uint64_t *Sets = Scratch.allocateFilled<std::uint64_t>(SetWords, 0);
+    Gen = Sets;
+    Kill = Gen + BlockWords;
+    DefEnd = Kill + BlockWords;
+    LiveIn = DefEnd + BlockWords;
+    LiveOut = LiveIn + BlockWords;
+    LiveEdge = LiveOut + BlockWords;
+    VisitRows = LiveEdge + std::size_t(E.size()) * Words;
+    MergeRows = VisitRows + RowWords;
+    SwitchRows = MergeRows + RowWords;
+    TapOff = Scratch.allocateFilled<std::uint32_t>(NumVarsWithCtrl + 1, 0);
+    TapInst = Scratch.allocateArray<std::uint32_t>(NumTaps);
+    TapCode = Scratch.allocateArray<std::int32_t>(NumTaps);
+  }
+
+  /// Buckets every variable's taps with one stable counting sort over the
+  /// instructions in RPO block order, and records each block's Gen, Kill
+  /// and DefEnd on the way. Each instruction contributes its variable uses
+  /// in operand order, then the control use (Section 3.3: statements with
+  /// no variable operands; also terminators carrying only immediates, so
+  /// that dead code reporting covers their operands uniformly), then its
+  /// def.
+  void collectTaps() {
+    auto ForEachTap = [&](auto Visit) {
+      for (unsigned R : RPO) {
+        const unsigned B = R & BlockIdMask;
+        const BasicBlock *BB = F.block(B);
+        std::uint32_t InstIdx = InstrBase[B];
+        for (const auto &IPtr : BB->instructions()) {
+          const Instruction *I = IPtr.get();
+          assert(G.InstrByIdx[InstIdx] == I && "canonical numbering in sync");
+          bool HasVarOperand = false;
+          for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx)
+            if (const Operand &Op = I->operand(OpIdx); Op.isVar()) {
+              HasVarOperand = true;
+              Visit(B, Op.var(), InstIdx, std::int32_t(OpIdx));
+            }
+          if (!HasVarOperand && (isa<DefInst>(I) || I->numOperands() > 0))
+            Visit(B, G.ControlVar, InstIdx, std::int32_t(I->numOperands()));
+          if (const auto *D = dyn_cast<DefInst>(I))
+            Visit(B, D->def(), InstIdx, DefTap);
+          ++InstIdx;
+        }
+      }
+    };
+    ForEachTap([&](unsigned, VarId V, std::uint32_t, std::int32_t) {
+      ++TapOff[V + 1];
+    });
+    std::uint32_t *TapFill =
+        Scratch.allocateArray<std::uint32_t>(NumVarsWithCtrl);
+    for (VarId V = 0; V != NumVarsWithCtrl; ++V) {
+      TapOff[V + 1] += TapOff[V];
+      TapFill[V] = TapOff[V];
+    }
+    ForEachTap([&](unsigned B, VarId V, std::uint32_t InstIdx,
+                   std::int32_t Code) {
+      std::uint32_t K = TapFill[V]++;
+      TapInst[K] = InstIdx;
+      TapCode[K] = Code;
+      const std::size_t W = B * Words + V / 64;
+      const std::uint64_t Bit = std::uint64_t(1) << (V % 64);
+      if (Code == DefTap) {
+        Kill[W] |= Bit;
+        DefEnd[W] |= Bit;
+        return;
+      }
+      if (!(Kill[W] & Bit))
+        Gen[W] |= Bit;
+      if (DefEnd[W] & Bit) {
+        ++NumDefsUsedLocally;
+        DefEnd[W] &= ~Bit;
+      }
+    });
+  }
+
+  /// Liveness under bypass: one backward fixpoint over the CFG in
+  /// postorder, word-parallel over every variable and the control
+  /// variable. The value on edge e reaches a use if V is live into e's
+  /// target, or (the bypass redirect) if e is the entry edge of a region R
+  /// that does not assign V and V is live on R's exit edge. A block's own
+  /// outgoing value feeds only its out-edges that are not redirected.
+  void computeLiveness() {
+    const std::size_t W = Words;
+    const bool Bypass = Mode == DepFlowGraph::BypassMode::SESE;
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (auto It = RPO.rbegin(); It != RPO.rend(); ++It) {
+        const unsigned B = *It & BlockIdMask;
+        std::uint64_t *Out = LiveOut + B * W;
+        std::fill(Out, Out + W, 0);
+        for (unsigned EId : E.outEdges(G.BlockByIdx[B])) {
+          std::uint64_t *Live = LiveEdge + std::size_t(EId) * W;
+          const std::uint64_t *ToIn =
+              LiveIn + std::size_t(E.edge(EId).To->id()) * W;
+          const std::uint64_t *ExitLive = nullptr, *OpenedDefs = nullptr;
+          const std::uint64_t *ClosedDefs = nullptr;
+          if (Bypass) {
+            if (int R = PST->regionOpenedBy(EId); R >= 0) {
+              ExitLive = LiveEdge +
+                         std::size_t(PST->region(unsigned(R)).ExitEdge) * W;
+              OpenedDefs = RegionDefs.data() + unsigned(R) * W;
+            }
+            if (int R = PST->regionClosedBy(EId); R >= 0)
+              ClosedDefs = RegionDefs.data() + unsigned(R) * W;
+          }
+          for (std::size_t I = 0; I != W; ++I) {
+            std::uint64_t L = ToIn[I];
+            if (ExitLive)
+              L |= ExitLive[I] & ~OpenedDefs[I];
+            if (L != Live[I]) {
+              Live[I] = L;
+              Changed = true;
+            }
+            // An exit edge is redirected for exactly the variables its
+            // region does not assign.
+            Out[I] |= ClosedDefs ? L & ClosedDefs[I] : L;
+          }
+        }
+        const std::uint64_t *BGen = Gen + B * W, *BKill = Kill + B * W;
+        std::uint64_t *In = LiveIn + B * W;
+        for (std::size_t I = 0; I != W; ++I) {
+          std::uint64_t L = BGen[I] | (Out[I] & ~BKill[I]);
+          if (L != In[I]) {
+            In[I] = L;
+            Changed = true;
+          }
+        }
+      }
+    }
+  }
+
+  /// Reads the routing plan off the liveness sets: transposes them into
+  /// the per-variable rows, counts the live graph exactly, and reserves
+  /// every node/edge column at that size. An entry node and each merge
+  /// exist where V is live in, a switch where V is live out, every use, and
+  /// a def when a use in its block reads it or it is its block's last def
+  /// and V is live out. Every use and every live switch or merge has one
+  /// in-edge per input.
+  void planRouting() {
+    std::uint32_t Nodes = NumUses + NumDefsUsedLocally, Edges = NumUses;
+    const unsigned EntryId = F.entry()->id();
+    for (std::size_t P = 0; P != RPO.size(); ++P) {
+      const unsigned R = RPO[P], B = R & BlockIdMask;
+      const BasicBlock *BB = G.BlockByIdx[B];
+      const std::uint32_t Preds = std::uint32_t(E.inEdges(BB).size());
+      for (std::size_t W = 0, I = B * Words; W != Words; ++W, ++I) {
+        const std::uint64_t In = LiveIn[I], Out = LiveOut[I];
+        const std::uint64_t Merges = (R & MergeBit) ? In : 0;
+        const std::uint64_t Switches = (R & SwitchBit) ? Out : 0;
+        std::uint64_t Visit = In | Kill[I];
+        if (R & ExitBit)
+          for (unsigned EId : E.outEdges(BB))
+            Visit |= LiveEdge[std::size_t(EId) * Words + W];
+        Nodes += std::uint32_t(std::popcount(DefEnd[I] & Out));
+        if (B == EntryId)
+          Nodes += std::uint32_t(std::popcount(In));
+        Nodes += std::uint32_t(std::popcount(Merges) + std::popcount(Switches));
+        Edges += std::uint32_t(std::popcount(Merges)) * Preds +
+                 std::uint32_t(std::popcount(Switches));
+        scatter(VisitRows, W, Visit, P);
+        scatter(MergeRows, W, Merges, P);
+        scatter(SwitchRows, W, Switches, P);
+      }
+    }
+    NumLiveNodes = Nodes;
+    NumLiveEdges = Edges;
+    G.NodeKinds.reserve(Nodes);
+    G.NodeVars.reserve(Nodes);
+    G.NodeInst.reserve(Nodes);
+    G.NodeOp.reserve(Nodes);
+    G.NodeBlock.reserve(Nodes);
+    G.Edges.reserve(Edges);
+  }
+
+  /// Sets RPO position \p P in the row of every variable of word \p W
+  /// whose bit is set in \p Bits.
+  void scatter(std::uint64_t *Rows, std::size_t W, std::uint64_t Bits,
+               std::size_t P) {
+    const std::uint64_t Bit = std::uint64_t(1) << (P % 64);
+    for (; Bits; Bits &= Bits - 1) {
+      const std::size_t V = W * 64 + std::size_t(std::countr_zero(Bits));
+      Rows[V * RPOWords + P / 64] |= Bit;
+    }
+  }
+
+  /// Calls \p Visit with the (flagged) RPO entry of each position set in
+  /// \p Row, in RPO order.
+  template <typename Fn>
+  void forEachBlock(const std::uint64_t *Row, Fn Visit) const {
+    for (std::size_t W = 0; W != RPOWords; ++W)
+      for (std::uint64_t Bits = Row[W]; Bits; Bits &= Bits - 1)
+        Visit(RPO[W * 64 + std::size_t(std::countr_zero(Bits))]);
   }
 
   unsigned makeNode(DepFlowGraph::NodeKind Kind, VarId V,
@@ -364,9 +568,8 @@ private:
   }
 
   void addEdge(Source Src, unsigned Dst, VarId V, std::uint16_t DstPort = 0) {
-    assert(Src.Node >= 0 && "dependence source must be resolved");
+    assert(Src.Node >= 0 && "dependence source must be live");
     G.Edges.push_back({unsigned(Src.Node), Dst, V, Src.Port, DstPort});
-    ++NumDFGBaseEdges;
   }
 
   /// True if canonical region \p R contains no assignment to \p V (the
@@ -374,7 +577,7 @@ private:
   /// every region is bypassable for it — its uses are still fed through
   /// the interior routing, which is what makes them control edges).
   bool regionBypassable(unsigned R, VarId V) const {
-    return !(RegionDefs[R * DefWords + V / 64] >> (V % 64) & 1);
+    return !(RegionDefs[R * Words + V / 64] >> (V % 64) & 1);
   }
 
   int32_t &switchSlot(unsigned B, VarId V) {
@@ -384,77 +587,90 @@ private:
     return G.MergeTab[std::size_t(B) * NumVarsWithCtrl + V];
   }
 
+  /// Routes \p V, creating only live nodes and edges, in base-level order:
+  /// the entry node, merges and switches in RPO, then each block's taps
+  /// and switch input in RPO, then the merge inputs. The dependence map
+  /// (DepTab) is written on exactly the CFG edges where V is live, and is
+  /// read only there.
   void routeVariable(VarId V) {
-    std::fill(Dep.begin(), Dep.end(), Source{});
+    const std::size_t Word = V / 64;
+    const std::uint64_t Bit = std::uint64_t(1) << (V % 64);
+    auto IsLive = [&](const std::uint64_t *Set, unsigned Idx) {
+      return (Set[Idx * Words + Word] & Bit) != 0;
+    };
+    Source *Dep = G.DepTab + std::size_t(V) * E.size();
+    const unsigned EntryId = F.entry()->id();
 
-    unsigned EntryNode = makeNode(DepFlowGraph::NodeKind::Entry, V, -1, 0,
-                                  std::int32_t(F.entry()->id()));
-    G.EntryOfVarTab[V] = int(EntryNode);
-
-    // Pre-create merge and switch nodes (base level: at every join/branch).
-    for (unsigned R : RPO) {
-      unsigned B = R & BlockIdMask;
-      if (R & MergeBit)
-        mergeSlot(B, V) = std::int32_t(makeNode(
-            DepFlowGraph::NodeKind::Merge, V, -1, 0, std::int32_t(B)));
-      if (R & SwitchBit)
-        switchSlot(B, V) = std::int32_t(makeNode(
-            DepFlowGraph::NodeKind::Switch, V, -1, 0, std::int32_t(B)));
+    Source EntryValue = NoSource;
+    if (IsLive(LiveIn, EntryId)) {
+      EntryValue.Node = std::int32_t(makeNode(DepFlowGraph::NodeKind::Entry,
+                                              V, -1, 0,
+                                              std::int32_t(EntryId)));
+      G.EntryOfVarTab[V] = EntryValue.Node;
     }
 
-    // Assign dep[] to an out-edge, applying the region-bypass redirect:
-    // the exit edge of a bypassable region carries the value of its entry
-    // edge, not the interior through-value.
-    auto SetDep = [&](unsigned EdgeId, Source Src) {
-      if (Mode == DepFlowGraph::BypassMode::SESE) {
-        int R = PST->regionClosedBy(EdgeId);
-        if (R >= 0 && regionBypassable(unsigned(R), V)) {
-          unsigned EntryEdge = unsigned(PST->region(unsigned(R)).EntryEdge);
-          assert(Dep[EntryEdge].Node >= 0 &&
-                 "region entry dep resolved before its exit (RPO order)");
-          Dep[EdgeId] = Dep[EntryEdge];
-          ++G.BuildStats.BypassRedirects;
-          ++NumDFGBypassRedirects;
-          ++BypassPerRegion[unsigned(R)];
-          return;
-        }
+    // Merge and switch nodes first (the base level creates one at every
+    // join/branch here; the live ones keep that relative order).
+    const std::uint64_t *Merges = MergeRows + std::size_t(V) * RPOWords;
+    const std::uint64_t *Switches = SwitchRows + std::size_t(V) * RPOWords;
+    for (std::size_t W = 0; W != RPOWords; ++W)
+      for (std::uint64_t Bits = Merges[W] | Switches[W]; Bits;
+           Bits &= Bits - 1) {
+        const std::size_t P = W * 64 + std::size_t(std::countr_zero(Bits));
+        const unsigned B = RPO[P] & BlockIdMask;
+        if (Merges[W] & Bits & -Bits)
+          mergeSlot(B, V) = std::int32_t(makeNode(
+              DepFlowGraph::NodeKind::Merge, V, -1, 0, std::int32_t(B)));
+        if (Switches[W] & Bits & -Bits)
+          switchSlot(B, V) = std::int32_t(makeNode(
+              DepFlowGraph::NodeKind::Switch, V, -1, 0, std::int32_t(B)));
       }
-      Dep[EdgeId] = Src;
-    };
 
-    const std::uint32_t *TapOff = InCnt, *TapInst = Stack;
-    const std::int32_t *TapCode = NewId;
+    // The blocks holding V's taps, a live incoming value, or a live
+    // out-edge. A block with neither taps nor a live incoming value can
+    // still own a live region exit edge, which carries the region entry's
+    // value.
     std::uint32_t K = TapOff[V];
     const std::uint32_t KEnd = TapOff[V + 1];
-    for (unsigned R : RPO) {
-      unsigned B = R & BlockIdMask;
-      BasicBlock *BB = F.block(B);
+    forEachBlock(VisitRows + std::size_t(V) * RPOWords, [&](unsigned R) {
+      const unsigned B = R & BlockIdMask;
+      const std::uint32_t First = InstrBase[B];
+      const std::uint32_t Size = std::uint32_t(G.BlockByIdx[B]->size());
+
       // Incoming dependence.
-      Source Cur;
-      if (BB == F.entry()) {
-        Cur = {int(EntryNode), 0};
-      } else if (R & MergeBit) {
-        Cur = {mergeSlot(B, V), 0};
-      } else {
-        const auto &In = E.inEdges(BB);
-        assert(In.size() == 1 && "non-entry block without merge has one pred");
-        assert(Dep[In[0]].Node >= 0 && "single pred processed before (RPO)");
-        Cur = Dep[In[0]];
+      Source Cur = NoSource;
+      if (IsLive(LiveIn, B)) {
+        if (B == EntryId) {
+          Cur = EntryValue;
+        } else if (R & MergeBit) {
+          Cur = {mergeSlot(B, V), 0};
+        } else {
+          const auto &In = E.inEdges(G.BlockByIdx[B]);
+          assert(In.size() == 1 &&
+                 "non-entry block without merge has one pred");
+          Cur = Dep[In[0]];
+          assert(Cur.Node >= 0 && "single pred processed before (RPO)");
+        }
       }
 
       // This block's taps (the next ones in V's list whose instruction
       // index falls in the block's range): uses read Cur, a def replaces
-      // it.
-      const std::uint32_t First = InstrBase[B];
-      const std::uint32_t Size = std::uint32_t(BB->size());
+      // it. A def is live iff the next tap in the block is a use, or it is
+      // the block's last tap and V is live out.
       for (; K != KEnd && TapInst[K] - First < Size; ++K) {
         const std::uint32_t InstIdx = TapInst[K];
         if (TapCode[K] == DefTap) {
-          unsigned DefId = makeNode(DepFlowGraph::NodeKind::Def, V,
-                                    std::int32_t(InstIdx), 0,
-                                    std::int32_t(B));
-          G.DefNodeOfInstr[InstIdx] = std::int32_t(DefId);
-          Cur = {int(DefId), 0};
+          const bool NextInBlock =
+              K + 1 != KEnd && TapInst[K + 1] - First < Size;
+          if (NextInBlock ? TapCode[K + 1] != DefTap : IsLive(LiveOut, B)) {
+            unsigned DefId = makeNode(DepFlowGraph::NodeKind::Def, V,
+                                      std::int32_t(InstIdx), 0,
+                                      std::int32_t(B));
+            G.DefNodeOfInstr[InstIdx] = std::int32_t(DefId);
+            Cur = {std::int32_t(DefId), 0};
+          } else {
+            Cur = NoSource;
+          }
           continue;
         }
         const std::uint32_t OpIdx = std::uint32_t(TapCode[K]);
@@ -465,141 +681,51 @@ private:
         addEdge(Cur, UseId, V);
       }
 
-      // Outgoing dependence.
-      const auto &Out = E.outEdges(BB);
-      if (Out.size() > 1) {
-        int S = switchSlot(B, V);
-        assert(S >= 0 && "switch node pre-created");
-        addEdge(Cur, unsigned(S), V);
-        for (unsigned SI = 0; SI != Out.size(); ++SI)
-          SetDep(Out[SI], {S, std::uint16_t(SI)});
-      } else if (Out.size() == 1) {
-        SetDep(Out[0], Cur);
+      // Outgoing dependence, on the live out-edges only. The exit edge of
+      // a bypassable region carries the value of its entry edge, not the
+      // interior through-value.
+      int S = -1;
+      if (R & SwitchBit) {
+        S = switchSlot(B, V);
+        if (S >= 0)
+          addEdge(Cur, unsigned(S), V);
       }
-    }
-    assert(K == KEnd && "every tap of V lies in a reachable block");
+      const auto &Out = E.outEdges(G.BlockByIdx[B]);
+      for (unsigned SI = 0; SI != Out.size(); ++SI) {
+        const unsigned EId = Out[SI];
+        if (!IsLive(LiveEdge, EId))
+          continue;
+        int Closed = (R & ExitBit) ? PST->regionClosedBy(EId) : -1;
+        if (Closed >= 0 && regionBypassable(unsigned(Closed), V)) {
+          const Source Entry =
+              Dep[unsigned(PST->region(unsigned(Closed)).EntryEdge)];
+          assert(Entry.Node >= 0 &&
+                 "region entry dep resolved before its exit (RPO order)");
+          Dep[EId] = Entry;
+        } else {
+          Dep[EId] = (R & SwitchBit) ? Source{S, std::uint16_t(SI)} : Cur;
+          assert(Dep[EId].Node >= 0 && "a live CFG edge carries a value");
+        }
+      }
+    });
+    assert(K == KEnd && "every tap of V lies in a visited block");
 
-    // Wire merges now that every dep slot (including back edges) is known.
-    for (unsigned R : RPO) {
-      if (!(R & MergeBit))
-        continue;
-      unsigned B = R & BlockIdMask;
-      int M = mergeSlot(B, V);
-      const auto &In = E.inEdges(F.block(B));
+    // Wire merges now that every live dep slot (including back edges) is
+    // known.
+    forEachBlock(Merges, [&](unsigned R) {
+      const unsigned B = R & BlockIdMask;
+      const unsigned M = unsigned(mergeSlot(B, V));
+      const auto &In = E.inEdges(G.BlockByIdx[B]);
       for (unsigned PI = 0; PI != In.size(); ++PI) {
         assert(Dep[In[PI]].Node >= 0 && "all deps resolved after block pass");
-        addEdge(Dep[In[PI]], unsigned(M), V, std::uint16_t(PI));
+        addEdge(Dep[In[PI]], M, V, std::uint16_t(PI));
       }
-    }
-
-    // Record which source's value crosses each CFG edge (projection hook).
-    for (unsigned EId = 0; EId != E.size(); ++EId)
-      G.DepTab[std::size_t(V) * E.size() + EId] = {Dep[EId].Node,
-                                                   Dep[EId].Port};
+    });
   }
 
-  /// Dead edge removal: keep exactly the nodes that can reach a Use.
-  /// Compaction preserves ascending node/edge order, so the surviving ids
-  /// are a dense prefix-order renumbering — identical across builds — and
-  /// each variable's edges stay one contiguous id range.
-  void prune() {
-    const unsigned NN = G.numNodes();
-    const unsigned NE = G.numEdges();
-
-    // Traversal scratch (carved in collectTaps, the taps now dead): a
-    // temporary in-edge CSR (counting sort over edges — ascending per
-    // node), the alive bitset, and the DFS stack.
-    std::fill(InCnt, InCnt + NN + 1, 0);
-    for (const DepFlowGraph::Edge &Ed : G.Edges)
-      ++InCnt[Ed.Dst + 1];
-    for (unsigned N = 0; N != NN; ++N)
-      InCnt[N + 1] += InCnt[N];
-    for (unsigned N = 0; N != NN; ++N)
-      Fill[N] = InCnt[N];
-    for (unsigned Id = 0; Id != NE; ++Id)
-      InTmp[Fill[G.Edges[Id].Dst]++] = Id;
-
-    auto IsAlive = [&](unsigned N) {
-      return (Alive[N >> 6] >> (N & 63)) & 1;
-    };
-    auto SetAlive = [&](unsigned N) {
-      Alive[N >> 6] |= std::uint64_t(1) << (N & 63);
-    };
-    std::uint32_t SP = 0;
-    for (unsigned N = 0; N != NN; ++N) {
-      if (DepFlowGraph::NodeKind(G.NodeKinds[N]) ==
-          DepFlowGraph::NodeKind::Use) {
-        SetAlive(N);
-        Stack[SP++] = N;
-      }
-    }
-    while (SP) {
-      unsigned N = Stack[--SP];
-      for (std::uint32_t I = InCnt[N]; I != InCnt[N + 1]; ++I) {
-        unsigned Src = G.Edges[InTmp[I]].Src;
-        if (!IsAlive(Src)) {
-          SetAlive(Src);
-          Stack[SP++] = Src;
-        }
-      }
-    }
-
-    // Compact node columns and edges in place (ascending order).
-    std::uint32_t LiveN = 0;
-    for (unsigned N = 0; N != NN; ++N) {
-      if (IsAlive(N)) {
-        NewId[N] = std::int32_t(LiveN);
-        if (LiveN != N) {
-          G.NodeKinds[LiveN] = G.NodeKinds[N];
-          G.NodeVars[LiveN] = G.NodeVars[N];
-          G.NodeInst[LiveN] = G.NodeInst[N];
-          G.NodeOp[LiveN] = G.NodeOp[N];
-          G.NodeBlock[LiveN] = G.NodeBlock[N];
-        }
-        ++LiveN;
-      } else {
-        NewId[N] = -1;
-      }
-    }
-    G.NodeKinds.resize(LiveN);
-    G.NodeVars.resize(LiveN);
-    G.NodeInst.resize(LiveN);
-    G.NodeOp.resize(LiveN);
-    G.NodeBlock.resize(LiveN);
-
-    std::uint32_t LiveE = 0;
-    for (unsigned Id = 0; Id != NE; ++Id) {
-      const DepFlowGraph::Edge &Ed = G.Edges[Id];
-      if (NewId[Ed.Src] >= 0 && NewId[Ed.Dst] >= 0)
-        G.Edges[LiveE++] = {unsigned(NewId[Ed.Src]), unsigned(NewId[Ed.Dst]),
-                            Ed.Var, Ed.SrcPort, Ed.DstPort};
-    }
-    G.Edges.resize(LiveE);
-
-    // Remap the flat lookup tables.
-    auto Remap = [&](std::int32_t &N) {
-      N = N >= 0 ? NewId[unsigned(N)] : -1;
-    };
-    for (unsigned V = 0; V != NumVarsWithCtrl; ++V)
-      Remap(G.EntryOfVarTab[V]);
-    for (std::uint32_t I = 0; I != G.NumInstrs; ++I)
-      Remap(G.DefNodeOfInstr[I]);
-    for (std::uint32_t S = 0, NS = G.UseOff[G.NumInstrs]; S != NS; ++S)
-      Remap(G.UseSlots[S]);
-    for (std::size_t I = 0,
-                     N = std::size_t(F.numBlocks()) * NumVarsWithCtrl;
-         I != N; ++I) {
-      Remap(G.SwitchTab[I]);
-      Remap(G.MergeTab[I]);
-    }
-    for (std::size_t I = 0,
-                     N = std::size_t(NumVarsWithCtrl) * E.size();
-         I != N; ++I)
-      Remap(G.DepTab[I].Node);
-  }
-
-  /// The final CSR adjacency over the compacted graph: per node, edge ids
-  /// ascending (creation order), matching the old per-node push order.
+  /// The CSR adjacency: per node, edge ids ascending (creation order). The
+  /// fill uses each node's start offset as its cursor, which leaves it at
+  /// the next node's start; one shift restores the offsets.
   void buildAdjacency() {
     const unsigned NN = G.numNodes();
     const unsigned NE = G.numEdges();
@@ -615,12 +741,13 @@ private:
     }
     G.OutIdx = G.Pool.allocateArray<std::uint32_t>(NE);
     G.InIdx = G.Pool.allocateArray<std::uint32_t>(NE);
-    std::vector<std::uint32_t> OutFill(G.OutOff, G.OutOff + NN);
-    std::vector<std::uint32_t> InFill(G.InOff, G.InOff + NN);
     for (unsigned Id = 0; Id != NE; ++Id) {
-      G.OutIdx[OutFill[G.Edges[Id].Src]++] = Id;
-      G.InIdx[InFill[G.Edges[Id].Dst]++] = Id;
+      G.OutIdx[G.OutOff[G.Edges[Id].Src]++] = Id;
+      G.InIdx[G.InOff[G.Edges[Id].Dst]++] = Id;
     }
+    std::copy_backward(G.OutOff, G.OutOff + NN, G.OutOff + NN + 1);
+    std::copy_backward(G.InOff, G.InOff + NN, G.InOff + NN + 1);
+    G.OutOff[0] = G.InOff[0] = 0;
   }
 };
 

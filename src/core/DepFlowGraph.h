@@ -17,16 +17,26 @@
 ///              one output per CFG successor;
 ///   * Merge  — at a join block: combines one dependence per predecessor.
 ///
-/// Construction follows Section 3.2 of the paper:
+/// Section 3.2 of the paper constructs the graph in three steps after
+/// aggregating defs per region inside-out over the PST: a base-level graph
+/// routing every variable through every block (merge at joins, switch at
+/// branches, def/use taps in order); *region bypassing*, where for each
+/// canonical SESE region containing no assignment to v the
+/// through-dependence at the region's exit edge is taken directly from its
+/// entry edge, skipping the interior; and *dead edge removal*, discarding
+/// nodes from which no use is reachable (this restricts the graph to live
+/// ranges, matching conditions 1-2 of Definition 6). The builder produces
+/// exactly that graph without materializing the base level:
 ///   1. defs-per-region, aggregated inside-out over the PST;
-///   2. a base-level graph routing every variable through every block
-///      (merge at joins, switch at branches, def/use taps in order);
-///   3. *region bypassing*: for each canonical SESE region containing no
-///      assignment to v, the through-dependence at the region's exit edge is
-///      taken directly from its entry edge, skipping the interior;
-///   4. *dead edge removal*: nodes from which no use is reachable are
-///      discarded (this also restricts the graph to live ranges, matching
-///      conditions 1-2 of Definition 6).
+///   2. *liveness under bypass*: one backward fixpoint over the CFG,
+///      word-parallel over all variables, whose one extra transfer rule is
+///      the redirect — the liveness of a bypassable region's exit edge
+///      flows to the region's entry edge, not to the exit edge's source;
+///   3. *live routing*: per variable, only the nodes whose value is live
+///      and the edges into them are created, in the base level's creation
+///      order. A node reaches a use iff its value is live, so this is the
+///      base level plus dead-edge removal, node for node and edge for
+///      edge (`tests/fixtures/dfg/` pins it).
 ///
 /// A *control variable* (id == Function::numVars()) is defined at entry and
 /// used by every statement with no variable operands (Section 3.3); its
@@ -94,6 +104,9 @@ public:
     std::uint16_t DstPort; // Merge: predecessor index; otherwise 0.
   };
 
+  /// Sizes of the paper's base-level graph (before dead-edge removal) and
+  /// its bypass redirects. The builder counts them exactly in closed form;
+  /// it never builds the base level.
   struct Stats {
     unsigned EdgesBeforePrune = 0;
     unsigned NodesBeforePrune = 0;
@@ -238,9 +251,9 @@ public:
   }
 
   /// Edges of variable \p V (possibly the control variable). The builder
-  /// creates edges one variable at a time in ascending variable order and
-  /// the prune keeps their order, so each slice is one contiguous id
-  /// range, found by binary search over the edge column.
+  /// creates edges one variable at a time in ascending variable order, so
+  /// each slice is one contiguous id range, found by binary search over
+  /// the edge column.
   EdgeIdRange edgesOfVar(VarId V) const;
 
   /// Out-edges of (node, port) — one multiedge (tail with its heads).
@@ -250,16 +263,16 @@ public:
   VarId controlVar() const { return ControlVar; }
   bool isControl(VarId V) const { return V == ControlVar; }
 
-  /// Entry node of \p V, or -1 if pruned (variable never used).
+  /// Entry node of \p V, or -1 if V is dead at entry.
   int entryNode(VarId V) const { return EntryOfVarTab[V]; }
-  /// Def node of instruction \p I, or -1 if pruned.
+  /// Def node of instruction \p I, or -1 if its value is dead.
   int defNode(const Instruction *I) const {
     int Idx = instrIndex(I);
     return Idx < 0 ? -1 : DefNodeOfInstr[Idx];
   }
-  /// Use node for operand \p OpIdx of \p I, or -1 (non-var operand or
-  /// pruned). For statements with a control use, the control use is indexed
-  /// at position numOperands().
+  /// Use node for operand \p OpIdx of \p I, or -1 (non-var operand, or
+  /// not an instruction of the graph). For statements with a control use,
+  /// the control use is indexed at position numOperands().
   int useNode(const Instruction *I, unsigned OpIdx) const;
   int switchNode(const BasicBlock *BB, VarId V) const {
     return SwitchTab[BB->id() * NumVarsWithCtrl + V];
@@ -269,9 +282,10 @@ public:
   }
 
   /// The dependence source (node, port) whose value for \p V crosses CFG
-  /// edge \p EdgeId, or {-1, 0} when \p V is dead there. This is the
-  /// Section 5.1 projection hook: a dependence edge from that source spans
-  /// the CFG edge.
+  /// edge \p EdgeId, or {-1, 0} exactly when no use is reachable from the
+  /// value crossing that edge (\p V is dead there). This is the Section
+  /// 5.1 projection hook: a dependence edge from that source spans the
+  /// CFG edge.
   std::pair<int, unsigned> depAtEdge(unsigned EdgeId, VarId V) const {
     const DepSlot &P = DepTab[V * NumCFGEdges + EdgeId];
     return {P.Node, unsigned(P.Port)};

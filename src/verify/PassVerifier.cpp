@@ -192,40 +192,36 @@ Status depflow::verifySSAForm(Function &F) {
   return S;
 }
 
-Status depflow::verifyDFGWellFormed(Function &F) {
-  Status S = Status::fromMessages(verifyFunction(F));
-  if (!S.ok())
-    return S;
-  if (hasPhis(F))
-    return Status::error(
-        "DFG well-formedness requires phi-free IR (run before SSA)");
-
-  CFGEdges E(F);
-  DepFlowGraph G = DepFlowGraph::build(F, E);
+/// The structural, dependence-map and Definition 6 checks of one DFG
+/// build; \p Tag names the bypass mode at the start of every diagnostic.
+static void checkDFG(Function &F, const CFGEdges &E, const ReachingDefs &RD,
+                     const DepFlowGraph &G, const std::string &Tag,
+                     Status &S) {
+  auto Error = [&](const std::string &Msg) { S.addError(Tag + Msg); };
 
   // Structural conditions: edges stay within one variable's slice, switch
   // and merge nodes sit at switch/merge blocks, ports are in range.
   for (unsigned Id = 0; Id != G.numEdges(); ++Id) {
     const auto &Ed = G.edge(Id);
     if (Ed.Src >= G.numNodes() || Ed.Dst >= G.numNodes()) {
-      S.addError("dependence edge " + std::to_string(Id) +
-                 " references an out-of-range node");
+      Error("dependence edge " + std::to_string(Id) +
+            " references an out-of-range node");
       continue;
     }
     if (G.node(Ed.Src).Var != Ed.Var || G.node(Ed.Dst).Var != Ed.Var)
-      S.addError("dependence edge " + std::to_string(Id) +
-                 " crosses variables ('" + G.nodeLabel(F, Ed.Src) +
-                 "' -> '" + G.nodeLabel(F, Ed.Dst) + "')");
+      Error("dependence edge " + std::to_string(Id) +
+            " crosses variables ('" + G.nodeLabel(F, Ed.Src) +
+            "' -> '" + G.nodeLabel(F, Ed.Dst) + "')");
     const auto &Src = G.node(Ed.Src);
     if (Src.Kind == DepFlowGraph::NodeKind::Switch &&
         Ed.SrcPort >= Src.Block->numSuccessors())
-      S.addError("switch out-port " + std::to_string(Ed.SrcPort) +
-                 " out of range at '" + G.nodeLabel(F, Ed.Src) + "'");
+      Error("switch out-port " + std::to_string(Ed.SrcPort) +
+            " out of range at '" + G.nodeLabel(F, Ed.Src) + "'");
     const auto &Dst = G.node(Ed.Dst);
     if (Dst.Kind == DepFlowGraph::NodeKind::Merge &&
         Ed.DstPort >= Dst.Block->numPredecessors())
-      S.addError("merge in-port " + std::to_string(Ed.DstPort) +
-                 " out of range at '" + G.nodeLabel(F, Ed.Dst) + "'");
+      Error("merge in-port " + std::to_string(Ed.DstPort) +
+            " out of range at '" + G.nodeLabel(F, Ed.Dst) + "'");
   }
   // Per-variable slices: the backward engine and the projection visit
   // only edgesOfVar(V), so each variable's edges must form one contiguous
@@ -240,24 +236,24 @@ Status depflow::verifyDFGWellFormed(Function &F) {
       }
     std::string Name = G.isControl(V) ? std::string("ctrl") : F.varName(V);
     if (Count && Last - First != Count)
-      S.addError("dependence edges of '" + Name +
-                 "' do not form one contiguous id range");
+      Error("dependence edges of '" + Name +
+            "' do not form one contiguous id range");
     DepFlowGraph::EdgeIdRange R = G.edgesOfVar(V);
     bool Matches = Count ? (R.size() == Count && *R.begin() == First)
                          : R.empty();
     if (!Matches)
-      S.addError("edgesOfVar('" + Name + "') disagrees with a full scan (" +
-                 std::to_string(R.size()) + " edges, scan found " +
-                 std::to_string(Count) + ")");
+      Error("edgesOfVar('" + Name + "') disagrees with a full scan (" +
+            std::to_string(R.size()) + " edges, scan found " +
+            std::to_string(Count) + ")");
   }
   for (unsigned N = 0; N != G.numNodes(); ++N) {
     const auto &Node = G.node(N);
     if (Node.Kind == DepFlowGraph::NodeKind::Switch && !Node.Block->isSwitch())
-      S.addError("switch node '" + G.nodeLabel(F, N) +
-                 "' at a block with a single successor");
+      Error("switch node '" + G.nodeLabel(F, N) +
+            "' at a block with a single successor");
     if (Node.Kind == DepFlowGraph::NodeKind::Merge && !Node.Block->isMerge())
-      S.addError("merge node '" + G.nodeLabel(F, N) +
-                 "' at a block with a single predecessor");
+      Error("merge node '" + G.nodeLabel(F, N) +
+            "' at a block with a single predecessor");
   }
 
   // Dead-edge-removal invariant: every node reaches some use.
@@ -282,8 +278,8 @@ Status depflow::verifyDFGWellFormed(Function &F) {
     }
     for (unsigned N = 0; N != G.numNodes(); ++N)
       if (!Seen[N])
-        S.addError("DFG node '" + G.nodeLabel(F, N) +
-                   "' reaches no use (dead-edge removal missed it)");
+        Error("DFG node '" + G.nodeLabel(F, N) +
+              "' reaches no use (dead-edge removal missed it)");
   }
 
   // Per-CFG-edge dependence map consistency (the Section 5.1 projection
@@ -294,26 +290,25 @@ Status depflow::verifyDFGWellFormed(Function &F) {
       if (N < 0)
         continue;
       if (unsigned(N) >= G.numNodes())
-        S.addError("dependence map for CFG edge " + std::to_string(Id) +
-                   " references an out-of-range node");
+        Error("dependence map for CFG edge " + std::to_string(Id) +
+              " references an out-of-range node");
       else if (G.node(unsigned(N)).Var != V)
-        S.addError("dependence map for CFG edge " + std::to_string(Id) +
-                   " points at '" + G.nodeLabel(F, unsigned(N)) +
-                   "' which carries a different variable");
+        Error("dependence map for CFG edge " + std::to_string(Id) +
+              " points at '" + G.nodeLabel(F, unsigned(N)) +
+              "' which carries a different variable");
       else if (G.node(unsigned(N)).Kind == DepFlowGraph::NodeKind::Switch &&
                Port >= G.node(unsigned(N)).Block->numSuccessors())
-        S.addError("dependence map for CFG edge " + std::to_string(Id) +
-                   " uses an out-of-range switch port");
+        Error("dependence map for CFG edge " + std::to_string(Id) +
+              " uses an out-of-range switch port");
     }
 
   // Definition 6 / Theorem 1 semantics: for every use, the definitions
   // with a dependence path to it equal the classic reaching definitions.
-  ReachingDefs RD(F);
   for (const ReachingDefs::Use &U : RD.uses()) {
     int UseNode = G.useNode(U.I, U.OpIdx);
     if (UseNode < 0) {
-      S.addError("use of '" + F.varName(U.Var) + "' in '" +
-                 printInstruction(F, *U.I) + "' has no DFG use node");
+      Error("use of '" + F.varName(U.Var) + "' in '" +
+            printInstruction(F, *U.I) + "' has no DFG use node");
       continue;
     }
     std::set<const Instruction *> ViaDFG =
@@ -330,11 +325,29 @@ Status depflow::verifyDFGWellFormed(Function &F) {
       for (const Instruction *D : ViaRD)
         Msg += (D ? printInstruction(F, *D) : std::string("entry")) + "; ";
       Msg += "}";
-      S.addError(Msg);
+      Error(Msg);
     }
     if (S.numErrors() >= 8)
       break;
   }
+}
+
+Status depflow::verifyDFGWellFormed(Function &F) {
+  Status S = Status::fromMessages(verifyFunction(F));
+  if (!S.ok())
+    return S;
+  if (hasPhis(F))
+    return Status::error(
+        "DFG well-formedness requires phi-free IR (run before SSA)");
+
+  CFGEdges E(F);
+  ReachingDefs RD(F);
+  // Both bypass modes: the passes use SESE bypassing, and the no-bypass
+  // graph exercises the builder with no region redirects at all.
+  checkDFG(F, E, RD, DepFlowGraph::build(F, E, DepFlowGraph::BypassMode::SESE),
+           "sese DFG: ", S);
+  checkDFG(F, E, RD, DepFlowGraph::build(F, E, DepFlowGraph::BypassMode::None),
+           "no-bypass DFG: ", S);
   return S;
 }
 

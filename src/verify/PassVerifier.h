@@ -12,9 +12,10 @@
 ///  * `verifySSAForm` — single static definition per variable, definitions
 ///    dominate uses (phi uses checked at the incoming edge), and pruned
 ///    placement: no phi whose value never reaches a non-phi use.
-///  * `verifyDFGWellFormed` — Theorem 1 / Definition 6 end to end: for
-///    every use, the definitions with a dependence path to it are exactly
-///    the classic reaching definitions; switch/merge nodes sit only at
+///  * `verifyDFGWellFormed` — Theorem 1 / Definition 6 end to end, on
+///    both the SESE-bypassed and the no-bypass graph: for every use, the
+///    definitions with a dependence path to it are exactly the classic
+///    reaching definitions; switch/merge nodes sit only at
 ///    branch/join blocks with in-range ports; every node reaches a use
 ///    (the dead-edge-removal invariant); each variable's edges form one
 ///    contiguous id range that `edgesOfVar` returns exactly (the sparse

@@ -6,7 +6,9 @@
 // The load-bearing property test: for every use of every variable, the set
 // of definitions with a DFG path to that use must equal the classic
 // reaching-definitions answer (conditions 1-3 of Definition 6, end to end).
-// Structural tests pin the bypassing behaviour of Figures 1 and 2.
+// Structural tests pin the bypassing behaviour of Figures 1 and 2. The
+// liveness oracle checks the live-only construction against classic
+// liveness computed independently (dataflow/Liveness).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,8 @@
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
 #include "dataflow/DefUse.h"
+#include "dataflow/Liveness.h"
+#include "ir/CFGEdges.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
@@ -182,7 +186,8 @@ TEST(DFG, EveryNodeReachesAUse) {
   Opts.TargetStmts = 30;
   auto F = generateStructuredProgram(Opts);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  // Reverse reachability from uses must cover every node (prune invariant).
+  // Reverse reachability from uses must cover every node (the dead-edge
+  // removal invariant).
   std::vector<bool> Seen(G.numNodes(), false);
   std::vector<unsigned> Stack;
   for (unsigned N = 0; N != G.numNodes(); ++N) {
@@ -277,8 +282,7 @@ TEST_P(DFGPropertyTest, BypassNeverGrowsTheGraph) {
 }
 
 // The per-variable slices tile the edge ids in ascending variable order,
-// in both bypass modes; a variable the prune removed entirely has an
-// empty slice.
+// in both bypass modes; a variable with no live value has an empty slice.
 TEST_P(DFGPropertyTest, EdgesOfVarTileTheEdgeIds) {
   auto F = generateRandomCFGProgram(std::uint64_t(GetParam()) * 31 + 5, 10,
                                     45, 5, 2);
@@ -300,5 +304,168 @@ TEST_P(DFGPropertyTest, EdgesOfVarTileTheEdgeIds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DFGPropertyTest, ::testing::Range(0, 30));
+
+/// True if \p I carries the control use: a statement with no variable
+/// operand that is an assignment or has an operand (Section 3.3).
+bool hasControlUse(const Instruction &I) {
+  for (const Operand &Op : I.operands())
+    if (Op.isVar())
+      return false;
+  return isa<DefInst>(&I) || I.numOperands() > 0;
+}
+
+/// The paper's base-level graph size in closed form: per variable (and
+/// the control variable) an entry node, a merge per join, and a switch
+/// per branch; one node per use, control use and def. Edges: one into
+/// every use, one into every switch, one per predecessor into every merge.
+void checkBaseLevelStats(Function &F, DepFlowGraph::BypassMode Mode,
+                         const std::string &Context) {
+  F.recomputePreds();
+  const unsigned Vars = F.numVars() + 1;
+  unsigned Joins = 0, Branches = 0, JoinPreds = 0, Uses = 0, Defs = 0;
+  for (const auto &BB : F.blocks()) {
+    if (BB->isMerge()) {
+      ++Joins;
+      JoinPreds += BB->numPredecessors();
+    }
+    Branches += unsigned(BB->isSwitch());
+    for (const auto &I : BB->instructions()) {
+      for (const Operand &Op : I->operands())
+        Uses += unsigned(Op.isVar());
+      Uses += unsigned(hasControlUse(*I));
+      Defs += unsigned(isa<DefInst>(I.get()));
+    }
+  }
+  DepFlowGraph G = DepFlowGraph::build(F, Mode);
+  EXPECT_EQ(G.stats().NodesBeforePrune,
+            Vars * (1 + Joins + Branches) + Uses + Defs)
+      << Context;
+  EXPECT_EQ(G.stats().EdgesBeforePrune,
+            Uses + Vars * (Branches + JoinPreds))
+      << Context;
+}
+
+/// Without bypassing, a DFG value is live exactly where classic liveness
+/// says its variable is: a merge exists iff the variable is live into its
+/// block, a switch iff it is live out of it, the entry node iff it is live
+/// into the entry block, and the dependence map is empty exactly on the
+/// CFG edges into blocks where it is dead. The control variable is never
+/// assigned, so its liveness is backward reachability from its uses.
+void checkAgainstClassicLiveness(Function &F, const std::string &Context) {
+  F.recomputePreds();
+  CFGEdges E(F);
+  DepFlowGraph G = DepFlowGraph::build(F, E, DepFlowGraph::BypassMode::None);
+  Liveness L = computeLiveness(F);
+
+  std::vector<bool> CtrlIn(F.numBlocks(), false);
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const auto &BB : F.blocks()) {
+      bool Live = CtrlIn[BB->id()];
+      for (const auto &I : BB->instructions())
+        Live = Live || hasControlUse(*I);
+      for (const BasicBlock *Succ : BB->successors())
+        Live = Live || CtrlIn[Succ->id()];
+      if (Live != CtrlIn[BB->id()]) {
+        CtrlIn[BB->id()] = Live;
+        Changed = true;
+      }
+    }
+  }
+  auto LiveIn = [&](const BasicBlock *BB, VarId V) {
+    return G.isControl(V) ? bool(CtrlIn[BB->id()]) : L.liveIn(BB, V);
+  };
+  auto LiveOut = [&](const BasicBlock *BB, VarId V) {
+    bool Live = false;
+    for (const BasicBlock *Succ : BB->successors())
+      Live = Live || LiveIn(Succ, V);
+    return Live;
+  };
+
+  for (VarId V = 0; V <= G.controlVar(); ++V) {
+    std::string Name =
+        Context + ", var " + (G.isControl(V) ? "ctrl" : F.varName(V));
+    EXPECT_EQ(G.entryNode(V) >= 0, LiveIn(F.entry(), V)) << Name;
+    for (const auto &BB : F.blocks()) {
+      EXPECT_EQ(G.mergeNode(BB.get(), V) >= 0,
+                BB->isMerge() && LiveIn(BB.get(), V))
+          << Name << ", merge at " << BB->label();
+      EXPECT_EQ(G.switchNode(BB.get(), V) >= 0,
+                BB->isSwitch() && LiveOut(BB.get(), V))
+          << Name << ", switch at " << BB->label();
+      if (!G.isControl(V)) {
+        EXPECT_EQ(LiveOut(BB.get(), V), L.liveOut(BB.get(), V)) << Name;
+      }
+    }
+    for (unsigned Id = 0; Id != E.size(); ++Id) {
+      auto [N, Port] = G.depAtEdge(Id, V);
+      if (LiveIn(E.edge(Id).To, V)) {
+        EXPECT_GE(N, 0) << Name << ", live CFG edge " << Id;
+      } else {
+        EXPECT_TRUE(N == -1 && Port == 0)
+            << Name << ", dead CFG edge " << Id << " maps to node " << N;
+      }
+    }
+  }
+}
+
+TEST(DFGLivenessOracle, HandWrittenPrograms) {
+  for (const char *Src : {Figure1Src, R"(
+func f(p) {
+entry:
+  if p goto thn else out
+thn:
+  x = 5
+  goto out
+out:
+  ret x
+}
+)"}) {
+    auto F = parseFunctionOrDie(Src);
+    checkAgainstClassicLiveness(*F, F->name());
+    separateComputation(*F);
+    checkAgainstClassicLiveness(*F, F->name() + " separated");
+  }
+}
+
+class DFGLivenessOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DFGLivenessOracleTest, NoBypassNodesFollowClassicLiveness) {
+  const std::uint64_t Seed = std::uint64_t(GetParam());
+  GenOptions Opts;
+  Opts.Seed = Seed * 3 + 1;
+  Opts.TargetStmts = 24;
+  Opts.ClusterWindow = Seed % 2 ? 3 : 0; // short live ranges on odd seeds
+  auto S = generateStructuredProgram(Opts);
+  checkAgainstClassicLiveness(*S, "structured seed " + std::to_string(Seed));
+  auto R = generateRandomCFGProgram(Seed * 7 + 2, 12, 50, 6, 1);
+  checkAgainstClassicLiveness(*R, "random seed " + std::to_string(Seed));
+  RNG Rand(Seed + 1000);
+  unsigned Family = 0;
+  auto M = generateMixedProgram(Rand, &Family);
+  checkAgainstClassicLiveness(*M, std::string(mixedFamilyName(Family)) +
+                                      " seed " + std::to_string(Seed));
+}
+
+TEST_P(DFGLivenessOracleTest, StatsCountTheBaseLevelInBothModes) {
+  const std::uint64_t Seed = std::uint64_t(GetParam());
+  GenOptions Opts;
+  Opts.Seed = Seed * 5 + 4;
+  Opts.TargetStmts = 24;
+  auto S = generateStructuredProgram(Opts);
+  auto R = generateRandomCFGProgram(Seed * 11 + 6, 12, 50, 6, 2);
+  for (auto Mode :
+       {DepFlowGraph::BypassMode::None, DepFlowGraph::BypassMode::SESE}) {
+    std::string Tag =
+        Mode == DepFlowGraph::BypassMode::None ? " (none)" : " (sese)";
+    checkBaseLevelStats(*S, Mode, "structured seed " + std::to_string(Seed) +
+                                      Tag);
+    checkBaseLevelStats(*R, Mode, "random seed " + std::to_string(Seed) +
+                                      Tag);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DFGLivenessOracleTest,
+                         ::testing::Range(0, 60));
 
 } // namespace
