@@ -26,6 +26,7 @@
 
 #include "ir/Printer.h"
 #include "obs/Bench.h"
+#include "obs/Sched.h"
 #include "pass/ModulePipeline.h"
 #include "workload/Generators.h"
 
@@ -75,7 +76,7 @@ int main(int Argc, char **Argv) {
                 M->numBlocks(), M->numInstructions());
   }
   std::printf("pipeline: %s, best of %u rep(s), hardware threads: %u\n",
-              Pipe.str().c_str(), Reps, defaultModulePipelineJobs());
+              Pipe.str().c_str(), Reps, obs::LevelPool::resolveJobs(0));
 
   std::string SerialOutput;
   double SerialSec = 0;

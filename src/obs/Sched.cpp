@@ -7,12 +7,14 @@
 
 #include "obs/Sched.h"
 
+#include "obs/EventLog.h"
+#include "obs/Trace.h"
 #include "support/Statistic.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <cstdio>
-#include <mutex>
+#include <utility>
 
 using namespace depflow;
 using namespace depflow::obs;
@@ -34,64 +36,208 @@ DEPFLOW_MAX_STATISTIC(MaxSchedReadyWidth, "sched",
 DEPFLOW_HIST_STATISTIC(HistSchedTaskDepth, "sched",
                        "Per-task dependency depth (its level index)");
 
-void depflow::obs::noteSchedRun() { ++NumSchedRuns; }
+//===----------------------------------------------------------------------===//
+// LevelPool
+//===----------------------------------------------------------------------===//
 
-void depflow::obs::noteSchedLevel(unsigned Width) {
+unsigned LevelPool::resolveJobs(unsigned Jobs) {
+  if (Jobs)
+    return Jobs;
+  unsigned N = std::thread::hardware_concurrency();
+  return N ? N : 1;
+}
+
+LevelPool::LevelPool(const char *Run, unsigned Jobs, unsigned MaxWidth)
+    : Run(Run), Jobs(std::max(1u, std::min(resolveJobs(Jobs), MaxWidth))),
+      MaxWidth(MaxWidth), BeginUs(TraceRecorder::global().nowUs()),
+      Recording(SchedRecorder::global().enabled()) {
+  ++NumSchedRuns;
+  LogEvent(LogLevel::Info, "sched", "run-start")
+      .field("run", Run)
+      .field("jobs", this->Jobs);
+  if (this->Jobs > 1) {
+    Workers.reserve(this->Jobs);
+    for (unsigned W = 0; W != this->Jobs; ++W)
+      Workers.emplace_back(&LevelPool::workerMain, this, W);
+  }
+}
+
+LevelPool::~LevelPool() { stopWorkers(); }
+
+void LevelPool::stopWorkers() {
+  if (Workers.empty())
+    return;
+  Stop = true;
+  Go.release(std::ptrdiff_t(Workers.size()));
+  for (std::thread &T : Workers)
+    T.join();
+  Workers.clear();
+}
+
+void LevelPool::workerMain(unsigned Worker) {
+  // Named tracks: the trace viewer shows one lane per worker with its task
+  // spans stacked on it.
+  if (TraceRecorder::global().enabled())
+    TraceRecorder::global().setCurrentThreadName("worker-" +
+                                                 std::to_string(Worker));
+  for (;;) {
+    Go.acquire();
+    if (Stop)
+      return;
+    for (unsigned I; (I = Next.fetch_add(1, std::memory_order_relaxed)) <
+                     LevelWidth;) {
+      try {
+        runTask(*Current, I, Worker);
+      } catch (...) {
+        std::lock_guard<std::mutex> G(ErrorLock);
+        if (!Error)
+          Error = std::current_exception();
+      }
+    }
+    if (Busy.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      LevelDone.release();
+  }
+}
+
+void LevelPool::runLevel(unsigned Width, const LevelTasks &T) {
+  assert(Width <= MaxWidth && "level wider than the pool was sized for");
+  // The deterministic counters: structure only, bumped by the caller.
   ++NumSchedLevels;
   MaxSchedReadyWidth.update(Width);
+  for (unsigned I = 0; I != Width; ++I) {
+    ++NumSchedTasks;
+    HistSchedTaskDepth.sample(Level);
+  }
+
+  if (Recording)
+    Records.resize(LevelBase + Width);
+  LevelBeginUs = TraceRecorder::global().nowUs();
+  if (Width <= 1 || Workers.empty()) {
+    for (unsigned I = 0; I != Width; ++I)
+      runTask(T, I, 0);
+  } else {
+    // Wake only as many workers as the level has tasks.
+    const unsigned N = std::min(Width, unsigned(Workers.size()));
+    Current = &T;
+    LevelWidth = Width;
+    Next.store(0, std::memory_order_relaxed);
+    Busy.store(N, std::memory_order_relaxed);
+    Go.release(N);
+    LevelDone.acquire();
+    std::lock_guard<std::mutex> G(ErrorLock);
+    if (Error)
+      std::rethrow_exception(std::exchange(Error, nullptr));
+  }
+  LevelBase += Width;
+  ++Level;
 }
 
-void depflow::obs::noteSchedTask(unsigned Level) {
-  ++NumSchedTasks;
-  HistSchedTaskDepth.sample(Level);
+void LevelPool::runTask(const LevelTasks &T, unsigned I, unsigned Worker) {
+  const bool Journal = EventLogger::global().enabled();
+  const bool Trace = TraceRecorder::global().enabled();
+  TaskRecord R;
+  R.Run = Run;
+  R.Level = Level;
+  R.Worker = Worker;
+  R.EnqueueUs = LevelBeginUs;
+  if (Journal || Trace || Recording)
+    R.Name = T.NameOf(T.Name, I);
+
+  // Start stamp and task-start line before the body, so a budget window
+  // the body opens never pays for them.
+  R.StartUs = TraceRecorder::global().nowUs();
+  if (Journal)
+    LogEvent(LogLevel::Info, "sched", "task-start")
+        .field("run", R.Run)
+        .field("task", R.Name)
+        .field("worker", R.Worker)
+        .field("sched_level", R.Level)
+        .field("enqueue_us", R.EnqueueUs);
+  R.Failure = T.Call(T.Body, I);
+  R.EndUs = TraceRecorder::global().nowUs();
+  R.Failed = R.Failure.Kind != nullptr;
+
+  if (R.Failed) {
+    ++NumSchedTasksFailed;
+    Failed.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (Journal) {
+    LogEvent E(R.Failed ? LogLevel::Warn : LogLevel::Debug, "sched",
+               R.Failed ? "task-failed" : "task-commit");
+    E.field("run", R.Run)
+        .field("task", R.Name)
+        .field("worker", R.Worker)
+        .field("sched_level", R.Level)
+        .field("dur_us", R.EndUs - R.StartUs);
+    if (R.Failed)
+      E.field("kind", R.Failure.Kind)
+          .field("pass", R.Failure.Pass)
+          .field("restored", R.Failure.Restored);
+  }
+  // The task span, recorded once the task is over; it encloses every span
+  // the body opened on this thread. The args let tools/trace_analyze.py
+  // rebuild the schedule offline.
+  if (Trace) {
+    TraceEvent E;
+    E.Name = R.Name;
+    E.Category = "task";
+    E.TsUs = R.StartUs;
+    E.DurUs = R.EndUs - R.StartUs;
+    E.Args = {{"run", R.Run},
+              {"level", std::to_string(R.Level)},
+              {"worker", std::to_string(R.Worker)},
+              {"enqueue_us", std::to_string(R.EnqueueUs)}};
+    TraceRecorder::global().record(std::move(E));
+  }
+  if (Recording)
+    Records[LevelBase + I] = std::move(static_cast<SchedTask &>(R));
 }
 
-void depflow::obs::noteSchedTaskFailed() { ++NumSchedTasksFailed; }
+void LevelPool::finish() {
+  stopWorkers();
+  const double EndUs = TraceRecorder::global().nowUs();
+  LogEvent(LogLevel::Info, "sched", "run-end")
+      .field("run", Run)
+      .field("jobs", Jobs)
+      .field("tasks", LevelBase)
+      .field("levels", Level)
+      .field("failed", Failed.load(std::memory_order_relaxed))
+      .field("wall_us", EndUs - BeginUs);
+  if (Recording) {
+    SchedRun SR;
+    SR.Name = Run;
+    SR.Jobs = Jobs;
+    SR.NumLevels = Level;
+    SR.MaxReady = MaxWidth;
+    SR.BeginUs = BeginUs;
+    SR.EndUs = EndUs;
+    SR.Tasks = std::move(Records);
+    SchedRecorder::global().record(std::move(SR));
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // SchedRecorder
 //===----------------------------------------------------------------------===//
 
-struct SchedRecorder::Impl {
-  std::atomic<bool> Enabled{false};
-  mutable std::mutex Lock;
-  std::vector<SchedRun> Runs;
-};
-
-SchedRecorder::Impl &SchedRecorder::impl() const {
-  static Impl I; // Meyers singleton: safe across static-init order.
-  return I;
-}
-
 SchedRecorder &SchedRecorder::global() {
-  static SchedRecorder R;
+  static SchedRecorder R; // Meyers singleton: safe across static-init order.
   return R;
 }
 
-void SchedRecorder::setEnabled(bool On) {
-  impl().Enabled.store(On, std::memory_order_relaxed);
-}
-
-bool SchedRecorder::enabled() const {
-  return impl().Enabled.load(std::memory_order_relaxed);
-}
-
 void SchedRecorder::record(SchedRun R) {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> G(I.Lock);
-  I.Runs.push_back(std::move(R));
+  std::lock_guard<std::mutex> G(Lock);
+  Runs.push_back(std::move(R));
 }
 
 std::vector<SchedRun> SchedRecorder::snapshot() const {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> G(I.Lock);
-  return I.Runs;
+  std::lock_guard<std::mutex> G(Lock);
+  return Runs;
 }
 
 void SchedRecorder::reset() {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> G(I.Lock);
-  I.Runs.clear();
+  std::lock_guard<std::mutex> G(Lock);
+  Runs.clear();
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,19 +9,14 @@
 
 #include "ir/Parser.h"
 #include "ir/Printer.h"
-#include "obs/EventLog.h"
 #include "obs/Metrics.h"
 #include "obs/Sched.h"
-#include "obs/Trace.h"
 #include "support/FaultInjection.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <new>
-#include <thread>
 
 using namespace depflow;
 
@@ -43,11 +38,6 @@ const char *depflow::taskFailureKindName(TaskFailureKind K) {
     return "exception";
   }
   return "unknown";
-}
-
-unsigned depflow::defaultModulePipelineJobs() {
-  unsigned N = std::thread::hardware_concurrency();
-  return N ? N : 1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -215,43 +205,20 @@ depflow::runPipelineOnModule(Module &M, const PassPipeline &Pipe,
   ModulePipelineResult R;
   R.Functions.resize(N);
 
-  // Stamped just before tasks begin; every function task of this run is
-  // ready at that instant (the module pipeline is one dependence level).
-  double RunBeginUs = 0;
-
   // Each task owns one function end to end: its analysis manager, its
   // instrumentation, and its result slot. Nothing here is shared between
-  // tasks except the read-only pipeline/options and the claim counter.
-  auto RunOne = [&](unsigned I, unsigned WorkerIndex) {
+  // tasks except the read-only pipeline/options. The pool writes the
+  // task's telemetry around this body, outside its budget window.
+  auto RunOne = [&](unsigned I) -> obs::TaskFailure {
     Function &F = *M.function(I);
     FunctionPipelineResult &FR = R.Functions[I];
     FR.Name = F.name();
-
-    // Scheduler stamps and the journal's task-start line come before the
-    // budget window opens (B0 below), so telemetry allocations are never
-    // charged to the task and never consume an armed alloc-fail.
-    FR.Worker = WorkerIndex;
-    FR.EnqueueUs = RunBeginUs;
-    FR.StartUs = obs::TraceRecorder::global().nowUs();
-    obs::LogEvent(obs::LogLevel::Info, "sched", "task-start")
-        .field("run", "module-pipeline")
-        .field("task", FR.Name)
-        .field("worker", WorkerIndex)
-        .field("enqueue_us", FR.EnqueueUs);
 
     // Restoration input for KeepGoing, snapshotted before the task's
     // budget window opens so it is never charged to the task.
     std::string OriginalText;
     if (Opts.KeepGoing)
       OriginalText = printFunction(F);
-
-    // One span per function task, on the executing worker's track; the
-    // per-pass spans from PassInstrumentation nest inside it. The args let
-    // tools/trace_analyze.py rebuild the schedule offline.
-    obs::TraceSpan TaskSpan("task", "func:" + F.name());
-    TaskSpan.arg("level", "0");
-    TaskSpan.arg("worker", std::to_string(WorkerIndex));
-    TaskSpan.arg("enqueue_us", std::to_string(FR.EnqueueUs));
 
     const auto T0 = std::chrono::steady_clock::now();
     const std::uint64_t B0 = obs::threadAllocatedBytes();
@@ -360,95 +327,19 @@ depflow::runPipelineOnModule(Module &M, const PassPipeline &Pipe,
                       "failed");
     }
 
-    // Commit stamp + journal line, after the result (and any restoration)
-    // is final and the fault window is closed.
-    FR.EndUs = obs::TraceRecorder::global().nowUs();
-    if (!FR.S.ok())
-      obs::LogEvent(obs::LogLevel::Warn, "sched", "task-failed")
-          .field("run", "module-pipeline")
-          .field("task", FR.Name)
-          .field("worker", WorkerIndex)
-          .field("kind", taskFailureKindName(FR.FailKind))
-          .field("pass", FR.FailPass)
-          .field("restored", FR.Restored);
-    else
-      obs::LogEvent(obs::LogLevel::Debug, "sched", "task-commit")
-          .field("run", "module-pipeline")
-          .field("task", FR.Name)
-          .field("worker", WorkerIndex)
-          .field("seconds", FR.TaskSeconds);
+    if (FR.S.ok())
+      return {};
+    return {taskFailureKindName(FR.FailKind), FR.FailPass.c_str(),
+            FR.Restored};
   };
 
-  unsigned Jobs = Opts.Jobs ? Opts.Jobs : defaultModulePipelineJobs();
-  // Per-pass dumps interleave between functions; keep them ordered by
-  // keeping the run serial.
-  if (Opts.PrintAfterAll || Opts.DotAfterAll)
-    Jobs = 1;
-  Jobs = std::max(1u, std::min(Jobs, N));
-
-  RunBeginUs = obs::TraceRecorder::global().nowUs();
-  obs::LogEvent(obs::LogLevel::Info, "sched", "run-start")
-      .field("run", "module-pipeline")
-      .field("jobs", Jobs)
-      .field("tasks", N);
-
-  if (Jobs == 1) {
-    for (unsigned I = 0; I != N; ++I)
-      RunOne(I, 0);
-  } else {
-    std::atomic<unsigned> Next{0};
-    auto Worker = [&](unsigned WorkerIndex) {
-      // Named tracks: the trace viewer shows one lane per worker with its
-      // function-task spans stacked on it.
-      if (obs::TraceRecorder::global().enabled())
-        obs::TraceRecorder::global().setCurrentThreadName(
-            "worker-" + std::to_string(WorkerIndex));
-      for (unsigned I; (I = Next.fetch_add(1, std::memory_order_relaxed)) < N;)
-        RunOne(I, WorkerIndex);
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Jobs);
-    for (unsigned T = 0; T != Jobs; ++T)
-      Pool.emplace_back(Worker, T);
-    for (std::thread &T : Pool)
-      T.join();
-  }
-  const double RunEndUs = obs::TraceRecorder::global().nowUs();
-
-  // The deterministic "sched" counters: schedule structure only. One
-  // dependence level whose width is the task count; failures are decided
-  // by the input, not the interleaving.
-  obs::noteSchedRun();
-  obs::noteSchedLevel(N);
-  unsigned Failed = 0;
-  for (const FunctionPipelineResult &FR : R.Functions) {
-    obs::noteSchedTask(0);
-    if (!FR.S.ok()) {
-      ++Failed;
-      obs::noteSchedTaskFailed();
-    }
-  }
-
-  obs::LogEvent(obs::LogLevel::Info, "sched", "run-end")
-      .field("run", "module-pipeline")
-      .field("jobs", Jobs)
-      .field("tasks", N)
-      .field("failed", Failed)
-      .field("wall_us", RunEndUs - RunBeginUs);
-
-  if (obs::SchedRecorder::global().enabled()) {
-    obs::SchedRun SR;
-    SR.Name = "module-pipeline";
-    SR.Jobs = Jobs;
-    SR.NumLevels = 1;
-    SR.MaxReady = N;
-    SR.BeginUs = RunBeginUs;
-    SR.EndUs = RunEndUs;
-    SR.Tasks.reserve(N);
-    for (const FunctionPipelineResult &FR : R.Functions)
-      SR.Tasks.push_back({FR.Name, 0, FR.Worker, FR.EnqueueUs, FR.StartUs,
-                          FR.EndUs, !FR.S.ok()});
-    obs::SchedRecorder::global().record(std::move(SR));
-  }
+  // One dependence level whose width is the function count. Per-pass
+  // dumps interleave between functions; keep them ordered by keeping the
+  // run serial.
+  const bool Dumping = Opts.PrintAfterAll || Opts.DotAfterAll;
+  obs::LevelPool Pool("module-pipeline", Dumping ? 1 : Opts.Jobs, N);
+  Pool.runLevel(
+      N, [&](unsigned I) { return M.function(I)->name(); }, RunOne);
+  Pool.finish();
   return R;
 }

@@ -6,23 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs a textual `PassPipeline` over every function of a `Module` on a
-/// fixed-size thread pool. The paper's algorithms (cycle equivalence,
-/// SESE/PST, DFG construction, the dataflow engines) are all per-function,
-/// which makes module throughput embarrassingly parallel; this driver is
-/// the deterministic harness for that shape:
+/// Runs a textual `PassPipeline` over every function of a `Module` on the
+/// shared `obs::LevelPool` (obs/Sched.h). The paper's algorithms (cycle
+/// equivalence, SESE/PST, DFG construction, the dataflow engines) are all
+/// per-function, which makes module throughput embarrassingly parallel:
+/// the whole module is one pool level, one task per function.
 ///
 ///   * **Static, work-stealing-free scheduling.** Workers claim function
-///     indices from a single atomic counter; each function is processed by
-///     exactly one worker, start to finish.
+///     indices from the pool's atomic counter; each function is processed
+///     by exactly one worker, start to finish.
 ///   * **One FunctionAnalysisManager per function task.** Analysis caches
 ///     are created inside the task and die with it — no cached structure
 ///     is ever visible to two threads, so there is nothing to lock and
 ///     nothing to invalidate across functions.
 ///   * **Results committed in input order.** Every per-function result is
 ///     written to a pre-sized slot indexed by the function's module
-///     position; aggregation walks the slots in that order after all
-///     workers join. Output, per-pass reuse counts, and per-analysis
+///     position; aggregation walks the slots in that order after the
+///     level's barrier. Output, per-pass reuse counts, and per-analysis
 ///     hit/miss tables are therefore bit-identical for any `-j N` (wall
 ///     times are per-run measurements and naturally vary).
 ///
@@ -58,7 +58,7 @@
 namespace depflow {
 
 struct ModulePipelineOptions {
-  /// Worker threads; 0 = hardware_concurrency (min 1). Clamped to the
+  /// Worker threads; 0 = one per hardware thread (min 1). Clamped to the
   /// number of functions. 1 runs inline on the calling thread.
   unsigned Jobs = 0;
 
@@ -128,15 +128,6 @@ struct FunctionPipelineResult {
   /// reported per function by --time-passes and the stats JSON).
   double TaskSeconds = 0;
   std::uint64_t TaskAllocBytes = 0;
-
-  /// Scheduler telemetry (obs/Sched.h): the pool slot that executed the
-  /// task and its enqueue/start/commit stamps, microseconds on the trace
-  /// recorder's epoch. Wall-time measurements — explicitly outside the
-  /// deterministic-output contract (unlike the "sched" counter group).
-  unsigned Worker = 0;
-  double EnqueueUs = 0;
-  double StartUs = 0;
-  double EndUs = 0;
 };
 
 class ModulePipelineResult {
@@ -170,9 +161,6 @@ public:
   /// the merged analysis hit/miss table.
   void printReport(std::FILE *Out) const;
 };
-
-/// The pool size `Jobs = 0` resolves to: hardware_concurrency, min 1.
-unsigned defaultModulePipelineJobs();
 
 /// Runs \p Pipe over every function of \p M as described above. Functions
 /// are mutated in place; the returned results are in module order.

@@ -10,17 +10,13 @@
 #include "cdg/ControlDependence.h"
 #include "core/DepFlowGraph.h"
 #include "ir/CFGEdges.h"
-#include "obs/EventLog.h"
 #include "obs/Sched.h"
-#include "obs/Trace.h"
 #include "support/FaultInjection.h"
 #include "support/Statistic.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <functional>
-#include <thread>
 
 using namespace depflow;
 
@@ -435,44 +431,6 @@ private:
   }
 };
 
-/// The fixed-pool claim loop shared by the per-function and per-SCC
-/// phases: workers pull indices from one atomic counter; each item is
-/// processed by exactly one worker, start to finish. The body receives
-/// (item, worker) so the scheduler telemetry can attribute tasks to pool
-/// slots; a serial run is worker 0. Templated on the body so the lambda
-/// is called directly — no std::function conversion, which would heap-
-/// allocate per call now that the bodies capture telemetry state (the
-/// alloc-counter perf gate counts exactly).
-template <typename BodyT>
-void runPool(unsigned Jobs, unsigned NumItems, const BodyT &Body) {
-  if (NumItems == 0)
-    return;
-  unsigned N = Jobs ? Jobs : std::thread::hardware_concurrency();
-  if (N == 0)
-    N = 1;
-  N = std::min(N, NumItems);
-  if (N <= 1) {
-    for (unsigned I = 0; I != NumItems; ++I)
-      Body(I, 0);
-    return;
-  }
-  std::atomic<unsigned> Next{0};
-  auto Work = [&](unsigned Worker) {
-    if (obs::TraceRecorder::global().enabled())
-      obs::TraceRecorder::global().setCurrentThreadName(
-          "sdg-worker-" + std::to_string(Worker));
-    for (unsigned I; (I = Next.fetch_add(1, std::memory_order_relaxed)) <
-                     NumItems;)
-      Body(I, Worker);
-  };
-  std::vector<std::thread> Pool;
-  Pool.reserve(N);
-  for (unsigned T = 0; T != N; ++T)
-    Pool.emplace_back(Work, T);
-  for (std::thread &T : Pool)
-    T.join();
-}
-
 } // namespace
 
 SystemDependenceGraph
@@ -511,65 +469,23 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
     }
   }
 
-  // Scheduler telemetry: the SDG build is level-structured by
-  // construction — phase A is level 0 (every function's PDG task is ready
-  // at once), phase C condensation level L is level 1+L (a barrier
-  // separates levels). Timestamps feed --sched-report; the noteSched*
-  // counters are structure-only and byte-identical at any -j.
-  const bool SchedOn = obs::SchedRecorder::global().enabled();
-  unsigned PoolJobs =
-      Opts.Jobs ? Opts.Jobs : std::thread::hardware_concurrency();
-  if (!PoolJobs)
-    PoolJobs = 1;
-  std::vector<obs::SchedTask> SchedTasks;
-  const double RunBeginUs = obs::TraceRecorder::global().nowUs();
-  obs::LogEvent(obs::LogLevel::Info, "sched", "run-start")
-      .field("run", "sdg-build")
-      .field("jobs", PoolJobs)
-      .field("functions", NF);
-  obs::noteSchedRun();
-  obs::noteSchedLevel(NF);
-  for (unsigned FI = 0; FI != NF; ++FI)
-    obs::noteSchedTask(0);
+  // The SDG build is level-structured by construction: phase A is pool
+  // level 0 (every function's PDG task is ready at once), condensation
+  // level L is pool level 1+L. The run spans phases A-D, the serial
+  // numbering/stitch and summary-edge phases included.
+  unsigned MaxWidth = NF;
+  for (unsigned Level = 0; Level != CG.numLevels(); ++Level)
+    MaxWidth = std::max(MaxWidth, unsigned(CG.level(Level).size()));
+  obs::LevelPool Pool("sdg-build", Opts.Jobs, MaxWidth);
 
-  // --- Phase A: per-function PDGs, one fixed-pool task per function -----
+  // --- Phase A: per-function PDGs, one pool task per function -----------
   std::vector<LocalPDG> Locals(NF);
-  if (SchedOn)
-    SchedTasks.resize(NF);
-  const double PhaseABeginUs = obs::TraceRecorder::global().nowUs();
-  runPool(Opts.Jobs, NF, [&](unsigned FI, unsigned Worker) {
-    obs::TraceSpan Span("task", "pdg:" + M.function(FI)->name());
-    Span.arg("level", "0");
-    Span.arg("worker", std::to_string(Worker));
-    Span.arg("enqueue_us", std::to_string(PhaseABeginUs));
-    // Journal calls are guarded so the disabled path performs no
-    // allocation (the name concatenations below are call-site cost the
-    // inert LogEvent cannot elide; the alloc-counter perf gate watches).
-    if (obs::EventLogger::global().enabled())
-      obs::LogEvent(obs::LogLevel::Info, "sched", "task-start")
-          .field("run", "sdg-build")
-          .field("task", "pdg:" + M.function(FI)->name())
-          .field("worker", Worker)
-          .field("level", 0u);
-    const double T0 = SchedOn ? obs::TraceRecorder::global().nowUs() : 0;
-    FunctionPDGBuilder B(*M.function(FI), FI, CG, G.MayRead, Locals[FI]);
-    B.run();
-    if (obs::EventLogger::global().enabled())
-      obs::LogEvent(obs::LogLevel::Debug, "sched", "task-commit")
-          .field("run", "sdg-build")
-          .field("task", "pdg:" + M.function(FI)->name())
-          .field("worker", Worker)
-          .field("level", 0u);
-    if (SchedOn) {
-      obs::SchedTask &T = SchedTasks[FI];
-      T.Name = "pdg:" + M.function(FI)->name();
-      T.Level = 0;
-      T.Worker = Worker;
-      T.EnqueueUs = PhaseABeginUs;
-      T.StartUs = T0;
-      T.EndUs = obs::TraceRecorder::global().nowUs();
-    }
-  });
+  Pool.runLevel(
+      NF, [&](unsigned FI) { return "pdg:" + M.function(FI)->name(); },
+      [&](unsigned FI) {
+        FunctionPDGBuilder B(*M.function(FI), FI, CG, G.MayRead, Locals[FI]);
+        B.run();
+      });
 
   // --- Phase B: global numbering + interprocedural stitching (serial) ---
   std::vector<unsigned> Base(NF + 1, 0);
@@ -768,43 +684,10 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
   for (unsigned Level = 0; Level != CG.numLevels(); ++Level) {
     const std::vector<unsigned> &SCCs = CG.level(Level);
     MaxSDGLevelWidth.update(SCCs.size());
-    obs::noteSchedLevel(unsigned(SCCs.size()));
-    for (std::size_t I = 0; I != SCCs.size(); ++I)
-      obs::noteSchedTask(1 + Level);
-    std::size_t TaskBase = SchedTasks.size();
-    if (SchedOn)
-      SchedTasks.resize(TaskBase + SCCs.size());
-    const double LevelBeginUs = obs::TraceRecorder::global().nowUs();
-    runPool(Opts.Jobs, unsigned(SCCs.size()), [&](unsigned I,
-                                                  unsigned Worker) {
-      obs::TraceSpan Span("task", "scc:" + std::to_string(SCCs[I]));
-      Span.arg("level", std::to_string(1 + Level));
-      Span.arg("worker", std::to_string(Worker));
-      Span.arg("enqueue_us", std::to_string(LevelBeginUs));
-      if (obs::EventLogger::global().enabled())
-        obs::LogEvent(obs::LogLevel::Info, "sched", "task-start")
-            .field("run", "sdg-build")
-            .field("task", "scc:" + std::to_string(SCCs[I]))
-            .field("worker", Worker)
-            .field("level", 1 + Level);
-      const double T0 = SchedOn ? obs::TraceRecorder::global().nowUs() : 0;
-      ProcessSCC(SCCs[I]);
-      if (obs::EventLogger::global().enabled())
-        obs::LogEvent(obs::LogLevel::Debug, "sched", "task-commit")
-            .field("run", "sdg-build")
-            .field("task", "scc:" + std::to_string(SCCs[I]))
-            .field("worker", Worker)
-            .field("level", 1 + Level);
-      if (SchedOn) {
-        obs::SchedTask &T = SchedTasks[TaskBase + I];
-        T.Name = "scc:" + std::to_string(SCCs[I]);
-        T.Level = 1 + Level;
-        T.Worker = Worker;
-        T.EnqueueUs = LevelBeginUs;
-        T.StartUs = T0;
-        T.EndUs = obs::TraceRecorder::global().nowUs();
-      }
-    });
+    Pool.runLevel(
+        unsigned(SCCs.size()),
+        [&](unsigned I) { return "scc:" + std::to_string(SCCs[I]); },
+        [&](unsigned I) { ProcessSCC(SCCs[I]); });
   }
 
   // --- Phase D: materialize summary edges (serial, site order) ----------
@@ -863,30 +746,7 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
                      char(1))));
   }
 
-  // Close out the scheduler telemetry. Wall spans phases A-D (the serial
-  // numbering/stitch and summary-edge phases included), so wall >=
-  // critical-path holds a fortiori.
-  const double RunEndUs = obs::TraceRecorder::global().nowUs();
-  unsigned MaxReady = NF;
-  for (unsigned Level = 0; Level != CG.numLevels(); ++Level)
-    MaxReady = std::max(MaxReady, unsigned(CG.level(Level).size()));
-  obs::LogEvent(obs::LogLevel::Info, "sched", "run-end")
-      .field("run", "sdg-build")
-      .field("jobs", PoolJobs)
-      .field("tasks", std::uint64_t(NF) + CG.numSCCs())
-      .field("levels", 1 + CG.numLevels())
-      .field("wall_us", RunEndUs - RunBeginUs);
-  if (SchedOn) {
-    obs::SchedRun SR;
-    SR.Name = "sdg-build";
-    SR.Jobs = PoolJobs;
-    SR.NumLevels = 1 + CG.numLevels();
-    SR.MaxReady = MaxReady;
-    SR.BeginUs = RunBeginUs;
-    SR.EndUs = RunEndUs;
-    SR.Tasks = std::move(SchedTasks);
-    obs::SchedRecorder::global().record(std::move(SR));
-  }
+  Pool.finish();
   return G;
 }
 

@@ -30,13 +30,14 @@
 /// transitive formal-in → formal-out dependence projected onto the site,
 /// which lets slicing cross a call without descending).
 ///
-/// The build is scheduled over the call graph's SCC condensation:
-/// per-function PDGs are embarrassingly parallel (one task per function,
-/// atomic-index claiming — the module pipeline's fixed-pool discipline);
-/// summary computation walks condensation levels bottom-up, the SCCs
-/// inside one level claimed concurrently by the same pool. Every result
-/// lands in function- or SCC-indexed slots and every counter mutation
-/// commutes, so stats and counters are byte-identical for any `Jobs` value.
+/// The build is scheduled over the call graph's SCC condensation on the
+/// shared `obs::LevelPool` (obs/Sched.h): per-function PDGs are pool level
+/// 0, embarrassingly parallel (one task per function); summary
+/// computation walks condensation levels bottom-up, one pool level each,
+/// the SCCs inside one level claimed concurrently. The pool's workers
+/// live for the whole build. Every result lands in function- or
+/// SCC-indexed slots and every counter mutation commutes, so stats and
+/// counters are byte-identical for any `Jobs` value.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +53,8 @@ namespace depflow {
 
 struct SDGBuildOptions {
   /// Worker threads for the per-function and per-SCC phases; 0 = one per
-  /// hardware thread (min 1). Output is byte-identical for any value.
+  /// hardware thread (min 1). Clamped to the widest level. Output is
+  /// byte-identical for any value.
   unsigned Jobs = 1;
 };
 

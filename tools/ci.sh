@@ -10,8 +10,9 @@
 # programs, a module smoke that checks -j 8 output against -j 1 on a
 # fuzz-generated module, an observability smoke (--trace-json /
 # --stats-json documents must validate), a scheduler/event-log smoke
-# (--sched-report prints, --log-json journals the run's task lifecycle —
-# including a task-failed line on a fault-injected --keep-going run —
+# (--sched-report prints, --log-json journals the task lifecycle of the
+# pipeline and of an SDG build with no duplicate keys — including a
+# task-failed line on a fault-injected --keep-going run —
 # and trace_analyze.py's offline invariant check passes), a quick-mode
 # run of the two pipeline benchmarks plus the counter sweep of every
 # baselined benchmark, with BENCH_*.json schema validation and an exact
@@ -105,8 +106,9 @@ print("ci: trace/stats JSON ok "
 PY
 
 # Scheduler/event-log smoke: --sched-report must print the derived
-# report, --log-json must leave a well-formed journal carrying the run's
-# task lifecycle in timestamp order, and the recorded trace must pass
+# report, --log-json must leave a well-formed journal carrying the task
+# lifecycle in timestamp order with no duplicate keys — for the pipeline
+# and for an SDG build (--slice) — and the recorded trace must pass
 # trace_analyze.py's offline invariant check — all under the sanitizers.
 "$BUILD/tools/depflow-opt" --passes=separate,constprop,pre -j 8 \
     --sched-report --log-json "$MODDIR/journal.jsonl" \
@@ -116,20 +118,35 @@ grep -q 'scheduler report' "$MODDIR/sched-report.txt"
 grep -q 'critical-path' "$MODDIR/sched-report.txt"
 python3 "$ROOT/tools/trace_analyze.py" "$MODDIR/sched-trace.json" --check \
     > /dev/null
-python3 - "$MODDIR/journal.jsonl" <<'PY'
+printf 'func main() {\ne:\n  a = read()\n  s = call add1(a)\n  t = call twice(s)\n  u = t + 1\n  ret u\n}\nfunc add1(p) {\ne:\n  q = p + 1\n  ret q\n}\nfunc twice(p) {\ne:\n  r = call add1(p)\n  q = call add1(r)\n  ret q\n}\n' \
+    > "$MODDIR/calls.df"
+"$BUILD/tools/depflow-opt" --slice main:7 -j 8 \
+    --log-json "$MODDIR/sdg-journal.jsonl" "$MODDIR/calls.df" >/dev/null
+python3 - "$MODDIR/journal.jsonl" "$MODDIR/sdg-journal.jsonl" <<'PY'
 import json, sys
-lines = [json.loads(l) for l in open(sys.argv[1])]
-assert lines, "empty journal"
-end = lines[-1]
-assert (end["cat"], end["event"]) == ("log", "journal-end"), end
-assert end["events"] == len(lines) - 1 and end["dropped"] == 0, end
-events = {(e["cat"], e["event"]) for e in lines[:-1]}
-for needed in [("sched", "run-start"), ("sched", "task-start"),
-               ("sched", "run-end")]:
-    assert needed in events, (needed, sorted(events))
-ts = [e["ts_us"] for e in lines[:-1]]
-assert ts == sorted(ts), "journal lines out of timestamp order"
-print(f"ci: event journal ok ({len(lines) - 1} events)")
+
+def unique_keys(pairs):
+    keys = [k for k, _ in pairs]
+    dup = sorted({k for k in keys if keys.count(k) > 1})
+    assert not dup, f"duplicate key(s) {dup} in a journal line"
+    return dict(pairs)
+
+for path, run in zip(sys.argv[1:], ["module-pipeline", "sdg-build"]):
+    lines = [json.loads(l, object_pairs_hook=unique_keys) for l in open(path)]
+    assert lines, "empty journal"
+    end = lines[-1]
+    assert (end["cat"], end["event"]) == ("log", "journal-end"), end
+    assert end["events"] == len(lines) - 1 and end["dropped"] == 0, end
+    events = {(e["cat"], e["event"]) for e in lines[:-1]}
+    for needed in [("sched", "run-start"), ("sched", "task-start"),
+                   ("sched", "run-end")]:
+        assert needed in events, (needed, sorted(events))
+    for e in lines[:-1]:
+        assert e["level"] in ("debug", "info", "warn", "error"), e
+    assert any(e.get("run") == run for e in lines[:-1]), (path, run)
+    ts = [e["ts_us"] for e in lines[:-1]]
+    assert ts == sorted(ts), "journal lines out of timestamp order"
+    print(f"ci: {run} event journal ok ({len(lines) - 1} events)")
 PY
 
 # A fault-injected --keep-going run must journal its failures: at least

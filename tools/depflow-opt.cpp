@@ -889,7 +889,7 @@ int main(int Argc, char **Argv) {
     SR.Tool = "depflow-opt";
     SR.Pipeline = O.Pipeline.str();
     SR.Functions = M.numFunctions();
-    SR.Jobs = O.Jobs ? O.Jobs : defaultModulePipelineJobs();
+    SR.Jobs = obs::LevelPool::resolveJobs(O.Jobs);
     SR.IncludeSched = true;
     for (const PassInstrumentation::Record &Rec : PR.aggregatePassRecords())
       SR.Passes.push_back({Rec.Pass, Rec.Seconds, Rec.AnalysisHits,

@@ -10,13 +10,12 @@ between a task becoming ready and starting, and per-worker gaps between
 consecutive tasks).
 
 Task spans are the ph == "X" events with cat == "task". Each carries the
-scheduling facts as string args: "level" (the barrier level the task ran
-in; the runs are level-structured, so the critical path is the sum over
-levels of the longest task), "worker" (the executing worker index), and
-"enqueue_us" (when the task became ready — its level's begin time).
-Spans are grouped into runs by name prefix: "func:" spans are the module
-pipeline, "pdg:"/"scc:" spans are the SDG build; any other prefix forms
-its own run.
+scheduling facts as string args: "run" (the parallel run the task belongs
+to; spans are grouped into runs by it), "level" (the barrier level the
+task ran in; the runs are level-structured, so the critical path is the
+sum over levels of the longest task), "worker" (the executing worker
+index), and "enqueue_us" (when the task became ready — its level's begin
+time).
 
 Stdlib only — no third-party imports. Exit codes: 0 success, 1 a --check
 invariant failed or the trace has no task spans, 2 usage error (argparse).
@@ -26,14 +25,6 @@ import argparse
 import json
 import math
 import sys
-
-# Task-name prefix -> run name; mirrors the span names emitted by
-# src/pass/ModulePipeline.cpp and src/sdg/SystemDependenceGraph.cpp.
-RUN_OF_PREFIX = {
-    "func": "module-pipeline",
-    "pdg": "sdg-build",
-    "scc": "sdg-build",
-}
 
 # Power-of-two microsecond buckets, the same shape as the
 # support/Statistic.h histograms: bucket i counts values in [2^i, 2^(i+1))
@@ -64,14 +55,11 @@ def load_tasks(path):
     for e in events:
         if e.get("ph") != "X" or e.get("cat") != "task":
             continue
-        name = e.get("name", "")
-        prefix = name.split(":", 1)[0]
-        run = RUN_OF_PREFIX.get(prefix, prefix or "unknown")
         args = e.get("args", {})
         start = float(e["ts"])
         dur = max(0.0, float(e.get("dur", 0.0)))
-        runs.setdefault(run, []).append({
-            "name": name,
+        runs.setdefault(args.get("run", "unknown"), []).append({
+            "name": e.get("name", ""),
             "level": int(args.get("level", "0")),
             "worker": int(args.get("worker", "0")),
             "start": start,
