@@ -47,9 +47,11 @@ static CFGAntResult solveCFGAnt(Function &F, const CFGEdges &E,
 
 static std::vector<bool> solveDFGAnt(Function &F, const CFGEdges &E,
                                      const DepFlowGraph &G,
-                                     const Expression &Ex) {
+                                     const Expression &Ex,
+                                     const ProjectionContext *Ctx = nullptr) {
   std::vector<bool> Ant;
-  if (!runExpressionAnticipatability(F, E, &G, Ex, EvalMode::SparseDFG, Ant)
+  if (!runExpressionAnticipatability(F, E, &G, Ex, EvalMode::SparseDFG, Ant,
+                                     /*Pan=*/nullptr, Ctx)
            .ok())
     std::abort();
   return Ant;
@@ -104,6 +106,33 @@ static void BM_ANT_DFG_AllExpressions(benchmark::State &State) {
   State.counters["E"] = double(E.size());
 }
 BENCHMARK(BM_ANT_DFG_AllExpressions)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The DFG row as the PRE pass runs it: one projection context (the
+/// edge-split dominator and postdominator trees) per function, shared by
+/// every expression. The row above builds one per expression.
+static void BM_ANT_DFG_AllExpressions_SharedContext(benchmark::State &State) {
+  auto F = makeProgram(unsigned(State.range(0)));
+  CFGEdges E(*F);
+  DepFlowGraph G = DepFlowGraph::build(*F, E);
+  std::vector<Expression> Exprs = collectExpressions(*F);
+  for (auto _ : State) {
+    ProjectionContext Ctx(*F, E);
+    unsigned Bits = 0;
+    for (const Expression &Ex : Exprs) {
+      std::vector<bool> Ant = solveDFGAnt(*F, E, G, Ex, &Ctx);
+      for (unsigned C = 0; C != E.size(); ++C)
+        Bits += Ant[C];
+    }
+    benchmark::DoNotOptimize(Bits);
+  }
+  State.counters["exprs"] = double(Exprs.size());
+  State.counters["E"] = double(E.size());
+}
+BENCHMARK(BM_ANT_DFG_AllExpressions_SharedContext)
     ->Arg(100)
     ->Arg(400)
     ->Arg(1600)
@@ -179,6 +208,36 @@ static void BM_EPR_MorelRenvoise_DFGAnt(benchmark::State &State) {
   State.counters["deletes"] = Deletes;
 }
 BENCHMARK(BM_EPR_MorelRenvoise_DFGAnt)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Unit(benchmark::kMicrosecond);
+
+/// BM_EPR_MorelRenvoise with every expression placed in one word-parallel
+/// solve instead of one solve per expression.
+static void BM_EPR_MorelRenvoise_Batched(benchmark::State &State) {
+  auto F = makeProgram(unsigned(State.range(0)));
+  CFGEdges E(*F);
+  std::vector<Expression> Exprs = collectExpressions(*F);
+  std::vector<std::vector<bool>> Ants(Exprs.size());
+  std::vector<PREDecisions> Ds;
+  double Inserts = 0, Deletes = 0;
+  for (auto _ : State) {
+    Inserts = Deletes = 0;
+    for (std::size_t K = 0; K != Exprs.size(); ++K)
+      Ants[K] = solveCFGAnt(*F, E, Exprs[K]).ANT;
+    if (!runPRE(*F, E, Exprs, Ants, PREStrategy::MorelRenvoise, Ds).ok())
+      std::abort();
+    for (const PREDecisions &D : Ds) {
+      Inserts += double(D.Inserts.size());
+      Deletes += double(D.Deletes.size());
+    }
+    benchmark::DoNotOptimize(Inserts);
+  }
+  State.counters["inserts"] = Inserts;
+  State.counters["deletes"] = Deletes;
+}
+BENCHMARK(BM_EPR_MorelRenvoise_Batched)
     ->Arg(100)
     ->Arg(400)
     ->Arg(1600)

@@ -153,6 +153,7 @@ public:
     EdgeIdRange(unsigned First, unsigned Last) : First(First), Last(Last) {}
     iterator begin() const { return iterator(First); }
     iterator end() const { return iterator(Last); }
+    unsigned first() const { return First; }
     unsigned size() const { return Last - First; }
     bool empty() const { return First == Last; }
   };

@@ -159,7 +159,7 @@ public:
   static bool equal(const bool &A, const bool &B) { return A == B; }
 
   bool evalEdge(const DepFlowGraph &G, unsigned EId,
-                const std::vector<bool> &EdgeVal) const {
+                const EdgeSlice<bool> &EdgeVal) const {
     const DepFlowGraph::Edge &Ed = G.edge(EId);
     const DepFlowGraph::Node &Dst = G.node(Ed.Dst);
     switch (Dst.Kind) {
@@ -199,6 +199,20 @@ public:
 
 } // namespace
 
+/// Solves ANT (\p Universal: greatest fixed point) or PAN (least fixed
+/// point) of \p Expr relative to \p X over \p X's slice of \p G only.
+/// Edge EId's value lands in \p Vals[EId - \p Base], which the caller has
+/// filled with the fixed-point start.
+static Status solveSlice(const DepFlowGraph &G, const Expression &Expr,
+                         VarId X, bool Universal, std::vector<bool> &Vals,
+                         unsigned Base) {
+  BackwardEngineCounters Ctr;
+  Ctr.Evals = &NumAntDFGEvals;
+  Ctr.Flips = &NumAntDFGBitsFlipped;
+  return SparseBackwardEngine<AntPanClient>::solve(
+      G, X, AntPanClient(Expr, Universal), Vals, Base, Ctr);
+}
+
 Status depflow::runRelativeAnticipatability(Function &F,
                                             const DepFlowGraph &G,
                                             const Expression &Expr, VarId X,
@@ -206,15 +220,10 @@ Status depflow::runRelativeAnticipatability(Function &F,
   (void)F;
   Out.AntEdge.assign(G.numEdges(), true);  // Greatest fixed point.
   Out.PanEdge.assign(G.numEdges(), false); // Least fixed point.
-  BackwardEngineCounters Ctr;
-  Ctr.Evals = &NumAntDFGEvals;
-  Ctr.Flips = &NumAntDFGBitsFlipped;
-  Status S = SparseBackwardEngine<AntPanClient>::solve(
-      G, X, AntPanClient(Expr, /*Universal=*/true), Out.AntEdge, Ctr);
+  Status S = solveSlice(G, Expr, X, /*Universal=*/true, Out.AntEdge, 0);
   if (!S.ok())
     return S;
-  return SparseBackwardEngine<AntPanClient>::solve(
-      G, X, AntPanClient(Expr, /*Universal=*/false), Out.PanEdge, Ctr);
+  return solveSlice(G, Expr, X, /*Universal=*/false, Out.PanEdge, 0);
 }
 
 ProjectionContext::ProjectionContext(Function &F, const CFGEdges &E) {
@@ -233,7 +242,7 @@ ProjectionContext::~ProjectionContext() = default;
 // the interiors of the regions they skip.
 static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
                                            const DepFlowGraph &G,
-                                           const std::vector<bool> &EdgeVal,
+                                           const EdgeSlice<bool> &EdgeVal,
                                            VarId X,
                                            const ProjectionContext &Ctx) {
   const DomTree &DT = *Ctx.DT;
@@ -253,6 +262,14 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
       return N.Block->indexOf(N.Inst);
     }
   };
+
+  // The two block searches below run once per true dependence edge. They
+  // share one stack, and mark blocks with the edge's epoch instead of
+  // clearing a set per edge: block B is in Revisits (BeforeHead) iff its
+  // stamp there equals Epoch.
+  std::vector<unsigned> RevisitStamp(NB, 0), BeforeHeadStamp(NB, 0);
+  unsigned Epoch = 0;
+  std::vector<BasicBlock *> Stack;
 
   std::vector<bool> Out(E.size(), false);
   for (unsigned DId : G.edgesOfVar(X)) {
@@ -274,22 +291,22 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
             ? NB + E.outEdge(Tail.Block, D.SrcPort)
             : Tail.Block->id();
     unsigned HeadAnchor = Head.Block->id();
+    ++Epoch;
 
     // Blocks that can reach the tail's block without passing the head's
     // (backward search from the tail's block avoiding the head's): an edge
     // into such a block would revisit the tail before the head. A wrap
     // dependence cannot revisit its tail first — re-entering the block
     // reaches the earlier head position before it.
-    std::vector<bool> Revisits(F.numBlocks(), false);
     if (!Wrap) {
-      std::vector<BasicBlock *> Stack{Tail.Block};
-      Revisits[Tail.Block->id()] = true;
+      Stack.assign(1, Tail.Block);
+      RevisitStamp[Tail.Block->id()] = Epoch;
       while (!Stack.empty()) {
         BasicBlock *BB = Stack.back();
         Stack.pop_back();
         for (BasicBlock *P : BB->predecessors()) {
-          if (P != Head.Block && !Revisits[P->id()]) {
-            Revisits[P->id()] = true;
+          if (P != Head.Block && RevisitStamp[P->id()] != Epoch) {
+            RevisitStamp[P->id()] = Epoch;
             Stack.push_back(P);
           }
         }
@@ -301,34 +318,31 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
     // header merge is the head — and is not spanned. For wrap dependences
     // the search starts at the shared block's successors and stops when it
     // re-enters the block.
-    std::vector<bool> BeforeHead(F.numBlocks(), false);
-    {
-      std::vector<BasicBlock *> Stack;
-      BeforeHead[Tail.Block->id()] = true;
-      if (Wrap) {
-        for (BasicBlock *S : Tail.Block->successors())
-          if (S != Head.Block && !BeforeHead[S->id()]) {
-            BeforeHead[S->id()] = true;
-            Stack.push_back(S);
-          }
-      } else {
-        Stack.push_back(Tail.Block);
-      }
-      while (!Stack.empty()) {
-        BasicBlock *BB = Stack.back();
-        Stack.pop_back();
-        for (BasicBlock *S : BB->successors()) {
-          if (S != Head.Block && !BeforeHead[S->id()]) {
-            BeforeHead[S->id()] = true;
-            Stack.push_back(S);
-          }
+    Stack.clear();
+    BeforeHeadStamp[Tail.Block->id()] = Epoch;
+    if (Wrap) {
+      for (BasicBlock *S : Tail.Block->successors())
+        if (S != Head.Block && BeforeHeadStamp[S->id()] != Epoch) {
+          BeforeHeadStamp[S->id()] = Epoch;
+          Stack.push_back(S);
+        }
+    } else {
+      Stack.push_back(Tail.Block);
+    }
+    while (!Stack.empty()) {
+      BasicBlock *BB = Stack.back();
+      Stack.pop_back();
+      for (BasicBlock *S : BB->successors()) {
+        if (S != Head.Block && BeforeHeadStamp[S->id()] != Epoch) {
+          BeforeHeadStamp[S->id()] = Epoch;
+          Stack.push_back(S);
         }
       }
     }
 
     for (unsigned C = 0; C != E.size(); ++C) {
-      if (!Out[C] && !Revisits[E.edge(C).To->id()] &&
-          BeforeHead[E.edge(C).From->id()] &&
+      if (!Out[C] && RevisitStamp[E.edge(C).To->id()] != Epoch &&
+          BeforeHeadStamp[E.edge(C).From->id()] == Epoch &&
           DT.dominates(TailAnchor, NB + C) &&
           PDT.dominates(HeadAnchor, NB + C))
         Out[C] = true;
@@ -341,14 +355,14 @@ std::vector<bool> depflow::projectRelativeAnt(Function &F, const CFGEdges &E,
                                               const DepFlowGraph &G,
                                               const DFGAntResult &R, VarId X,
                                               const ProjectionContext &Ctx) {
-  return projectEdgeValues(F, E, G, R.AntEdge, X, Ctx);
+  return projectEdgeValues(F, E, G, EdgeSlice<bool>(R.AntEdge, 0), X, Ctx);
 }
 
 std::vector<bool> depflow::projectRelativePan(Function &F, const CFGEdges &E,
                                               const DepFlowGraph &G,
                                               const DFGAntResult &R, VarId X,
                                               const ProjectionContext &Ctx) {
-  return projectEdgeValues(F, E, G, R.PanEdge, X, Ctx);
+  return projectEdgeValues(F, E, G, EdgeSlice<bool>(R.PanEdge, 0), X, Ctx);
 }
 
 Status depflow::runExpressionAnticipatability(Function &F, const CFGEdges &E,
@@ -388,13 +402,19 @@ Status depflow::runExpressionAnticipatability(Function &F, const CFGEdges &E,
   std::optional<ProjectionContext> OwnCtx;
   if (!Ctx)
     Ctx = &OwnCtx.emplace(F, E);
+  // Only ANT is solved, each variable over its own slice; PAN has no
+  // whole-expression projection (see above), so the sparse path skips it.
   Ant.assign(E.size(), true);
+  std::vector<bool> Slice;
   for (VarId X : Vars) {
-    DFGAntResult R;
-    Status S = runRelativeAnticipatability(F, *G, Expr, X, R);
-    if (!S.ok())
+    const DepFlowGraph::EdgeIdRange Range = G->edgesOfVar(X);
+    Slice.assign(Range.size(), true);
+    if (Status S = solveSlice(*G, Expr, X, /*Universal=*/true, Slice,
+                              Range.first());
+        !S.ok())
       return S;
-    std::vector<bool> Proj = projectRelativeAnt(F, E, *G, R, X, *Ctx);
+    std::vector<bool> Proj = projectEdgeValues(
+        F, E, *G, EdgeSlice<bool>(Slice, Range.first()), X, *Ctx);
     for (unsigned C = 0; C != E.size(); ++C)
       Ant[C] = Ant[C] && Proj[C];
   }

@@ -27,6 +27,11 @@
 ///    expression is the conjunction of its variables' projections.
 ///  * `runExpressionAnticipatability` — the mode-selecting front door:
 ///    whole-expression ANT per CFG edge through either evaluation mode.
+///    Its sparse path solves only ANT, and only over each variable's
+///    slice: the solver's values and worklist are sized to
+///    `edgesOfVar(X)`, not to the whole graph (the point Tavares et al.,
+///    arXiv 1403.5952, make for sparse analyses). PAN has no
+///    whole-expression projection, so the sparse path never solves it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,6 +95,8 @@ struct DFGAntResult {
 /// Figure 5b: relative anticipatability solved on the DFG through
 /// `SparseBackwardEngine` (one greatest-fixed-point pass for ANT, one
 /// least-fixed-point pass for PAN, both over \p X's slice of the edges).
+/// The result is indexed by DFG edge id; edges of other variables keep
+/// the fixed-point starts (ANT true, PAN false).
 Status runRelativeAnticipatability(Function &F, const DepFlowGraph &G,
                                    const Expression &Expr, VarId X,
                                    DFGAntResult &Out);

@@ -19,9 +19,16 @@
 ///  * `PREStrategy::MorelRenvoise` — the classic [MR79] placement-possible
 ///    fixed point, which only moves code when a partial redundancy exists.
 ///
-/// Both require critical edges to be split first (ir/Transforms.h), the
-/// same preprocessing [MR79] itself calls for; an unsplit critical edge is
-/// reported as a Status error, not an assertion.
+/// `runPRE` places every candidate of a function in one solve: candidate k
+/// is bit k of a word, one scan of the instructions fills the local
+/// properties (TRANSP, ANTLOC, COMP) of all candidates, and AV, PAV and PP
+/// run word-parallel. Bit-vector problems are separable, so each
+/// candidate's decisions equal those of a solo solve; the single-expression
+/// overload is a batch of one.
+///
+/// Both strategies require critical edges to be split first
+/// (ir/Transforms.h), the same preprocessing [MR79] itself calls for; an
+/// unsplit critical edge is reported as a Status error, not an assertion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +40,7 @@
 #include "ir/Function.h"
 #include "support/Error.h"
 
+#include <span>
 #include <vector>
 
 namespace depflow {
@@ -51,10 +59,19 @@ struct PREDecisions {
 
 enum class PREStrategy : std::uint8_t { Busy, MorelRenvoise };
 
-/// Computes placement decisions for \p Expr under \p Strategy. \p AntEdges
-/// is ANT per CFG edge id, from either anticipatability engine. Fails
-/// (leaving \p Out partial) when busy code motion meets an unsplit
-/// critical edge.
+/// Computes placement decisions for every expression of \p Candidates
+/// (which must be distinct) under \p Strategy, in one word-parallel solve.
+/// \p Ants[k] is ANT of candidate k per CFG edge id, from either
+/// anticipatability engine. \p Out[k] receives candidate k's decisions:
+/// inserts in block (busy: edge) order, deletes in block and then
+/// instruction order. Fails (leaving \p Out partial) when busy code motion
+/// meets an unsplit critical edge.
+Status runPRE(Function &F, const CFGEdges &E,
+              std::span<const Expression> Candidates,
+              std::span<const std::vector<bool>> Ants, PREStrategy Strategy,
+              std::vector<PREDecisions> &Out);
+
+/// The decisions for \p Expr alone: a batch of one.
 Status runPRE(Function &F, const CFGEdges &E, const Expression &Expr,
               const std::vector<bool> &AntEdges, PREStrategy Strategy,
               PREDecisions &Out);

@@ -658,47 +658,70 @@ Status solveForward(Function &F, const DepFlowGraph *G, EvalMode Mode,
 // (the Figure 5b anticipatability shape)
 //===----------------------------------------------------------------------===//
 
+/// Read access to edge values stored from edge id `Base` on: edge EId's
+/// value is `Vals[EId - Base]`. With Base = 0 the vector is indexed by
+/// edge id; with Base = `edgesOfVar(X).first()` it holds X's slice only.
+template <typename Value> class EdgeSlice {
+  const std::vector<Value> &Vals;
+  unsigned Base;
+
+public:
+  EdgeSlice(const std::vector<Value> &Vals, unsigned Base)
+      : Vals(Vals), Base(Base) {}
+  typename std::vector<Value>::const_reference
+  operator[](unsigned EId) const {
+    return Vals[EId - Base];
+  }
+};
+
 /// Backward client contract:
 /// \code
 ///   using Value;
 ///   static bool equal(const Value &, const Value &);
 ///   Value evalEdge(const DepFlowGraph &, unsigned EId,
-///                  const std::vector<Value> &EdgeVal) const;
+///                  const EdgeSlice<Value> &EdgeVal) const;
 /// \endcode
-/// The caller pre-initializes \p EdgeVal to the direction's fixed-point
-/// start (e.g. all-true for a greatest fixed point).
+/// Edge EId's value is \p Vals[EId - \p Base] (see `EdgeSlice`); \p Vals
+/// must cover \p X's slice, and the caller pre-initializes it to the
+/// direction's fixed-point start (e.g. all-true for a greatest fixed
+/// point). Only the slice is read or written, and the worklist is sized to
+/// the slice, not to the whole graph.
 template <typename Client> class SparseBackwardEngine {
 public:
   using Value = typename Client::Value;
 
   static Status solve(const DepFlowGraph &G, VarId X, const Client &C,
-                      std::vector<Value> &EdgeVal,
+                      std::vector<Value> &Vals, unsigned Base,
                       const BackwardEngineCounters &Ctr = {}) {
-    if (EdgeVal.size() != G.numEdges())
+    const DepFlowGraph::EdgeIdRange Slice = G.edgesOfVar(X);
+    const unsigned First = Slice.first();
+    if (Base > First ||
+        Vals.size() < std::size_t(First - Base) + Slice.size())
       return Status::error("backward engine: edge value vector size "
                            "mismatch");
+    const EdgeSlice<Value> View(Vals, Base);
     const std::uint64_t MaxEvals =
         64 + 1024 * (std::uint64_t(G.numEdges()) + 1);
     std::uint64_t Evals = 0;
-    // Worklist over X's edges (one contiguous id range); when an edge's
-    // value changes, the edges entering its source node must be
-    // re-evaluated.
-    Worklist WL(G.numEdges());
-    for (unsigned EId : G.edgesOfVar(X))
-      WL.push(EId);
+    // Worklist over X's edges by slice index; when an edge's value
+    // changes, the edges entering its source node must be re-evaluated
+    // (they are X's edges too).
+    Worklist WL(Slice.size());
+    for (unsigned I = 0; I != Slice.size(); ++I)
+      WL.push(I);
     while (!WL.empty()) {
       if (++Evals > MaxEvals)
         return Status::error("backward engine: work bound exceeded "
                              "(non-monotone edge evaluation?)");
-      unsigned EId = WL.pop();
+      unsigned EId = First + WL.pop();
       detail::bump(Ctr.Evals);
-      Value New = C.evalEdge(G, EId, EdgeVal);
-      if (Client::equal(New, EdgeVal[EId]))
+      Value New = C.evalEdge(G, EId, View);
+      if (Client::equal(New, View[EId]))
         continue;
-      EdgeVal[EId] = New;
+      Vals[EId - Base] = New;
       detail::bump(Ctr.Flips);
       for (unsigned InId : G.inEdges(G.edge(EId).Src))
-        WL.push(InId);
+        WL.push(InId - First);
     }
     return Status::success();
   }

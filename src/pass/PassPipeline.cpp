@@ -225,10 +225,12 @@ std::vector<unsigned> cfgShape(const Function &F) {
 }
 
 /// The pass body proper: mutates \p F, consuming cached analyses from
-/// \p AM. Fails when an underlying dataflow engine reports an error
+/// \p AM. \p Shape is the CFG shape the cached analyses were computed
+/// for; a body that changes the shape and invalidates the cache itself
+/// updates it. Fails when an underlying dataflow engine reports an error
 /// (work-bound breach, unsplit critical edge).
 Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
-                   const PassOptions &Opts) {
+                   const PassOptions &Opts, std::vector<unsigned> &Shape) {
   switch (P) {
   case PassId::Separate:
     NumStatementsSeparated += separateComputation(F);
@@ -256,8 +258,12 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
   case PassId::PREBusy: {
     unsigned Split = splitCriticalEdges(F);
     NumCriticalEdgesSplit += Split;
-    if (Split)
+    if (Split) {
+      // The cache now holds nothing of the old shape; what the rest of the
+      // body computes is for the split one.
       AM.invalidate(PreservedAnalyses::none());
+      Shape = cfgShape(F);
+    }
     // From here on the CFG shape is fixed, and a motion of expression e1
     // only inserts `t = e1` into a fresh temporary and rewrites e1's own
     // computations in place. No computation of another candidate e2
@@ -282,15 +288,18 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
       if (!S.ok())
         return S;
     }
+    // The same invariance holds for every candidate's local properties,
+    // AV, PAV and PP, so one word-parallel placement solve serves them all.
+    std::vector<PREDecisions> Decisions;
+    if (Status S = runPRE(F, E, Candidates, Ants,
+                          P == PassId::PREBusy ? PREStrategy::Busy
+                                               : PREStrategy::MorelRenvoise,
+                          Decisions);
+        !S.ok())
+      return S;
     bool Moved = false;
     for (std::size_t K = 0; K != Candidates.size(); ++K) {
-      PREDecisions D;
-      Status S = runPRE(F, E, Candidates[K], Ants[K],
-                        P == PassId::PREBusy ? PREStrategy::Busy
-                                             : PREStrategy::MorelRenvoise,
-                        D);
-      if (!S.ok())
-        return S;
+      const PREDecisions &D = Decisions[K];
       if (D.Inserts.empty() && D.Deletes.empty())
         continue;
       applyPRE(F, Candidates[K], D);
@@ -357,11 +366,11 @@ Status depflow::runPass(Function &F, PassId P, FunctionAnalysisManager &AM,
   }
 
   ++NumPassesRun;
-  const std::vector<unsigned> ShapeBefore = cfgShape(F);
+  std::vector<unsigned> Shape = cfgShape(F);
   const std::string TextBefore = printFunction(F);
   std::uint64_t HitsBefore = AM.totalHits();
 
-  if (Status Body = runPassBody(F, P, AM, Opts); !Body.ok()) {
+  if (Status Body = runPassBody(F, P, AM, Opts, Shape); !Body.ok()) {
     Status S = Status::error(std::string("pass --") + passName(P) +
                              ": body failed");
     S.append(Body);
@@ -369,14 +378,15 @@ Status depflow::runPass(Function &F, PassId P, FunctionAnalysisManager &AM,
   }
 
   // What survived? Text identical: the pass was a no-op and everything is
-  // still valid. CFG shape identical: instructions changed, so the DFG
-  // (which holds instruction pointers) dies but every CFG-shape analysis
-  // survives. Otherwise: nothing does.
+  // still valid. CFG shape identical to the one the cache was last
+  // computed for: instructions changed, so the DFG (which holds
+  // instruction pointers) dies but every CFG-shape analysis survives.
+  // Otherwise: nothing does.
   PreservedAnalyses PA = PreservedAnalyses::none();
   if (printFunction(F) == TextBefore) {
     PA = PreservedAnalyses::all();
     ++NumPassesNoChange;
-  } else if (cfgShape(F) == ShapeBefore) {
+  } else if (cfgShape(F) == Shape) {
     PA = preserveCFGShapeAnalyses();
   }
   if (PreservedOut)

@@ -22,10 +22,12 @@
 #include "ir/Verifier.h"
 #include "pass/AnalysisManager.h"
 #include "pass/PassPipeline.h"
+#include "support/Statistic.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 using namespace depflow;
@@ -435,12 +437,26 @@ TEST_P(AntPropertyTest, ApplyPREKeepsSuccessorLists) {
   }
 }
 
-// The PRE pass solves every candidate's ANT on one DFG before its first
-// motion. The reference is the per-motion driver it replaced, which built
-// a fresh DFG of the current function before each candidate and applied
-// only non-empty decisions. Both must produce the same function text.
-TEST_P(AntPropertyTest, OneGraphPREMatchesPerMotionRebuild) {
-  const std::string Source = printFunction(*antProgram(GetParam()));
+/// A function shaped like the `bigfn-opt` benchmark's: 48 variables, 150
+/// statements, every variable read at entry.
+std::unique_ptr<Function> bigFnProgram(int Param) {
+  GenOptions Opts;
+  Opts.Seed = std::uint64_t(Param) * 7717 + 5;
+  Opts.NumVars = 48;
+  Opts.TargetStmts = 150;
+  auto F = generateStructuredProgram(Opts);
+  for (unsigned V = 0; V != F->numVars(); ++V)
+    F->entry()->insertAt(V, std::make_unique<ReadInst>(VarId(V)));
+  return F;
+}
+
+// The PRE pass solves every candidate's ANT on one DFG, and then every
+// candidate's placement in one batch, before its first motion. The
+// reference is the per-motion driver it replaced, which built a fresh DFG
+// of the current function before each candidate, placed that candidate
+// alone and applied only non-empty decisions. Both must produce the same
+// function text.
+void checkOneGraphMatchesPerMotion(const std::string &Source) {
   for (PREStrategy Strategy : {PREStrategy::Busy, PREStrategy::MorelRenvoise}) {
     auto Ref = parseFunctionOrDie(Source);
     splitCriticalEdges(*Ref);
@@ -465,6 +481,68 @@ TEST_P(AntPropertyTest, OneGraphPREMatchesPerMotionRebuild) {
     ASSERT_TRUE(S.ok()) << S.str();
     EXPECT_EQ(printFunction(*Pass), printFunction(*Ref))
         << "pass --" << passName(P) << " on\n" << Source;
+  }
+}
+
+TEST_P(AntPropertyTest, OneGraphPREMatchesPerMotionRebuild) {
+  checkOneGraphMatchesPerMotion(printFunction(*antProgram(GetParam())));
+  checkOneGraphMatchesPerMotion(printFunction(*bigFnProgram(GetParam())));
+}
+
+// One placement solve for many candidates must equal one solve per
+// candidate: the same decisions, and the same NumPREBitsFlipped total.
+// The batch sizes straddle the 64-bit words of the batch's rows, and the
+// batch takes the candidates in reverse, so bit k is not the k-th
+// expression of the function.
+TEST(PRE, BatchMatchesOneCandidateAtATime) {
+  GenOptions Opts;
+  Opts.Seed = 5;
+  Opts.NumVars = 6;
+  Opts.TargetStmts = 1100;
+  auto F = generateStructuredProgram(Opts);
+  splitCriticalEdges(*F);
+  CFGEdges E(*F);
+  const std::vector<Expression> All = collectExpressions(*F);
+  ASSERT_GE(All.size(), 130u);
+
+  auto Flips = [] { return statisticValue("pre", "NumPREBitsFlipped"); };
+  for (unsigned K : {1u, 63u, 64u, 65u, 130u}) {
+    std::vector<Expression> Cands(All.begin(), All.begin() + K);
+    std::reverse(Cands.begin(), Cands.end());
+    std::vector<std::vector<bool>> Ants(K);
+    for (unsigned C = 0; C != K; ++C)
+      ASSERT_TRUE(runExpressionAnticipatability(*F, E, nullptr, Cands[C],
+                                                EvalMode::DenseCFG, Ants[C])
+                      .ok());
+    for (PREStrategy S : {PREStrategy::Busy, PREStrategy::MorelRenvoise}) {
+      std::uint64_t Before = Flips();
+      std::vector<PREDecisions> Batch;
+      ASSERT_TRUE(runPRE(*F, E, Cands, Ants, S, Batch).ok());
+      const std::uint64_t BatchFlips = Flips() - Before;
+      ASSERT_EQ(Batch.size(), K);
+
+      std::uint64_t SoloFlips = 0;
+      unsigned Moves = 0;
+      for (unsigned C = 0; C != K; ++C) {
+        Before = Flips();
+        PREDecisions Solo;
+        ASSERT_TRUE(runPRE(*F, E, Cands[C], Ants[C], S, Solo).ok());
+        SoloFlips += Flips() - Before;
+        Moves += unsigned(Solo.Inserts.size() + Solo.Deletes.size());
+        EXPECT_EQ(Batch[C].Deletes, Solo.Deletes)
+            << "K " << K << " expr " << printExpression(*F, Cands[C]);
+        ASSERT_EQ(Batch[C].Inserts.size(), Solo.Inserts.size())
+            << "K " << K << " expr " << printExpression(*F, Cands[C]);
+        for (unsigned I = 0; I != Solo.Inserts.size(); ++I) {
+          EXPECT_EQ(Batch[C].Inserts[I].Block, Solo.Inserts[I].Block);
+          EXPECT_EQ(Batch[C].Inserts[I].AtEnd, Solo.Inserts[I].AtEnd);
+        }
+      }
+      EXPECT_EQ(BatchFlips, SoloFlips) << "K " << K;
+      if (K >= 63) {
+        EXPECT_GT(Moves, 0u) << "K " << K << ": nothing to compare";
+      }
+    }
   }
 }
 

@@ -249,6 +249,39 @@ TEST(AnalysisManager, PREMotionKeepsCFGShapeAnalyses) {
   EXPECT_EQ(missesOf(AM, "cfg-edges"), 1u);
 }
 
+// a + b is partially redundant in join, and the insertion point is the
+// critical edge entry -> join, which the pass splits first.
+const char *CriticalEdgeSrc = R"(
+func cr(p, a, b) {
+entry:
+  x = 0
+  if p goto thn else join
+thn:
+  x = a + b
+  goto join
+join:
+  y = a + b
+  ret x, y
+}
+)";
+
+TEST(AnalysisManager, PREKeepsTheAnalysesItRebuiltAfterItsSplit) {
+  auto F = parseFunctionOrDie(CriticalEdgeSrc);
+  FunctionAnalysisManager AM(*F);
+  AM.getResult<DFGAnalysis>();
+  unsigned BlocksBefore = F->numBlocks();
+
+  // The split drops every cached analysis, and the pass recomputes them
+  // for the split shape. Its motions keep that shape, so the recomputed
+  // CFG-shape analyses survive the pass boundary and serve the next pass.
+  ASSERT_TRUE(runPass(*F, PassId::PRE, AM).ok());
+  ASSERT_GT(F->numBlocks(), BlocksBefore) << "pre should have split an edge";
+  ASSERT_TRUE(runPass(*F, PassId::SSADfg, AM).ok());
+  EXPECT_EQ(missesOf(AM, "cycle-equiv"), 2u);
+  EXPECT_EQ(missesOf(AM, "pst"), 2u);
+  EXPECT_EQ(missesOf(AM, "cfg-edges"), 2u);
+}
+
 TEST(PassPipeline, ParsesCanonicalNames) {
   std::vector<PassId> Passes;
   ASSERT_TRUE(
