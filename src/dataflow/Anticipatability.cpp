@@ -124,24 +124,6 @@ Status depflow::runCFGRelativeAnticipatability(Function &F, const CFGEdges &E,
   return solveCFGAnticipatability(F, E, Expr, {X}, Out);
 }
 
-bool DFGAntResult::antAtTail(const DepFlowGraph &G, unsigned Node,
-                             unsigned Port) const {
-  bool Val = false;
-  for (unsigned EId : G.outEdges(Node))
-    if (G.edge(EId).SrcPort == Port)
-      Val = Val || AntEdge[EId];
-  return Val;
-}
-
-bool DFGAntResult::panAtTail(const DepFlowGraph &G, unsigned Node,
-                             unsigned Port) const {
-  bool Val = false;
-  for (unsigned EId : G.outEdges(Node))
-    if (G.edge(EId).SrcPort == Port)
-      Val = Val || PanEdge[EId];
-  return Val;
-}
-
 namespace {
 
 /// The Figure 5b equations as a `SparseBackwardEngine` client: the value

@@ -64,32 +64,10 @@ Status runCFGRelativeAnticipatability(Function &F, const CFGEdges &E,
                                       const Expression &Expr, VarId X,
                                       CFGAntResult &Out);
 
-/// Deprecated: use runCFGAnticipatability(F, E, Expr, Out).
-inline CFGAntResult cfgAnticipatability(Function &F, const CFGEdges &E,
-                                        const Expression &Expr) {
-  CFGAntResult R;
-  (void)runCFGAnticipatability(F, E, Expr, R);
-  return R;
-}
-
-/// Deprecated: use runCFGRelativeAnticipatability(F, E, Expr, X, Out).
-inline CFGAntResult cfgRelativeAnticipatability(Function &F,
-                                                const CFGEdges &E,
-                                                const Expression &Expr,
-                                                VarId X) {
-  CFGAntResult R;
-  (void)runCFGRelativeAnticipatability(F, E, Expr, X, R);
-  return R;
-}
-
 /// Booleans per DFG edge id (only variable X's edges are meaningful).
 struct DFGAntResult {
   std::vector<bool> AntEdge;
   std::vector<bool> PanEdge;
-
-  /// ANT at a multiedge tail: OR over the tail's heads.
-  bool antAtTail(const DepFlowGraph &G, unsigned Node, unsigned Port) const;
-  bool panAtTail(const DepFlowGraph &G, unsigned Node, unsigned Port) const;
 };
 
 /// Figure 5b: relative anticipatability solved on the DFG through
@@ -100,16 +78,6 @@ struct DFGAntResult {
 Status runRelativeAnticipatability(Function &F, const DepFlowGraph &G,
                                    const Expression &Expr, VarId X,
                                    DFGAntResult &Out);
-
-/// Deprecated: use runRelativeAnticipatability(F, G, Expr, X, Out).
-inline DFGAntResult dfgRelativeAnticipatability(Function &F,
-                                                const DepFlowGraph &G,
-                                                const Expression &Expr,
-                                                VarId X) {
-  DFGAntResult R;
-  (void)runRelativeAnticipatability(F, G, Expr, X, R);
-  return R;
-}
 
 class DomTree;
 
@@ -160,17 +128,6 @@ Status runExpressionAnticipatability(Function &F, const CFGEdges &E,
                                      std::vector<bool> &Ant,
                                      std::vector<bool> *Pan = nullptr,
                                      const ProjectionContext *Ctx = nullptr);
-
-/// Deprecated: use runExpressionAnticipatability(F, E, &G, Expr,
-/// EvalMode::SparseDFG, Ant).
-inline std::vector<bool> dfgExpressionAnt(Function &F, const CFGEdges &E,
-                                          const DepFlowGraph &G,
-                                          const Expression &Expr) {
-  std::vector<bool> Ant;
-  (void)runExpressionAnticipatability(F, E, &G, Expr, EvalMode::SparseDFG,
-                                      Ant);
-  return Ant;
-}
 
 } // namespace depflow
 

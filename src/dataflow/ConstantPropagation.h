@@ -62,27 +62,6 @@ Status runConstantPropagation(Function &F, const DepFlowGraph *G,
                               EvalMode Mode, ConstPropResult &Out,
                               bool PredicateRefinement = false);
 
-/// Deprecated: use runConstantPropagation(F, nullptr, EvalMode::DenseCFG,
-/// Out, PredicateRefinement).
-inline ConstPropResult cfgConstantPropagation(Function &F,
-                                              bool PredicateRefinement = false) {
-  ConstPropResult R;
-  (void)runConstantPropagation(F, nullptr, EvalMode::DenseCFG, R,
-                               PredicateRefinement);
-  return R;
-}
-
-/// Deprecated: use runConstantPropagation(F, &G, EvalMode::SparseDFG, Out,
-/// PredicateRefinement).
-inline ConstPropResult dfgConstantPropagation(Function &F,
-                                              const DepFlowGraph &G,
-                                              bool PredicateRefinement = false) {
-  ConstPropResult R;
-  (void)runConstantPropagation(F, &G, EvalMode::SparseDFG, R,
-                               PredicateRefinement);
-  return R;
-}
-
 /// The def-use chain algorithm (no executability tracking).
 ConstPropResult defUseConstantPropagation(Function &F,
                                           const ReachingDefs &RD);

@@ -59,9 +59,6 @@ public:
     return C;
   }
 
-  /// Deprecated: use bottom().
-  static ConstVal bot() { return bottom(); }
-
   bool isBot() const { return K == Kind::Bot; }
   bool isTop() const { return K == Kind::Top; }
   bool isConst() const { return K == Kind::Const; }
@@ -85,9 +82,6 @@ public:
       return top();
     return V == O.V ? *this : top();
   }
-
-  /// Deprecated: use meet().
-  ConstVal join(ConstVal O) const { return meet(O); }
 
   static bool equal(const ConstVal &A, const ConstVal &B) {
     return A == B;

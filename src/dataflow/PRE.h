@@ -76,25 +76,6 @@ Status runPRE(Function &F, const CFGEdges &E, const Expression &Expr,
               const std::vector<bool> &AntEdges, PREStrategy Strategy,
               PREDecisions &Out);
 
-/// Deprecated: use runPRE(F, E, Expr, AntEdges, PREStrategy::Busy, Out).
-inline PREDecisions busyCodeMotion(Function &F, const CFGEdges &E,
-                                   const Expression &Expr,
-                                   const std::vector<bool> &AntEdges) {
-  PREDecisions D;
-  (void)runPRE(F, E, Expr, AntEdges, PREStrategy::Busy, D);
-  return D;
-}
-
-/// Deprecated: use runPRE(F, E, Expr, AntEdges,
-/// PREStrategy::MorelRenvoise, Out).
-inline PREDecisions morelRenvoise(Function &F, const CFGEdges &E,
-                                  const Expression &Expr,
-                                  const std::vector<bool> &AntEdges) {
-  PREDecisions D;
-  (void)runPRE(F, E, Expr, AntEdges, PREStrategy::MorelRenvoise, D);
-  return D;
-}
-
 /// Applies decisions: creates a temporary, inserts computations, rewrites
 /// deleted computations into copies. Returns the number of deletions.
 unsigned applyPRE(Function &F, const Expression &Expr,

@@ -89,10 +89,6 @@ namespace depflow {
 /// fallback).
 enum class EvalMode : std::uint8_t { SparseDFG, DenseCFG };
 
-inline const char *evalModeName(EvalMode M) {
-  return M == EvalMode::SparseDFG ? "sparse-dfg" : "dense-cfg";
-}
-
 /// Counter hooks for SparseEngine. All optional.
 struct SparseEngineCounters {
   Statistic *Pushes = nullptr;        // node worklist pushes
@@ -334,8 +330,6 @@ public:
         return !isBottom(useValue(G.useNode(I, Idx)));
     return true; // No operands at all: treated as executable.
   }
-
-  const Value &edgeValue(unsigned EId) const { return EdgeVal[EId]; }
 
   DataflowResult<Value> extract() const {
     DataflowResult<Value> R;

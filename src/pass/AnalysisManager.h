@@ -225,9 +225,6 @@ public:
     }
   }
 
-  /// Drops every cached result (external mutation of unknown extent).
-  void invalidateAll() { invalidate(PreservedAnalyses::none()); }
-
   /// When disabled, every getResult recomputes (and counts as a miss) —
   /// the behaviour of the pre-manager drivers, kept as a measurement
   /// baseline (bench_pipeline) and a caching-bug bisection aid.

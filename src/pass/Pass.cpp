@@ -10,8 +10,9 @@
 using namespace depflow;
 
 const std::vector<PassId> &depflow::allPasses() {
-  // The analysis-only passes sit before SSA so the canonical legacy-flag
-  // ordering runs them on phi-free IR (their DFG precondition).
+  // This order is the `known passes:` list of an unknown-pass diagnostic
+  // (docs/TOOLS.md's pass table mirrors it) and depflow-fuzz's default
+  // pass order (a seed's output depends on it); keep it stable.
   static const std::vector<PassId> Passes = {
       PassId::Separate, PassId::ConstProp, PassId::ConstPropCFG,
       PassId::PRE,      PassId::PREBusy,   PassId::Range,

@@ -9,7 +9,7 @@
 /// The registry of the transformation passes depflow exposes: stable ids,
 /// command-line names, and the per-pass options block. Lives in the pass
 /// library so the pipeline, the analysis manager, the verification shims,
-/// and the tools all agree on what "--pre" means.
+/// and the tools all agree on what the pass name `pre` means.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,7 @@ enum class PassId : std::uint8_t {
   SSADfg,       // pruned SSA via the DFG route
 };
 
-/// All passes, in the order depflow-opt applies them.
+/// All passes, in the order the `known passes:` diagnostic lists them.
 const std::vector<PassId> &allPasses();
 
 /// Command-line name ("constprop", "ssa-dfg", ...).

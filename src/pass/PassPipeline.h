@@ -18,10 +18,9 @@
 ///     PST, factored CDG, edge numbering) and invalidates the DFG;
 ///   * a pass that changed the CFG preserves nothing.
 ///
-/// `runPass(F, P, AM, ...)` is the single-pass entry with the same checked
-/// contract as the legacy `runPass(F, P)`: preconditions are validated (a
-/// verified, phi-free function), the output re-verifies, and failures come
-/// back as a Status instead of an assert.
+/// `runPass(F, P, AM, ...)` is the checked single-pass entry:
+/// preconditions are validated (a verified, phi-free function), the output
+/// re-verifies, and failures come back as a Status instead of an assert.
 ///
 /// `PassInstrumentation` hangs observation off the pipeline: per-pass wall
 /// time, analysis hit/miss deltas, and allocation deltas (--time-passes /

@@ -80,7 +80,7 @@ ConstPropResult depflow::sccp(Function &F, const std::vector<VarId> &OrigOf) {
           if (E.edge(EId).From == Pred)
             Exec |= EdgeExec[EId];
         if (Exec)
-          New = New.join(OperandVal(Phi->incomingValue(K)));
+          New = New.meet(OperandVal(Phi->incomingValue(K)));
       }
       SetVal(Phi->def(), New);
       return;

@@ -69,7 +69,8 @@ TEST(Anticipatability, Figure6SingleVariable) {
   Expression XPlus1 = exprPlusImm(*F, "x", 1);
   VarId X = unsigned(F->lookupVar("x"));
 
-  CFGAntResult CFG = cfgAnticipatability(*F, E, XPlus1);
+  CFGAntResult CFG;
+  ASSERT_TRUE(runCFGAnticipatability(*F, E, XPlus1, CFG).ok());
   // Anticipatable on the two branch edges (each path ahead computes x+1
   // before any assignment to x); not on the join edges — the computations
   // are behind by then.
@@ -79,7 +80,8 @@ TEST(Anticipatability, Figure6SingleVariable) {
   EXPECT_FALSE(CFG.ANT[3]);
 
   DepFlowGraph G = DepFlowGraph::build(*F);
-  DFGAntResult R = dfgRelativeAnticipatability(*F, G, XPlus1, X);
+  DFGAntResult R;
+  ASSERT_TRUE(runRelativeAnticipatability(*F, G, XPlus1, X, R).ok());
   std::vector<bool> Proj =
       projectRelativeAnt(*F, E, G, R, X, ProjectionContext(*F, E));
   for (unsigned C = 0; C != E.size(); ++C)
@@ -128,11 +130,16 @@ use:
 )");
   CFGEdges E(*F2);
   Expression XPlusY = exprPlus(*F2, "x", "y");
-  CFGAntResult Full = cfgAnticipatability(*F2, E, XPlusY);
-  CFGAntResult RelX = cfgRelativeAnticipatability(
-      *F2, E, XPlusY, unsigned(F2->lookupVar("x")));
-  CFGAntResult RelY = cfgRelativeAnticipatability(
-      *F2, E, XPlusY, unsigned(F2->lookupVar("y")));
+  CFGAntResult Full;
+  ASSERT_TRUE(runCFGAnticipatability(*F2, E, XPlusY, Full).ok());
+  CFGAntResult RelX;
+  ASSERT_TRUE(runCFGRelativeAnticipatability(*F2, E, XPlusY,
+                                             unsigned(F2->lookupVar("x")), RelX)
+                  .ok());
+  CFGAntResult RelY;
+  ASSERT_TRUE(runCFGRelativeAnticipatability(*F2, E, XPlusY,
+                                             unsigned(F2->lookupVar("y")), RelY)
+                  .ok());
   // Edge 0 (entry->mid): y is reassigned in mid, so rel-to-y is false but
   // rel-to-x is true. Edge 1 (mid->use): both true.
   EXPECT_TRUE(RelX.ANT[0]);
@@ -143,49 +150,47 @@ use:
   EXPECT_TRUE(Full.ANT[1]);
 
   DepFlowGraph G = DepFlowGraph::build(*F2);
-  std::vector<bool> ViaDFG = dfgExpressionAnt(*F2, E, G, XPlusY);
+  std::vector<bool> ViaDFG;
+  ASSERT_TRUE(runExpressionAnticipatability(*F2, E, &G, XPlusY,
+                                            EvalMode::SparseDFG, ViaDFG)
+                  .ok());
   for (unsigned C = 0; C != E.size(); ++C)
     EXPECT_EQ(ViaDFG[C], Full.ANT[C]) << "edge " << C;
   (void)F;
 }
 
-TEST(AntPre, EngineAndShimPathsAgreeOnFigure6) {
-  // The deprecated shims and the Status-returning entry points must agree
-  // exactly — both paths stay covered until the shims are removed.
+TEST(AntPre, SparseAndDenseEnginesAgreeOnFigure6) {
+  // The Figure 5a equations, the dense route and the sparse route of the
+  // engine entry point must agree exactly, and so must the PRE decisions
+  // placed from the sparse and the dense ANT.
   auto F = parseFunctionOrDie(Fig6Src);
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlus1 = exprPlusImm(*F, "x", 1);
   DepFlowGraph G = DepFlowGraph::build(*F);
 
-  CFGAntResult Shim = cfgAnticipatability(*F, E, XPlus1);
   CFGAntResult Eng;
   ASSERT_TRUE(runCFGAnticipatability(*F, E, XPlus1, Eng).ok());
-  EXPECT_EQ(Shim.ANT, Eng.ANT);
-
-  std::vector<bool> ShimDfg = dfgExpressionAnt(*F, E, G, XPlus1);
   std::vector<bool> EngSparse;
   ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, XPlus1,
                                             EvalMode::SparseDFG, EngSparse)
                   .ok());
-  EXPECT_EQ(ShimDfg, EngSparse);
   std::vector<bool> EngDense;
   ASSERT_TRUE(runExpressionAnticipatability(*F, E, nullptr, XPlus1,
                                             EvalMode::DenseCFG, EngDense)
                   .ok());
+  EXPECT_EQ(Eng.ANT, EngDense);
   EXPECT_EQ(EngSparse, EngDense);
 
   for (PREStrategy S : {PREStrategy::Busy, PREStrategy::MorelRenvoise}) {
-    PREDecisions ShimD = S == PREStrategy::Busy
-                             ? busyCodeMotion(*F, E, XPlus1, Eng.ANT)
-                             : morelRenvoise(*F, E, XPlus1, Eng.ANT);
-    PREDecisions EngD;
-    ASSERT_TRUE(runPRE(*F, E, XPlus1, Eng.ANT, S, EngD).ok());
-    EXPECT_EQ(ShimD.Deletes, EngD.Deletes);
-    ASSERT_EQ(ShimD.Inserts.size(), EngD.Inserts.size());
-    for (unsigned K = 0; K != ShimD.Inserts.size(); ++K) {
-      EXPECT_EQ(ShimD.Inserts[K].Block, EngD.Inserts[K].Block);
-      EXPECT_EQ(ShimD.Inserts[K].AtEnd, EngD.Inserts[K].AtEnd);
+    PREDecisions SparseD, DenseD;
+    ASSERT_TRUE(runPRE(*F, E, XPlus1, EngSparse, S, SparseD).ok());
+    ASSERT_TRUE(runPRE(*F, E, XPlus1, EngDense, S, DenseD).ok());
+    EXPECT_EQ(SparseD.Deletes, DenseD.Deletes);
+    ASSERT_EQ(SparseD.Inserts.size(), DenseD.Inserts.size());
+    for (unsigned K = 0; K != SparseD.Inserts.size(); ++K) {
+      EXPECT_EQ(SparseD.Inserts[K].Block, DenseD.Inserts[K].Block);
+      EXPECT_EQ(SparseD.Inserts[K].AtEnd, DenseD.Inserts[K].AtEnd);
     }
   }
 }
@@ -198,13 +203,17 @@ TEST(PRE, Figure6BusyCodeMotionIsSuperfluous) {
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlus1 = exprPlusImm(*F, "x", 1);
-  CFGAntResult Ant = cfgAnticipatability(*F, E, XPlus1);
+  CFGAntResult Ant;
+  ASSERT_TRUE(runCFGAnticipatability(*F, E, XPlus1, Ant).ok());
 
-  PREDecisions BCM = busyCodeMotion(*F, E, XPlus1, Ant.ANT);
+  PREDecisions BCM;
+  ASSERT_TRUE(runPRE(*F, E, XPlus1, Ant.ANT, PREStrategy::Busy, BCM).ok());
   EXPECT_FALSE(BCM.Inserts.empty()) << "busy code motion hoists";
   EXPECT_EQ(BCM.Deletes.size(), 2u) << "both computations get replaced";
 
-  PREDecisions MR = morelRenvoise(*F, E, XPlus1, Ant.ANT);
+  PREDecisions MR;
+  ASSERT_TRUE(
+      runPRE(*F, E, XPlus1, Ant.ANT, PREStrategy::MorelRenvoise, MR).ok());
   EXPECT_TRUE(MR.Inserts.empty()) << "no partial redundancy, no motion";
   EXPECT_TRUE(MR.Deletes.empty());
 }
@@ -230,8 +239,11 @@ join:
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlusY = exprPlus(*F, "x", "y");
-  CFGAntResult Ant = cfgAnticipatability(*F, E, XPlusY);
-  PREDecisions MR = morelRenvoise(*F, E, XPlusY, Ant.ANT);
+  CFGAntResult Ant;
+  ASSERT_TRUE(runCFGAnticipatability(*F, E, XPlusY, Ant).ok());
+  PREDecisions MR;
+  ASSERT_TRUE(
+      runPRE(*F, E, XPlusY, Ant.ANT, PREStrategy::MorelRenvoise, MR).ok());
   ASSERT_EQ(MR.Inserts.size(), 1u);
   EXPECT_EQ(MR.Inserts[0].Block->label(), "b");
   ASSERT_EQ(MR.Deletes.size(), 1u);
@@ -276,8 +288,11 @@ out:
   splitCriticalEdges(*F);
   CFGEdges E(*F);
   Expression XPlusY = exprPlus(*F, "x", "y");
-  CFGAntResult Ant = cfgAnticipatability(*F, E, XPlusY);
-  PREDecisions MR = morelRenvoise(*F, E, XPlusY, Ant.ANT);
+  CFGAntResult Ant;
+  ASSERT_TRUE(runCFGAnticipatability(*F, E, XPlusY, Ant).ok());
+  PREDecisions MR;
+  ASSERT_TRUE(
+      runPRE(*F, E, XPlusY, Ant.ANT, PREStrategy::MorelRenvoise, MR).ok());
   auto Before = runFunction(*F, {5, 3, 4});
   applyPRE(*F, XPlusY, MR);
   ASSERT_TRUE(isWellFormed(*F));
@@ -314,8 +329,10 @@ TEST_P(AntPropertyTest, ProjectionMatchesCFGRelativeANT) {
     if (++Tested > 4)
       break;
     for (VarId X : Expr.variables()) {
-      CFGAntResult CFG = cfgRelativeAnticipatability(*F, E, Expr, X);
-      DFGAntResult R = dfgRelativeAnticipatability(*F, G, Expr, X);
+      CFGAntResult CFG;
+      ASSERT_TRUE(runCFGRelativeAnticipatability(*F, E, Expr, X, CFG).ok());
+      DFGAntResult R;
+      ASSERT_TRUE(runRelativeAnticipatability(*F, G, Expr, X, R).ok());
       std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X, Ctx);
       for (unsigned C = 0; C != E.size(); ++C)
         EXPECT_EQ(Proj[C], CFG.ANT[C])
@@ -338,8 +355,10 @@ TEST_P(AntPropertyTest, PanProjectionMatchesCFGRelativePAN) {
     if (++Tested > 3)
       break;
     for (VarId X : Expr.variables()) {
-      CFGAntResult CFG = cfgRelativeAnticipatability(*F, E, Expr, X);
-      DFGAntResult R = dfgRelativeAnticipatability(*F, G, Expr, X);
+      CFGAntResult CFG;
+      ASSERT_TRUE(runCFGRelativeAnticipatability(*F, E, Expr, X, CFG).ok());
+      DFGAntResult R;
+      ASSERT_TRUE(runRelativeAnticipatability(*F, G, Expr, X, R).ok());
       std::vector<bool> Proj = projectRelativePan(*F, E, G, R, X, Ctx);
       for (unsigned C = 0; C != E.size(); ++C)
         EXPECT_EQ(Proj[C], CFG.PAN[C])
@@ -354,10 +373,12 @@ TEST_P(AntPropertyTest, Definition9Decomposition) {
   auto F = antProgram(GetParam() + 1000);
   CFGEdges E(*F);
   for (const Expression &Expr : collectExpressions(*F)) {
-    CFGAntResult Full = cfgAnticipatability(*F, E, Expr);
+    CFGAntResult Full;
+    ASSERT_TRUE(runCFGAnticipatability(*F, E, Expr, Full).ok());
     std::vector<bool> Conj(E.size(), true);
     for (VarId X : Expr.variables()) {
-      CFGAntResult Rel = cfgRelativeAnticipatability(*F, E, Expr, X);
+      CFGAntResult Rel;
+      ASSERT_TRUE(runCFGRelativeAnticipatability(*F, E, Expr, X, Rel).ok());
       for (unsigned C = 0; C != E.size(); ++C)
         Conj[C] = Conj[C] && Rel.ANT[C];
     }
@@ -376,8 +397,12 @@ TEST_P(AntPropertyTest, DFGExpressionAntMatchesCFG) {
   for (const Expression &Expr : collectExpressions(*F)) {
     if (++Tested > 4)
       break;
-    CFGAntResult Full = cfgAnticipatability(*F, E, Expr);
-    std::vector<bool> ViaDFG = dfgExpressionAnt(*F, E, G, Expr);
+    CFGAntResult Full;
+    ASSERT_TRUE(runCFGAnticipatability(*F, E, Expr, Full).ok());
+    std::vector<bool> ViaDFG;
+    ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Expr,
+                                              EvalMode::SparseDFG, ViaDFG)
+                    .ok());
     for (unsigned C = 0; C != E.size(); ++C)
       EXPECT_EQ(ViaDFG[C], Full.ANT[C])
           << "edge " << C << " expr " << printExpression(*F, Expr) << "\n"
@@ -417,7 +442,10 @@ TEST_P(AntPropertyTest, SharedProjectionContextMatchesFresh) {
     EXPECT_EQ(ViaShared, ViaFresh)
         << "expr " << printExpression(*F, Expr) << "\n"
         << printFunction(*F);
-    applyPRE(*F, Expr, morelRenvoise(*F, E, Expr, ViaFresh));
+    PREDecisions D;
+    ASSERT_TRUE(
+        runPRE(*F, E, Expr, ViaFresh, PREStrategy::MorelRenvoise, D).ok());
+    applyPRE(*F, Expr, D);
   }
 }
 
@@ -428,9 +456,12 @@ TEST_P(AntPropertyTest, ApplyPREKeepsSuccessorLists) {
   const std::vector<std::vector<unsigned>> Shape = successorLists(*F);
   for (const Expression &Expr : collectExpressions(*F)) {
     CFGEdges E(*F);
-    std::vector<bool> Ant = cfgAnticipatability(*F, E, Expr).ANT;
+    CFGAntResult Ant;
+    ASSERT_TRUE(runCFGAnticipatability(*F, E, Expr, Ant).ok());
     // Busy code motion inserts at every frontier edge: the most edits.
-    applyPRE(*F, Expr, busyCodeMotion(*F, E, Expr, Ant));
+    PREDecisions D;
+    ASSERT_TRUE(runPRE(*F, E, Expr, Ant.ANT, PREStrategy::Busy, D).ok());
+    applyPRE(*F, Expr, D);
     ASSERT_EQ(successorLists(*F), Shape)
         << "expr " << printExpression(*F, Expr) << "\n"
         << printFunction(*F);
@@ -561,12 +592,18 @@ void checkPRESafety(int Param, bool UseMR, bool UseDFGAnt) {
   std::vector<bool> Ant;
   if (UseDFGAnt) {
     DepFlowGraph G = DepFlowGraph::build(*Clone, E);
-    Ant = dfgExpressionAnt(*Clone, E, G, Expr);
+    ASSERT_TRUE(runExpressionAnticipatability(*Clone, E, &G, Expr,
+                                              EvalMode::SparseDFG, Ant)
+                    .ok());
   } else {
-    Ant = cfgAnticipatability(*Clone, E, Expr).ANT;
+    CFGAntResult CFG;
+    ASSERT_TRUE(runCFGAnticipatability(*Clone, E, Expr, CFG).ok());
+    Ant = CFG.ANT;
   }
-  PREDecisions D = UseMR ? morelRenvoise(*Clone, E, Expr, Ant)
-                         : busyCodeMotion(*Clone, E, Expr, Ant);
+  PREDecisions D;
+  ASSERT_TRUE(runPRE(*Clone, E, Expr, Ant,
+                     UseMR ? PREStrategy::MorelRenvoise : PREStrategy::Busy, D)
+                  .ok());
   applyPRE(*Clone, Expr, D);
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);
 

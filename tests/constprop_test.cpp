@@ -75,9 +75,12 @@ join:
   const Instruction *YDef = instrAt(*F, "join", 0);
   ReachingDefs RD(*F);
   ConstPropResult DU = defUseConstantPropagation(*F, RD);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG).ok());
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
   for (const ConstPropResult *R : {&DU, &CFG, &DFG}) {
     ASSERT_TRUE(R->useValue(YDef, 0).isConst());
     EXPECT_EQ(R->useValue(YDef, 0).value(), 3);
@@ -108,13 +111,16 @@ join:
   ConstPropResult DU = defUseConstantPropagation(*F, RD);
   EXPECT_TRUE(DU.useValue(YDef, 0).isTop()) << "def-use cannot see deadness";
 
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG).ok());
   ASSERT_TRUE(CFG.useValue(YDef, 0).isConst());
   EXPECT_EQ(CFG.useValue(YDef, 0).value(), 1);
   EXPECT_FALSE(CFG.ExecutableBlock[2]) << "else arm is dead";
 
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
   ASSERT_TRUE(DFG.useValue(YDef, 0).isConst());
   EXPECT_EQ(DFG.useValue(YDef, 0).value(), 1);
   EXPECT_EQ(DFG.ExecutableBlock, CFG.ExecutableBlock);
@@ -149,9 +155,12 @@ join:
   EXPECT_EQ(DU.useValue(Branch, 0).value(), 1);
   EXPECT_TRUE(DU.useValue(YInc, 0).isTop());
 
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG).ok());
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
   for (const ConstPropResult *R : {&CFG, &DFG}) {
     ASSERT_TRUE(R->useValue(YInc, 0).isConst());
     EXPECT_EQ(R->useValue(YInc, 0).value(), 2);
@@ -176,9 +185,12 @@ out:
 }
 )");
   const Instruction *SDef = instrAt(*F, "body", 0);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG).ok());
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
   for (const ConstPropResult *R : {&CFG, &DFG}) {
     EXPECT_TRUE(R->useValue(SDef, 0).isTop()) << "s varies";
     ASSERT_TRUE(R->useValue(SDef, 1).isConst());
@@ -186,10 +198,9 @@ out:
   }
 }
 
-TEST(ConstProp, EngineAndShimPathsAgreeOnTheFigures) {
-  // The deprecated shims and the Status-returning engine entry point must
-  // compute identical results — both paths stay covered until the shims
-  // are removed.
+TEST(ConstProp, SparseAndDenseEnginesAgreeOnTheFigures) {
+  // The one engine entry point must compute identical results in both
+  // evaluation modes: per-use values and block executability.
   const char *Fixtures[] = {
       R"(
 func fig3a(p) {
@@ -228,19 +239,15 @@ join:
     auto F = parseFunctionOrDie(Src);
     DepFlowGraph G = DepFlowGraph::build(*F);
 
-    ConstPropResult ShimCFG = cfgConstantPropagation(*F);
     ConstPropResult EngCFG;
     ASSERT_TRUE(
         runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, EngCFG).ok());
-    expectSameUseValues(*F, ShimCFG, EngCFG, "shim CFG", "engine CFG");
-
-    ConstPropResult ShimDFG = dfgConstantPropagation(*F, G);
     ConstPropResult EngDFG;
     ASSERT_TRUE(
         runConstantPropagation(*F, &G, EvalMode::SparseDFG, EngDFG).ok());
-    expectSameUseValues(*F, ShimDFG, EngDFG, "shim DFG", "engine DFG");
+    expectSameUseValues(*F, EngCFG, EngDFG, "engine CFG", "engine DFG");
     for (unsigned B = 0; B != F->numBlocks(); ++B)
-      EXPECT_EQ(ShimDFG.ExecutableBlock[B], EngDFG.ExecutableBlock[B])
+      EXPECT_EQ(EngCFG.ExecutableBlock[B], EngDFG.ExecutableBlock[B])
           << "block " << B;
   }
 }
@@ -265,9 +272,12 @@ std::unique_ptr<Function> makeProgram(int Param, bool Separate) {
 
 TEST_P(ConstPropPropertyTest, DFGMatchesCFGExactly) {
   auto F = makeProgram(GetParam(), /*Separate=*/false);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG).ok());
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
   expectSameUseValues(*F, CFG, DFG, "cfg", "dfg");
   EXPECT_EQ(CFG.ExecutableBlock, DFG.ExecutableBlock)
       << printFunction(*F);
@@ -275,9 +285,12 @@ TEST_P(ConstPropPropertyTest, DFGMatchesCFGExactly) {
 
 TEST_P(ConstPropPropertyTest, DFGMatchesCFGOnSeparatedPrograms) {
   auto F = makeProgram(GetParam(), /*Separate=*/true);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG).ok());
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G);
+  ConstPropResult DFG;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
   expectSameUseValues(*F, CFG, DFG, "cfg", "dfg/sep");
 }
 
@@ -285,8 +298,10 @@ TEST_P(ConstPropPropertyTest, BypassModeDoesNotChangeResults) {
   auto F = makeProgram(GetParam(), /*Separate=*/true);
   DepFlowGraph Full = DepFlowGraph::build(*F, DepFlowGraph::BypassMode::SESE);
   DepFlowGraph Base = DepFlowGraph::build(*F, DepFlowGraph::BypassMode::None);
-  ConstPropResult A = dfgConstantPropagation(*F, Full);
-  ConstPropResult B = dfgConstantPropagation(*F, Base);
+  ConstPropResult A;
+  ASSERT_TRUE(runConstantPropagation(*F, &Full, EvalMode::SparseDFG, A).ok());
+  ConstPropResult B;
+  ASSERT_TRUE(runConstantPropagation(*F, &Base, EvalMode::SparseDFG, B).ok());
   expectSameUseValues(*F, A, B, "bypass", "nobypass");
 }
 
@@ -294,7 +309,9 @@ TEST_P(ConstPropPropertyTest, DefUseIsNoBetterThanCFG) {
   auto F = makeProgram(GetParam(), /*Separate=*/false);
   ReachingDefs RD(*F);
   ConstPropResult DU = defUseConstantPropagation(*F, RD);
-  ConstPropResult CFG = cfgConstantPropagation(*F);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG).ok());
   for (const auto &BB : F->blocks()) {
     for (const auto &IPtr : BB->instructions()) {
       const Instruction *I = IPtr.get();
@@ -316,7 +333,8 @@ TEST_P(ConstPropPropertyTest, ApplyingConstantsPreservesSemantics) {
   auto Clone = parseFunctionOrDie(printFunction(*F));
 
   DepFlowGraph G = DepFlowGraph::build(*Clone);
-  ConstPropResult CP = dfgConstantPropagation(*Clone, G);
+  ConstPropResult CP;
+  ASSERT_TRUE(runConstantPropagation(*Clone, &G, EvalMode::SparseDFG, CP).ok());
   applyConstantsAndDCE(*Clone, CP);
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);
 
@@ -361,17 +379,23 @@ out:
 )");
   const Instruction *YDef = instrAt(*F, "hit", 0);
 
-  ConstPropResult Plain = cfgConstantPropagation(*F);
+  ConstPropResult Plain;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, Plain).ok());
   EXPECT_TRUE(Plain.useValue(YDef, 0).isTop());
 
-  ConstPropResult Refined =
-      cfgConstantPropagation(*F, /*PredicateRefinement=*/true);
+  ConstPropResult Refined;
+  ASSERT_TRUE(runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, Refined,
+                                     /*PredicateRefinement=*/true)
+                  .ok());
   ASSERT_TRUE(Refined.useValue(YDef, 0).isConst());
   EXPECT_EQ(Refined.useValue(YDef, 0).value(), 1);
 
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFGRefined =
-      dfgConstantPropagation(*F, G, /*PredicateRefinement=*/true);
+  ConstPropResult DFGRefined;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFGRefined,
+                                     /*PredicateRefinement=*/true)
+                  .ok());
   ASSERT_TRUE(DFGRefined.useValue(YDef, 0).isConst());
   EXPECT_EQ(DFGRefined.useValue(YDef, 0).value(), 1);
 }
@@ -393,29 +417,42 @@ out:
 }
 )");
   const Instruction *YDef = instrAt(*F, "eq3", 0);
-  ConstPropResult Refined =
-      cfgConstantPropagation(*F, /*PredicateRefinement=*/true);
+  ConstPropResult Refined;
+  ASSERT_TRUE(runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, Refined,
+                                     /*PredicateRefinement=*/true)
+                  .ok());
   ASSERT_TRUE(Refined.useValue(YDef, 0).isConst());
   EXPECT_EQ(Refined.useValue(YDef, 0).value(), 3);
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFGRefined =
-      dfgConstantPropagation(*F, G, /*PredicateRefinement=*/true);
+  ConstPropResult DFGRefined;
+  ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFGRefined,
+                                     /*PredicateRefinement=*/true)
+                  .ok());
   EXPECT_EQ(DFGRefined.useValue(YDef, 0).str(),
             Refined.useValue(YDef, 0).str());
 }
 
 TEST_P(ConstPropPropertyTest, RefinementKeepsCFGAndDFGEqual) {
   auto F = makeProgram(GetParam(), /*Separate=*/false);
-  ConstPropResult CFG = cfgConstantPropagation(*F, true);
+  ConstPropResult CFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, CFG, true).ok());
   DepFlowGraph G = DepFlowGraph::build(*F);
-  ConstPropResult DFG = dfgConstantPropagation(*F, G, true);
+  ConstPropResult DFG;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG, true).ok());
   expectSameUseValues(*F, CFG, DFG, "cfg+ref", "dfg+ref");
 }
 
 TEST_P(ConstPropPropertyTest, RefinementIsSoundAndMonotone) {
   auto F = makeProgram(GetParam() + 500, /*Separate=*/false);
-  ConstPropResult Plain = cfgConstantPropagation(*F);
-  ConstPropResult Refined = cfgConstantPropagation(*F, true);
+  ConstPropResult Plain;
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, Plain).ok());
+  ConstPropResult Refined;
+  ASSERT_TRUE(runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, Refined,
+                                     true)
+                  .ok());
   // Anything constant without refinement stays the same constant with it.
   for (const auto &BB : F->blocks())
     for (const auto &IPtr : BB->instructions())
@@ -428,7 +465,10 @@ TEST_P(ConstPropPropertyTest, RefinementIsSoundAndMonotone) {
   // And applying the refined result preserves semantics.
   auto Clone = parseFunctionOrDie(printFunction(*F));
   DepFlowGraph G = DepFlowGraph::build(*Clone);
-  applyConstantsAndDCE(*Clone, dfgConstantPropagation(*Clone, G, true));
+  ConstPropResult CP;
+  ASSERT_TRUE(
+      runConstantPropagation(*Clone, &G, EvalMode::SparseDFG, CP, true).ok());
+  applyConstantsAndDCE(*Clone, CP);
   ASSERT_TRUE(isWellFormed(*Clone));
   RNG Rand(std::uint64_t(GetParam()) * 17 + 9);
   for (int Trial = 0; Trial < 4; ++Trial) {

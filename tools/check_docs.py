@@ -26,7 +26,13 @@ Two guarantees:
    ``--help`` (stdlib-only script shipped with the repo, so this check
    always runs too).
 
-5. **docs/SDG.md tracks the sdg counter group.** The counter names in
+5. **docs/TOOLS.md tracks depflow-opt's pass names.** The pass table
+   under ``### Passes`` must list exactly the names, in the same order,
+   that ``depflow-opt --passes=<unknown>`` prints after ``known passes:``
+   (generated from ``allPasses()``, so no second list is kept here).
+   Runs with the ``--help`` drift check.
+
+6. **docs/SDG.md tracks the sdg counter group.** The counter names in
    docs/SDG.md's counter table and the ``DEPFLOW_*STATISTIC(..., "sdg",
    ...)`` definitions in ``src/sdg/*.cpp`` must be the same set, in both
    directions — the perf gate and the ``--counters-json`` schema both
@@ -164,6 +170,37 @@ def check_flag_drift(root, binary, errors):
                       f"--help does not mention it")
 
 
+KNOWN_PASSES_RE = re.compile(r"known passes: ([^)]*)\)")
+PASS_ROW_RE = re.compile(r"^\| `([a-z][a-z0-9-]*)` \|", re.M)
+
+
+def check_pass_name_drift(root, binary, errors):
+    section = tools_md_opt_section(root) or ""
+    m = re.search(r"^### Passes$(.*?)(?=^### |\Z)", section, re.M | re.S)
+    if not m:
+        errors.append("docs/TOOLS.md: no '### Passes' table under "
+                      "'## depflow-opt'")
+        return
+    doc_passes = PASS_ROW_RE.findall(m.group(1))
+    try:
+        proc = subprocess.run([binary, "--passes=check-docs-unknown-pass"],
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, timeout=30)
+    except OSError as e:
+        errors.append(f"cannot run {binary} --passes=<unknown>: {e}")
+        return
+    known = KNOWN_PASSES_RE.search(proc.stderr)
+    if proc.returncode != 2 or not known:
+        errors.append(f"{binary} --passes=<unknown> exited "
+                      f"{proc.returncode} without a 'known passes:' list")
+        return
+    tool_passes = [p.strip() for p in known.group(1).split(",")]
+    if doc_passes != tool_passes:
+        errors.append(f"docs/TOOLS.md: the '### Passes' table lists "
+                      f"{', '.join(doc_passes)}; depflow-opt knows "
+                      f"{', '.join(tool_passes)}")
+
+
 SDG_STAT_RE = re.compile(
     r'DEPFLOW_(?:MAX_|HIST_)?STATISTIC\(\s*(\w+)\s*,\s*"sdg"')
 SDG_DOC_COUNTER_RE = re.compile(r"`((?:Num|Max|Hist)SDG\w+)`")
@@ -259,9 +296,11 @@ def main():
     check_sdg_counter_drift(args.root, errors)
     if args.depflow_opt is not None:
         check_flag_drift(args.root, str(args.depflow_opt), errors)
+        check_pass_name_drift(args.root, str(args.depflow_opt), errors)
     else:
         print("check_docs: note: --depflow-opt not given; "
-              "skipping the --help drift check", file=sys.stderr)
+              "skipping the --help and pass-name drift checks",
+              file=sys.stderr)
 
     for e in errors:
         print(f"error: {e}", file=sys.stderr)

@@ -369,7 +369,8 @@ python3 "$ROOT/tools/bench_report.py" "$MODDIR/bench" --check
 python3 "$ROOT/tools/bench_compare.py" "$ROOT/bench/baselines" \
     "$MODDIR/bench" --no-time --subset
 
-# Docs: links resolve and docs/TOOLS.md agrees with depflow-opt --help.
+# Docs: links resolve and docs/TOOLS.md agrees with depflow-opt --help and
+# with its pass names.
 python3 "$ROOT/tools/check_docs.py" --depflow-opt "$BUILD/tools/depflow-opt"
 
 echo "ci: all green"

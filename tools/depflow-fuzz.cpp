@@ -81,9 +81,12 @@
 #include "verify/PassVerifier.h"
 #include "workload/Generators.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,22 +125,34 @@ int usage() {
 }
 
 bool parseArgs(int Argc, char **Argv, FuzzOptions &O) {
+  constexpr std::uint64_t U32Max = std::numeric_limits<unsigned>::max();
+  constexpr std::uint64_t U64Max = std::numeric_limits<std::uint64_t>::max();
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
-    auto NextNum = [&](std::uint64_t &Out) {
+    // A numeric value is all decimal digits and at most Max; anything else
+    // is reported and falls through to the usage error.
+    auto NextNum = [&](std::uint64_t &Out, std::uint64_t Max) {
       if (I + 1 >= Argc)
         return false;
-      Out = std::strtoull(Argv[++I], nullptr, 10);
+      const char *Text = Argv[++I];
+      char *End = nullptr;
+      errno = 0;
+      Out = std::strtoull(Text, &End, 10);
+      if (!std::isdigit((unsigned char)Text[0]) || *End || errno == ERANGE ||
+          Out > Max) {
+        std::fprintf(stderr, "error: bad %s value '%s'\n", A.c_str(), Text);
+        return false;
+      }
       return true;
     };
     std::uint64_t N = 0;
-    if (A == "--seed" && NextNum(N))
+    if (A == "--seed" && NextNum(N, U64Max))
       O.Seed = N;
-    else if (A == "--iters" && NextNum(N))
+    else if (A == "--iters" && NextNum(N, U32Max))
       O.Iters = unsigned(N);
-    else if (A == "--runs" && NextNum(N))
+    else if (A == "--runs" && NextNum(N, U32Max))
       O.OracleRuns = unsigned(N);
-    else if (A == "--max-edges" && NextNum(N))
+    else if (A == "--max-edges" && NextNum(N, U32Max))
       O.MaxCrossCheckEdges = unsigned(N);
     else if (A == "--pass") {
       if (I + 1 >= Argc)
@@ -148,7 +163,7 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &O) {
         return false;
       }
       O.Passes.push_back(*P);
-    } else if (A == "--emit-module" && NextNum(N))
+    } else if (A == "--emit-module" && NextNum(N, U32Max))
       O.EmitModule = unsigned(N);
     else if (A == "--stats-json") {
       if (I + 1 >= Argc)
@@ -157,7 +172,7 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &O) {
       if (O.StatsJson.empty())
         return false;
     }
-    else if (A == "--max-interp-steps" && NextNum(N)) {
+    else if (A == "--max-interp-steps" && NextNum(N, U64Max)) {
       if (N == 0) {
         std::fprintf(stderr,
                      "error: --max-interp-steps must be positive\n");

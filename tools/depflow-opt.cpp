@@ -10,14 +10,6 @@
 //                        pre-busy, range, taint, nulluse, ssa, ssa-dfg).
 //                        Empty pipelines and unknown pass names are usage
 //                        errors (exit 2).
-//   --constprop          legacy spelling: append constprop (likewise
-//   --constprop-cfg      for the other passes below; legacy flags apply
-//   --pre | --pre-busy   in canonical order after any --passes list)
-//   --ssa | --ssa-dfg
-//   --separate
-//   --range              report-only sparse-engine analysis passes:
-//   --taint              integer ranges, source/sink taint, and use-of-
-//   --nulluse            never-assigned detection over the DFG
 //   -j N | --jobs=N      process the module's functions on N worker
 //                        threads (default: hardware concurrency). Output
 //                        is byte-identical for every N: each function has
@@ -113,6 +105,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -122,6 +115,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace depflow;
@@ -165,10 +159,7 @@ struct Options {
 int usage() {
   std::fprintf(stderr,
                "usage: depflow-opt [--passes=p1,p2,...] [-j N|--jobs=N] "
-               "[--constprop|--constprop-cfg]\n"
-               "                   [--predicates] [--pre|--pre-busy] "
-               "[--ssa|--ssa-dfg] [--separate]\n"
-               "                   [--range] [--taint] [--nulluse]\n"
+               "[--predicates]\n"
                "                   [--verify-each] [--strict] [--fuzz-safe] "
                "[--time-passes]\n"
                "                   [--print-stats] [--print-after-all] "
@@ -206,27 +197,7 @@ void help() {
       "  -j N, --jobs=N      process functions on N worker threads\n"
       "                      (default: hardware concurrency); output is\n"
       "                      byte-identical for every N\n"
-      "\n"
-      "Transformation passes (legacy spellings: append the named pass in\n"
-      "canonical order after any --passes list):\n"
-      "  --separate          separate computations from control statements\n"
-      "  --constprop         DFG conditional constant propagation + DCE\n"
-      "  --constprop-cfg     the same via the dense CFG algorithm\n"
-      "                      (mutually exclusive with --constprop)\n"
-      "  --pre               Morel-Renvoise partial redundancy elimination\n"
-      "  --pre-busy          busy-code-motion PRE (mutually exclusive\n"
-      "                      with --pre)\n"
-      "  --ssa               pruned SSA via Cytron placement\n"
-      "  --ssa-dfg           pruned SSA via the DFG route (mutually\n"
-      "                      exclusive with --ssa)\n"
       "  --predicates        enable the x==c refinement during constprop\n"
-      "\n"
-      "Analysis passes (report-only sparse-engine clients; they leave the\n"
-      "IR untouched and publish their counter groups):\n"
-      "  --range             integer range analysis per variable use\n"
-      "  --taint             source/sink tainted-flow analysis (read() is\n"
-      "                      the source, ret operands are the sinks)\n"
-      "  --nulluse           use-of-never-assigned-value detection\n"
       "\n"
       "Checking:\n"
       "  --verify-each       run the full invariant checkers after every\n"
@@ -269,7 +240,8 @@ void help() {
       "  --regions           print cycle-equivalence classes and the PST\n"
       "\n"
       "Slicing (interprocedural, over the system dependence graph; the\n"
-      "module must be phi-free — slice before --ssa; see docs/SDG.md):\n"
+      "module must be phi-free — slice before ssa or ssa-dfg; see\n"
+      "docs/SDG.md):\n"
       "  --slice func:line   print the executable backward slice for the\n"
       "                      criterion: every instruction the value at\n"
       "                      func:line transitively depends on, as a\n"
@@ -314,28 +286,56 @@ void help() {
       "(--keep-going with at least one failed function).\n");
 }
 
-/// Returns 0 to continue, or the exit code to stop with. Legacy
-/// single-pass flags append to the pipeline in canonical order, after any
-/// --passes list.
+/// A value-taking flag is spelled `Flag VALUE` or `Flag=VALUE`. Returns
+/// false if Argv[I] is neither spelling. Otherwise returns true and sets
+/// \p Value, advancing \p I past a separate value; \p Value stays unset
+/// when `Flag` is the last argument.
+bool flagValue(int Argc, char **Argv, int &I, std::string_view Flag,
+               std::optional<std::string> &Value) {
+  std::string_view A = Argv[I];
+  if (A == Flag) {
+    if (I + 1 < Argc)
+      Value = Argv[++I];
+    return true;
+  }
+  if (A.size() > Flag.size() && A.starts_with(Flag) && A[Flag.size()] == '=') {
+    Value = std::string(A.substr(Flag.size() + 1));
+    return true;
+  }
+  return false;
+}
+
+/// Reports a value-taking flag given without its value; a usage error.
+int missingValue(const char *Flag, const char *What) {
+  std::fprintf(stderr, "error: %s requires %s\n", Flag, What);
+  return 2;
+}
+
+/// Parses a decimal int64 that fills all of \p Text: at least one digit,
+/// nothing after it, and within range.
+bool parseInt64(const std::string &Text, std::int64_t &Out) {
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(Text.c_str(), &End, 10);
+  if (End == Text.c_str() || *End || errno == ERANGE)
+    return false;
+  Out = N;
+  return true;
+}
+
+/// Returns 0 to continue, or the exit code to stop with.
 int parseArgs(int Argc, char **Argv, Options &O) {
-  bool Separate = false, ConstProp = false, ConstPropCFG = false;
-  bool PRE = false, PREBusy = false, SSA = false, SSADfg = false;
-  bool Range = false, Taint = false, NullUse = false;
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
-    if (A.rfind("--passes=", 0) == 0 || A == "--passes") {
-      std::string Text;
-      if (A == "--passes") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: --passes requires a pass list\n");
-          return 2;
-        }
-        Text = Argv[++I];
-      } else {
-        Text = A.substr(std::strlen("--passes="));
-      }
+    std::optional<std::string> V;
+    auto Value = [&](std::string_view Flag) {
+      return flagValue(Argc, Argv, I, Flag, V);
+    };
+    if (Value("--passes")) {
+      if (!V)
+        return missingValue("--passes", "a pass list");
       std::vector<PassId> Passes;
-      Status S = parsePassPipeline(Text, Passes);
+      Status S = parsePassPipeline(*V, Passes);
       if (!S.ok()) {
         std::fprintf(stderr, "error: %s\n", S.str().c_str());
         return 2;
@@ -345,10 +345,8 @@ int parseArgs(int Argc, char **Argv, Options &O) {
     } else if (A == "-j" || A.rfind("-j", 0) == 0 || A.rfind("--jobs=", 0) == 0) {
       std::string Num;
       if (A == "-j") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: -j requires a thread count\n");
-          return 2;
-        }
+        if (I + 1 >= Argc)
+          return missingValue("-j", "a thread count");
         Num = Argv[++I];
       } else if (A.rfind("--jobs=", 0) == 0) {
         Num = A.substr(std::strlen("--jobs="));
@@ -362,28 +360,8 @@ int parseArgs(int Argc, char **Argv, Options &O) {
         return 2;
       }
       O.Jobs = unsigned(N);
-    } else if (A == "--constprop")
-      ConstProp = true;
-    else if (A == "--constprop-cfg")
-      ConstPropCFG = true;
-    else if (A == "--predicates")
+    } else if (A == "--predicates")
       O.Pipeline.options().Predicates = true;
-    else if (A == "--pre")
-      PRE = true;
-    else if (A == "--pre-busy")
-      PREBusy = true;
-    else if (A == "--ssa")
-      SSA = true;
-    else if (A == "--ssa-dfg")
-      SSADfg = true;
-    else if (A == "--separate")
-      Separate = true;
-    else if (A == "--range")
-      Range = true;
-    else if (A == "--taint")
-      Taint = true;
-    else if (A == "--nulluse")
-      NullUse = true;
     else if (A == "--verify-each")
       O.VerifyEach = true;
     else if (A == "--strict")
@@ -406,25 +384,13 @@ int parseArgs(int Argc, char **Argv, Options &O) {
       O.Regions = true;
     else if (A == "--callgraph-dot")
       O.CallGraphDot = true;
-    else if (A.rfind("--slice-forward", 0) == 0 || A == "--slice" ||
-             A.rfind("--slice=", 0) == 0) {
+    else if (Value("--slice") || Value("--slice-forward")) {
       bool Fwd = A.rfind("--slice-forward", 0) == 0;
       const char *Flag = Fwd ? "--slice-forward" : "--slice";
-      std::string Text;
-      if (A == Flag) {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: %s requires a func:line criterion\n",
-                       Flag);
-          return 2;
-        }
-        Text = Argv[++I];
-      } else if (A.rfind(std::string(Flag) + "=", 0) == 0) {
-        Text = A.substr(std::strlen(Flag) + 1);
-      } else {
-        return usage();
-      }
+      if (!V)
+        return missingValue(Flag, "a func:line criterion");
       SliceCriterion &C = Fwd ? O.SliceFwd : O.SliceBwd;
-      Status S = parseSliceCriterion(Text, C);
+      Status S = parseSliceCriterion(*V, C);
       if (!S.ok()) {
         std::fprintf(stderr, "error: %s\n", S.str().c_str());
         return 2;
@@ -437,101 +403,46 @@ int parseArgs(int Argc, char **Argv, Options &O) {
           (Argv[I + 1][0] != '-' || std::isdigit((unsigned char)Argv[I + 1][1]))) {
         std::stringstream SS(Argv[++I]);
         std::string Tok;
-        while (std::getline(SS, Tok, ','))
-          O.Inputs.push_back(std::strtoll(Tok.c_str(), nullptr, 10));
-      }
-    } else if (A.rfind("--trace-json=", 0) == 0 || A == "--trace-json") {
-      if (A == "--trace-json") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: --trace-json requires a file\n");
-          return 2;
+        while (std::getline(SS, Tok, ',')) {
+          std::int64_t N = 0;
+          if (!parseInt64(Tok, N)) {
+            std::fprintf(stderr, "error: bad --run value '%s'\n", Tok.c_str());
+            return 2;
+          }
+          O.Inputs.push_back(N);
         }
-        O.TraceJson = Argv[++I];
-      } else {
-        O.TraceJson = A.substr(std::strlen("--trace-json="));
       }
-      if (O.TraceJson.empty()) {
-        std::fprintf(stderr, "error: --trace-json requires a file\n");
-        return 2;
-      }
-    } else if (A.rfind("--stats-json=", 0) == 0 || A == "--stats-json") {
-      if (A == "--stats-json") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: --stats-json requires a file\n");
-          return 2;
-        }
-        O.StatsJson = Argv[++I];
-      } else {
-        O.StatsJson = A.substr(std::strlen("--stats-json="));
-      }
-      if (O.StatsJson.empty()) {
-        std::fprintf(stderr, "error: --stats-json requires a file\n");
-        return 2;
-      }
-    } else if (A.rfind("--counters-json=", 0) == 0 || A == "--counters-json") {
-      if (A == "--counters-json") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: --counters-json requires a file\n");
-          return 2;
-        }
-        O.CountersJson = Argv[++I];
-      } else {
-        O.CountersJson = A.substr(std::strlen("--counters-json="));
-      }
-      if (O.CountersJson.empty()) {
-        std::fprintf(stderr, "error: --counters-json requires a file\n");
-        return 2;
-      }
-    } else if (A.rfind("--log-json=", 0) == 0 || A == "--log-json") {
-      if (A == "--log-json") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: --log-json requires a file\n");
-          return 2;
-        }
-        O.LogJson = Argv[++I];
-      } else {
-        O.LogJson = A.substr(std::strlen("--log-json="));
-      }
-      if (O.LogJson.empty()) {
-        std::fprintf(stderr, "error: --log-json requires a file\n");
-        return 2;
-      }
+    } else if (Value("--trace-json")) {
+      if (!V || V->empty())
+        return missingValue("--trace-json", "a file");
+      O.TraceJson = *V;
+    } else if (Value("--stats-json")) {
+      if (!V || V->empty())
+        return missingValue("--stats-json", "a file");
+      O.StatsJson = *V;
+    } else if (Value("--counters-json")) {
+      if (!V || V->empty())
+        return missingValue("--counters-json", "a file");
+      O.CountersJson = *V;
+    } else if (Value("--log-json")) {
+      if (!V || V->empty())
+        return missingValue("--log-json", "a file");
+      O.LogJson = *V;
     } else if (A == "--sched-report") {
       O.SchedReport = true;
-    } else if (A.rfind("--fault-inject=", 0) == 0 || A == "--fault-inject") {
-      if (A == "--fault-inject") {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: --fault-inject requires a spec\n");
-          return 2;
-        }
-        O.FaultInject = Argv[++I];
-      } else {
-        O.FaultInject = A.substr(std::strlen("--fault-inject="));
-      }
-      if (O.FaultInject.empty()) {
-        std::fprintf(stderr, "error: --fault-inject requires a spec\n");
-        return 2;
-      }
-    } else if (A.rfind("--max-pass-millis", 0) == 0 ||
-               A.rfind("--max-task-bytes", 0) == 0) {
+    } else if (Value("--fault-inject")) {
+      if (!V || V->empty())
+        return missingValue("--fault-inject", "a spec");
+      O.FaultInject = *V;
+    } else if (Value("--max-pass-millis") || Value("--max-task-bytes")) {
       bool Millis = A.rfind("--max-pass-millis", 0) == 0;
       const char *Flag = Millis ? "--max-pass-millis" : "--max-task-bytes";
-      std::string Num;
-      if (A == Flag) {
-        if (I + 1 >= Argc) {
-          std::fprintf(stderr, "error: %s requires a number\n", Flag);
-          return 2;
-        }
-        Num = Argv[++I];
-      } else if (A.rfind(std::string(Flag) + "=", 0) == 0) {
-        Num = A.substr(std::strlen(Flag) + 1);
-      } else {
-        return usage();
-      }
+      if (!V)
+        return missingValue(Flag, "a number");
       char *End = nullptr;
-      unsigned long long N = std::strtoull(Num.c_str(), &End, 10);
-      if (Num.empty() || (End && *End) || N == 0) {
-        std::fprintf(stderr, "error: bad %s value '%s'\n", Flag, Num.c_str());
+      unsigned long long N = std::strtoull(V->c_str(), &End, 10);
+      if (V->empty() || (End && *End) || N == 0) {
+        std::fprintf(stderr, "error: bad %s value '%s'\n", Flag, V->c_str());
         return 2;
       }
       (Millis ? O.MaxPassMillis : O.MaxTaskBytes) = N;
@@ -547,26 +458,6 @@ int parseArgs(int Argc, char **Argv, Options &O) {
       O.File = A;
     }
   }
-  if (Separate)
-    O.Pipeline.append(PassId::Separate);
-  if (ConstProp)
-    O.Pipeline.append(PassId::ConstProp);
-  else if (ConstPropCFG)
-    O.Pipeline.append(PassId::ConstPropCFG);
-  if (PRE)
-    O.Pipeline.append(PassId::PRE);
-  else if (PREBusy)
-    O.Pipeline.append(PassId::PREBusy);
-  if (Range)
-    O.Pipeline.append(PassId::Range);
-  if (Taint)
-    O.Pipeline.append(PassId::Taint);
-  if (NullUse)
-    O.Pipeline.append(PassId::NullUse);
-  if (SSA)
-    O.Pipeline.append(PassId::SSA);
-  else if (SSADfg)
-    O.Pipeline.append(PassId::SSADfg);
   return 0;
 }
 
@@ -825,7 +716,7 @@ int main(int Argc, char **Argv) {
             if (isa<PhiInst>(I.get())) {
               std::fprintf(stderr,
                            "slice error: function '%s' contains phi "
-                           "instructions; slice before --ssa\n",
+                           "instructions; slice before ssa or ssa-dfg\n",
                            F->name().c_str());
               return 1;
             }
