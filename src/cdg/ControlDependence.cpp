@@ -27,23 +27,20 @@ DEPFLOW_STATISTIC(NumCDGPDomQueries, "cdg",
                   "O(1) postdominance queries during factored-CDG build");
 
 /// Collects the ids of all branch edges (out-edges of switch blocks).
-static std::vector<unsigned> branchEdges(const Function &F,
-                                         const CFGEdges &E) {
+static std::vector<unsigned> branchEdges(const CFGEdges &E) {
   std::vector<unsigned> Result;
   for (unsigned Id = 0, N = E.size(); Id != N; ++Id)
     if (E.edge(Id).From->numSuccessors() > 1)
       Result.push_back(Id);
-  (void)F;
   return Result;
 }
 
 std::vector<std::vector<unsigned>>
 depflow::nodeControlDependence(const Function &F, const CFGEdges &E) {
   std::vector<std::vector<unsigned>> CD(F.numBlocks());
-  Digraph G = cfgDigraph(F);
-  DomTree PDT(G.reversed(), F.exit()->id());
+  DomTree PDT(F, DomTree::Post);
 
-  for (unsigned EdgeId : branchEdges(F, E)) {
+  for (unsigned EdgeId : branchEdges(E)) {
     const CFGEdge &Edge = E.edge(EdgeId);
     unsigned U = Edge.From->id();
     // Walk from the edge target up the postdominator tree, stopping at
@@ -70,11 +67,10 @@ depflow::nodeControlDependence(const Function &F, const CFGEdges &E) {
 std::vector<std::vector<unsigned>>
 depflow::edgeControlDependenceBaseline(const Function &F, const CFGEdges &E) {
   unsigned NB = F.numBlocks();
-  Digraph Split = edgeSplitDigraph(F, E);
-  DomTree PDT(Split.reversed(), F.exit()->id());
+  DomTree PDT(F, E, DomTree::Post);
 
-  std::vector<std::vector<unsigned>> CD(Split.numNodes());
-  for (unsigned EdgeId : branchEdges(F, E)) {
+  std::vector<std::vector<unsigned>> CD(PDT.numNodes());
+  for (unsigned EdgeId : branchEdges(E)) {
     const CFGEdge &Edge = E.edge(EdgeId);
     unsigned U = Edge.From->id();
     unsigned Dummy = NB + EdgeId;
@@ -113,9 +109,8 @@ FactoredCDG depflow::buildFactoredCDG(const Function &F, const CFGEdges &E,
       Rep[Result.Classes.ClassOf[Id]] = int(Id);
 
   unsigned NB = F.numBlocks();
-  Digraph Split = edgeSplitDigraph(F, E);
-  DomTree PDT(Split.reversed(), F.exit()->id());
-  std::vector<unsigned> Branches = branchEdges(F, E);
+  DomTree PDT(F, E, DomTree::Post);
+  std::vector<unsigned> Branches = branchEdges(E);
 
   // CD(representative x) = { branch edge e=(u,·) : x pdom dummy(e) and
   // x !pdom u }, answered with O(1) postdominance queries.

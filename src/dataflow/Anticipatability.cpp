@@ -7,7 +7,6 @@
 
 #include "dataflow/Anticipatability.h"
 
-#include "graph/Dominators.h"
 #include "support/Statistic.h"
 #include "support/Worklist.h"
 
@@ -208,12 +207,8 @@ Status depflow::runRelativeAnticipatability(Function &F,
   return solveSlice(G, Expr, X, /*Universal=*/false, Out.PanEdge, 0);
 }
 
-ProjectionContext::ProjectionContext(Function &F, const CFGEdges &E) {
-  Digraph Split = edgeSplitDigraph(F, E);
-  DT = std::make_unique<DomTree>(Split, F.entry()->id());
-  PDT = std::make_unique<DomTree>(Split.reversed(), F.exit()->id());
-}
-ProjectionContext::~ProjectionContext() = default;
+ProjectionContext::ProjectionContext(Function &F, const CFGEdges &E)
+    : DT(F, E, DomTree::Forward), PDT(F, E, DomTree::Post) {}
 
 // A dependence edge d = (t, h) spans CFG edge c when: t's position
 // dominates c, h's postdominates it, and no path from c can revisit t's
@@ -227,8 +222,8 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
                                            const EdgeSlice<bool> &EdgeVal,
                                            VarId X,
                                            const ProjectionContext &Ctx) {
-  const DomTree &DT = *Ctx.DT;
-  const DomTree &PDT = *Ctx.PDT;
+  const DomTree &DT = Ctx.DT;
+  const DomTree &PDT = Ctx.PDT;
   unsigned NB = F.numBlocks();
 
   // A node's position within its block: merges sit at the head, switches

@@ -40,11 +40,11 @@
 
 #include "core/DepFlowGraph.h"
 #include "dataflow/SparseEngine.h"
+#include "graph/Dominators.h"
 #include "ir/CFGEdges.h"
 #include "ir/Expression.h"
 #include "ir/Function.h"
 
-#include <memory>
 #include <vector>
 
 namespace depflow {
@@ -79,17 +79,14 @@ Status runRelativeAnticipatability(Function &F, const DepFlowGraph &G,
                                    const Expression &Expr, VarId X,
                                    DFGAntResult &Out);
 
-class DomTree;
-
 /// Reusable context for projections: the edge-split dominator and
 /// postdominator trees. It depends only on the CFG shape (blocks and
 /// successor lists), so it stays valid across instruction edits and must
 /// be rebuilt after any change to the shape.
 struct ProjectionContext {
-  std::unique_ptr<DomTree> DT;
-  std::unique_ptr<DomTree> PDT;
+  DomTree DT;
+  DomTree PDT;
   ProjectionContext(Function &F, const CFGEdges &E);
-  ~ProjectionContext();
 };
 
 /// Projects the per-dependence-edge result onto CFG edges: relative ANT at

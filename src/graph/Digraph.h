@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A plain adjacency-list digraph over dense node ids. The structural
-/// algorithms (dominators, cycle equivalence, control dependence) run over
-/// this type so they can be tested on arbitrary graphs, not just the graphs
-/// of IR functions. Conversions from Function CFGs live here too.
+/// A plain adjacency-list digraph over dense node ids, for testing the
+/// structural algorithms on arbitrary graphs, not just the graphs of IR
+/// functions, and as their independent reference (`bruteForceDominates`,
+/// the directed cycle-equivalence definition). Conversions from Function
+/// CFGs live here too; the analyses themselves build their dominator
+/// trees straight from the function (graph/Dominators.h).
 ///
 //===----------------------------------------------------------------------===//
 

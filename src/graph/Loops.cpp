@@ -14,8 +14,7 @@ using namespace depflow;
 
 LoopForest::LoopForest(Function &F) {
   F.recomputePreds();
-  Digraph G = cfgDigraph(F);
-  DomTree DT(G, F.entry()->id());
+  DomTree DT(F, DomTree::Forward);
   InnermostOf.assign(F.numBlocks(), -1);
 
   // Retreating edges: edges into a node still on the DFS stack. The
@@ -27,9 +26,9 @@ LoopForest::LoopForest(Function &F) {
     State[F.entry()->id()] = 1;
     while (!Stack.empty()) {
       auto &[N, Cursor] = Stack.back();
-      const auto &Succs = G.succs(N);
+      const auto &Succs = F.block(N)->successors();
       if (Cursor < Succs.size()) {
-        unsigned S = Succs[Cursor++];
+        unsigned S = Succs[Cursor++]->id();
         unsigned From = N;
         if (State[S] == 0) {
           State[S] = 1;
@@ -69,9 +68,9 @@ LoopForest::LoopForest(Function &F) {
         while (!Stack.empty()) {
           unsigned B = Stack.back();
           Stack.pop_back();
-          for (unsigned P : G.preds(B))
-            if (P != H && Add(P))
-              Stack.push_back(P);
+          for (BasicBlock *P : F.block(B)->predecessors())
+            if (P->id() != H && Add(P->id()))
+              Stack.push_back(P->id());
         }
     }
   }

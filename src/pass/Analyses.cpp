@@ -27,13 +27,7 @@ CFGEdges CFGEdgesAnalysis::run(Function &F, FunctionAnalysisManager &) {
 DomTree DominatorAnalysis::run(Function &F, FunctionAnalysisManager &) {
   ++NumAnalysesComputed;
   assert(F.entry() && "dominators require a nonempty function");
-  return DomTree(cfgDigraph(F), F.entry()->id());
-}
-
-DomTree PostDominatorAnalysis::run(Function &F, FunctionAnalysisManager &) {
-  ++NumAnalysesComputed;
-  assert(F.exit() && "postdominators require a unique exit");
-  return DomTree(cfgDigraph(F).reversed(), F.exit()->id());
+  return DomTree(F, DomTree::Forward);
 }
 
 LoopForest LoopAnalysis::run(Function &F, FunctionAnalysisManager &) {
@@ -112,7 +106,6 @@ PreservedAnalyses depflow::preserveCFGShapeAnalyses() {
   PreservedAnalyses PA;
   PA.preserve<CFGEdgesAnalysis>()
       .preserve<DominatorAnalysis>()
-      .preserve<PostDominatorAnalysis>()
       .preserve<LoopAnalysis>()
       .preserve<CycleEquivAnalysis>()
       .preserve<PSTAnalysis>()

@@ -13,7 +13,6 @@
 ///   CFGEdgesAnalysis     dense CFG edge numbering (everything edge-based
 ///                        hangs off it)
 ///   DominatorAnalysis    dominator tree of the block-level CFG
-///   PostDominatorAnalysis  postdominator tree (FOW baselines)
 ///   LoopAnalysis         natural loop forest
 ///   CycleEquivAnalysis   O(E) cycle equivalence of the augmented CFG
 ///   PSTAnalysis          program structure tree over the classes
@@ -60,12 +59,6 @@ struct CFGEdgesAnalysis {
 struct DominatorAnalysis {
   using Result = DomTree;
   static const char *name() { return "domtree"; }
-  static Result run(Function &F, FunctionAnalysisManager &AM);
-};
-
-struct PostDominatorAnalysis {
-  using Result = DomTree;
-  static const char *name() { return "postdomtree"; }
   static Result run(Function &F, FunctionAnalysisManager &AM);
 };
 

@@ -7,7 +7,6 @@
 
 #include "sdg/Slicer.h"
 
-#include "graph/Digraph.h"
 #include "graph/Dominators.h"
 #include "support/Casting.h"
 
@@ -154,7 +153,7 @@ sliceFunction(const Function &F,
   // Immediate postdominators of the original CFG, for rewiring skipped
   // branches past the region they guard (every instruction in that region
   // is control-dependent on the branch, hence also outside the slice).
-  DomTree PDT(cfgDigraph(F).reversed(), F.exit()->id());
+  DomTree PDT(F, DomTree::Post);
 
   for (const auto &BB : F.blocks()) {
     BasicBlock *NB = BlockMap[BB->id()];

@@ -17,15 +17,14 @@ using namespace depflow;
 
 PhiPlacement depflow::cytronPhiPlacement(Function &F, bool Pruned) {
   F.recomputePreds();
-  DomTree DT(cfgDigraph(F), F.entry()->id());
+  DomTree DT(F, DomTree::Forward);
   return cytronPhiPlacement(F, Pruned, DT);
 }
 
 PhiPlacement depflow::cytronPhiPlacement(Function &F, bool Pruned,
                                          const DomTree &DT) {
   F.recomputePreds();
-  Digraph G = cfgDigraph(F);
-  auto DF = dominanceFrontiers(G, DT);
+  auto DF = dominanceFrontiers(DT);
   Liveness Live = Pruned ? computeLiveness(F) : Liveness{};
 
   PhiPlacement Placement(F.numBlocks());
@@ -139,7 +138,7 @@ PhiPlacement depflow::dfgPhiPlacement(Function &F, const DepFlowGraph &G) {
 std::vector<VarId> depflow::applySSA(Function &F,
                                      const PhiPlacement &Placement) {
   F.recomputePreds();
-  DomTree DT(cfgDigraph(F), F.entry()->id());
+  DomTree DT(F, DomTree::Forward);
   return applySSA(F, Placement, DT);
 }
 

@@ -7,13 +7,12 @@
 
 #include "structure/SESE.h"
 
+#include "graph/Dominators.h"
 #include "ir/CFGEdges.h"
 #include "ir/Function.h"
-#include "support/Arena.h"
 #include "support/Statistic.h"
 
 #include <algorithm>
-#include <limits>
 
 using namespace depflow;
 
@@ -21,178 +20,6 @@ DEPFLOW_STATISTIC(NumSESERegions, "sese",
                   "Canonical SESE regions found (excl. the root region)");
 DEPFLOW_MAX_STATISTIC(MaxPSTDepth, "sese",
                       "Deepest program-structure-tree nesting");
-
-namespace {
-
-constexpr std::uint32_t Inf32 = std::numeric_limits<std::uint32_t>::max();
-
-/// Dominators of the edge-split graph, specialized for the PST's hot path:
-/// every table is a flat CSR array carved from one exactly-sized arena, in
-/// place of a generic `Digraph` + `DomTree` (vector-of-vectors each). Node
-/// ids are [0, NB) for blocks and NB + e for the dummy node on CFG edge e;
-/// the dominance relation (Cooper-Harvey-Kennedy iteration, O(1) queries
-/// via Euler intervals) is identical to the generic implementation's, so
-/// the within-class edge orders — and therefore the canonical regions —
-/// are unchanged.
-class SplitDominators {
-  std::uint32_t NB, NT; // blocks, total split-graph nodes (NB + edges)
-  BumpArena Pool;
-  std::uint32_t *RpoNum;   // Inf32 = unreachable
-  std::uint32_t *RpoOrder; // [0, NumReached)
-  std::uint32_t NumReached = 0;
-  std::int32_t *Idom; // root's idom is itself (CHK convention)
-  std::uint32_t *In, *Out; // Euler intervals on the dominator tree
-
-  static std::size_t arenaBytes(std::size_t NB, std::size_t NE) {
-    std::size_t NT = NB + NE, SE = 2 * NE; // split-graph nodes and edges
-    return 3 * (NT + 1) * 4 + 9 * NT * 4 + 2 * SE * 4 + 256;
-  }
-
-public:
-  SplitDominators(const Function &F, const CFGEdges &E)
-      : NB(F.numBlocks()), NT(NB + E.size()),
-        Pool(arenaBytes(F.numBlocks(), E.size())) {
-    const std::uint32_t NE = E.size(), Root = F.entry()->id();
-
-    // Successor/predecessor CSRs of the split graph: block From reaches
-    // dummy node NB+e for each out-edge e, and NB+e reaches To.
-    auto *SuccOff = Pool.allocateFilled<std::uint32_t>(NT + 1, 0);
-    auto *PredOff = Pool.allocateFilled<std::uint32_t>(NT + 1, 0);
-    for (std::uint32_t Ed = 0; Ed != NE; ++Ed) {
-      const CFGEdge &CE = E.edge(Ed);
-      ++SuccOff[CE.From->id() + 1];
-      ++SuccOff[NB + Ed + 1];
-      ++PredOff[NB + Ed + 1];
-      ++PredOff[CE.To->id() + 1];
-    }
-    for (std::uint32_t N = 0; N != NT; ++N) {
-      SuccOff[N + 1] += SuccOff[N];
-      PredOff[N + 1] += PredOff[N];
-    }
-    auto *SuccVal = Pool.allocateArray<std::uint32_t>(SuccOff[NT]);
-    auto *PredVal = Pool.allocateArray<std::uint32_t>(PredOff[NT]);
-    auto *Cursor = Pool.allocateArray<std::uint32_t>(NT); // shared scratch
-    for (std::uint32_t N = 0; N != NT; ++N)
-      Cursor[N] = SuccOff[N];
-    for (std::uint32_t Ed = 0; Ed != NE; ++Ed) {
-      SuccVal[Cursor[E.edge(Ed).From->id()]++] = NB + Ed;
-      SuccVal[Cursor[NB + Ed]++] = E.edge(Ed).To->id();
-    }
-    for (std::uint32_t N = 0; N != NT; ++N)
-      Cursor[N] = PredOff[N];
-    for (std::uint32_t Ed = 0; Ed != NE; ++Ed) {
-      PredVal[Cursor[NB + Ed]++] = E.edge(Ed).From->id();
-      PredVal[Cursor[E.edge(Ed).To->id()]++] = NB + Ed;
-    }
-
-    // Reverse postorder from the root (Cursor doubles as the DFS cursor).
-    RpoNum = Pool.allocateFilled<std::uint32_t>(NT, Inf32);
-    RpoOrder = Pool.allocateArray<std::uint32_t>(NT);
-    auto *Stack = Pool.allocateArray<std::uint32_t>(NT);
-    std::uint32_t SP = 0, Emitted = 0;
-    RpoNum[Root] = 0; // marks visited; renumbered below
-    Cursor[Root] = SuccOff[Root];
-    Stack[SP++] = Root;
-    while (SP) {
-      std::uint32_t N = Stack[SP - 1];
-      if (Cursor[N] < SuccOff[N + 1]) {
-        std::uint32_t M = SuccVal[Cursor[N]++];
-        if (RpoNum[M] == Inf32) {
-          RpoNum[M] = 0;
-          Cursor[M] = SuccOff[M];
-          Stack[SP++] = M;
-        }
-      } else {
-        RpoOrder[Emitted++] = N; // postorder; reversed below
-        --SP;
-      }
-    }
-    NumReached = Emitted;
-    std::reverse(RpoOrder, RpoOrder + NumReached);
-    for (std::uint32_t I = 0; I != NumReached; ++I)
-      RpoNum[RpoOrder[I]] = I;
-
-    // Cooper-Harvey-Kennedy iteration to a fixed point.
-    Idom = Pool.allocateFilled<std::int32_t>(NT, -1);
-    Idom[Root] = std::int32_t(Root);
-    auto Intersect = [&](std::uint32_t A, std::uint32_t B) {
-      while (A != B) {
-        while (RpoNum[A] > RpoNum[B])
-          A = std::uint32_t(Idom[A]);
-        while (RpoNum[B] > RpoNum[A])
-          B = std::uint32_t(Idom[B]);
-      }
-      return A;
-    };
-    for (bool Changed = true; Changed;) {
-      Changed = false;
-      for (std::uint32_t I = 1; I < NumReached; ++I) {
-        std::uint32_t N = RpoOrder[I];
-        std::int32_t NewIdom = -1;
-        for (std::uint32_t PI = PredOff[N]; PI != PredOff[N + 1]; ++PI) {
-          std::uint32_t P = PredVal[PI];
-          if (Idom[P] < 0)
-            continue; // unreachable or not yet processed
-          NewIdom = NewIdom < 0
-                        ? std::int32_t(P)
-                        : std::int32_t(Intersect(P, std::uint32_t(NewIdom)));
-        }
-        if (NewIdom != Idom[N]) {
-          Idom[N] = NewIdom;
-          Changed = true;
-        }
-      }
-    }
-
-    // Euler intervals over the dominator tree for O(1) queries.
-    auto *ChildOff = Pool.allocateFilled<std::uint32_t>(NT + 1, 0);
-    auto *ChildVal = Pool.allocateArray<std::uint32_t>(
-        NumReached ? NumReached - 1 : 0);
-    for (std::uint32_t I = 1; I < NumReached; ++I)
-      ++ChildOff[std::uint32_t(Idom[RpoOrder[I]]) + 1];
-    for (std::uint32_t N = 0; N != NT; ++N)
-      ChildOff[N + 1] += ChildOff[N];
-    for (std::uint32_t N = 0; N != NT; ++N)
-      Cursor[N] = ChildOff[N];
-    for (std::uint32_t I = 1; I < NumReached; ++I) {
-      std::uint32_t M = RpoOrder[I];
-      ChildVal[Cursor[std::uint32_t(Idom[M])]++] = M;
-    }
-    In = Pool.allocateArray<std::uint32_t>(NT);
-    Out = Pool.allocateArray<std::uint32_t>(NT);
-    for (std::uint32_t N = 0; N != NT; ++N)
-      Cursor[N] = ChildOff[N];
-    std::uint32_t Timer = 0;
-    SP = 0;
-    if (NumReached) {
-      In[Root] = Timer++;
-      Stack[SP++] = Root;
-    }
-    while (SP) {
-      std::uint32_t N = Stack[SP - 1];
-      if (Cursor[N] < ChildOff[N + 1]) {
-        std::uint32_t M = ChildVal[Cursor[N]++];
-        In[M] = Timer++;
-        Stack[SP++] = M;
-      } else {
-        Out[N] = Timer++;
-        --SP;
-      }
-    }
-  }
-
-  /// Strict dominance of dummy edge node \p A over \p B (unreachable nodes
-  /// dominate nothing and are dominated by nothing).
-  bool edgeStrictlyDominates(std::uint32_t A, std::uint32_t B) const {
-    A += NB;
-    B += NB;
-    if (A == B || RpoNum[A] == Inf32 || RpoNum[B] == Inf32)
-      return false;
-    return In[A] <= In[B] && Out[B] <= Out[A];
-  }
-};
-
-} // namespace
 
 ProgramStructureTree::ProgramStructureTree(const Function &F,
                                            const CFGEdges &E,
@@ -218,17 +45,18 @@ ProgramStructureTree::ProgramStructureTree(const Function &F,
       ClassVal[Fill[CE.ClassOf[Id]]++] = Id;
   }
 
-  // Order each class by dominance over the edge-split graph; Theorem 1
-  // guarantees dominance is total within a class, so this is a valid strict
-  // weak order on each class.
-  SplitDominators Dom(F, E);
+  // Order each class by dominance over the edge-split graph (node NB + e
+  // is CFG edge e); Theorem 1 guarantees dominance is total within a
+  // class, so this is a valid strict weak order on each class.
+  const unsigned NB = F.numBlocks();
+  DomTree Dom(F, E, DomTree::Forward);
   for (unsigned C = 0; C != CE.NumClasses; ++C) {
     std::uint32_t *First = ClassVal.data() + ClassOff[C];
     std::uint32_t *Last = ClassVal.data() + ClassOff[C + 1];
     if (Last - First < 2)
       continue;
     std::sort(First, Last, [&](std::uint32_t A, std::uint32_t B) {
-      return Dom.edgeStrictlyDominates(A, B);
+      return Dom.strictlyDominates(NB + A, NB + B);
     });
     for (std::uint32_t *I = First; I + 1 != Last; ++I) {
       unsigned RegionId = unsigned(Regions.size());
@@ -284,11 +112,11 @@ ProgramStructureTree::ProgramStructureTree(const Function &F,
     }
   }
 
-  // Wait: the traversal above reads ClosedBy→Parent before the parent may
-  // have been linked. Resolve depths (and re-check parents) in a second
-  // pass ordered by entry-edge discovery. Parents are in fact always linked
-  // before their children close because the entry edge of the parent lies
-  // on every path to the child's entry edge; the assert above enforces it.
+  // The traversal reads a region's Parent when it crosses the region's
+  // exit edge. That edge is only crossed from inside the region (the
+  // "exit edge traversed outside its region" assert), so the region's
+  // entry edge, which links the Parent, was crossed first. Every Parent
+  // is linked now; depths follow from the finished links.
   for (SESERegion &R : Regions) {
     if (R.Id == 0)
       continue;

@@ -10,7 +10,6 @@
 #include "cdg/ControlDependence.h"
 #include "core/DepFlowGraph.h"
 #include "dataflow/DefUse.h"
-#include "graph/Digraph.h"
 #include "graph/Dominators.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
@@ -120,7 +119,7 @@ Status depflow::verifySSAForm(Function &F) {
 
   // Definitions dominate uses. Variables with no defining instruction are
   // entry definitions (parameters / implicit 0) and dominate everything.
-  DomTree DT(cfgDigraph(F), F.entry()->id());
+  DomTree DT(F, DomTree::Forward);
   auto DefReachesUse = [&](VarId V, const BasicBlock *UseBB,
                            int UseIdx) -> bool {
     if (!DefOf[V])

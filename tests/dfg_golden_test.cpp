@@ -1,4 +1,4 @@
-//===- tests/dfg_golden_test.cpp - Golden DFG fixtures --------------------===//
+//===- tests/dfg_golden_test.cpp - Golden DFG, PST and SSA fixtures -------===//
 //
 // Part of the depflow project: a reproduction of "Dependence-Based Program
 // Analysis" (Johnson & Pingali, PLDI 1993).
@@ -8,6 +8,12 @@
 // tests/fixtures/dfg/<case>.<mode>.dot. The ids in the rendering are the
 // graph's node and edge ids, so any change to what the builder creates,
 // or to the order it creates it in, shows up as a diff.
+//
+// The same cases pin the structures the dominator trees feed: the program
+// structure tree (`ProgramStructureTree::dump`, <case>.pst.txt) and the
+// printed output of the `ssa` and `ssa-dfg` passes (<case>.ssa.txt,
+// <case>.ssa-dfg.txt), whose version names follow the dominator tree's
+// child order.
 //
 // The cases are the paper's Figure 1 and Figure 2 programs plus generated
 // programs: structured, goto/irreducible, critical-edge loops, and
@@ -20,7 +26,11 @@
 
 #include "core/DepFlowGraph.h"
 #include "ParseOrDie.h"
+#include "ir/CFGEdges.h"
+#include "ir/Printer.h"
 #include "ir/Transforms.h"
+#include "pass/PassPipeline.h"
+#include "structure/SESE.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
@@ -102,9 +112,24 @@ const GoldenCase Cases[] = {
     {"separated-structured-s8", [] { return separated(structured(8, 24)); }},
 };
 
-std::string fixturePath(const std::string &Name, const char *Mode) {
-  return std::string(DEPFLOW_DFG_FIXTURES_DIR) + "/" + Name + "." + Mode +
-         ".dot";
+std::string fixturePath(const std::string &Name, const char *Suffix) {
+  return std::string(DEPFLOW_DFG_FIXTURES_DIR) + "/" + Name + "." + Suffix;
+}
+
+/// Compares \p Got against the fixture <case>.<Suffix>, or rewrites the
+/// fixture under --update.
+void checkFixture(const GoldenCase &C, const char *Suffix,
+                  const std::string &Got) {
+  std::string Path = fixturePath(C.Name, Suffix);
+  if (UpdateFixtures) {
+    std::ofstream(Path, std::ios::binary) << Got;
+    return;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In.good()) << "missing fixture " << Path;
+  std::stringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str()) << C.Name << " differs from " << Path;
 }
 
 class DFGGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
@@ -112,21 +137,30 @@ class DFGGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 TEST_P(DFGGoldenTest, ToDotMatchesFixture) {
   const GoldenCase &C = GetParam();
   auto F = C.Make();
-  for (auto [Mode, Tag] :
-       {std::pair{DepFlowGraph::BypassMode::None, "none"},
-        std::pair{DepFlowGraph::BypassMode::SESE, "sese"}}) {
-    std::string Dot = DepFlowGraph::build(*F, Mode).toDot(*F);
-    std::string Path = fixturePath(C.Name, Tag);
-    if (UpdateFixtures) {
-      std::ofstream(Path, std::ios::binary) << Dot;
-      continue;
-    }
-    std::ifstream In(Path, std::ios::binary);
-    ASSERT_TRUE(In.good()) << "missing fixture " << Path;
-    std::stringstream Want;
-    Want << In.rdbuf();
-    EXPECT_EQ(Dot, Want.str()) << "DFG of " << C.Name << " (" << Tag
-                               << ") differs from " << Path;
+  for (auto [Mode, Suffix] :
+       {std::pair{DepFlowGraph::BypassMode::None, "none.dot"},
+        std::pair{DepFlowGraph::BypassMode::SESE, "sese.dot"}})
+    checkFixture(C, Suffix, DepFlowGraph::build(*F, Mode).toDot(*F));
+}
+
+TEST_P(DFGGoldenTest, PSTMatchesFixture) {
+  const GoldenCase &C = GetParam();
+  auto F = C.Make();
+  F->recomputePreds();
+  CFGEdges E(*F);
+  ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
+  checkFixture(C, "pst.txt", PST.dump(*F, E));
+}
+
+TEST_P(DFGGoldenTest, SSAMatchesFixture) {
+  const GoldenCase &C = GetParam();
+  for (auto [P, Suffix] : {std::pair{PassId::SSA, "ssa.txt"},
+                           std::pair{PassId::SSADfg, "ssa-dfg.txt"}}) {
+    auto F = C.Make();
+    FunctionAnalysisManager AM(*F);
+    Status S = runPass(*F, P, AM);
+    ASSERT_TRUE(S.ok()) << S.str();
+    checkFixture(C, Suffix, printFunction(*F));
   }
 }
 

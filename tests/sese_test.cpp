@@ -28,17 +28,24 @@ struct Analysis {
   std::unique_ptr<CFGEdges> E;
   CycleEquivalence CE;
   std::unique_ptr<ProgramStructureTree> PST;
-  std::unique_ptr<DomTree> DT;  // over edge-split graph
-  std::unique_ptr<DomTree> PDT; // over reversed edge-split graph
+  // The edge-split graph and its reverse. Dominance is checked by brute
+  // force over them, independently of the DomTree the PST sorts with.
+  Digraph Split, SplitRev;
 
   explicit Analysis(std::unique_ptr<Function> Fn) : F(std::move(Fn)) {
     F->recomputePreds();
     E = std::make_unique<CFGEdges>(*F);
     CE = cycleEquivalenceClasses(*F, *E);
     PST = std::make_unique<ProgramStructureTree>(*F, *E, CE);
-    Digraph Split = edgeSplitDigraph(*F, *E);
-    DT = std::make_unique<DomTree>(Split, F->entry()->id());
-    PDT = std::make_unique<DomTree>(Split.reversed(), F->exit()->id());
+    Split = edgeSplitDigraph(*F, *E);
+    SplitRev = Split.reversed();
+  }
+
+  bool dom(unsigned A, unsigned B) const {
+    return bruteForceDominates(Split, F->entry()->id(), A, B);
+  }
+  bool pdom(unsigned A, unsigned B) const {
+    return bruteForceDominates(SplitRev, F->exit()->id(), A, B);
   }
 
   unsigned edgeNode(unsigned EdgeId) const {
@@ -105,8 +112,8 @@ TEST(SESE, SequentialDiamondsShareClassBoundaries) {
     const SESERegion &Reg = A.PST->region(R);
     unsigned In = A.edgeNode(unsigned(Reg.EntryEdge));
     unsigned Out = A.edgeNode(unsigned(Reg.ExitEdge));
-    EXPECT_TRUE(A.DT->dominates(In, Out));
-    EXPECT_TRUE(A.PDT->dominates(Out, In));
+    EXPECT_TRUE(A.dom(In, Out));
+    EXPECT_TRUE(A.pdom(Out, In));
   }
 }
 
@@ -134,17 +141,17 @@ TEST_P(SESEPropertyTest, Theorem1DominanceConditions) {
       if (!A.CE.sameClass(X, Y))
         continue;
       unsigned NX = A.edgeNode(X), NY = A.edgeNode(Y);
-      bool XDomY = A.DT->dominates(NX, NY);
-      bool YDomX = A.DT->dominates(NY, NX);
+      bool XDomY = A.dom(NX, NY);
+      bool YDomX = A.dom(NY, NX);
       EXPECT_TRUE(XDomY || YDomX)
           << "same-class edges " << X << "," << Y
           << " not dominance ordered\n"
           << printFunction(*A.F);
       // The dominated one postdominates the dominator (SESE pair).
       if (XDomY)
-        EXPECT_TRUE(A.PDT->dominates(NY, NX));
+        EXPECT_TRUE(A.pdom(NY, NX));
       else
-        EXPECT_TRUE(A.PDT->dominates(NX, NY));
+        EXPECT_TRUE(A.pdom(NX, NY));
     }
   }
 
@@ -175,8 +182,8 @@ TEST_P(SESEPropertyTest, RegionContainmentMatchesDominance) {
     unsigned BestDepth = 0;
     for (unsigned R = 1; R != A.PST->numRegions(); ++R) {
       const SESERegion &Reg = A.PST->region(R);
-      if (A.DT->dominates(A.edgeNode(unsigned(Reg.EntryEdge)), B) &&
-          A.PDT->dominates(A.edgeNode(unsigned(Reg.ExitEdge)), B) &&
+      if (A.dom(A.edgeNode(unsigned(Reg.EntryEdge)), B) &&
+          A.pdom(A.edgeNode(unsigned(Reg.ExitEdge)), B) &&
           Reg.Depth > BestDepth) {
         Best = R;
         BestDepth = Reg.Depth;
@@ -201,10 +208,10 @@ TEST_P(SESEPropertyTest, PSTParentsAreEnclosing) {
     if (Par.Id != 0) {
       // Parent entry must dominate child's entry, parent exit postdominate
       // child's exit.
-      EXPECT_TRUE(A.DT->dominates(A.edgeNode(unsigned(Par.EntryEdge)),
-                                  A.edgeNode(unsigned(Reg.EntryEdge))));
-      EXPECT_TRUE(A.PDT->dominates(A.edgeNode(unsigned(Par.ExitEdge)),
-                                   A.edgeNode(unsigned(Reg.ExitEdge))));
+      EXPECT_TRUE(A.dom(A.edgeNode(unsigned(Par.EntryEdge)),
+                        A.edgeNode(unsigned(Reg.EntryEdge))));
+      EXPECT_TRUE(A.pdom(A.edgeNode(unsigned(Par.ExitEdge)),
+                         A.edgeNode(unsigned(Reg.ExitEdge))));
     }
     EXPECT_TRUE(A.PST->encloses(unsigned(Reg.Parent), R));
     EXPECT_TRUE(A.PST->encloses(0, R));

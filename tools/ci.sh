@@ -352,22 +352,10 @@ mkdir -p "$MODDIR/bench"
 DEPFLOW_BENCH_JSON="$MODDIR/bench" "$BUILD/bench/bench_pipeline" 6
 DEPFLOW_BENCH_JSON="$MODDIR/bench" DEPFLOW_BENCH_QUICK=1 \
     "$BUILD/bench/bench_parallel"
-# Every benchmark with a checked-in baseline, run with no timed benchmarks
-# selected, runs only its deterministic counter sweep (algorithm and
-# allocation counters over a size ladder, plus its complexity claims,
-# which must pass), so bench_compare below gates all six baselines.
-for B in bench_dfg_construction bench_cycle_equiv bench_constprop \
-         bench_ant_epr bench_sparse_clients bench_sdg_build; do
-  DEPFLOW_BENCH_JSON="$MODDIR/bench" "$BUILD/bench/$B" \
-      --benchmark_filter='^$' > "$MODDIR/$B.log" 2>&1 || {
-    cat "$MODDIR/$B.log" >&2
-    echo "ci: $B counter sweep failed" >&2
-    exit 1
-  }
-done
 python3 "$ROOT/tools/bench_report.py" "$MODDIR/bench" --check
-python3 "$ROOT/tools/bench_compare.py" "$ROOT/bench/baselines" \
-    "$MODDIR/bench" --no-time --subset
+# The exact counter gate (every baselined benchmark's deterministic
+# counter sweep against bench/baselines) is the ctest bench_counter_gate,
+# which the ctest run above already passed.
 
 # Docs: links resolve and docs/TOOLS.md agrees with depflow-opt --help and
 # with its pass names.
