@@ -71,3 +71,11 @@ unsigned Function::numInstructions() const {
     N += unsigned(BB->size());
   return N;
 }
+
+bool Function::hasPhis() const {
+  for (const auto &BB : Blocks)
+    for (const auto &I : BB->instructions())
+      if (isa<PhiInst>(I.get()))
+        return true;
+  return false;
+}

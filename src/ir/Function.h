@@ -88,6 +88,9 @@ public:
 
   /// Total number of instructions.
   unsigned numInstructions() const;
+
+  /// True if any block holds a phi instruction.
+  bool hasPhis() const;
 };
 
 } // namespace depflow

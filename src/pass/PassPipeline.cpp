@@ -116,14 +116,6 @@ double nowSeconds() {
       .count();
 }
 
-bool containsPhis(const Function &F) {
-  for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
-      if (isa<PhiInst>(I.get()))
-        return true;
-  return false;
-}
-
 } // namespace
 
 void PassInstrumentation::beforePass(PassId P,
@@ -157,7 +149,7 @@ void PassInstrumentation::afterPass(PassId P, Function &F,
     // The DFG is only defined over phi-free IR; past an SSA pass, fall
     // back to the CFG. Going through the manager makes the dump itself a
     // cache client.
-    if (!containsPhis(F))
+    if (!F.hasPhis())
       std::fprintf(Out, "// *** DFG after --%s ***\n%s", passName(P),
                    AM.getResult<DFGAnalysis>().toDot(F).c_str());
     else
@@ -360,7 +352,7 @@ Status depflow::runPass(Function &F, PassId P, FunctionAnalysisManager &AM,
       S.append(Pre);
       return S;
     }
-    if (containsPhis(F))
+    if (F.hasPhis())
       return Status::error(std::string("pass --") + passName(P) +
                            ": input already contains phis (run on base IR)");
   }

@@ -16,22 +16,24 @@ using namespace depflow;
 
 namespace {
 
-std::string renderInputs(const std::vector<std::int64_t> &Inputs) {
+std::string renderValues(const std::vector<std::int64_t> &Values) {
   std::string S = "[";
-  for (std::size_t I = 0; I != Inputs.size(); ++I)
-    S += (I ? "," : "") + std::to_string(Inputs[I]);
+  for (std::size_t I = 0; I != Values.size(); ++I)
+    S += (I ? "," : "") + std::to_string(Values[I]);
   return S + "]";
 }
 
-std::string renderOutputs(const std::vector<std::int64_t> &Outputs) {
-  return renderInputs(Outputs);
+} // namespace
+
+std::vector<std::int64_t> depflow::drawOracleInputs(RNG &Rand, unsigned Len) {
+  std::vector<std::int64_t> Inputs(Len);
+  for (std::int64_t &V : Inputs)
+    V = Rand.nextInRange(OracleOptions::InputMin, OracleOptions::InputMax);
+  return Inputs;
 }
 
-/// Re-keys \p Ex from \p From's variable numbering onto \p To's, matching
-/// variables by name. Returns false if a variable does not exist in \p To
-/// (then \p To cannot compute the expression at all).
-bool translateExpression(const Function &From, const Function &To,
-                         Expression &Ex) {
+bool depflow::translateExpression(const Function &From, const Function &To,
+                                  Expression &Ex) {
   auto Translate = [&](Operand &O) {
     if (!O.isVar())
       return true;
@@ -44,8 +46,6 @@ bool translateExpression(const Function &From, const Function &To,
   return Translate(Ex.Lhs) && Translate(Ex.Rhs);
 }
 
-} // namespace
-
 Status depflow::diffOneExecution(const Function &Original,
                                  const Function &Transformed,
                                  const std::vector<std::int64_t> &Inputs,
@@ -56,7 +56,7 @@ Status depflow::diffOneExecution(const Function &Original,
   // proportionally larger budget before calling "it hangs" a divergence.
   ExecResult After =
       runFunction(Transformed, Inputs, Opts.MaxSteps * 4 + 1024);
-  const std::string On = " on inputs " + renderInputs(Inputs);
+  const std::string On = " on inputs " + renderValues(Inputs);
 
   if (Before.Trapped || After.Trapped) {
     if (Before.Trapped != After.Trapped)
@@ -78,8 +78,8 @@ Status depflow::diffOneExecution(const Function &Original,
   }
   if (Before.Outputs != After.Outputs)
     S.addError("output mismatch" + On + ": original " +
-               renderOutputs(Before.Outputs) + ", transformed " +
-               renderOutputs(After.Outputs));
+               renderValues(Before.Outputs) + ", transformed " +
+               renderValues(After.Outputs));
 
   if (Opts.NoNewComputationsOf)
     for (const Expression &Ex : *Opts.NoNewComputationsOf) {
@@ -103,9 +103,7 @@ Status depflow::diffExecutions(const Function &Original,
                                const OracleOptions &Opts) {
   Status S;
   for (unsigned Run = 0; Run != Opts.Runs; ++Run) {
-    std::vector<std::int64_t> Inputs(Opts.InputLen);
-    for (std::int64_t &V : Inputs)
-      V = Rand.nextInRange(Opts.InputMin, Opts.InputMax);
+    std::vector<std::int64_t> Inputs = drawOracleInputs(Rand);
     S.append(diffOneExecution(Original, Transformed, Inputs, Opts));
     if (!S.ok()) {
       S.addError("original:\n" + printFunction(Original) + "transformed:\n" +

@@ -35,12 +35,6 @@ namespace depflow {
 struct OracleOptions {
   /// Number of random input vectors to compare per pair.
   unsigned Runs = 8;
-  /// Length of each input vector (parameters + read()s).
-  unsigned InputLen = 10;
-  /// Inclusive range inputs are drawn from. Small and straddling zero so
-  /// conditions flip and x/0 and x==c corner cases occur.
-  std::int64_t InputMin = -4;
-  std::int64_t InputMax = 9;
   /// Step budget for the original; the transformed side gets a multiple
   /// (transforms may add blocks/phis, so step counts differ legally).
   std::uint64_t MaxSteps = 50000;
@@ -51,7 +45,21 @@ struct OracleOptions {
   /// translates them onto the original by variable name, since clones made
   /// by print->parse may number variables differently.
   const std::vector<Expression> *NoNewComputationsOf = nullptr;
+  /// checkPassOutput skips the brute-force structure cross-checks above
+  /// this many CFG edges (the verifyPassInvariants cap).
+  unsigned MaxCrossCheckEdges = 600;
+
+  /// Length of each input vector (parameters + read()s), and the inclusive
+  /// range inputs are drawn from: small and straddling zero so conditions
+  /// flip and x/0 and x==c corner cases occur.
+  static constexpr unsigned InputLen = 10;
+  static constexpr std::int64_t InputMin = -4, InputMax = 9;
 };
+
+/// \p Len values drawn in order from [InputMin, InputMax]: the one input
+/// distribution every interpreter-backed oracle uses.
+std::vector<std::int64_t>
+drawOracleInputs(RNG &Rand, unsigned Len = OracleOptions::InputLen);
 
 /// Compares \p Original and \p Transformed over randomized executions.
 /// Diagnostics name the inputs that witnessed the divergence, so a failure
@@ -70,6 +78,12 @@ Status diffOneExecution(const Function &Original, const Function &Transformed,
 /// Variable *ids* may be renumbered; names and semantics are preserved.
 /// This is how the fuzzer gets a pristine original to diff against.
 Status cloneFunction(const Function &F, std::unique_ptr<Function> &Out);
+
+/// Re-keys \p Ex from \p From's variable numbering onto \p To's, matching
+/// variables by name. Returns false if a variable does not exist in \p To
+/// (then \p To cannot compute the expression at all).
+bool translateExpression(const Function &From, const Function &To,
+                         Expression &Ex);
 
 /// The binary expressions of \p F eligible for PRE — what the oracle
 /// watches for the "never adds a computation" guarantee

@@ -23,14 +23,6 @@ using namespace depflow;
 
 namespace {
 
-bool hasPhis(const Function &F) {
-  for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
-      if (isa<PhiInst>(I.get()))
-        return true;
-  return false;
-}
-
 /// Checks that two class-id vectors induce the same partition; appends a
 /// diagnostic per divergence (first few only — one is enough to act on).
 void checkSamePartition(const std::vector<unsigned> &Fast,
@@ -335,7 +327,7 @@ Status depflow::verifyDFGWellFormed(Function &F) {
   Status S = Status::fromMessages(verifyFunction(F));
   if (!S.ok())
     return S;
-  if (hasPhis(F))
+  if (F.hasPhis())
     return Status::error(
         "DFG well-formedness requires phi-free IR (run before SSA)");
 
@@ -402,18 +394,18 @@ Status depflow::crossCheckControlDependence(Function &F) {
   return S;
 }
 
-Status depflow::verifyPassInvariants(Function &F, const VerifyOptions &Opts) {
+Status depflow::verifyPassInvariants(Function &F, PassId P,
+                                     unsigned MaxCrossCheckEdges) {
   Status S = Status::fromMessages(verifyFunction(F));
   if (!S.ok()) {
     S.addError("offending program:\n" + printFunction(F));
     return S;
   }
-  const bool Phis = hasPhis(F);
-  if (Opts.ExpectSSA)
+  if (passProducesSSA(P))
     S.append(verifySSAForm(F));
-  if (Opts.CheckDFG && !Phis)
+  if (!F.hasPhis())
     S.append(verifyDFGWellFormed(F));
-  if (Opts.CrossCheckStructure && F.numEdges() <= Opts.MaxCrossCheckEdges) {
+  if (F.numEdges() <= MaxCrossCheckEdges) {
     S.append(crossCheckCycleEquivalence(F));
     S.append(crossCheckControlDependence(F));
   }

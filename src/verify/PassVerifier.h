@@ -36,23 +36,10 @@
 #define DEPFLOW_VERIFY_PASSVERIFIER_H
 
 #include "ir/Function.h"
+#include "pass/Pass.h"
 #include "support/Error.h"
 
 namespace depflow {
-
-/// Knobs for verifyPassInvariants.
-struct VerifyOptions {
-  /// Require SSA form (run after an SSA construction pass).
-  bool ExpectSSA = false;
-  /// Cross-check cycle equivalence and control dependence against the
-  /// naive references. Quadratic-plus; gated by MaxCrossCheckEdges.
-  bool CrossCheckStructure = true;
-  /// Check DFG well-formedness (skipped automatically when F has phis,
-  /// since the DFG is defined over phi-free IR).
-  bool CheckDFG = true;
-  /// Skip the brute-force references above this many CFG edges.
-  unsigned MaxCrossCheckEdges = 600;
-};
 
 /// SSA invariants: at most one defining instruction per variable, defs
 /// dominate every use, and every phi feeds (transitively) a non-phi use.
@@ -70,9 +57,14 @@ Status crossCheckCycleEquivalence(Function &F);
 /// Factored CDG (cycle-equivalence classes) vs. the per-edge FOW baseline.
 Status crossCheckControlDependence(Function &F);
 
-/// Composite: base IR verifier plus the checks selected by \p Opts. This is
-/// what depflow-opt's --verify-each and the fuzzer run between passes.
-Status verifyPassInvariants(Function &F, const VerifyOptions &Opts = {});
+/// Composite, for the output of pass \p P: the base IR verifier, SSA form
+/// when \p P produces SSA, DFG well-formedness on phi-free IR, and the
+/// brute-force structure cross-checks on functions of at most
+/// \p MaxCrossCheckEdges CFG edges. This is what depflow-opt's
+/// --verify-each runs after every pass, and the first stage of
+/// checkPassOutput (verify/Oracles.h).
+Status verifyPassInvariants(Function &F, PassId P,
+                            unsigned MaxCrossCheckEdges = 600);
 
 } // namespace depflow
 

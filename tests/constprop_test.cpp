@@ -19,6 +19,7 @@
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
 #include "dataflow/DefUse.h"
+#include "verify/Oracles.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
@@ -36,20 +37,12 @@ const Instruction *instrAt(const Function &F, const std::string &Label,
   return nullptr;
 }
 
-void expectSameUseValues(Function &F, const ConstPropResult &A,
-                         const ConstPropResult &B, const std::string &CtxA,
-                         const std::string &CtxB) {
-  for (const auto &BB : F.blocks()) {
-    for (const auto &IPtr : BB->instructions()) {
-      const Instruction *I = IPtr.get();
-      for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx)
-        EXPECT_EQ(A.useValue(I, Idx).str(), B.useValue(I, Idx).str())
-            << CtxA << " vs " << CtxB << ": operand " << Idx << " of '"
-            << printInstruction(F, *I) << "' in block " << BB->label()
-            << "\n"
-            << printFunction(F);
-    }
-  }
+/// The library's sparse/dense comparator must accept \p Sparse against
+/// \p Dense (executability and every variable operand).
+void expectModesAgree(Function &F, const ConstPropResult &Sparse,
+                      const ConstPropResult &Dense, const char *Ctx) {
+  Status S = compareEvalModes(F, Sparse, Dense, Ctx);
+  EXPECT_TRUE(S.ok()) << S.str() << "\n" << printFunction(F);
 }
 
 TEST(ConstProp, Figure3aAllPathsConstants) {
@@ -245,10 +238,7 @@ join:
     ConstPropResult EngDFG;
     ASSERT_TRUE(
         runConstantPropagation(*F, &G, EvalMode::SparseDFG, EngDFG).ok());
-    expectSameUseValues(*F, EngCFG, EngDFG, "engine CFG", "engine DFG");
-    for (unsigned B = 0; B != F->numBlocks(); ++B)
-      EXPECT_EQ(EngCFG.ExecutableBlock[B], EngDFG.ExecutableBlock[B])
-          << "block " << B;
+    expectModesAgree(*F, EngDFG, EngCFG, "engine");
   }
 }
 
@@ -278,9 +268,7 @@ TEST_P(ConstPropPropertyTest, DFGMatchesCFGExactly) {
   DepFlowGraph G = DepFlowGraph::build(*F);
   ConstPropResult DFG;
   ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
-  expectSameUseValues(*F, CFG, DFG, "cfg", "dfg");
-  EXPECT_EQ(CFG.ExecutableBlock, DFG.ExecutableBlock)
-      << printFunction(*F);
+  expectModesAgree(*F, DFG, CFG, "dfg");
 }
 
 TEST_P(ConstPropPropertyTest, DFGMatchesCFGOnSeparatedPrograms) {
@@ -291,7 +279,7 @@ TEST_P(ConstPropPropertyTest, DFGMatchesCFGOnSeparatedPrograms) {
   DepFlowGraph G = DepFlowGraph::build(*F);
   ConstPropResult DFG;
   ASSERT_TRUE(runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG).ok());
-  expectSameUseValues(*F, CFG, DFG, "cfg", "dfg/sep");
+  expectModesAgree(*F, DFG, CFG, "dfg/sep");
 }
 
 TEST_P(ConstPropPropertyTest, BypassModeDoesNotChangeResults) {
@@ -302,7 +290,7 @@ TEST_P(ConstPropPropertyTest, BypassModeDoesNotChangeResults) {
   ASSERT_TRUE(runConstantPropagation(*F, &Full, EvalMode::SparseDFG, A).ok());
   ConstPropResult B;
   ASSERT_TRUE(runConstantPropagation(*F, &Base, EvalMode::SparseDFG, B).ok());
-  expectSameUseValues(*F, A, B, "bypass", "nobypass");
+  expectModesAgree(*F, A, B, "bypass vs nobypass");
 }
 
 TEST_P(ConstPropPropertyTest, DefUseIsNoBetterThanCFG) {
@@ -339,20 +327,8 @@ TEST_P(ConstPropPropertyTest, ApplyingConstantsPreservesSemantics) {
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);
 
   RNG Rand(std::uint64_t(GetParam()) * 99 + 5);
-  for (int Trial = 0; Trial < 6; ++Trial) {
-    std::vector<std::int64_t> Inputs;
-    for (int K = 0; K < 12; ++K)
-      Inputs.push_back(Rand.nextInRange(-3, 3));
-    ExecResult Before = runFunction(*F, Inputs, 20000);
-    if (!Before.Halted)
-      continue;
-    ExecResult After = runFunction(*Clone, Inputs, 20000);
-    ASSERT_TRUE(After.Halted) << printFunction(*Clone);
-    EXPECT_EQ(Before.Outputs, After.Outputs)
-        << "inputs trial " << Trial << "\n"
-        << printFunction(*F) << "\n=>\n"
-        << printFunction(*Clone);
-  }
+  Status S = diffExecutions(*F, *Clone, Rand);
+  EXPECT_TRUE(S.ok()) << S.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConstPropPropertyTest,
@@ -441,7 +417,7 @@ TEST_P(ConstPropPropertyTest, RefinementKeepsCFGAndDFGEqual) {
   ConstPropResult DFG;
   ASSERT_TRUE(
       runConstantPropagation(*F, &G, EvalMode::SparseDFG, DFG, true).ok());
-  expectSameUseValues(*F, CFG, DFG, "cfg+ref", "dfg+ref");
+  expectModesAgree(*F, DFG, CFG, "dfg+ref");
 }
 
 TEST_P(ConstPropPropertyTest, RefinementIsSoundAndMonotone) {
@@ -471,18 +447,8 @@ TEST_P(ConstPropPropertyTest, RefinementIsSoundAndMonotone) {
   applyConstantsAndDCE(*Clone, CP);
   ASSERT_TRUE(isWellFormed(*Clone));
   RNG Rand(std::uint64_t(GetParam()) * 17 + 9);
-  for (int Trial = 0; Trial < 4; ++Trial) {
-    std::vector<std::int64_t> Inputs;
-    for (int K = 0; K < 12; ++K)
-      Inputs.push_back(Rand.nextInRange(-2, 2));
-    ExecResult Before = runFunction(*F, Inputs, 20000);
-    if (!Before.Halted)
-      continue;
-    ExecResult After = runFunction(*Clone, Inputs, 20000);
-    ASSERT_TRUE(After.Halted);
-    EXPECT_EQ(Before.Outputs, After.Outputs)
-        << printFunction(*F) << "=>\n" << printFunction(*Clone);
-  }
+  Status S = diffExecutions(*F, *Clone, Rand);
+  EXPECT_TRUE(S.ok()) << S.str();
 }
 
 } // namespace

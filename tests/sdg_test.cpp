@@ -6,8 +6,9 @@
 // Covers the interprocedural layer: call-graph SCC condensation and level
 // schedule, SDG construction (parameter, return, and io plumbing), summary
 // edges over recursion, hand-computed forward/backward slices on a
-// three-function fixture, executable slice extraction with the
-// trace-equivalence oracle, and -j determinism of the sdg counter group.
+// three-function fixture, executable slice extraction through the
+// library's trace-equivalence oracle (checkSliceExecution), and -j
+// determinism of the sdg counter group.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "sdg/Slicer.h"
 #include "sdg/SystemDependenceGraph.h"
 #include "support/Statistic.h"
+#include "verify/Oracles.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
@@ -47,6 +49,15 @@ unsigned indexOf(const Module &M, const char *Name) {
     if (M.function(I)->name() == Name)
       return I;
   std::abort();
+}
+
+/// True when some instruction of \p F carries source line \p Line.
+bool hasLine(const Function &F, unsigned Line) {
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions())
+      if (I->line() == Line)
+        return true;
+  return false;
 }
 
 /// (function name, line) pairs of a slice, for hand-checked expectations.
@@ -288,55 +299,23 @@ e:
   ret y
 }
 )");
-  SystemDependenceGraph G = SystemDependenceGraph::build(*M);
-  SliceCriterion C;
-  C.Func = "main";
-  C.Line = 5;
-  std::vector<unsigned> Nodes;
-  ASSERT_TRUE(resolveCriterion(G, C, Nodes).ok());
-  std::vector<char> Marks = sliceSDG(G, Nodes, SliceDirection::Backward);
-  std::unique_ptr<Module> Sliced = extractBackwardSlice(*M, G, Marks);
-
-  // x = read() computes nothing y needs — except the stream position.
-  // Dropping it would hand y the wrong input; the io chain must keep it.
-  const Function &SF = *Sliced->function(0);
-  bool KeptFirstRead = false;
-  for (const auto &BB : SF.blocks())
-    for (const auto &I : BB->instructions())
-      if (I->line() == 4)
-        KeptFirstRead = true;
-  EXPECT_TRUE(KeptFirstRead);
-
   ModuleExecOptions EO;
   EO.WatchFunc = "main";
   EO.WatchLine = 5;
   ExecResult Ref = runModule(*M, *M->function(0), {7, 9}, EO);
-  ExecResult Got = runModule(*Sliced, *Sliced->function(0), {7, 9}, EO);
   ASSERT_TRUE(Ref.Halted);
-  ASSERT_TRUE(Got.Halted);
   ASSERT_EQ(Ref.WatchTrace, (std::vector<std::int64_t>{9}));
-  EXPECT_EQ(Got.WatchTrace, Ref.WatchTrace);
+  std::unique_ptr<Module> Sliced;
+  Status S = checkSliceExecution(*M, {7, 9}, EO, Ref.WatchTrace, 1, &Sliced);
+  EXPECT_TRUE(S.ok()) << S.str();
+
+  // x = read() computes nothing y needs — except the stream position.
+  // Dropping it would hand y the wrong input; the io chain must keep it.
+  EXPECT_TRUE(hasLine(*Sliced->function(0), 4));
 }
 
 TEST(SliceTest, ExtractedSliceDropsIndependentComputation) {
   auto M = parseModuleOrDie(FixtureSrc);
-  SystemDependenceGraph G = SystemDependenceGraph::build(*M);
-  SliceCriterion C;
-  C.Func = "main";
-  C.Line = 8;
-  std::vector<unsigned> Nodes;
-  ASSERT_TRUE(resolveCriterion(G, C, Nodes).ok());
-  std::vector<char> Marks = sliceSDG(G, Nodes, SliceDirection::Backward);
-  std::unique_ptr<Module> Sliced = extractBackwardSlice(*M, G, Marks);
-
-  // Every function still verifies, and t = b * 2 (line 7) is gone.
-  for (const auto &F : Sliced->functions()) {
-    std::vector<std::string> Errs = verifyFunction(*F);
-    EXPECT_TRUE(Errs.empty()) << F->name() << ": " << Errs.front();
-    for (const auto &BB : F->blocks())
-      for (const auto &I : BB->instructions())
-        EXPECT_NE(I->line(), 7u);
-  }
   // b = read() survives only if the io chain needs it — it does not here
   // (no read follows the slice's last io use at line 4... the call reads
   // nothing), so input 2 is never consumed and the trace still matches.
@@ -344,11 +323,15 @@ TEST(SliceTest, ExtractedSliceDropsIndependentComputation) {
   EO.WatchFunc = "main";
   EO.WatchLine = 8;
   ExecResult Ref = runModule(*M, *M->function(0), {5, 11}, EO);
-  ExecResult Got = runModule(*Sliced, *Sliced->function(0), {5, 11}, EO);
   ASSERT_TRUE(Ref.Halted);
-  ASSERT_TRUE(Got.Halted);
   ASSERT_EQ(Ref.WatchTrace, (std::vector<std::int64_t>{7})); // add1(5)+1
-  EXPECT_EQ(Got.WatchTrace, Ref.WatchTrace);
+  std::unique_ptr<Module> Sliced;
+  Status S = checkSliceExecution(*M, {5, 11}, EO, Ref.WatchTrace, 1, &Sliced);
+  EXPECT_TRUE(S.ok()) << S.str();
+
+  // t = b * 2 (line 7) is gone.
+  for (const auto &F : Sliced->functions())
+    EXPECT_FALSE(hasLine(*F, 7)) << F->name();
 }
 
 TEST(SliceTest, BranchOutsideSliceIsRewiredPastItsRegion) {
@@ -370,29 +353,18 @@ j:
   ret x
 }
 )");
-  SystemDependenceGraph G = SystemDependenceGraph::build(*M);
-  SliceCriterion C;
-  C.Func = "main";
-  C.Line = 11;
-  std::vector<unsigned> Nodes;
-  ASSERT_TRUE(resolveCriterion(G, C, Nodes).ok());
-  std::vector<char> Marks = sliceSDG(G, Nodes, SliceDirection::Backward);
-  std::unique_ptr<Module> Sliced = extractBackwardSlice(*M, G, Marks);
-  Function &SF = *Sliced->function(0);
-  EXPECT_TRUE(verifyFunction(SF).empty());
-  // d = 2 (line 8) and the branch (line 6) are out; the function must
-  // still run and agree at the criterion on both branch outcomes.
-  for (const auto &BB : SF.blocks())
-    for (const auto &I : BB->instructions())
-      EXPECT_NE(I->line(), 8u);
+  // d = 2 (line 8) and the branch (line 6) are out; the slice must still
+  // run and agree at the criterion on both branch outcomes.
+  ModuleExecOptions EO;
+  EO.WatchFunc = "main";
+  EO.WatchLine = 11;
   for (std::int64_t In : {0, 1}) {
-    ModuleExecOptions EO;
-    EO.WatchFunc = "main";
-    EO.WatchLine = 11;
     ExecResult Ref = runModule(*M, *M->function(0), {In}, EO);
-    ExecResult Got = runModule(*Sliced, *Sliced->function(0), {In}, EO);
-    ASSERT_TRUE(Ref.Halted && Got.Halted);
-    EXPECT_EQ(Got.WatchTrace, Ref.WatchTrace) << "input " << In;
+    ASSERT_TRUE(Ref.Halted);
+    std::unique_ptr<Module> Sliced;
+    Status S = checkSliceExecution(*M, {In}, EO, Ref.WatchTrace, 1, &Sliced);
+    EXPECT_TRUE(S.ok()) << "input " << In << ": " << S.str();
+    EXPECT_FALSE(hasLine(*Sliced->function(0), 8));
   }
 }
 
@@ -434,21 +406,14 @@ done:
 
   // End to end: the backward slice from main's result contains the whole
   // recursive kernel and reproduces the interpreter's observations.
-  SliceCriterion C;
-  C.Func = "main";
-  C.Line = 5;
-  std::vector<unsigned> Nodes;
-  ASSERT_TRUE(resolveCriterion(G, C, Nodes).ok());
-  std::vector<char> Marks = sliceSDG(G, Nodes, SliceDirection::Backward);
-  std::unique_ptr<Module> Sliced = extractBackwardSlice(*M, G, Marks);
   ModuleExecOptions EO;
   EO.WatchFunc = "main";
   EO.WatchLine = 5;
   ExecResult Ref = runModule(*M, *M->function(0), {5}, EO);
-  ExecResult Got = runModule(*Sliced, *Sliced->function(0), {5}, EO);
-  ASSERT_TRUE(Ref.Halted && Got.Halted);
+  ASSERT_TRUE(Ref.Halted);
   ASSERT_EQ(Ref.WatchTrace, (std::vector<std::int64_t>{120}));
-  EXPECT_EQ(Got.WatchTrace, Ref.WatchTrace);
+  Status S = checkSliceExecution(*M, {5}, EO, Ref.WatchTrace);
+  EXPECT_TRUE(S.ok()) << S.str();
 }
 
 TEST(SDGTest, CounterGroupIsIdenticalAcrossJobCounts) {

@@ -6,8 +6,9 @@
 // Hand-computed fixpoints for the three report-only engine clients (range,
 // taint, nulluse) on the paper's Figure 1/3 shapes plus a counting loop.
 // Every fixture is solved in both engine modes (sparse over the DFG,
-// dense over the CFG) and the results are required to agree exactly — the
-// unit-test twin of the depflow-fuzz differential oracle.
+// dense over the CFG) and the pair must pass the library's sparse/dense
+// comparator (compareEvalModes, src/verify/Oracles.h) — the same check
+// depflow-fuzz runs on every generated program.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include "dataflow/TaintAnalysis.h"
 #include "ParseOrDie.h"
 #include "ir/Printer.h"
+#include "verify/Oracles.h"
 
 #include <gtest/gtest.h>
 
@@ -33,28 +35,17 @@ const Instruction *instrAt(const Function &F, const std::string &Label,
   return nullptr;
 }
 
-/// Solves \p F with \p Run in both modes and checks the two results agree
-/// on executability and on every operand value before handing the sparse
-/// result back for the hand-computed assertions.
+/// Solves \p F with \p Run in both modes and requires the library
+/// comparator to accept the pair before handing the sparse result back
+/// for the hand-computed assertions.
 template <typename Result, typename RunFn>
-Result solveBothModes(Function &F, RunFn Run) {
+Result solveChecked(Function &F, RunFn Run) {
   DepFlowGraph G = DepFlowGraph::build(F);
-  Result Sparse;
+  Result Sparse, Dense;
   EXPECT_TRUE(Run(F, &G, EvalMode::SparseDFG, Sparse).ok());
-  Result Dense;
   EXPECT_TRUE(Run(F, nullptr, EvalMode::DenseCFG, Dense).ok());
-  for (unsigned B = 0; B != F.numBlocks(); ++B)
-    EXPECT_EQ(Sparse.ExecutableBlock[B], Dense.ExecutableBlock[B])
-        << "mode disagreement on block " << B << "\n"
-        << printFunction(F);
-  for (const auto &BB : F.blocks())
-    for (const auto &IPtr : BB->instructions()) {
-      const Instruction *I = IPtr.get();
-      for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx)
-        EXPECT_EQ(Sparse.useValue(I, Idx).str(), Dense.useValue(I, Idx).str())
-            << "mode disagreement at operand " << Idx << " of '"
-            << printInstruction(F, *I) << "'";
-    }
+  Status S = compareEvalModes(F, Sparse, Dense, "fixture");
+  EXPECT_TRUE(S.ok()) << S.str() << "\n" << printFunction(F);
   return Sparse;
 }
 
@@ -138,7 +129,7 @@ out:
 
 TEST(SparseEngineRange, Figure3bPrunesTheDeadArm) {
   auto F = parseFunctionOrDie(Fig3bSrc);
-  RangeResult R = solveBothModes<RangeResult>(*F, runRangeAnalysis);
+  RangeResult R = solveChecked<RangeResult>(*F, runRangeAnalysis);
 
   // p = 1 cannot be false, so els (block 2) is unreachable for range —
   // the interval client prunes exactly like constprop does.
@@ -162,7 +153,7 @@ TEST(SparseEngineRange, Figure3bPrunesTheDeadArm) {
 
 TEST(SparseEngineRange, MaybeInitDiamondHull) {
   auto F = parseFunctionOrDie(MaybeInitSrc);
-  RangeResult R = solveBothModes<RangeResult>(*F, runRangeAnalysis);
+  RangeResult R = solveChecked<RangeResult>(*F, runRangeAnalysis);
 
   // x is 1 via a, and keeps its entry value 0 via b: the hull is [0, 1]
   // (both bounds sit on the ladder, so no rounding).
@@ -183,7 +174,7 @@ TEST(SparseEngineRange, MaybeInitDiamondHull) {
 
 TEST(SparseEngineRange, CountingLoopClimbsTheLadderToInfinity) {
   auto F = parseFunctionOrDie(CountSrc);
-  RangeResult R = solveBothModes<RangeResult>(*F, runRangeAnalysis);
+  RangeResult R = solveChecked<RangeResult>(*F, runRangeAnalysis);
 
   // i starts at 0 and only grows; the ladder widening must terminate with
   // a half-bounded interval, not loop forever refining the upper bound.
@@ -211,7 +202,7 @@ TEST(SparseEngineRange, CountingLoopClimbsTheLadderToInfinity) {
 
 TEST(SparseEngineTaint, ParametersTaintTheirUsesOnly) {
   auto F = parseFunctionOrDie(Fig3aSrc);
-  TaintResult R = solveBothModes<TaintResult>(*F, runTaintAnalysis);
+  TaintResult R = solveChecked<TaintResult>(*F, runTaintAnalysis);
 
   // The parameter p taints the branch predicate, but the arithmetic on
   // immediates stays clean all the way to the return.
@@ -224,7 +215,7 @@ TEST(SparseEngineTaint, ParametersTaintTheirUsesOnly) {
 
 TEST(SparseEngineTaint, NoSourcesMeansEverythingCleanButAllPathsLive) {
   auto F = parseFunctionOrDie(Fig3bSrc);
-  TaintResult R = solveBothModes<TaintResult>(*F, runTaintAnalysis);
+  TaintResult R = solveChecked<TaintResult>(*F, runTaintAnalysis);
 
   // No parameters and no read(): nothing can be tainted.
   EXPECT_EQ(R.numTaintedVarUses(), 0u);
@@ -246,7 +237,7 @@ entry:
   ret b, c
 }
 )");
-  TaintResult R = solveBothModes<TaintResult>(*F, runTaintAnalysis);
+  TaintResult R = solveChecked<TaintResult>(*F, runTaintAnalysis);
 
   // read() is a source; the taint rides the addition into the second
   // returned value while the immediate-only first stays clean.
@@ -264,7 +255,7 @@ entry:
 
 TEST(SparseEngineNullUse, OneArmedDefinitionIsFlagged) {
   auto F = parseFunctionOrDie(MaybeInitSrc);
-  NullUseResult R = solveBothModes<NullUseResult>(*F, runNullUseAnalysis);
+  NullUseResult R = solveChecked<NullUseResult>(*F, runNullUseAnalysis);
 
   // x is assigned on the a-arm only; through b the entry value survives,
   // so the use at the join is may-uninit (but also may-init).
@@ -284,7 +275,7 @@ TEST(SparseEngineNullUse, OneArmedDefinitionIsFlagged) {
 
 TEST(SparseEngineNullUse, EveryPathDefinesMeansNothingFlagged) {
   auto F = parseFunctionOrDie(Fig3bSrc);
-  NullUseResult R = solveBothModes<NullUseResult>(*F, runNullUseAnalysis);
+  NullUseResult R = solveChecked<NullUseResult>(*F, runNullUseAnalysis);
   EXPECT_EQ(R.numMaybeUninitVarUses(), 0u);
   EXPECT_EQ(R.numDefinitelyInitVarUses(), 3u);
 }

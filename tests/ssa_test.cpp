@@ -18,6 +18,7 @@
 #include "ir/Verifier.h"
 #include "ssa/SCCP.h"
 #include "ssa/SSA.h"
+#include "verify/DiffOracle.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
@@ -143,18 +144,8 @@ TEST_P(SSAPropertyTest, SSAPreservesSemantics) {
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);
 
   RNG Rand(std::uint64_t(GetParam()) * 3 + 1);
-  for (int Trial = 0; Trial < 5; ++Trial) {
-    std::vector<std::int64_t> Inputs;
-    for (int K = 0; K < 12; ++K)
-      Inputs.push_back(Rand.nextInRange(-3, 3));
-    ExecResult Before = runFunction(*F, Inputs, 20000);
-    if (!Before.Halted)
-      continue;
-    ExecResult After = runFunction(*Clone, Inputs, 30000);
-    ASSERT_TRUE(After.Halted);
-    EXPECT_EQ(Before.Outputs, After.Outputs)
-        << printFunction(*F) << "=>\n" << printFunction(*Clone);
-  }
+  Status S = diffExecutions(*F, *Clone, Rand);
+  EXPECT_TRUE(S.ok()) << S.str();
 }
 
 TEST_P(SSAPropertyTest, DFGSSAPreservesSemanticsToo) {
@@ -167,18 +158,8 @@ TEST_P(SSAPropertyTest, DFGSSAPreservesSemanticsToo) {
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);
 
   RNG Rand(std::uint64_t(GetParam()) * 13 + 2);
-  for (int Trial = 0; Trial < 5; ++Trial) {
-    std::vector<std::int64_t> Inputs;
-    for (int K = 0; K < 12; ++K)
-      Inputs.push_back(Rand.nextInRange(-3, 3));
-    ExecResult Before = runFunction(*F, Inputs, 20000);
-    if (!Before.Halted)
-      continue;
-    ExecResult After = runFunction(*Clone, Inputs, 30000);
-    ASSERT_TRUE(After.Halted);
-    EXPECT_EQ(Before.Outputs, After.Outputs)
-        << printFunction(*F) << "=>\n" << printFunction(*Clone);
-  }
+  Status S = diffExecutions(*F, *Clone, Rand);
+  EXPECT_TRUE(S.ok()) << S.str();
 }
 
 TEST_P(SSAPropertyTest, SCCPMatchesCFGConstProp) {

@@ -5,17 +5,19 @@
 //
 // Tests for src/verify/: the invariant checkers must accept everything the
 // real passes produce, reject hand-made violations with useful diagnostics,
-// and the differential oracle must notice a seeded miscompile.
+// and the differential and client oracles must notice a seeded miscompile
+// or a planted analysis error.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ParseOrDie.h"
+#include "core/DepFlowGraph.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "pass/PassPipeline.h"
 #include "support/Error.h"
-#include "verify/DiffOracle.h"
+#include "verify/Oracles.h"
 #include "verify/PassVerifier.h"
 #include "workload/Generators.h"
 
@@ -30,6 +32,16 @@ namespace {
 Status runPassFresh(Function &F, PassId P) {
   FunctionAnalysisManager AM(F);
   return runPass(F, P, AM);
+}
+
+/// The fuzzer's checked pipeline without its mutation: clone \p F, run
+/// \p P on the clone, and hand both to the library's per-pass check.
+Status checkPassOn(const Function &F, PassId P, std::uint64_t Seed) {
+  std::unique_ptr<Function> T;
+  Status S = cloneFunction(F, T);
+  if (S.ok())
+    S = runPassFresh(*T, P);
+  return S.ok() ? checkPassOutput(F, *T, P, Seed) : S;
 }
 
 const char *DiamondSrc = R"(
@@ -224,18 +236,6 @@ TEST(CheckedRunPass, NamesRoundTrip) {
   EXPECT_FALSE(passByName("no-such-pass").has_value());
 }
 
-TEST(CheckedRunPass, EveryPassPreservesInvariantsOnDiamond) {
-  for (PassId P : allPasses()) {
-    auto F = parseFunctionOrDie(DiamondSrc);
-    Status S = runPassFresh(*F, P);
-    ASSERT_TRUE(S.ok()) << passName(P) << ": " << S.str();
-    VerifyOptions VO;
-    VO.ExpectSSA = passProducesSSA(P);
-    Status V = verifyPassInvariants(*F, VO);
-    EXPECT_TRUE(V.ok()) << passName(P) << ": " << V.str();
-  }
-}
-
 TEST(CheckedRunPass, RejectsPhiInputWithoutCrashing) {
   auto F = parseFunctionOrDie(DiamondSrc);
   ASSERT_TRUE(runPassFresh(*F, PassId::SSA).ok());
@@ -310,16 +310,77 @@ TEST(DiffOracle, PREPassNeverAddsComputations) {
     G.Seed = Seed;
     G.TargetStmts = 20;
     auto F = generateStructuredProgram(G);
-    std::unique_ptr<Function> T;
-    ASSERT_TRUE(cloneFunction(*F, T).ok());
-    std::vector<Expression> Watched = preWatchedExpressions(*T);
-    ASSERT_TRUE(runPassFresh(*T, PassId::PRE).ok());
-    OracleOptions OO;
-    OO.NoNewComputationsOf = &Watched;
-    RNG Rand(Seed);
-    Status S = diffExecutions(*F, *T, Rand, OO);
+    // checkPassOutput watches every PRE candidate for added computations.
+    Status S = checkPassOn(*F, PassId::PRE, Seed);
     EXPECT_TRUE(S.ok()) << "seed " << Seed << ": " << S.str();
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Client oracles: each must reject what it exists to catch.
+//===----------------------------------------------------------------------===//
+
+const char *IncSrc = "func f(p) {\nb:\n  x = p + 1\n  ret x\n}\n";
+
+RangeResult denseRange(Function &F) {
+  RangeResult R;
+  EXPECT_TRUE(runRangeAnalysis(F, nullptr, EvalMode::DenseCFG, R).ok());
+  return R;
+}
+
+TEST(ClientOracles, ComparatorRejectsPlantedDisagreement) {
+  auto F = parseFunctionOrDie(IncSrc);
+  DepFlowGraph G = DepFlowGraph::build(*F);
+  RangeResult Sparse;
+  ASSERT_TRUE(runRangeAnalysis(*F, &G, EvalMode::SparseDFG, Sparse).ok());
+  RangeResult Dense = denseRange(*F);
+  Status S = compareEvalModes(*F, Sparse, Dense, "range");
+  ASSERT_TRUE(S.ok()) << S.str();
+  Sparse.row(1)[0] = IntervalVal::point(42); // The ret's x.
+  S = compareEvalModes(*F, Sparse, Dense, "range");
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.str().find("!= dense-CFG value"), std::string::npos) << S.str();
+}
+
+/// Compares the dense range solution of \p Src against a copy whose ret
+/// operand is widened the way a termination-optimistic bypass widens it.
+Status compareWidenedRet(const std::string &Src) {
+  auto F = parseFunctionOrDie(Src);
+  RangeResult Dense = denseRange(*F), Widened = denseRange(*F);
+  IntervalVal &Ret = Widened.row(Widened.size() - 1)[0];
+  Ret = Ret.meet(IntervalVal::point(1000));
+  return compareEvalModes(*F, Widened, Dense, "range");
+}
+
+TEST(ClientOracles, ComparatorAllowsWideningOnlyPastProvenDivergence) {
+  // With c = 1 the dense solution proves the loop never exits; with c = 0
+  // it exits, and the same widening is a plain disagreement.
+  auto Spin = [](const char *C) {
+    return std::string("func f(p) {\nentry:\n  x = 1\n"
+                       "  if p goto loop else out\nloop:\n  x = 2\n"
+                       "  c = ") +
+           C + "\n  if c goto loop else out\nout:\n  ret x\n}\n";
+  };
+  Status Divergent = compareWidenedRet(Spin("1"));
+  EXPECT_TRUE(Divergent.ok()) << Divergent.str();
+  Status Terminating = compareWidenedRet(Spin("0"));
+  ASSERT_FALSE(Terminating.ok());
+  EXPECT_NE(Terminating.str().find("!= dense-CFG value"), std::string::npos)
+      << Terminating.str();
+}
+
+TEST(ClientOracles, RangeOutputCheckFlagsEscapedOutput) {
+  auto F = parseFunctionOrDie(IncSrc);
+  RangeResult R = denseRange(*F);
+  RNG Rand(1);
+  Status S = checkRangeContainsOutputs(*F, R, Rand);
+  ASSERT_TRUE(S.ok()) << S.str();
+  R.row(1)[0] = IntervalVal::point(1000); // p + 1 never returns 1000.
+  S = checkRangeContainsOutputs(*F, R, Rand);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.str().find("falls outside the computed interval"),
+            std::string::npos)
+      << S.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -328,6 +389,7 @@ TEST(DiffOracle, PREPassNeverAddsComputations) {
 
 TEST(EndToEnd, AllPassesOnAllFamilies) {
   std::vector<std::unique_ptr<Function>> Programs;
+  Programs.push_back(parseFunctionOrDie(DiamondSrc));
   GenOptions G;
   G.Seed = 3;
   Programs.push_back(generateStructuredProgram(G));
@@ -338,17 +400,8 @@ TEST(EndToEnd, AllPassesOnAllFamilies) {
   Programs.push_back(generateLadder(5, 4, 3));
   for (const auto &F : Programs)
     for (PassId P : allPasses()) {
-      std::unique_ptr<Function> T;
-      ASSERT_TRUE(cloneFunction(*F, T).ok());
-      Status S = runPassFresh(*T, P);
-      ASSERT_TRUE(S.ok()) << passName(P) << ": " << S.str();
-      VerifyOptions VO;
-      VO.ExpectSSA = passProducesSSA(P);
-      Status V = verifyPassInvariants(*T, VO);
-      EXPECT_TRUE(V.ok()) << passName(P) << ": " << V.str();
-      RNG Rand(7);
-      Status D = diffExecutions(*F, *T, Rand);
-      EXPECT_TRUE(D.ok()) << passName(P) << ": " << D.str();
+      Status S = checkPassOn(*F, P, 7);
+      EXPECT_TRUE(S.ok()) << passName(P) << ": " << S.str();
     }
 }
 

@@ -44,10 +44,11 @@
 // Each iteration generates a random program (one of six CFG families),
 // optionally applies a structured mutation (edge rewiring, instruction
 // insertion/deletion, constant perturbation), then for every pass under
-// test clones the program, runs the pass, checks the structural
-// invariants (src/verify/PassVerifier.h), and compares original vs.
-// transformed behaviour on random inputs (src/verify/DiffOracle.h). Any
-// violation is greedily reduced to a small textual-IR reproducer.
+// test clones the program, runs the pass, and hands the result to the
+// library's per-pass check (checkPassOutput, src/verify/Oracles.h):
+// structural invariants, the client oracles of the analysis passes, and
+// original vs. transformed behaviour on random inputs. Any violation is
+// greedily reduced to a small textual-IR reproducer.
 //
 // Every few iterations the fuzzer additionally assembles a multi-function
 // module and runs the parallel pipeline driver over it twice — serially
@@ -58,29 +59,22 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dataflow/ConstantPropagation.h"
-#include "dataflow/NullUseAnalysis.h"
-#include "dataflow/RangeAnalysis.h"
-#include "dataflow/TaintAnalysis.h"
 #include "interp/Interpreter.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "obs/EventLog.h"
 #include "obs/StatsJson.h"
-#include "pass/Analyses.h"
 #include "pass/AnalysisManager.h"
 #include "pass/ModulePipeline.h"
 #include "pass/PassPipeline.h"
-#include "sdg/Slicer.h"
-#include "sdg/SystemDependenceGraph.h"
 #include "support/FaultInjection.h"
 #include "support/RNG.h"
 #include "support/Statistic.h"
-#include "verify/DiffOracle.h"
-#include "verify/PassVerifier.h"
+#include "verify/Oracles.h"
 #include "workload/Generators.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -98,15 +92,14 @@ struct FuzzOptions {
   std::uint64_t Seed = 1;
   unsigned Iters = 1000;
   std::vector<PassId> Passes;
-  unsigned OracleRuns = 6;
-  unsigned MaxCrossCheckEdges = 600;
+  OracleOptions Oracle{.Runs = 6}; // --runs, --max-edges, --max-interp-steps
   bool Mutate = true;
   bool Modules = true;
   bool InjectBug = false;
   bool Verbose = false;
   unsigned EmitModule = 0; // Nonzero: print a module of N functions, exit.
   std::string StatsJson;   // --stats-json destination; empty = disabled.
-  std::uint64_t MaxInterpSteps = 0; // 0 = oracle default.
+  std::uint64_t SliceMaxSteps = 200000; // --max-interp-steps, slice mode.
   bool FaultSweep = false;
   std::vector<std::string> SweepExtras; // --fault-sweep-extra specs.
   bool SliceOracle = false;             // --slice-oracle mode.
@@ -151,9 +144,9 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &O) {
     else if (A == "--iters" && NextNum(N, U32Max))
       O.Iters = unsigned(N);
     else if (A == "--runs" && NextNum(N, U32Max))
-      O.OracleRuns = unsigned(N);
+      O.Oracle.Runs = unsigned(N);
     else if (A == "--max-edges" && NextNum(N, U32Max))
-      O.MaxCrossCheckEdges = unsigned(N);
+      O.Oracle.MaxCrossCheckEdges = unsigned(N);
     else if (A == "--pass") {
       if (I + 1 >= Argc)
         return false;
@@ -178,7 +171,7 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &O) {
                      "error: --max-interp-steps must be positive\n");
         return false;
       }
-      O.MaxInterpSteps = N;
+      O.Oracle.MaxSteps = O.SliceMaxSteps = N;
     } else if (A == "--fault-sweep")
       O.FaultSweep = true;
     else if (A == "--slice-oracle")
@@ -207,16 +200,6 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &O) {
   if (O.Passes.empty())
     O.Passes = allPasses();
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Program generation: six CFG families, parameters drawn from the RNG.
-// The distribution lives in workload/Generators (generateMixedProgram) so
-// the benches and module smoke inputs fuzz the same program shapes.
-//===----------------------------------------------------------------------===//
-
-std::unique_ptr<Function> generateProgram(RNG &Rand, unsigned &FamilyOut) {
-  return generateMixedProgram(Rand, &FamilyOut);
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,302 +282,6 @@ void mutateOnce(Function &F, RNG &Rand) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sparse-client differential oracles. The analysis passes (range, taint,
-// nulluse) leave the IR untouched, so the interesting object is the
-// analysis result, not the transformed program:
-//
-//   1. The sparse-DFG and dense-CFG evaluation modes must agree exactly —
-//      executable blocks and the lattice value at every variable operand.
-//      Both sides meet at the same confluence points over finite-height
-//      lattices, so this is equality, not containment — with one carve-out.
-//      Region bypassing is termination-optimistic (EXPERIMENTS.md,
-//      "Substitutions and deviations"): when the dense fixpoint proves
-//      that an executable region can never reach the exit, the bypass
-//      routes values around that region as if it completed, so the sparse
-//      solution is wider there. On exactly those programs — detected from
-//      the dense solution itself — the oracle demands sound containment
-//      (dense ⊑ sparse) instead of equality.
-//   2. Every block the interpreter actually enters must be marked
-//      executable (the analyses over-approximate execution: parameters
-//      and read() are top).
-//   3. range: every halted run's output must lie inside the interval the
-//      analysis computed for the corresponding ret operand, and a use a
-//      halted run reaches cannot be ⊥.
-//   4. range vs constprop: a use constprop pins to the constant c has an
-//      interval containing c (the interval transfer functions fold
-//      point×point through the same evalBinOp).
-//   5. taint: a function with no parameters and no read() has no taint
-//      source, so no use may be flagged tainted.
-//===----------------------------------------------------------------------===//
-
-/// True when the dense fixpoint proves some executable block can never
-/// reach the exit: the walk follows only branch sides the dense predicate
-/// values allow, and any dense-executable block left outside the
-/// reaches-exit set marks a provably divergent region. Bypassing routes
-/// values around such regions as if they completed, so sparse and dense
-/// results legitimately differ on these programs (and only these).
-template <typename Result>
-bool denseProvesDivergence(const Function &F, const Result &Dense) {
-  const BasicBlock *Exit = F.exit();
-  if (!Exit || Exit->id() >= Dense.ExecutableBlock.size() ||
-      !Dense.ExecutableBlock[Exit->id()])
-    return true;
-  // Gated successor sets of the dense-executable blocks.
-  const unsigned N = F.numBlocks();
-  std::vector<std::vector<unsigned>> Succ(N);
-  for (const auto &BB : F.blocks()) {
-    if (!Dense.ExecutableBlock[BB->id()])
-      continue;
-    const Instruction *Term = BB->terminator();
-    if (const auto *Br = dyn_cast<CondBrInst>(Term)) {
-      bool MayTrue = true, MayFalse = true;
-      if (Br->cond().isImm()) {
-        MayTrue = Br->cond().imm() != 0;
-        MayFalse = !MayTrue;
-      } else {
-        typename Result::Value Pred = Dense.useValue(Br, 0);
-        MayTrue = Pred.mayBeTrue();
-        MayFalse = Pred.mayBeFalse();
-      }
-      if (MayTrue)
-        Succ[BB->id()].push_back(Br->trueTarget()->id());
-      if (MayFalse)
-        Succ[BB->id()].push_back(Br->falseTarget()->id());
-    } else if (const auto *J = dyn_cast<JumpInst>(Term)) {
-      Succ[BB->id()].push_back(J->target()->id());
-    }
-  }
-  // Backward fixpoint: which blocks reach the exit through gated edges?
-  std::vector<bool> Reaches(N, false);
-  Reaches[Exit->id()] = true;
-  for (bool Changed = true; Changed;) {
-    Changed = false;
-    for (unsigned B = 0; B != N; ++B) {
-      if (Reaches[B])
-        continue;
-      for (unsigned S : Succ[B])
-        if (Reaches[S]) {
-          Reaches[B] = Changed = true;
-          break;
-        }
-    }
-  }
-  for (unsigned B = 0; B != N; ++B)
-    if (Dense.ExecutableBlock[B] && !Reaches[B])
-      return true;
-  return false;
-}
-
-/// Runs \p Run in both evaluation modes and requires identical results —
-/// except on programs where the dense solve proves a divergent region
-/// (see above), where the sparse solution need only contain the dense one.
-/// The sparse solution is left in \p Sparse for the follow-on oracles.
-template <typename Result, typename RunFn>
-Status diffSparseDense(Function &F, const DepFlowGraph &G, RunFn Run,
-                       const char *Name, Result &Sparse) {
-  Status S = Run(F, &G, EvalMode::SparseDFG, Sparse);
-  if (!S.ok())
-    return S;
-  Result Dense;
-  S = Run(F, nullptr, EvalMode::DenseCFG, Dense);
-  if (!S.ok())
-    return S;
-  const bool Divergent = denseProvesDivergence(F, Dense);
-  Status Out;
-  for (unsigned B = 0; B != F.numBlocks() && Out.ok(); ++B) {
-    if (Sparse.ExecutableBlock[B] == Dense.ExecutableBlock[B])
-      continue;
-    if (Divergent && Sparse.ExecutableBlock[B])
-      continue; // Termination-optimism may only widen executability.
-    Out.addError(std::string(Name) +
-                 ": sparse-DFG and dense-CFG modes disagree on the "
-                 "executability of block b" +
-                 std::to_string(B) +
-                 (Divergent ? " (sparse dropped a dense-executable block"
-                              " on a divergent program)"
-                            : ""));
-  }
-  for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
-      for (unsigned Op = 0; Op != I->numOperands() && Out.ok(); ++Op) {
-        if (!I->operand(Op).isVar())
-          continue;
-        typename Result::Value SV = Sparse.useValue(I.get(), Op);
-        typename Result::Value DV = Dense.useValue(I.get(), Op);
-        if (Result::Value::equal(SV, DV))
-          continue;
-        if (Divergent && Result::Value::equal(DV.meet(SV), SV))
-          continue; // DV ⊑ SV: sound widening past a divergent region.
-        Out.addError(std::string(Name) + ": sparse-DFG value " + SV.str() +
-                     (Divergent ? " fails to contain dense-CFG value "
-                                : " != dense-CFG value ") +
-                     DV.str() + " at operand " + std::to_string(Op) +
-                     " in block b" + std::to_string(BB->id()));
-      }
-  return Out;
-}
-
-/// Interprets \p F on random inputs and requires every dynamically entered
-/// block to be statically executable.
-template <typename Result>
-Status checkInterpExecutability(const Function &F, const Result &R,
-                                RNG &Rand, unsigned Runs,
-                                std::uint64_t MaxSteps, const char *Name) {
-  Status Out;
-  for (unsigned Run = 0; Run != Runs && Out.ok(); ++Run) {
-    std::vector<std::int64_t> Inputs;
-    for (unsigned I = 0; I != 8; ++I)
-      Inputs.push_back(Rand.nextInRange(-4, 9));
-    ExecResult E = runFunction(F, Inputs, MaxSteps);
-    if (E.Trapped)
-      continue; // Verified programs never trap; stay total regardless.
-    for (unsigned B = 0; B != F.numBlocks() && Out.ok(); ++B)
-      if (B < E.BlockCounts.size() && E.BlockCounts[B] &&
-          !(B < R.ExecutableBlock.size() && R.ExecutableBlock[B]))
-        Out.addError(std::string(Name) + ": the interpreter entered block b" +
-                     std::to_string(B) +
-                     " but the analysis marked it non-executable (unsound "
-                     "dead-path pruning)");
-  }
-  return Out;
-}
-
-/// range-only: observed outputs must lie inside the ret operands'
-/// intervals, and a use a halted execution reached cannot be ⊥.
-Status checkRangeOutputs(const Function &F, const RangeResult &R, RNG &Rand,
-                         unsigned Runs, std::uint64_t MaxSteps) {
-  const Instruction *Ret =
-      F.exit() ? F.exit()->terminator() : nullptr;
-  if (!Ret || !isa<RetInst>(Ret))
-    return Status::success();
-  Status Out;
-  for (unsigned Run = 0; Run != Runs && Out.ok(); ++Run) {
-    std::vector<std::int64_t> Inputs;
-    for (unsigned I = 0; I != 8; ++I)
-      Inputs.push_back(Rand.nextInRange(-4, 9));
-    ExecResult E = runFunction(F, Inputs, MaxSteps);
-    if (!E.Halted)
-      continue;
-    for (unsigned Op = 0;
-         Op != Ret->numOperands() && Op < E.Outputs.size() && Out.ok();
-         ++Op) {
-      if (!Ret->operand(Op).isVar())
-        continue;
-      IntervalVal V = R.useValue(Ret, Op);
-      if (V.isBottom())
-        Out.addError("range: a halted execution reached ret operand " +
-                     std::to_string(Op) +
-                     " but the analysis computed _|_ for it");
-      else if (!IntervalVal::point(E.Outputs[Op]).containedIn(V))
-        Out.addError("range: observed output " +
-                     std::to_string((long long)E.Outputs[Op]) +
-                     " falls outside the computed interval " + V.str() +
-                     " for ret operand " + std::to_string(Op));
-    }
-  }
-  return Out;
-}
-
-/// range vs constprop: interval analysis refines constant propagation, so
-/// wherever constprop proves a use is the constant c, the (reachable)
-/// interval must contain c.
-Status checkRangeConstpropConsistency(Function &F, const DepFlowGraph &G,
-                                      const RangeResult &R) {
-  ConstPropResult CP;
-  Status S = runConstantPropagation(F, &G, EvalMode::SparseDFG, CP);
-  if (!S.ok())
-    return S;
-  Status Out;
-  for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
-      for (unsigned Op = 0; Op != I->numOperands() && Out.ok(); ++Op) {
-        if (!I->operand(Op).isVar())
-          continue;
-        ConstVal C = CP.useValue(I.get(), Op);
-        if (!C.isConst())
-          continue;
-        IntervalVal V = R.useValue(I.get(), Op);
-        if (!V.isBottom() &&
-            !IntervalVal::point(C.value()).containedIn(V))
-          Out.addError("range: constprop pins operand " +
-                       std::to_string(Op) + " in block b" +
-                       std::to_string(BB->id()) + " to " +
-                       std::to_string((long long)C.value()) +
-                       " but the interval " + V.str() +
-                       " excludes that value");
-      }
-  return Out;
-}
-
-/// taint: no parameters, no read(), and no calls means no source, so
-/// nothing may be tainted. (A call result is a source: the callee may
-/// read(), and the intraprocedural lattice conservatively taints it —
-/// see dataflow/Lattice.h.)
-Status checkTaintNoSource(const Function &F, const TaintResult &R) {
-  if (!F.params().empty())
-    return Status::success();
-  for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
-      if (isa<ReadInst>(I.get()) || isa<CallInst>(I.get()))
-        return Status::success();
-  Status Out;
-  for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
-      for (unsigned Op = 0; Op != I->numOperands() && Out.ok(); ++Op)
-        if (I->operand(Op).isVar() &&
-            R.useValue(I.get(), Op).isTainted())
-          Out.addError("taint: operand " + std::to_string(Op) +
-                       " in block b" + std::to_string(BB->id()) +
-                       " is flagged tainted in a function with no taint "
-                       "source (no parameters, no read())");
-  return Out;
-}
-
-/// The oracle bundle for one analysis pass over one program. Builds its
-/// own manager so a stale cached DFG (e.g. after --inject-bug mutates an
-/// operand) can never leak in.
-Status checkSparseClientOracles(Function &F, PassId P, const FuzzOptions &FO,
-                                std::uint64_t OracleSeed) {
-  FunctionAnalysisManager AM(F);
-  const DepFlowGraph &G = AM.getResult<DFGAnalysis>();
-  const std::uint64_t MaxSteps =
-      FO.MaxInterpSteps ? FO.MaxInterpSteps : 50000;
-  RNG Rand(OracleSeed ^ 0x9e3779b97f4a7c15ull);
-
-  if (P == PassId::Range) {
-    RangeResult R;
-    Status S = diffSparseDense(F, G, runRangeAnalysis, "range", R);
-    if (!S.ok())
-      return S;
-    S = checkInterpExecutability(F, R, Rand, FO.OracleRuns, MaxSteps,
-                                 "range");
-    if (!S.ok())
-      return S;
-    S = checkRangeOutputs(F, R, Rand, FO.OracleRuns, MaxSteps);
-    if (!S.ok())
-      return S;
-    return checkRangeConstpropConsistency(F, G, R);
-  }
-  if (P == PassId::Taint) {
-    TaintResult R;
-    Status S = diffSparseDense(F, G, runTaintAnalysis, "taint", R);
-    if (!S.ok())
-      return S;
-    S = checkInterpExecutability(F, R, Rand, FO.OracleRuns, MaxSteps,
-                                 "taint");
-    if (!S.ok())
-      return S;
-    return checkTaintNoSource(F, R);
-  }
-  NullUseResult R;
-  Status S = diffSparseDense(F, G, runNullUseAnalysis, "nulluse", R);
-  if (!S.ok())
-    return S;
-  return checkInterpExecutability(F, R, Rand, FO.OracleRuns, MaxSteps,
-                                  "nulluse");
-}
-
-//===----------------------------------------------------------------------===//
 // The checked pipeline: clone, run pass, verify invariants, diff.
 //===----------------------------------------------------------------------===//
 
@@ -625,13 +312,6 @@ Status checkOnePass(const Function &Original, PassId P,
   if (!S.ok())
     return S;
 
-  // Expressions to watch for the PRE "never adds a computation" claim,
-  // collected in the clone's numbering before the pass mutates it.
-  std::vector<Expression> Watched;
-  const bool IsPRE = P == PassId::PRE || P == PassId::PREBusy;
-  if (IsPRE)
-    Watched = preWatchedExpressions(*Clone);
-
   // Managed execution: the fuzzer drives the same entry as the pipeline,
   // so the manager's caching/invalidation logic is itself under differential
   // test on every iteration.
@@ -642,28 +322,7 @@ Status checkOnePass(const Function &Original, PassId P,
 
   if (FO.InjectBug)
     injectMiscompile(*Clone);
-
-  VerifyOptions VO;
-  VO.ExpectSSA = passProducesSSA(P);
-  VO.MaxCrossCheckEdges = FO.MaxCrossCheckEdges;
-  Status Inv = verifyPassInvariants(*Clone, VO);
-  if (!Inv.ok())
-    return Inv;
-
-  if (P == PassId::Range || P == PassId::Taint || P == PassId::NullUse) {
-    Status SC = checkSparseClientOracles(*Clone, P, FO, OracleSeed);
-    if (!SC.ok())
-      return SC;
-  }
-
-  OracleOptions OO;
-  OO.Runs = FO.OracleRuns;
-  if (FO.MaxInterpSteps)
-    OO.MaxSteps = FO.MaxInterpSteps;
-  if (IsPRE)
-    OO.NoNewComputationsOf = &Watched;
-  RNG OracleRand(OracleSeed);
-  return diffExecutions(Original, *Clone, OracleRand, OO);
+  return checkPassOutput(Original, *Clone, P, OracleSeed, FO.Oracle);
 }
 
 //===----------------------------------------------------------------------===//
@@ -697,13 +356,6 @@ bool stillFails(Function &Candidate, PassId P, const FuzzOptions &FO,
   if (!verifyFunction(Candidate).empty())
     return false;
   return !checkOnePass(Candidate, P, FO, OracleSeed).ok();
-}
-
-unsigned lineCount(const std::string &S) {
-  unsigned N = 0;
-  for (char C : S)
-    N += C == '\n';
-  return N;
 }
 
 /// Re-runs the checked pipeline once over \p F and reports which algorithm
@@ -847,8 +499,9 @@ std::string reduce(const Function &Failing, PassId P, const FuzzOptions &FO,
 
     // Replace one variable operand with the constant 0.
     for (unsigned B = 0; B < Cur->numBlocks() && !Changed; ++B) {
+      // Test Changed first: a successful Try frees the block BB points at.
       BasicBlock *BB = Cur->block(B);
-      for (unsigned I = 0; I < unsigned(BB->size()) && !Changed; ++I)
+      for (unsigned I = 0; !Changed && I < unsigned(BB->size()); ++I)
         for (unsigned Op = 0;
              Op < BB->instructions()[I]->numOperands(); ++Op) {
           if (!BB->instructions()[I]->operand(Op).isVar())
@@ -1125,19 +778,19 @@ unsigned runFaultSweep(const FuzzOptions &FO) {
 // Slice differential oracle: a backward slice is *executable* and must
 // reproduce the interpreter's observations at the criterion exactly.
 // Each iteration generates a call-DAG module, watches one random
-// observable instruction, runs the module, extracts the backward slice
-// for that criterion, reruns it on the same inputs, and compares the two
-// watch traces value for value. This is the end-to-end soundness check
-// for the whole SDG stack: per-function PDGs, interprocedural edges,
-// summary edges, the two-phase traversal, and executable extraction.
+// observable instruction, runs the module, and hands the halted run's
+// watch trace to checkSliceExecution (src/verify/Oracles.h), which
+// extracts the backward slice for that criterion, reruns it on the same
+// inputs, and compares the two traces value for value. This is the
+// end-to-end soundness check for the whole SDG stack: per-function PDGs,
+// interprocedural edges, summary edges, the two-phase traversal, and
+// executable extraction.
 //===----------------------------------------------------------------------===//
 
 unsigned runSliceOracle(const FuzzOptions &FO) {
   RNG Rand(FO.Seed);
   unsigned Violations = 0, Checked = 0, SkippedNoHalt = 0;
   unsigned NonEmptyTraces = 0; // Runs where the criterion executed at all.
-  const std::uint64_t MaxSteps =
-      FO.MaxInterpSteps ? FO.MaxInterpSteps : 200000;
 
   for (unsigned Iter = 0; Iter != FO.Iters; ++Iter) {
     std::uint64_t ModuleSeed = Rand.next();
@@ -1183,7 +836,7 @@ unsigned runSliceOracle(const FuzzOptions &FO) {
         CF.name() + ":" + std::to_string(CI->line());
 
     ModuleExecOptions EO;
-    EO.MaxSteps = MaxSteps;
+    EO.MaxSteps = FO.SliceMaxSteps;
     EO.WatchFunc = CF.name();
     EO.WatchLine = CI->line();
     std::vector<std::int64_t> Inputs;
@@ -1198,56 +851,12 @@ unsigned runSliceOracle(const FuzzOptions &FO) {
     if (!Ref.WatchTrace.empty())
       ++NonEmptyTraces;
 
-    SDGBuildOptions SO;
-    SO.Jobs = 1 + unsigned(Rand.nextBelow(4)); // Determinism rides along.
-    SystemDependenceGraph G = SystemDependenceGraph::build(M, SO);
-    SliceCriterion Crit;
-    Crit.Func = CF.name();
-    Crit.Line = CI->line();
-    std::vector<unsigned> Nodes;
-    Status RS = resolveCriterion(G, Crit, Nodes);
-    if (!RS.ok()) {
-      Violation("criterion failed to resolve: " + RS.str(), M, CritText);
-      continue;
-    }
-    std::vector<char> Marks = sliceSDG(G, Nodes, SliceDirection::Backward);
-    std::unique_ptr<Module> Sliced = extractBackwardSlice(M, G, Marks);
-
     ++Checked;
-    std::string SliceErrs;
-    for (const auto &F : Sliced->functions())
-      for (const std::string &E : verifyFunction(*F))
-        SliceErrs += "  " + F->name() + ": " + E + "\n";
-    if (!SliceErrs.empty()) {
-      Violation("extracted slice fails the verifier:\n" + SliceErrs +
-                    "--- slice ---\n" + printModule(*Sliced),
-                M, CritText);
-      continue;
-    }
-
-    ExecResult Got = runModule(*Sliced, *Sliced->function(0), Inputs, EO);
-    if (!Got.Halted) {
-      Violation("sliced module did not halt (" + Got.status().str() +
-                    ") though the original did\n--- slice ---\n" +
-                    printModule(*Sliced),
-                M, CritText);
-      continue;
-    }
-    if (Got.WatchTrace != Ref.WatchTrace) {
-      auto TraceStr = [](const std::vector<std::int64_t> &T) {
-        std::string S = "[";
-        for (std::size_t I = 0; I != T.size(); ++I) {
-          if (I)
-            S += ' ';
-          S += std::to_string((long long)T[I]);
-        }
-        return S + "]";
-      };
-      Violation("watch trace diverges at the criterion:\n  original " +
-                    TraceStr(Ref.WatchTrace) + "\n  sliced   " +
-                    TraceStr(Got.WatchTrace) + "\n--- slice ---\n" +
-                    printModule(*Sliced),
-                M, CritText);
+    // The SDG's job count is drawn per module: determinism rides along.
+    Status S = checkSliceExecution(M, Inputs, EO, Ref.WatchTrace,
+                                   1 + unsigned(Rand.nextBelow(4)));
+    if (!S.ok()) {
+      Violation(S.str(), M, CritText);
       continue;
     }
 
@@ -1291,7 +900,9 @@ int main(int Argc, char **Argv) {
 
   for (unsigned Iter = 0; Iter != FO.Iters; ++Iter) {
     unsigned Family = 0;
-    std::unique_ptr<Function> F = generateProgram(Rand, Family);
+    // Six CFG families; the distribution lives in workload/Generators so
+    // the benches and module smoke inputs fuzz the same program shapes.
+    std::unique_ptr<Function> F = generateMixedProgram(Rand, &Family);
     ++Generated;
 
     if (FO.Mutate && Rand.chance(1, 2)) {
@@ -1321,7 +932,9 @@ int main(int Argc, char **Argv) {
       std::string Reproducer = reduce(*F, P, FO, OracleSeed);
       std::fprintf(stderr,
                    "--- reduced reproducer (%u lines, pass --%s) ---\n%s",
-                   lineCount(Reproducer), passName(P), Reproducer.c_str());
+                   unsigned(std::count(Reproducer.begin(), Reproducer.end(),
+                                       '\n')),
+                   passName(P), Reproducer.c_str());
       // Re-parse the reproducer and report the algorithm counters one
       // checked run over it moves — the work profile of the minimal case.
       ParseResult RR = parseFunction(Reproducer);

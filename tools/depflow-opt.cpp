@@ -17,8 +17,9 @@
 //                        input order.
 //   --predicates         enable the x==c refinement during constprop
 //   --verify-each        run the full invariant checkers after every pass
-//                        (SSA form, DFG well-formedness, cycle-equivalence
-//                        and CDG cross-checks; see src/verify/)
+//                        (SSA form after a pass that produces SSA, DFG
+//                        well-formedness, cycle-equivalence and CDG
+//                        cross-checks; see verifyPassInvariants)
 //   --strict             escalate def-use hygiene warnings to errors
 //   --fuzz-safe          no stdout output; diagnostics and exit code only
 //   --time-passes        per-pass wall time and analysis hit/miss report,
@@ -461,40 +462,6 @@ int parseArgs(int Argc, char **Argv, Options &O) {
   return 0;
 }
 
-/// --verify-each over the module driver: invoked from worker threads via
-/// the AfterPass hook, so the report path takes a lock and the exit code
-/// is atomic. Per-function SSA tracking lives in a per-function slot —
-/// passes run in pipeline order within one function, on one thread.
-class ModuleVerifier {
-  std::vector<bool> InSSA;
-  std::mutex ReportLock;
-  std::atomic<int> Exit{0};
-
-public:
-  explicit ModuleVerifier(unsigned NumFuncs) : InSSA(NumFuncs, false) {}
-
-  int exitCode() const { return Exit.load(); }
-
-  void afterPass(unsigned FnIndex, PassId P, Function &F) {
-    if (passProducesSSA(P))
-      InSSA[FnIndex] = true;
-    if (Exit.load())
-      return; // First violation wins; skip further (expensive) checks.
-    VerifyOptions VO;
-    VO.ExpectSSA = InSSA[FnIndex];
-    Status V = verifyPassInvariants(F, VO);
-    if (!V.ok()) {
-      std::lock_guard<std::mutex> G(ReportLock);
-      std::fprintf(
-          stderr,
-          "internal error: function '%s': invariants violated after "
-          "--%s:\n%s\n",
-          F.name().c_str(), passName(P), V.str().c_str());
-      Exit.store(3);
-    }
-  }
-};
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -629,11 +596,25 @@ int main(int Argc, char **Argv) {
   MPO.KeepGoing = O.KeepGoing;
   MPO.MaxPassMillis = O.MaxPassMillis;
   MPO.MaxTaskBytes = O.MaxTaskBytes;
-  ModuleVerifier Verifier(M.numFunctions());
+  // --verify-each: the hook runs on worker threads, so the report takes a
+  // lock and the exit code is atomic. The first violation wins; later
+  // (expensive) checks are skipped.
+  std::mutex VerifyLock;
+  std::atomic<int> VerifyExit{0};
   if (O.VerifyEach)
-    MPO.AfterPass = [&Verifier](unsigned I, PassId P, Function &F,
-                                FunctionAnalysisManager &) {
-      Verifier.afterPass(I, P, F);
+    MPO.AfterPass = [&](unsigned, PassId P, Function &F,
+                        FunctionAnalysisManager &) {
+      if (VerifyExit.load())
+        return;
+      Status V = verifyPassInvariants(F, P);
+      if (V.ok())
+        return;
+      std::lock_guard<std::mutex> G(VerifyLock);
+      std::fprintf(stderr,
+                   "internal error: function '%s': invariants violated "
+                   "after --%s:\n%s\n",
+                   F.name().c_str(), passName(P), V.str().c_str());
+      VerifyExit.store(3);
     };
   if (O.DebugCrash) {
     // Crash-handler self-test: die inside a function task so the handler
@@ -666,10 +647,10 @@ int main(int Argc, char **Argv) {
       return 3;
     }
   }
-  if (Verifier.exitCode()) {
+  if (VerifyExit.load()) {
     WriteTrace();
     WriteLog();
-    return Verifier.exitCode();
+    return VerifyExit.load();
   }
 
   // Post-pipeline inspection output, in input order. These run serially
@@ -711,15 +692,13 @@ int main(int Argc, char **Argv) {
     }
     if (O.HasSliceBwd || O.HasSliceFwd) {
       for (const auto &F : M.functions())
-        for (const auto &BB : F->blocks())
-          for (const auto &I : BB->instructions())
-            if (isa<PhiInst>(I.get())) {
-              std::fprintf(stderr,
-                           "slice error: function '%s' contains phi "
-                           "instructions; slice before ssa or ssa-dfg\n",
-                           F->name().c_str());
-              return 1;
-            }
+        if (F->hasPhis()) {
+          std::fprintf(stderr,
+                       "slice error: function '%s' contains phi "
+                       "instructions; slice before ssa or ssa-dfg\n",
+                       F->name().c_str());
+          return 1;
+        }
       SDGBuildOptions SO;
       SO.Jobs = O.Jobs;
       std::optional<SystemDependenceGraph> GOpt;
