@@ -73,8 +73,8 @@ int main(int Argc, char **Argv) {
   if (Argc > 1)
     Programs = unsigned(std::strtoul(Argv[1], nullptr, 10));
 
-  std::vector<PassId> Pipe;
-  die(parsePassPipeline("separate,constprop,pre,ssa-dfg", Pipe));
+  PassPipeline Pipe;
+  die(PassPipeline::parse("separate,constprop,pre,ssa-dfg", Pipe));
 
   double BaselineSec = 0, ManagedSec = 0;
   std::uint64_t Hits = 0, Misses = 0;
@@ -90,14 +90,14 @@ int main(int Argc, char **Argv) {
     {
       FunctionAnalysisManager AM(*Base);
       AM.setCachingDisabled(true);
-      for (PassId P : Pipe)
+      for (PassId P : Pipe.passes())
         die(runPass(*Base, P, AM));
     }
     double T1 = nowSeconds();
 
     {
       FunctionAnalysisManager AM(*Managed);
-      for (PassId P : Pipe)
+      for (PassId P : Pipe.passes())
         die(runPass(*Managed, P, AM));
       if (!Warmup) {
         Hits += AM.totalHits();

@@ -249,9 +249,9 @@ ConstPropResult depflow::defUseConstantPropagation(Function &F,
 // Applying the result
 //===----------------------------------------------------------------------===//
 
-unsigned depflow::applyConstantsAndDCE(Function &F,
-                                       const ConstPropResult &CP) {
-  unsigned Rewrites = 0;
+ConstantsApplied depflow::applyConstantsAndDCE(Function &F,
+                                               const ConstPropResult &CP) {
+  ConstantsApplied Out;
   auto BlockExec = [&](const BasicBlock *BB) {
     return CP.ExecutableBlock.empty() || CP.ExecutableBlock[BB->id()];
   };
@@ -268,7 +268,7 @@ unsigned depflow::applyConstantsAndDCE(Function &F,
         ConstVal V = CP.useValue(I, Idx);
         if (V.isConst()) {
           I->setOperand(Idx, Operand::imm(V.value()));
-          ++Rewrites;
+          ++Out.OperandsFolded;
         }
       }
     }
@@ -341,8 +341,11 @@ unsigned depflow::applyConstantsAndDCE(Function &F,
             Br->cond().imm() != 0 ? Br->trueTarget() : Br->falseTarget();
         BB->replaceInstruction(unsigned(BB->size() - 1),
                                std::make_unique<JumpInst>(Target));
+        Out.CFGChanged = true;
       }
+      const unsigned Blocks = F.numBlocks();
       F.eraseBlocks(Reach);
+      Out.CFGChanged |= F.numBlocks() != Blocks;
     }
   }
 
@@ -365,7 +368,7 @@ unsigned depflow::applyConstantsAndDCE(Function &F,
         // stream), so DCE may never drop them even when the result is dead.
         if (D && !isa<ReadInst>(D) && !isa<CallInst>(D) && !Used[D->def()]) {
           BB->removeInstruction(Idx);
-          Changed = true;
+          Changed = Out.DefsRemoved = true;
         } else {
           ++Idx;
         }
@@ -373,5 +376,5 @@ unsigned depflow::applyConstantsAndDCE(Function &F,
     }
   }
   F.recomputePreds();
-  return Rewrites;
+  return Out;
 }

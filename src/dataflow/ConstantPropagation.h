@@ -66,12 +66,18 @@ Status runConstantPropagation(Function &F, const DepFlowGraph *G,
 ConstPropResult defUseConstantPropagation(Function &F,
                                           const ReachingDefs &RD);
 
+/// What applyConstantsAndDCE changed.
+struct ConstantsApplied {
+  unsigned OperandsFolded = 0; // Variable uses rewritten to immediates.
+  bool CFGChanged = false;     // A branch folded or a block erased.
+  bool DefsRemoved = false;    // A dead definition erased.
+};
+
 /// Applies a constant propagation result: rewrites constant variable uses
 /// to immediates, simplifies branches whose condition became constant,
 /// removes unreachable blocks, and erases definitions that are dead (never
-/// executable or never used). Returns the number of rewritten operands.
-/// The function verifies afterwards.
-unsigned applyConstantsAndDCE(Function &F, const ConstPropResult &CP);
+/// executable or never used). The function verifies afterwards.
+ConstantsApplied applyConstantsAndDCE(Function &F, const ConstPropResult &CP);
 
 } // namespace depflow
 

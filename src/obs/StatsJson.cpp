@@ -104,30 +104,11 @@ std::string depflow::obs::renderStatsJson(const StatsReport &R) {
   }
   W.endArray();
 
-  W.key("statistics");
-  W.beginArray();
-  if (R.IncludeStatistics) {
-    for (const StatisticSnapshot &Row : statisticsSnapshot()) {
-      W.beginObject();
-      W.keyValue("group", Row.Group);
-      W.keyValue("name", Row.Name);
-      W.keyValue("description", Row.Desc);
-      W.keyValue("value", Row.Value);
-      W.endObject();
-    }
-  }
-  W.endArray();
-
   W.key("counters");
   W.beginObject();
   W.keyValue("version", CountersSchemaVersion);
   W.key("entries");
-  if (R.IncludeStatistics) {
-    emitCounterEntries(W);
-  } else {
-    W.beginArray();
-    W.endArray();
-  }
+  emitCounterEntries(W);
   W.endObject();
 
   if (R.IncludeSched) {

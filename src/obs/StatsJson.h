@@ -14,7 +14,7 @@
 /// \code{.json}
 ///   {
 ///     "schema": "depflow-stats",
-///     "schema_version": 1,
+///     "schema_version": 2,
 ///     "tool": "depflow-opt",
 ///     "pipeline": "separate,constprop,pre",
 ///     "functions": 60, "jobs": 8,
@@ -25,8 +25,6 @@
 ///     "function_tasks": [{"function": "f0", "ok": true, "cause": "",
 ///                   "fail_pass": "", "restored": false, "seconds": ..,
 ///                   "alloc_bytes": ..}, ...],
-///     "statistics": [{"group": "pre", "name": "NumCriticalEdgesSplit",
-///                     "description": .., "value": ..}, ...],
 ///     "counters":  {"version": 1, "entries": [{"group", "name",
 ///                   "description", "kind", "value", (histograms also:
 ///                   "count", "max", "buckets")}, ...]},
@@ -40,15 +38,15 @@
 ///   }
 /// \endcode
 ///
-/// The `counters` section is the full-fidelity export of the
-/// support/Statistic.h registry (all three kinds, with histogram buckets);
-/// the older flat `statistics` array stays for compatibility and carries
-/// only each row's scalar value. The same entries are also emitted as a
-/// standalone `depflow-counters` document by `depflow-opt --counters-json`
-/// (renderCountersJson below).
+/// The `counters` section is the one export of the support/Statistic.h
+/// registry (all three kinds, with histogram buckets). The same entries
+/// are also emitted as a standalone `depflow-counters` document by
+/// `depflow-opt --counters-json` (renderCountersJson below).
 ///
 /// `schema_version` bumps on any field removal or meaning change; adding
-/// fields is backward compatible and does not bump it. The structs below
+/// fields is backward compatible and does not bump it. Version 2 removed
+/// version 1's flat `statistics` array, which repeated each counter
+/// entry's scalar value. The structs below
 /// are obs-local mirrors of the pass-layer types (the pass library depends
 /// on obs, not the other way around).
 ///
@@ -69,7 +67,7 @@ namespace obs {
 
 /// Bumped on breaking schema changes; mirrored in the "schema_version"
 /// field of every emitted document.
-inline constexpr unsigned StatsSchemaVersion = 1;
+inline constexpr unsigned StatsSchemaVersion = 2;
 
 /// Version of the counter-entry layout, shared by the `counters` section
 /// inside depflow-stats documents and the standalone `depflow-counters`
@@ -112,17 +110,15 @@ struct StatsReport {
   /// Per-function task rows, input order (resource budgets + degradation
   /// outcomes). Empty when the producing tool has no per-task data.
   std::vector<StatsFunctionRecord> FunctionTasks;
-  /// Captured by render/write via statisticsSnapshot() — the
-  /// support/Statistic.h globals.
-  bool IncludeStatistics = true;
   /// Emit the `sched` section from the obs/Sched.h recorder snapshot (one
   /// entry per recorded parallel run, with the derived critical-path /
   /// utilization / speedup numbers). Additive — no schema_version bump.
   bool IncludeSched = false;
 };
 
-/// Renders \p R (plus the current statistics snapshot and process metrics)
-/// as the schema document above.
+/// Renders \p R, plus the current support/Statistic.h snapshot as the
+/// `counters` section and the process metrics, as the schema document
+/// above.
 std::string renderStatsJson(const StatsReport &R);
 
 /// Serializes renderStatsJson(R) to \p Path.

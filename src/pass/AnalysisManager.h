@@ -121,6 +121,7 @@ class FunctionAnalysisManager {
 
   Function &F;
   std::uint64_t CurrentEpoch = 1;
+  std::uint64_t VerifiedEpoch = 0; // 0: nothing verified yet.
   bool CachingDisabled = false;
   // Results displaced by a recomputation of the same analysis. With
   // caching disabled every query recomputes, so a result can be displaced
@@ -153,6 +154,11 @@ public:
   /// The current function modification epoch. Starts at 1; advances on
   /// every invalidation that does not preserve everything.
   std::uint64_t epoch() const { return CurrentEpoch; }
+
+  /// True if the function verified at the current epoch. runPass verifies
+  /// each IR state once and records it with markVerified.
+  bool verified() const { return VerifiedEpoch == CurrentEpoch; }
+  void markVerified() { VerifiedEpoch = CurrentEpoch; }
 
   /// Returns A's result, computing (and caching) it on a miss.
   template <typename A> typename A::Result &getResult() {

@@ -63,9 +63,8 @@ std::string knownPassNames() {
 
 } // namespace
 
-Status depflow::parsePassPipeline(std::string_view Text,
-                                  std::vector<PassId> &Out) {
-  Out.clear();
+Status PassPipeline::parse(std::string_view Text, PassPipeline &Out) {
+  Out.Passes.clear();
   if (trim(Text).empty())
     return Status::error("empty pass pipeline: expected a comma-separated "
                          "list of passes (" +
@@ -82,16 +81,12 @@ Status depflow::parsePassPipeline(std::string_view Text,
       return Status::error("unknown pass '" + std::string(Tok) +
                            "' in pipeline '" + std::string(Text) +
                            "' (known passes: " + knownPassNames() + ")");
-    Out.push_back(*P);
+    Out.Passes.push_back(*P);
     if (Comma == std::string_view::npos)
       break;
     Rest = Rest.substr(Comma + 1);
   }
   return Status::success();
-}
-
-Status PassPipeline::parse(std::string_view Text, PassPipeline &Out) {
-  return parsePassPipeline(Text, Out.Passes);
 }
 
 std::string PassPipeline::str() const {
@@ -158,92 +153,46 @@ void PassInstrumentation::afterPass(PassId P, Function &F,
   }
 }
 
-void PassInstrumentation::printReport(
-    const FunctionAnalysisManager &AM) const {
-  std::fprintf(Out, "===-------------------------------------------===\n");
-  std::fprintf(Out, "            ... Pass execution timing ...\n");
-  std::fprintf(Out, "===-------------------------------------------===\n");
-  double Total = 0;
-  for (const Record &R : Records)
-    Total += R.Seconds;
-  for (const Record &R : Records)
-    std::fprintf(Out,
-                 "  %10.6fs (%5.1f%%)  %-14s analyses: %llu reused, "
-                 "%llu computed; %llu KiB allocated\n",
-                 R.Seconds, Total > 0 ? 100.0 * R.Seconds / Total : 0.0,
-                 R.Pass.c_str(), (unsigned long long)R.AnalysisHits,
-                 (unsigned long long)R.AnalysisMisses,
-                 (unsigned long long)(R.AllocBytes / 1024));
-  std::fprintf(Out, "  %10.6fs (100.0%%)  total\n", Total);
-
-  std::fprintf(Out, "===-------------------------------------------===\n");
-  std::fprintf(Out, "            ... Analysis cache hit/miss ...\n");
-  std::fprintf(Out, "===-------------------------------------------===\n");
-  std::uint64_t Hits = 0, Misses = 0;
-  for (const auto &C : AM.counterSnapshot()) {
-    std::fprintf(Out, "  %-14s %6llu hit(s), %6llu miss(es)\n",
-                 C.Name.c_str(), (unsigned long long)C.Hits,
-                 (unsigned long long)C.Misses);
-    Hits += C.Hits;
-    Misses += C.Misses;
-  }
-  double Rate = Hits + Misses ? 100.0 * double(Hits) / double(Hits + Misses)
-                              : 0.0;
-  std::fprintf(Out, "  %-14s %6llu hit(s), %6llu miss(es) (%.1f%% hit rate)\n",
-               "total", (unsigned long long)Hits, (unsigned long long)Misses,
-               Rate);
-}
-
 //===----------------------------------------------------------------------===//
 // Checked pass execution over the manager
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Successor-list snapshot; two equal shapes mean every CFG-shape analysis
-/// (block ids, edge ids, dominance, regions) is still valid. Flattened
-/// into one vector: each block in id order contributes its successor
-/// count followed by the successor ids, an encoding that decodes uniquely.
-std::vector<unsigned> cfgShape(const Function &F) {
-  std::vector<unsigned> Shape;
-  Shape.reserve(3 * std::size_t(F.numBlocks()));
-  for (const auto &BB : F.blocks()) {
-    const std::vector<BasicBlock *> &Succs = BB->successors();
-    Shape.push_back(unsigned(Succs.size()));
-    for (const BasicBlock *S : Succs)
-      Shape.push_back(S->id());
-  }
-  return Shape;
-}
-
 /// The pass body proper: mutates \p F, consuming cached analyses from
-/// \p AM. \p Shape is the CFG shape the cached analyses were computed
-/// for; a body that changes the shape and invalidates the cache itself
-/// updates it. Fails when an underlying dataflow engine reports an error
-/// (work-bound breach, unsplit critical edge).
+/// \p AM, and sets \p PA to what its changes left valid. A body that
+/// changes the CFG and then computes analyses of the new shape invalidates
+/// the cache itself first. Fails when an underlying dataflow engine
+/// reports an error (work-bound breach, unsplit critical edge).
 Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
-                   const PassOptions &Opts, std::vector<unsigned> &Shape) {
+                   const PassOptions &Opts, PreservedAnalyses &PA) {
+  PA = PreservedAnalyses::all();
   switch (P) {
-  case PassId::Separate:
-    NumStatementsSeparated += separateComputation(F);
-    break;
-  case PassId::ConstProp: {
-    const DepFlowGraph &G = AM.getResult<DFGAnalysis>();
-    ConstPropResult CP;
-    Status S = runConstantPropagation(F, &G, EvalMode::SparseDFG, CP,
-                                      Opts.Predicates);
-    if (!S.ok())
-      return S;
-    NumOperandsFolded += applyConstantsAndDCE(F, CP);
+  case PassId::Separate: {
+    unsigned Added = separateComputation(F);
+    NumStatementsSeparated += Added;
+    if (Added)
+      PA = PreservedAnalyses::none();
     break;
   }
+  case PassId::ConstProp:
   case PassId::ConstPropCFG: {
+    const bool Sparse = P == PassId::ConstProp;
     ConstPropResult CP;
-    Status S = runConstantPropagation(F, /*G=*/nullptr, EvalMode::DenseCFG,
-                                      CP, Opts.Predicates);
+    Status S = runConstantPropagation(
+        F, Sparse ? &AM.getResult<DFGAnalysis>() : nullptr,
+        Sparse ? EvalMode::SparseDFG : EvalMode::DenseCFG, CP,
+        Opts.Predicates);
     if (!S.ok())
       return S;
-    NumOperandsFolded += applyConstantsAndDCE(F, CP);
+    ConstantsApplied A = applyConstantsAndDCE(F, CP);
+    NumOperandsFolded += A.OperandsFolded;
+    // A folded branch or an erased block changes the CFG; rewritten
+    // operands and removed definitions keep its shape.
+    if (A.CFGChanged)
+      PA = PreservedAnalyses::none();
+    else if (A.OperandsFolded || A.DefsRemoved)
+      PA = preserveCFGShapeAnalyses();
     break;
   }
   case PassId::PRE:
@@ -252,9 +201,10 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
     NumCriticalEdgesSplit += Split;
     if (Split) {
       // The cache now holds nothing of the old shape; what the rest of the
-      // body computes is for the split one.
+      // body computes is for the split one, and the motions below keep
+      // that shape.
       AM.invalidate(PreservedAnalyses::none());
-      Shape = cfgShape(F);
+      PA = preserveCFGShapeAnalyses();
     }
     // From here on the CFG shape is fixed, and a motion of expression e1
     // only inserts `t = e1` into a fresh temporary and rewrites e1's own
@@ -289,18 +239,15 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
                           Decisions);
         !S.ok())
       return S;
-    bool Moved = false;
     for (std::size_t K = 0; K != Candidates.size(); ++K) {
       const PREDecisions &D = Decisions[K];
       if (D.Inserts.empty() && D.Deletes.empty())
         continue;
       applyPRE(F, Candidates[K], D);
-      Moved = true;
+      // The motions edited instructions only: the DFG (which holds
+      // instruction pointers) dies, every CFG-shape analysis survives.
+      PA = preserveCFGShapeAnalyses();
     }
-    // The motions edited instructions only: the DFG (which holds
-    // instruction pointers) dies, every CFG-shape analysis survives.
-    if (Moved)
-      AM.invalidate(preserveCFGShapeAnalyses());
     break;
   }
   case PassId::Range:
@@ -314,25 +261,31 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
   case PassId::NullUse:
     (void)AM.getResult<NullUseAnalysis>();
     break;
-  case PassId::SSA: {
-    const DomTree &DT = AM.getResult<DominatorAnalysis>();
-    PhiPlacement Placement = cytronPhiPlacement(F, /*Pruned=*/true, DT);
-    for (const auto &Vars : Placement)
-      NumPhisPlaced += Vars.size();
-    applySSA(F, Placement, DT);
-    break;
-  }
+  case PassId::SSA:
   case PassId::SSADfg: {
-    const DepFlowGraph &G = AM.getResult<DFGAnalysis>();
+    const DepFlowGraph *G =
+        P == PassId::SSADfg ? &AM.getResult<DFGAnalysis>() : nullptr;
     const DomTree &DT = AM.getResult<DominatorAnalysis>();
-    PhiPlacement Placement = dfgPhiPlacement(F, G);
+    PhiPlacement Placement =
+        G ? dfgPhiPlacement(F, *G) : cytronPhiPlacement(F, /*Pruned=*/true, DT);
+    std::size_t Phis = 0;
     for (const auto &Vars : Placement)
-      NumPhisPlaced += Vars.size();
-    applySSA(F, Placement, DT);
+      Phis += Vars.size();
+    NumPhisPlaced += Phis;
+    // Renaming gives every definition a fresh variable, so a function
+    // whose origin map did not grow was left as it was.
+    const unsigned Vars = F.numVars();
+    std::vector<VarId> OrigOf = applySSA(F, Placement, DT);
+    if (Phis || OrigOf.size() != Vars)
+      PA = preserveCFGShapeAnalyses();
     break;
   }
   }
   return Status::success();
+}
+
+Status passError(PassId P, const char *What) {
+  return Status::error(std::string("pass --") + passName(P) + ": " + What);
 }
 
 } // namespace
@@ -343,70 +296,46 @@ Status depflow::runPass(Function &F, PassId P, FunctionAnalysisManager &AM,
   // Preconditions: every pass needs a verified CFG, and everything except
   // plain canonicalization needs phi-free input (the DFG and the dataflow
   // analyses are defined over the base IR; SSA construction would place
-  // second-generation phis).
-  {
+  // second-generation phis). The manager's epoch names the IR state, so a
+  // state an earlier pass already verified as its output is not verified
+  // again as this pass's input.
+  if (!AM.verified()) {
     Status Pre = Status::fromMessages(verifyFunction(F));
     if (!Pre.ok()) {
-      Status S = Status::error(std::string("pass --") + passName(P) +
-                               ": input does not verify");
+      Status S = passError(P, "input does not verify");
       S.append(Pre);
       return S;
     }
-    if (F.hasPhis())
-      return Status::error(std::string("pass --") + passName(P) +
-                           ": input already contains phis (run on base IR)");
+    AM.markVerified();
   }
+  if (F.hasPhis())
+    return passError(P, "input already contains phis (run on base IR)");
 
   ++NumPassesRun;
-  std::vector<unsigned> Shape = cfgShape(F);
-  const std::string TextBefore = printFunction(F);
   std::uint64_t HitsBefore = AM.totalHits();
-
-  if (Status Body = runPassBody(F, P, AM, Opts, Shape); !Body.ok()) {
-    Status S = Status::error(std::string("pass --") + passName(P) +
-                             ": body failed");
+  PreservedAnalyses PA;
+  if (Status Body = runPassBody(F, P, AM, Opts, PA); !Body.ok()) {
+    Status S = passError(P, "body failed");
     S.append(Body);
     return S;
-  }
-
-  // What survived? Text identical: the pass was a no-op and everything is
-  // still valid. CFG shape identical to the one the cache was last
-  // computed for: instructions changed, so the DFG (which holds
-  // instruction pointers) dies but every CFG-shape analysis survives.
-  // Otherwise: nothing does.
-  PreservedAnalyses PA = PreservedAnalyses::none();
-  if (printFunction(F) == TextBefore) {
-    PA = PreservedAnalyses::all();
-    ++NumPassesNoChange;
-  } else if (cfgShape(F) == Shape) {
-    PA = preserveCFGShapeAnalyses();
   }
   if (PreservedOut)
     *PreservedOut = PA;
   AM.invalidate(PA);
   NumAnalysisHits += AM.totalHits() - HitsBefore;
+  if (PA.preservesAll()) {
+    // Nothing changed: the input's verification still stands.
+    ++NumPassesNoChange;
+    return Status::success();
+  }
 
   Status Post = Status::fromMessages(verifyFunction(F));
   if (!Post.ok()) {
-    Status S = Status::error(std::string("pass --") + passName(P) +
-                             ": output does not verify (miscompile)");
+    Status S = passError(P, "output does not verify (miscompile)");
     S.append(Post);
     S.addError("offending output:\n" + printFunction(F));
     return S;
   }
-  return Status::success();
-}
-
-Status PassPipeline::run(Function &F, FunctionAnalysisManager &AM,
-                         PassInstrumentation *PI) const {
-  for (PassId P : Passes) {
-    if (PI)
-      PI->beforePass(P, AM);
-    Status S = depflow::runPass(F, P, AM, Opts);
-    if (!S.ok())
-      return S;
-    if (PI)
-      PI->afterPass(P, F, AM);
-  }
+  AM.markVerified();
   return Status::success();
 }

@@ -6,11 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The managed way to run passes. A `PassPipeline` is parsed from textual
-/// form ("separate,constprop,pre") and runs its passes in order over one
-/// `FunctionAnalysisManager`, so analyses computed for one pass are served
-/// from cache to the next, and each pass's `PreservedAnalyses` decides
-/// what survives it:
+/// The managed way to run passes. A `PassPipeline` is a pass list parsed
+/// from textual form ("separate,constprop,pre") plus its options;
+/// runPipelineOnModule (pass/ModulePipeline.h) runs it over every function
+/// of a module, one `FunctionAnalysisManager` per function, so analyses
+/// computed for one pass are served from cache to the next.
+///
+/// `runPass(F, P, AM, ...)` is the checked single-pass entry. Each pass
+/// body reports the `PreservedAnalyses` of what it did, and the manager
+/// drops everything else:
 ///
 ///   * a pass that did not change the function preserves everything;
 ///   * a pass that changed instructions but not the CFG shape preserves
@@ -18,9 +22,8 @@
 ///     PST, factored CDG, edge numbering) and invalidates the DFG;
 ///   * a pass that changed the CFG preserves nothing.
 ///
-/// `runPass(F, P, AM, ...)` is the checked single-pass entry:
-/// preconditions are validated (a verified, phi-free function), the output
-/// re-verifies, and failures come back as a Status instead of an assert.
+/// checkReportedChange (verify/Oracles.h) holds every report against the
+/// printed text and the successor lists, on every fuzz iteration.
 ///
 /// `PassInstrumentation` hangs observation off the pipeline: per-pass wall
 /// time, analysis hit/miss deltas, and allocation deltas (--time-passes /
@@ -46,10 +49,10 @@
 
 namespace depflow {
 
-/// Observation hooks threaded through PassPipeline::run.
+/// Observation hooks around each runPass of a function's pipeline: one
+/// Record per pass, plus the dumps.
 class PassInstrumentation {
 public:
-  bool TimePasses = false;    // Record wall time + analysis hits per pass.
   bool PrintAfterAll = false; // Dump the IR after every pass.
   bool DotAfterAll = false;   // Dump DFG (phi-free) or CFG dot after every
                               // pass.
@@ -67,11 +70,7 @@ public:
 
   const std::vector<Record> &records() const { return Records; }
 
-  /// The --time-passes report: per-pass timing plus the manager's
-  /// per-analysis hit/miss table.
-  void printReport(const FunctionAnalysisManager &AM) const;
-
-  // Pipeline-internal hooks.
+  // Called by the driver around each runPass.
   void beforePass(PassId P, const FunctionAnalysisManager &AM);
   void afterPass(PassId P, Function &F, FunctionAnalysisManager &AM);
 
@@ -85,11 +84,6 @@ private:
   std::optional<obs::TraceSpan> ActiveSpan;
 };
 
-/// Parses a comma-separated pass list ("separate,constprop,pre").
-/// Whitespace around names is ignored. Empty pipelines, empty segments,
-/// and unknown pass names are diagnosed (depflow-opt exits 2 on them).
-Status parsePassPipeline(std::string_view Text, std::vector<PassId> &Out);
-
 class PassPipeline {
   std::vector<PassId> Passes;
   PassOptions Opts;
@@ -99,7 +93,10 @@ public:
   explicit PassPipeline(std::vector<PassId> Passes, PassOptions Opts = {})
       : Passes(std::move(Passes)), Opts(Opts) {}
 
-  /// Parses \p Text into \p Out (options untouched).
+  /// Parses a comma-separated pass list ("separate,constprop,pre") into
+  /// \p Out's passes, replacing them; options are untouched. Whitespace
+  /// around names is ignored. Empty pipelines, empty segments, and unknown
+  /// pass names are diagnosed (depflow-opt exits 2 on them).
   static Status parse(std::string_view Text, PassPipeline &Out);
 
   const std::vector<PassId> &passes() const { return Passes; }
@@ -111,18 +108,21 @@ public:
 
   /// Textual form that parses back to this pipeline.
   std::string str() const;
-
-  /// Runs every pass in order over \p AM's function, stopping at the first
-  /// failure. \p PI may be null.
-  Status run(Function &F, FunctionAnalysisManager &AM,
-             PassInstrumentation *PI = nullptr) const;
 };
 
-/// Runs \p P on \p F through the manager: preconditions are validated, the
-/// pass consumes cached analyses, the output re-verifies, and the cache is
-/// invalidated per the pass's PreservedAnalyses (also written to
-/// \p PreservedOut when non-null). On precondition failure \p F and the
+/// Runs \p P on \p F through the manager: preconditions are validated (a
+/// verified, phi-free function), the pass consumes cached analyses, and
+/// the cache is invalidated per the PreservedAnalyses the pass reports
+/// (also written to \p PreservedOut when non-null). Failures come back as
+/// a Status instead of an assert. On precondition failure \p F and the
 /// cache are untouched.
+///
+/// Each IR state is verified once. The manager records the epoch at which
+/// \p F last verified: the input is verified only when the current epoch
+/// has not been, and the output only when the pass reported a change,
+/// which then records the new epoch. A fresh manager has verified
+/// nothing, so the first pass checks its input. A caller that edits \p F
+/// between passes must invalidate \p AM, as for any cached analysis.
 Status runPass(Function &F, PassId P, FunctionAnalysisManager &AM,
                const PassOptions &Opts = {},
                PreservedAnalyses *PreservedOut = nullptr);

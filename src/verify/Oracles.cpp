@@ -11,6 +11,7 @@
 #include "dataflow/NullUseAnalysis.h"
 #include "dataflow/TaintAnalysis.h"
 #include "ir/Printer.h"
+#include "ir/Transforms.h"
 #include "ir/Verifier.h"
 #include "pass/Analyses.h"
 #include "pass/AnalysisManager.h"
@@ -324,6 +325,58 @@ Status depflow::checkPassOutput(const Function &Original,
   }
   RNG Rand(Seed);
   return diffExecutions(Original, Transformed, Rand, OO);
+}
+
+namespace {
+
+/// Every block's successor ids, in block order.
+std::vector<std::vector<unsigned>> successorLists(const Function &F) {
+  std::vector<std::vector<unsigned>> Lists;
+  for (const auto &BB : F.blocks()) {
+    Lists.emplace_back();
+    for (const BasicBlock *S : BB->successors())
+      Lists.back().push_back(S->id());
+  }
+  return Lists;
+}
+
+/// True if \p PA preserves each of the analyses \p As exactly when
+/// \p Expected.
+template <typename... As>
+bool preservesExactlyWhen(const PreservedAnalyses &PA, bool Expected) {
+  return ((PA.preserves<As>() == Expected) && ...);
+}
+
+} // namespace
+
+Status depflow::checkReportedChange(const Function &Before,
+                                    const Function &After, PassId P,
+                                    const PreservedAnalyses &PA) {
+  std::unique_ptr<Function> Split;
+  if (P == PassId::PRE || P == PassId::PREBusy) {
+    if (Status S = cloneFunction(Before, Split); !S.ok())
+      return S;
+    splitCriticalEdges(*Split);
+  }
+  const bool SameText = printFunction(Before) == printFunction(After);
+  const bool SameShape =
+      successorLists(Split ? *Split : Before) == successorLists(After);
+  if (SameText ? PA.preservesAll()
+               : !PA.preservesAll() &&
+                     preservesExactlyWhen<CFGEdgesAnalysis, DominatorAnalysis,
+                                          LoopAnalysis, CycleEquivAnalysis,
+                                          PSTAnalysis, FactoredCDGAnalysis>(
+                         PA, SameShape) &&
+                     preservesExactlyWhen<DFGAnalysis, RangeAnalysis,
+                                          TaintAnalysis, NullUseAnalysis>(
+                         PA, false))
+    return Status::success();
+  return Status::error(std::string("pass --") + passName(P) +
+                       ": reported preserved analyses do not match its "
+                       "change (text " +
+                       (SameText ? "unchanged" : "changed") +
+                       ", successor lists " +
+                       (SameShape ? "unchanged" : "changed") + ")");
 }
 
 Status depflow::checkSliceExecution(Module &M,

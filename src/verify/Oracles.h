@@ -13,6 +13,8 @@
 ///  * `checkPassOutput` — the per-pass check: structural invariants
 ///    (verify/PassVerifier.h), the client oracles for the analysis passes,
 ///    then the differential semantic oracle (verify/DiffOracle.h).
+///  * `checkReportedChange` — a pass's report of what it changed (its
+///    PreservedAnalyses) against the printed text and successor lists.
 ///  * `compareEvalModes` — the paper's claim that evaluating over the DFG
 ///    gives the CFG's solution, for one client result.
 ///  * `checkRangeContainsOutputs` — observed outputs lie inside the
@@ -28,6 +30,7 @@
 
 #include "dataflow/RangeAnalysis.h"
 #include "interp/Interpreter.h"
+#include "pass/AnalysisManager.h"
 #include "pass/Pass.h"
 #include "verify/DiffOracle.h"
 
@@ -67,6 +70,18 @@ Status checkRangeContainsOutputs(const Function &F, const RangeResult &R,
 Status checkPassOutput(const Function &Original, Function &Transformed,
                        PassId P, std::uint64_t Seed,
                        const OracleOptions &Opts = {});
+
+/// Holds pass \p P's report \p PA of what it changed in turning \p Before
+/// into \p After against the functions themselves:
+///  * the printed text is unchanged exactly when \p PA preserves all;
+///  * otherwise no analysis that holds instruction pointers is preserved,
+///    and the CFG-shape analyses (preserveCFGShapeAnalyses) are preserved
+///    exactly when every block's successor list is unchanged. PRE passes
+///    split critical edges first and judge their shape after the split,
+///    so for them the lists are compared with \p Before's after
+///    splitCriticalEdges on a clone.
+Status checkReportedChange(const Function &Before, const Function &After,
+                           PassId P, const PreservedAnalyses &PA);
 
 /// The executable-slice check. Builds the SDG of \p M with \p Jobs
 /// workers, backward-slices on the criterion \p EO watches

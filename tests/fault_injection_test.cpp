@@ -239,7 +239,7 @@ TEST(Budgets, ByteBudgetDegradesAndPreservesOriginal) {
   ModulePipelineOptions Opts;
   Opts.Jobs = 1;
   Opts.KeepGoing = true;
-  Opts.MaxTaskBytes = 16 * 1024; // Far below a task's real appetite.
+  Opts.MaxTaskBytes = 4 * 1024; // Far below a task's real appetite.
   ModulePipelineResult PR = runPipelineOnModule(*M, standardPipeline(), Opts);
   ASSERT_GE(PR.numFailed(), 1u);
   for (unsigned I = 0; I != NumFuncs; ++I) {

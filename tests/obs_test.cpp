@@ -303,8 +303,18 @@ TEST(StatsJson, CarriesSchemaVersionAndSections) {
   ASSERT_TRUE(Analyses && Analyses->isArray());
   EXPECT_EQ(Analyses->Array[0].find("hits")->Number, 4);
 
-  // statisticsSnapshot() and process metrics ride along.
-  EXPECT_TRUE(V.find("statistics") && V.find("statistics")->isArray());
+  // Version 2: the counter registry appears once, as `counters`; the flat
+  // `statistics` copy of version 1 is gone.
+  EXPECT_EQ(obs::StatsSchemaVersion, 2u);
+  EXPECT_FALSE(V.find("statistics"));
+  const obs::JsonValue *Counters = V.find("counters");
+  ASSERT_TRUE(Counters && Counters->isObject());
+  EXPECT_EQ(Counters->find("version")->Number, obs::CountersSchemaVersion);
+  const obs::JsonValue *Entries = Counters->find("entries");
+  ASSERT_TRUE(Entries && Entries->isArray());
+  EXPECT_FALSE(Entries->Array.empty());
+
+  // Process metrics ride along.
   const obs::JsonValue *Process = V.find("process");
   ASSERT_TRUE(Process && Process->isObject());
   EXPECT_GT(Process->find("peak_rss_bytes")->Number, 0);

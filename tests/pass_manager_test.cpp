@@ -6,7 +6,8 @@
 // Covers the analysis-manager contract: lazy computation, cache hits when
 // analyses share dependencies, epoch-based invalidation after a mutating
 // pass, PreservedAnalyses keeping CFG-shape analyses (dominators) alive
-// through an instruction-only pass, and pipeline-string parsing.
+// through an instruction-only pass, runPass's own input checks and its
+// verify-once rule, and pipeline-string parsing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -282,28 +283,111 @@ TEST(AnalysisManager, PREKeepsTheAnalysesItRebuiltAfterItsSplit) {
   EXPECT_EQ(missesOf(AM, "cfg-edges"), 2u);
 }
 
+// 'loop' never reaches the exit, so the function parses but does not
+// verify.
+const char *NoExitSrc = R"(
+func spin(p) {
+entry:
+  x = p + 1
+  if p goto loop else done
+loop:
+  goto loop
+done:
+  ret x
+}
+)";
+
+TEST(RunPass, RejectsInputThatDoesNotVerify) {
+  auto F = parseFunctionOrDie(NoExitSrc);
+  FunctionAnalysisManager AM(*F);
+  const std::string Before = printFunction(*F);
+  PreservedAnalyses PA = PreservedAnalyses::none();
+  Status S = runPass(*F, PassId::Separate, AM, PassOptions(), &PA);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.str().find("pass --separate: input does not verify"),
+            std::string::npos)
+      << S.str();
+  EXPECT_NE(S.str().find("cannot reach the exit"), std::string::npos);
+  // Neither the function, the report nor the manager moved.
+  EXPECT_EQ(printFunction(*F), Before);
+  EXPECT_FALSE(PA.preservesAll());
+  EXPECT_FALSE(AM.verified());
+  EXPECT_EQ(AM.totalMisses(), 0u);
+}
+
+const char *PhiSrc = R"(
+func withphi(p) {
+entry:
+  if p goto thn else els
+thn:
+  goto join
+els:
+  goto join
+join:
+  x = phi(thn: 1, els: 2)
+  ret x
+}
+)";
+
+TEST(RunPass, RejectsInputWithPhis) {
+  auto F = parseFunctionOrDie(PhiSrc);
+  FunctionAnalysisManager AM(*F);
+  const std::string Before = printFunction(*F);
+  Status S = runPass(*F, PassId::ConstProp, AM);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.str().find("pass --constprop: input already contains phis"),
+            std::string::npos)
+      << S.str();
+  EXPECT_EQ(printFunction(*F), Before);
+  EXPECT_EQ(AM.totalMisses(), 0u);
+}
+
+TEST(RunPass, VerifiesEachIRStateOnce) {
+  auto F = parseFunctionOrDie(DiamondSrc);
+  FunctionAnalysisManager AM(*F);
+  EXPECT_FALSE(AM.verified()) << "a fresh manager has verified nothing";
+
+  // The first pass verifies its input and, having changed the function,
+  // its output at the new epoch.
+  ASSERT_TRUE(runPass(*F, PassId::Separate, AM).ok());
+  EXPECT_TRUE(AM.verified());
+  // A report-only pass changes nothing, so that state stands.
+  ASSERT_TRUE(runPass(*F, PassId::Range, AM).ok());
+  EXPECT_TRUE(AM.verified());
+
+  // An edit outside runPass goes through invalidate, like any edit the
+  // cache must see; the next pass then checks its input again.
+  F->exit()->clearTerminator();
+  AM.invalidate(PreservedAnalyses::none());
+  EXPECT_FALSE(AM.verified());
+  Status S = runPass(*F, PassId::Range, AM);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.str().find("input does not verify"), std::string::npos)
+      << S.str();
+}
+
 TEST(PassPipeline, ParsesCanonicalNames) {
-  std::vector<PassId> Passes;
+  PassPipeline Pipe;
   ASSERT_TRUE(
-      parsePassPipeline("separate, constprop ,pre,ssa-dfg", Passes).ok());
-  ASSERT_EQ(Passes.size(), 4u);
-  EXPECT_EQ(Passes[0], PassId::Separate);
-  EXPECT_EQ(Passes[1], PassId::ConstProp);
-  EXPECT_EQ(Passes[2], PassId::PRE);
-  EXPECT_EQ(Passes[3], PassId::SSADfg);
+      PassPipeline::parse("separate, constprop ,pre,ssa-dfg", Pipe).ok());
+  ASSERT_EQ(Pipe.passes().size(), 4u);
+  EXPECT_EQ(Pipe.passes()[0], PassId::Separate);
+  EXPECT_EQ(Pipe.passes()[1], PassId::ConstProp);
+  EXPECT_EQ(Pipe.passes()[2], PassId::PRE);
+  EXPECT_EQ(Pipe.passes()[3], PassId::SSADfg);
 }
 
 TEST(PassPipeline, RejectsEmptyPipeline) {
-  std::vector<PassId> Passes;
-  Status S = parsePassPipeline("", Passes);
+  PassPipeline Pipe;
+  Status S = PassPipeline::parse("", Pipe);
   EXPECT_FALSE(S.ok());
   EXPECT_NE(S.str().find("empty pass pipeline"), std::string::npos);
 }
 
 TEST(PassPipeline, RejectsEmptySegmentAndUnknownPass) {
-  std::vector<PassId> Passes;
-  EXPECT_FALSE(parsePassPipeline("separate,,constprop", Passes).ok());
-  Status S = parsePassPipeline("separate,bogus", Passes);
+  PassPipeline Pipe;
+  EXPECT_FALSE(PassPipeline::parse("separate,,constprop", Pipe).ok());
+  Status S = PassPipeline::parse("separate,bogus", Pipe);
   EXPECT_FALSE(S.ok());
   EXPECT_NE(S.str().find("unknown pass 'bogus'"), std::string::npos);
 }
@@ -316,8 +400,11 @@ TEST(PassPipeline, RunsWholePipelineThroughOneManager) {
 
   FunctionAnalysisManager AM(*F);
   PassInstrumentation PI;
-  PI.TimePasses = true;
-  ASSERT_TRUE(Pipe.run(*F, AM, &PI).ok());
+  for (PassId P : Pipe.passes()) {
+    PI.beforePass(P, AM);
+    ASSERT_TRUE(runPass(*F, P, AM, Pipe.options()).ok());
+    PI.afterPass(P, *F, AM);
+  }
   ASSERT_EQ(PI.records().size(), 3u);
   EXPECT_EQ(PI.records()[0].Pass, "separate");
   // constprop's DFG pulls cfg-edges/cycle-equiv/pst through the manager.

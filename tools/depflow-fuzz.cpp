@@ -313,10 +313,13 @@ Status checkOnePass(const Function &Original, PassId P,
     return S;
 
   // Managed execution: the fuzzer drives the same entry as the pipeline,
-  // so the manager's caching/invalidation logic is itself under differential
-  // test on every iteration.
+  // so the manager's caching/invalidation logic and the pass's report of
+  // what it changed are themselves under test on every iteration.
   FunctionAnalysisManager AM(*Clone);
-  S = runPass(*Clone, P, AM);
+  PreservedAnalyses PA;
+  S = runPass(*Clone, P, AM, {}, &PA);
+  if (S.ok())
+    S = checkReportedChange(Original, *Clone, P, PA);
   if (!S.ok())
     return S;
 

@@ -335,13 +335,14 @@ int parseArgs(int Argc, char **Argv, Options &O) {
     if (Value("--passes")) {
       if (!V)
         return missingValue("--passes", "a pass list");
-      std::vector<PassId> Passes;
-      Status S = parsePassPipeline(*V, Passes);
+      // A repeated --passes appends to the pipeline.
+      PassPipeline More;
+      Status S = PassPipeline::parse(*V, More);
       if (!S.ok()) {
         std::fprintf(stderr, "error: %s\n", S.str().c_str());
         return 2;
       }
-      for (PassId P : Passes)
+      for (PassId P : More.passes())
         O.Pipeline.append(P);
     } else if (A == "-j" || A.rfind("-j", 0) == 0 || A.rfind("--jobs=", 0) == 0) {
       std::string Num;
