@@ -100,14 +100,8 @@ Status BenchReport::write(const std::string &Dir) const {
   if (!Path.empty() && Path.back() != '/')
     Path += '/';
   Path += "BENCH_" + BenchName + ".json";
-  std::string S = renderJson();
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return Status::error("cannot open bench output file '" + Path + "'");
-  std::size_t Written = std::fwrite(S.data(), 1, S.size(), F);
-  bool CloseOk = std::fclose(F) == 0;
-  if (Written != S.size() || !CloseOk)
-    return Status::error("failed writing bench output file '" + Path + "'");
+  if (Status S = writeArtifact(Path, renderJson(), "bench"); !S.ok())
+    return S;
   std::fprintf(stderr, "bench: wrote %s\n", Path.c_str());
   return Status::success();
 }

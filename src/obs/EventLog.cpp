@@ -8,6 +8,7 @@
 #include "obs/EventLog.h"
 
 #include "obs/Json.h"
+#include "obs/ThreadTrack.h"
 #include "obs/Trace.h"
 
 #include <algorithm>
@@ -36,63 +37,35 @@ EventLogger &EventLogger::global() {
   return L;
 }
 
-EventLogger::ThreadBuffer &EventLogger::localBuffer() {
-  // Same arrangement as TraceRecorder::localBuffer: the shared_ptr in the
-  // registry keeps a buffer alive past its thread's exit, so worker-thread
-  // journal lines survive to the flush.
-  static thread_local std::shared_ptr<ThreadBuffer> Local;
-  if (!Local) {
-    Local = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> G(RegistryLock);
-    Local->Tid = NextTid++;
-    Buffers.push_back(Local);
-  }
-  return *Local;
-}
-
-std::uint32_t EventLogger::currentThreadTid() { return localBuffer().Tid; }
-
 void EventLogger::record(double TsUs, std::string Line) {
-  ThreadBuffer &B = localBuffer();
-  std::size_t Cap = capacityPerThread();
-  std::lock_guard<std::mutex> G(B.Lock);
-  if (B.Ring.size() < Cap && B.Count == B.Ring.size() && B.Head == 0) {
+  ThreadTrack &T = currentTrack();
+  std::lock_guard<std::mutex> G(T.Lock);
+  if (T.Ring.size() < CapacityPerThread) {
     // Growth phase: the ring has never wrapped, append in place.
-    B.Ring.push_back({TsUs, std::move(Line)});
-    ++B.Count;
-    return;
-  }
-  if (B.Count < B.Ring.size()) {
-    B.Ring[(B.Head + B.Count) % B.Ring.size()] = {TsUs, std::move(Line)};
-    ++B.Count;
+    T.Ring.push_back({TsUs, std::move(Line)});
     return;
   }
   // Full: overwrite the oldest entry and advance the head (drop-oldest).
-  B.Ring[B.Head] = {TsUs, std::move(Line)};
-  B.Head = (B.Head + 1) % B.Ring.size();
+  T.Ring[T.Head] = {TsUs, std::move(Line)};
+  T.Head = (T.Head + 1) % T.Ring.size();
   Dropped.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::string> EventLogger::snapshot() const {
-  std::vector<std::shared_ptr<ThreadBuffer>> Bufs;
-  {
-    std::lock_guard<std::mutex> G(RegistryLock);
-    Bufs = Buffers;
-  }
-  std::vector<Stored> All;
-  for (const auto &B : Bufs) {
-    std::lock_guard<std::mutex> G(B->Lock);
-    for (std::size_t I = 0; I != B->Count; ++I)
-      All.push_back(B->Ring[(B->Head + I) % B->Ring.size()]);
-  }
+  std::vector<JournalLine> All;
+  forEachTrack([&](ThreadTrack &T) {
+    std::lock_guard<std::mutex> G(T.Lock);
+    for (std::size_t I = 0; I != T.Ring.size(); ++I)
+      All.push_back(T.Ring[(T.Head + I) % T.Ring.size()]);
+  });
   std::stable_sort(All.begin(), All.end(),
-                   [](const Stored &A, const Stored &B) {
+                   [](const JournalLine &A, const JournalLine &B) {
                      return A.TsUs < B.TsUs;
                    });
   std::vector<std::string> Out;
   Out.reserve(All.size());
-  for (Stored &S : All)
-    Out.push_back(std::move(S.Line));
+  for (JournalLine &L : All)
+    Out.push_back(std::move(L.Line));
   return Out;
 }
 
@@ -119,16 +92,7 @@ std::string EventLogger::toJsonLines() const {
 }
 
 Status EventLogger::writeJsonLines(const std::string &Path) const {
-  std::string S = toJsonLines();
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return Status::error("cannot open event-log output file '" + Path + "'");
-  std::size_t Written = std::fwrite(S.data(), 1, S.size(), F);
-  bool CloseOk = std::fclose(F) == 0;
-  if (Written != S.size() || !CloseOk)
-    return Status::error("failed writing event-log output file '" + Path +
-                         "'");
-  return Status::success();
+  return writeArtifact(Path, toJsonLines(), "event-log");
 }
 
 void EventLogger::crashWriteTail(int Fd, std::size_t MaxPerThread) const {
@@ -151,35 +115,27 @@ void EventLogger::crashWriteTail(int Fd, std::size_t MaxPerThread) const {
     WriteStr(S, N);
   };
   WriteLit("=== depflow event journal tail ===\n");
-  // Walk the registry vector without the lock: registration only appends,
-  // and crashes racing a brand-new thread's registration are acceptable
-  // losses on this path.
-  std::size_t NumBufs = Buffers.size();
-  for (std::size_t BI = 0; BI != NumBufs; ++BI) {
-    const ThreadBuffer *B = Buffers[BI].get();
-    if (!B || B->Count == 0)
-      continue;
-    std::size_t N = B->Count < MaxPerThread ? B->Count : MaxPerThread;
-    std::size_t RingSize = B->Ring.size();
-    if (RingSize == 0)
-      continue;
-    for (std::size_t I = B->Count - N; I != B->Count; ++I) {
-      const Stored &S = B->Ring[(B->Head + I) % RingSize];
-      WriteStr(S.Line.data(), S.Line.size());
+  // Walk the tracks without their locks: the list only grows at its tail,
+  // and a crash racing a brand-new thread's registration is an acceptable
+  // loss on this path.
+  forEachTrack([&](const ThreadTrack &T) {
+    std::size_t RingSize = T.Ring.size();
+    std::size_t N = RingSize < MaxPerThread ? RingSize : MaxPerThread;
+    for (std::size_t I = RingSize - N; I != RingSize; ++I) {
+      const JournalLine &L = T.Ring[(T.Head + I) % RingSize];
+      WriteStr(L.Line.data(), L.Line.size());
       WriteLit("\n");
     }
-  }
+  });
   WriteLit("=== end event journal tail ===\n");
 }
 
 void EventLogger::reset() {
-  std::lock_guard<std::mutex> G(RegistryLock);
-  for (const auto &B : Buffers) {
-    std::lock_guard<std::mutex> BG(B->Lock);
-    B->Ring.clear();
-    B->Head = 0;
-    B->Count = 0;
-  }
+  forEachTrack([](ThreadTrack &T) {
+    std::lock_guard<std::mutex> G(T.Lock);
+    T.Ring.clear();
+    T.Head = 0;
+  });
   Dropped.store(0, std::memory_order_relaxed);
 }
 
@@ -189,11 +145,9 @@ void EventLogger::reset() {
 
 LogEvent::LogEvent(LogLevel Level, std::string_view Category,
                    std::string_view Event)
-    : Armed(EventLogger::global().enabled() &&
-            Level >= EventLogger::global().minLevel()) {
+    : Armed(EventLogger::global().enabled()) {
   if (!Armed)
     return;
-  EventLogger &L = EventLogger::global();
   TsUs = TraceRecorder::global().nowUs();
   // The object stays open across field() calls and the destructor closes
   // it, so the line is built member-by-member with hand-placed commas.
@@ -202,7 +156,7 @@ LogEvent::LogEvent(LogLevel Level, std::string_view Category,
   std::snprintf(Buf, sizeof(Buf), "%.3f", TsUs);
   Line += Buf;
   Line += ",\"tid\":";
-  Line += std::to_string(L.currentThreadTid());
+  Line += std::to_string(currentTrack().Tid);
   Line += ",\"level\":\"";
   Line += logLevelName(Level);
   Line += "\",\"cat\":\"";

@@ -18,22 +18,23 @@
 ///
 ///   * **Near-zero cost when off.** Like `TraceSpan`, a disabled
 ///     `LogEvent` is one relaxed atomic load and a branch.
-///   * **No cross-thread contention when on.** Per-thread buffers in a
-///     registry, exactly the `TraceRecorder` arrangement. The scheduler's
-///     workers each journal to their own ring.
-///   * **Bounded memory.** Each thread's buffer is a ring of at most
-///     `capacityPerThread()` events; overflow drops the *oldest* event and
+///   * **No cross-thread contention when on.** Each thread journals to the
+///     ring in its own track (ThreadTrack.h), the record its trace spans go
+///     to, so a line's `tid` is the tid of the thread's trace track.
+///   * **Bounded memory.** Each thread's ring holds at most
+///     `CapacityPerThread` events; overflow drops the *oldest* event and
 ///     bumps a process-wide drop counter that the flushed journal reports,
 ///     so truncation is visible, never silent.
-///   * **Crash-safe tail.** `crashWriteTail` walks the buffers with no
+///   * **Crash-safe tail.** `crashWriteTail` walks the tracks with no
 ///     locks and no allocation and write(2)s the most recent lines per
 ///     thread — best effort by design (the process is dying; a torn line
 ///     beats no journal). `CrashHandler` calls it from the signal handler.
 ///
 /// Events carry a severity (`LogLevel`), a category, an event name, and
-/// arbitrary key/value fields; the scheduler telemetry correlates them
-/// with its runs/tasks via `run`/`task` fields. Timestamps share the
-/// trace recorder's epoch so journal lines and Chrome-trace spans line up.
+/// arbitrary key/value fields; every level is kept. The scheduler
+/// telemetry correlates them with its runs/tasks via `run`/`task` fields.
+/// Timestamps share the trace recorder's epoch so journal lines and
+/// Chrome-trace spans line up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,9 +44,8 @@
 #include "support/Error.h"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,8 +53,7 @@
 namespace depflow {
 namespace obs {
 
-/// Event severity. The logger drops events below its minimum level at
-/// commit time (before serialization).
+/// Event severity, written into each line's `level` field.
 enum class LogLevel : std::uint8_t { Debug = 0, Info = 1, Warn = 2, Error = 3 };
 
 /// "debug", "info", "warn", "error".
@@ -63,32 +62,15 @@ const char *logLevelName(LogLevel L);
 /// The process-wide journal. One instance (`global()`); drivers enable it
 /// when `--log-json` is given and flush with `writeJsonLines`.
 class EventLogger {
-  struct Stored {
-    double TsUs = 0;   // Trace-recorder epoch, microseconds.
-    std::string Line;  // The complete serialized JSON object (no newline).
-  };
-  struct ThreadBuffer {
-    std::mutex Lock; // One writer (the owning thread); flush locks after
-                     // workers join. The crash path skips it by design.
-    std::uint32_t Tid = 0;
-    std::vector<Stored> Ring; // Bounded; Head marks the oldest entry.
-    std::size_t Head = 0;
-    std::size_t Count = 0;
-  };
-
   std::atomic<bool> Enabled{false};
-  std::atomic<std::uint8_t> MinLevel{std::uint8_t(LogLevel::Debug)};
   std::atomic<std::uint64_t> Dropped{0};
-  std::atomic<std::size_t> Capacity{4096};
-  mutable std::mutex RegistryLock;
-  std::vector<std::shared_ptr<ThreadBuffer>> Buffers;
-  std::uint32_t NextTid = 1;
 
   EventLogger() = default;
 
-  ThreadBuffer &localBuffer();
-
 public:
+  /// Events each thread's ring keeps; older ones are dropped.
+  static constexpr std::size_t CapacityPerThread = 4096;
+
   EventLogger(const EventLogger &) = delete;
   EventLogger &operator=(const EventLogger &) = delete;
 
@@ -98,32 +80,10 @@ public:
   void setEnabled(bool On) { Enabled.store(On, std::memory_order_relaxed); }
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
-  /// Events below \p L are dropped at commit (not counted as ring drops).
-  void setMinLevel(LogLevel L) {
-    MinLevel.store(std::uint8_t(L), std::memory_order_relaxed);
-  }
-  LogLevel minLevel() const {
-    return LogLevel(MinLevel.load(std::memory_order_relaxed));
-  }
-
-  /// Ring capacity applied to buffers on their next append. New threads
-  /// start with the current value.
-  void setCapacityPerThread(std::size_t N) {
-    Capacity.store(N ? N : 1, std::memory_order_relaxed);
-  }
-  std::size_t capacityPerThread() const {
-    return Capacity.load(std::memory_order_relaxed);
-  }
-
-  /// Ring-overflow drops since construction/reset (min-level filtering is
-  /// not a drop).
+  /// Ring-overflow drops since construction/reset.
   std::uint64_t droppedEvents() const {
     return Dropped.load(std::memory_order_relaxed);
   }
-
-  /// The tid the calling thread's events carry (registers the thread's
-  /// buffer on first use). LogEvent serializes it into each line.
-  std::uint32_t currentThreadTid();
 
   /// Commits one pre-serialized line to the calling thread's ring.
   void record(double TsUs, std::string Line);
@@ -145,15 +105,15 @@ public:
   /// torn-read race with still-running writers.
   void crashWriteTail(int Fd, std::size_t MaxPerThread = 16) const;
 
-  /// Drops every retained event and zeroes the drop counter. Thread
-  /// registrations survive; tests use this to isolate scenarios.
+  /// Drops every retained event and zeroes the drop counter. Tracks
+  /// survive; tests use this to isolate scenarios.
   void reset();
 };
 
-/// Builder for one journal event. Inert when the logger is disabled or the
-/// severity is below the minimum level; otherwise the constructor opens
-/// `{"ts_us":…,"tid":…,"level":…,"cat":…,"event":…`, each `field` appends
-/// one member, and the destructor closes the object and commits the line.
+/// Builder for one journal event. Inert when the logger is disabled;
+/// otherwise the constructor opens `{"ts_us":…,"tid":…,"level":…,"cat":…,
+/// "event":…`, each `field` appends one member, and the destructor closes
+/// the object and commits the line.
 class LogEvent {
   bool Armed;
   double TsUs = 0;

@@ -292,3 +292,18 @@ bool depflow::obs::parseJson(std::string_view Src, JsonValue &Out,
   JsonParser P(Src, Error);
   return P.run(Out);
 }
+
+Status depflow::obs::writeArtifact(const std::string &Path,
+                                   std::string_view Contents,
+                                   const char *What) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F)
+    return Status::error(std::string("cannot open ") + What +
+                         " output file '" + Path + "'");
+  std::size_t Written = std::fwrite(Contents.data(), 1, Contents.size(), F);
+  bool CloseOk = std::fclose(F) == 0;
+  if (Written != Contents.size() || !CloseOk)
+    return Status::error(std::string("failed writing ") + What +
+                         " output file '" + Path + "'");
+  return Status::success();
+}

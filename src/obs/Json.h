@@ -20,10 +20,14 @@
 ///     general-purpose validator (no \uXXXX surrogate pairs, doubles via
 ///     strtod).
 ///
+/// `writeArtifact` puts a rendered document on disk.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DEPFLOW_OBS_JSON_H
 #define DEPFLOW_OBS_JSON_H
+
+#include "support/Error.h"
 
 #include <cstdint>
 #include <memory>
@@ -140,6 +144,12 @@ struct JsonValue {
 /// Parses \p Src into \p Out. On failure returns false with \p Error set
 /// to a message naming the byte offset. Trailing garbage is an error.
 bool parseJson(std::string_view Src, JsonValue &Out, std::string &Error);
+
+/// Writes \p Contents to the file \p Path, replacing it. The errors call
+/// the file "<What> output file" ("cannot open trace output file 'x'").
+/// Every artifact the drivers and benches write goes through here.
+Status writeArtifact(const std::string &Path, std::string_view Contents,
+                     const char *What);
 
 } // namespace obs
 } // namespace depflow

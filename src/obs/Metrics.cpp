@@ -8,10 +8,9 @@
 #include "obs/Metrics.h"
 
 #include "support/FaultInjection.h"
+#include "support/Statistic.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <mutex>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -20,94 +19,29 @@
 
 namespace {
 
-/// Per-thread counters. Single-writer: only the owning thread stores;
-/// other threads only load. Records are malloc'd (never operator new — the
-/// hook below would recurse) and chained into one process-wide list. When
-/// a thread exits, its counts fold into the retired totals and its record
-/// goes back to the pool for the next thread, so the list is as long as
-/// the most threads ever alive at once, not the number ever started.
-struct ThreadCounters {
-  std::atomic<std::uint64_t> Bytes{0};
-  std::atomic<std::uint64_t> Count{0};
-  ThreadCounters *Next = nullptr;
-  bool InUse = false;
-};
-
-/// Guards the record list, the InUse flags and the retired totals.
-/// Allocations never take it; only a thread's first allocation, its exit,
-/// and the process-wide readings do.
-std::mutex CountersLock;
-ThreadCounters *CountersHead = nullptr;
-std::uint64_t RetiredBytes = 0;
-std::uint64_t RetiredCount = 0;
-
-thread_local constinit ThreadCounters *LocalCounters = nullptr;
-
-/// Retires this thread's record at thread exit.
-struct CountersRetire {
-  ~CountersRetire() {
-    ThreadCounters *C = LocalCounters;
-    if (!C)
-      return;
-    std::lock_guard<std::mutex> G(CountersLock);
-    RetiredBytes += C->Bytes.load(std::memory_order_relaxed);
-    RetiredCount += C->Count.load(std::memory_order_relaxed);
-    C->Bytes.store(0, std::memory_order_relaxed);
-    C->Count.store(0, std::memory_order_relaxed);
-    C->InUse = false;
-    LocalCounters = nullptr;
-  }
-};
-
-ThreadCounters &acquireCounters() {
-  static thread_local CountersRetire Retire; // Constructed once per thread.
-  (void)Retire;
-  std::lock_guard<std::mutex> G(CountersLock);
-  ThreadCounters *C = CountersHead;
-  while (C && C->InUse)
-    C = C->Next;
-  if (!C) {
-    void *Mem = std::malloc(sizeof(ThreadCounters));
-    if (!Mem)
-      std::abort(); // No record to count this thread's allocations in.
-    C = new (Mem) ThreadCounters();
-    C->Next = CountersHead;
-    CountersHead = C;
-  }
-  C->InUse = true;
-  LocalCounters = C;
-  return *C;
-}
-
-ThreadCounters &localCounters() {
-  ThreadCounters *C = LocalCounters;
-  return C ? *C : acquireCounters();
-}
-
-/// Count + allocate. Single-writer counters: a load/store pair is cheaper
-/// than an atomic RMW and race-free because only this thread stores.
+/// Counts an allocation of \p Size bytes in this thread's statistic shard,
+/// or refuses it. Single-writer counters: a load/store pair is cheaper than
+/// an atomic RMW and race-free because only this thread stores.
 /// faultShouldFailAlloc is the task-budget / alloc-fail check site: it
 /// refuses the allocation *before* it is counted, so the counters keep
 /// describing memory actually requested and granted.
-void *countedAlloc(std::size_t Size) noexcept {
-  ThreadCounters &C = localCounters();
-  std::uint64_t Bytes = C.Bytes.load(std::memory_order_relaxed);
+bool countAlloc(std::size_t Size) noexcept {
+  depflow::detail::StatShard &S = depflow::detail::localShard();
+  std::uint64_t Bytes = S.AllocBytes.load(std::memory_order_relaxed);
   if (depflow::faultShouldFailAlloc(Bytes, Size))
-    return nullptr;
-  C.Bytes.store(Bytes + Size, std::memory_order_relaxed);
-  C.Count.store(C.Count.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-  return std::malloc(Size ? Size : 1);
+    return false;
+  S.AllocBytes.store(Bytes + Size, std::memory_order_relaxed);
+  depflow::detail::bump(S.AllocCount, 1);
+  return true;
+}
+
+void *countedAlloc(std::size_t Size) noexcept {
+  return countAlloc(Size) ? std::malloc(Size ? Size : 1) : nullptr;
 }
 
 void *alignedCountedAlloc(std::size_t Size, std::align_val_t Align) noexcept {
-  ThreadCounters &C = localCounters();
-  std::uint64_t Bytes = C.Bytes.load(std::memory_order_relaxed);
-  if (depflow::faultShouldFailAlloc(Bytes, Size))
+  if (!countAlloc(Size))
     return nullptr;
-  C.Bytes.store(Bytes + Size, std::memory_order_relaxed);
-  C.Count.store(C.Count.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
   std::size_t A = static_cast<std::size_t>(Align);
   if (A < sizeof(void *))
     A = sizeof(void *);
@@ -212,36 +146,20 @@ namespace depflow {
 namespace obs {
 
 std::uint64_t threadAllocatedBytes() {
-  return localCounters().Bytes.load(std::memory_order_relaxed);
+  return detail::localShard().AllocBytes.load(std::memory_order_relaxed);
 }
 
 std::uint64_t threadAllocationCount() {
-  return localCounters().Count.load(std::memory_order_relaxed);
+  return detail::localShard().AllocCount.load(std::memory_order_relaxed);
 }
 
-std::uint64_t processAllocatedBytes() {
-  std::lock_guard<std::mutex> G(CountersLock);
-  std::uint64_t Sum = RetiredBytes;
-  for (ThreadCounters *C = CountersHead; C; C = C->Next)
-    Sum += C->Bytes.load(std::memory_order_relaxed);
-  return Sum;
-}
+std::uint64_t processAllocatedBytes() { return detail::allocationTotals().Bytes; }
 
 std::uint64_t processAllocationCount() {
-  std::lock_guard<std::mutex> G(CountersLock);
-  std::uint64_t Sum = RetiredCount;
-  for (ThreadCounters *C = CountersHead; C; C = C->Next)
-    Sum += C->Count.load(std::memory_order_relaxed);
-  return Sum;
+  return detail::allocationTotals().Count;
 }
 
-std::size_t allocationRecordCount() {
-  std::lock_guard<std::mutex> G(CountersLock);
-  std::size_t N = 0;
-  for (ThreadCounters *C = CountersHead; C; C = C->Next)
-    ++N;
-  return N;
-}
+std::size_t allocationRecordCount() { return detail::shardCount(); }
 
 std::uint64_t peakRSSBytes() {
 #if defined(__unix__) || defined(__APPLE__)

@@ -11,7 +11,6 @@
 #include "obs/Metrics.h"
 #include "obs/Sched.h"
 
-#include <cstdio>
 
 using namespace depflow;
 using namespace depflow::obs;
@@ -163,15 +162,7 @@ std::string depflow::obs::renderStatsJson(const StatsReport &R) {
 
 Status depflow::obs::writeStatsJson(const std::string &Path,
                                     const StatsReport &R) {
-  std::string S = renderStatsJson(R);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return Status::error("cannot open stats output file '" + Path + "'");
-  std::size_t Written = std::fwrite(S.data(), 1, S.size(), F);
-  bool CloseOk = std::fclose(F) == 0;
-  if (Written != S.size() || !CloseOk)
-    return Status::error("failed writing stats output file '" + Path + "'");
-  return Status::success();
+  return writeArtifact(Path, renderStatsJson(R), "stats");
 }
 
 std::string depflow::obs::renderCountersJson(const std::string &Tool,
@@ -193,14 +184,5 @@ std::string depflow::obs::renderCountersJson(const std::string &Tool,
 Status depflow::obs::writeCountersJson(const std::string &Path,
                                        const std::string &Tool,
                                        const std::string &Pipeline) {
-  std::string S = renderCountersJson(Tool, Pipeline);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return Status::error("cannot open counters output file '" + Path + "'");
-  std::size_t Written = std::fwrite(S.data(), 1, S.size(), F);
-  bool CloseOk = std::fclose(F) == 0;
-  if (Written != S.size() || !CloseOk)
-    return Status::error("failed writing counters output file '" + Path +
-                         "'");
-  return Status::success();
+  return writeArtifact(Path, renderCountersJson(Tool, Pipeline), "counters");
 }

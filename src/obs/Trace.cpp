@@ -10,7 +10,6 @@
 #include "obs/Json.h"
 
 #include <algorithm>
-#include <cstdio>
 
 using namespace depflow;
 using namespace depflow::obs;
@@ -20,44 +19,25 @@ TraceRecorder &TraceRecorder::global() {
   return R;
 }
 
-TraceRecorder::ThreadBuffer &TraceRecorder::localBuffer() {
-  // The recorder is a process singleton, so one cached pointer per thread
-  // suffices. The shared_ptr in the registry keeps the buffer alive past
-  // the thread's exit — the module driver's workers die before the flush.
-  static thread_local std::shared_ptr<ThreadBuffer> Local;
-  if (!Local) {
-    Local = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> G(RegistryLock);
-    Local->Tid = NextTid++;
-    Buffers.push_back(Local);
-  }
-  return *Local;
-}
-
 void TraceRecorder::setCurrentThreadName(std::string Name) {
-  ThreadBuffer &B = localBuffer();
-  std::lock_guard<std::mutex> G(B.Lock);
-  B.Name = std::move(Name);
+  ThreadTrack &T = currentTrack();
+  std::lock_guard<std::mutex> G(T.Lock);
+  T.Name = std::move(Name);
 }
 
 void TraceRecorder::record(TraceEvent E) {
-  ThreadBuffer &B = localBuffer();
-  E.Tid = B.Tid;
-  std::lock_guard<std::mutex> G(B.Lock);
-  B.Events.push_back(std::move(E));
+  ThreadTrack &T = currentTrack();
+  E.Tid = T.Tid;
+  std::lock_guard<std::mutex> G(T.Lock);
+  T.Events.push_back(std::move(E));
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
-  std::vector<std::shared_ptr<ThreadBuffer>> Bufs;
-  {
-    std::lock_guard<std::mutex> G(RegistryLock);
-    Bufs = Buffers;
-  }
   std::vector<TraceEvent> Out;
-  for (const auto &B : Bufs) {
-    std::lock_guard<std::mutex> G(B->Lock);
-    Out.insert(Out.end(), B->Events.begin(), B->Events.end());
-  }
+  forEachTrack([&](ThreadTrack &T) {
+    std::lock_guard<std::mutex> G(T.Lock);
+    Out.insert(Out.end(), T.Events.begin(), T.Events.end());
+  });
   // Ties broken longer-span-first so a parent sorts before the children it
   // encloses (they share a start time when the child begins immediately).
   std::stable_sort(Out.begin(), Out.end(),
@@ -70,16 +50,12 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
 }
 
 std::string TraceRecorder::toChromeJson() const {
-  // Track names, gathered under the registry lock.
   std::vector<std::pair<std::uint32_t, std::string>> TrackNames;
-  {
-    std::lock_guard<std::mutex> G(RegistryLock);
-    for (const auto &B : Buffers) {
-      std::lock_guard<std::mutex> BG(B->Lock);
-      if (!B->Name.empty())
-        TrackNames.emplace_back(B->Tid, B->Name);
-    }
-  }
+  forEachTrack([&](ThreadTrack &T) {
+    std::lock_guard<std::mutex> G(T.Lock);
+    if (!T.Name.empty())
+      TrackNames.emplace_back(T.Tid, T.Name);
+  });
 
   std::string S;
   JsonWriter W(S);
@@ -126,23 +102,14 @@ std::string TraceRecorder::toChromeJson() const {
 }
 
 Status TraceRecorder::writeChromeJson(const std::string &Path) const {
-  std::string S = toChromeJson();
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return Status::error("cannot open trace output file '" + Path + "'");
-  std::size_t Written = std::fwrite(S.data(), 1, S.size(), F);
-  bool CloseOk = std::fclose(F) == 0;
-  if (Written != S.size() || !CloseOk)
-    return Status::error("failed writing trace output file '" + Path + "'");
-  return Status::success();
+  return writeArtifact(Path, toChromeJson(), "trace");
 }
 
 void TraceRecorder::reset() {
-  std::lock_guard<std::mutex> G(RegistryLock);
-  for (const auto &B : Buffers) {
-    std::lock_guard<std::mutex> BG(B->Lock);
-    B->Events.clear();
-  }
+  forEachTrack([](ThreadTrack &T) {
+    std::lock_guard<std::mutex> G(T.Lock);
+    T.Events.clear();
+  });
 }
 
 void depflow::obs::traceInstant(const char *Category, const char *Name) {

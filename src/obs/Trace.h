@@ -19,10 +19,11 @@
 ///     driver opts in; a disabled `TraceSpan` is one relaxed atomic load
 ///     and a branch — no clock read, no allocation.
 ///   * **No cross-thread contention when on.** Each thread appends to its
-///     own buffer (registered once, on the thread's first event). The only
-///     shared state is the registry of buffers, touched at registration
-///     and at flush. Buffers outlive their threads (the module driver's
-///     workers join before the flush), so events survive to serialization.
+///     own track (ThreadTrack.h, registered once, on the thread's first
+///     event), the same record its journal lines go to, so both artifacts
+///     name a thread by one tid. Tracks outlive their threads (the module
+///     driver's workers join before the flush), so events survive to
+///     serialization.
 ///   * **Monotonic time.** Timestamps come from `steady_clock`, expressed
 ///     as microseconds since the recorder's construction — the same clock
 ///     `--time-passes` uses, which is what lets the tests demand the two
@@ -39,13 +40,12 @@
 #ifndef DEPFLOW_OBS_TRACE_H
 #define DEPFLOW_OBS_TRACE_H
 
+#include "obs/ThreadTrack.h"
 #include "support/Error.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,36 +53,11 @@
 namespace depflow {
 namespace obs {
 
-/// One committed event. Durations are in microseconds; `DurUs < 0` marks
-/// an instant event.
-struct TraceEvent {
-  std::string Name;
-  const char *Category = "";
-  double TsUs = 0;   // Start, microseconds since the recorder's epoch.
-  double DurUs = -1; // Span duration; negative = instant event.
-  std::uint32_t Tid = 0;
-  /// Optional key/value annotations, serialized into the event's "args".
-  std::vector<std::pair<std::string, std::string>> Args;
-};
-
 class TraceRecorder {
-  struct ThreadBuffer {
-    std::mutex Lock; // Uncontended in steady state: one writer (the owning
-                     // thread); the flush path locks after workers join.
-    std::uint32_t Tid = 0;
-    std::string Name; // Track name ("worker-3"); empty = unnamed.
-    std::vector<TraceEvent> Events;
-  };
-
   std::atomic<bool> Enabled{false};
   std::chrono::steady_clock::time_point Epoch;
-  mutable std::mutex RegistryLock;
-  std::vector<std::shared_ptr<ThreadBuffer>> Buffers;
-  std::uint32_t NextTid = 1;
 
   TraceRecorder() : Epoch(std::chrono::steady_clock::now()) {}
-
-  ThreadBuffer &localBuffer();
 
 public:
   TraceRecorder(const TraceRecorder &) = delete;
@@ -121,8 +96,8 @@ public:
   /// Serializes toChromeJson() to \p Path.
   Status writeChromeJson(const std::string &Path) const;
 
-  /// Drops every committed event. Thread registrations (and track names)
-  /// survive; tests use this to isolate scenarios.
+  /// Drops every committed event. Tracks (and their names) survive; tests
+  /// use this to isolate scenarios.
   void reset();
 };
 

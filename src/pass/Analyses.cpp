@@ -30,11 +30,6 @@ DomTree DominatorAnalysis::run(Function &F, FunctionAnalysisManager &) {
   return DomTree(F, DomTree::Forward);
 }
 
-LoopForest LoopAnalysis::run(Function &F, FunctionAnalysisManager &) {
-  ++NumAnalysesComputed;
-  return LoopForest(F);
-}
-
 CycleEquivalence CycleEquivAnalysis::run(Function &F,
                                          FunctionAnalysisManager &AM) {
   ++NumAnalysesComputed;
@@ -106,7 +101,6 @@ PreservedAnalyses depflow::preserveCFGShapeAnalyses() {
   PreservedAnalyses PA;
   PA.preserve<CFGEdgesAnalysis>()
       .preserve<DominatorAnalysis>()
-      .preserve<LoopAnalysis>()
       .preserve<CycleEquivAnalysis>()
       .preserve<PSTAnalysis>()
       .preserve<FactoredCDGAnalysis>();

@@ -13,7 +13,6 @@
 ///   CFGEdgesAnalysis     dense CFG edge numbering (everything edge-based
 ///                        hangs off it)
 ///   DominatorAnalysis    dominator tree of the block-level CFG
-///   LoopAnalysis         natural loop forest
 ///   CycleEquivAnalysis   O(E) cycle equivalence of the augmented CFG
 ///   PSTAnalysis          program structure tree over the classes
 ///   FactoredCDGAnalysis  factored control dependence graph
@@ -42,7 +41,6 @@
 #include "dataflow/RangeAnalysis.h"
 #include "dataflow/TaintAnalysis.h"
 #include "graph/Dominators.h"
-#include "graph/Loops.h"
 #include "ir/CFGEdges.h"
 #include "pass/AnalysisManager.h"
 #include "structure/CycleEquivalence.h"
@@ -59,12 +57,6 @@ struct CFGEdgesAnalysis {
 struct DominatorAnalysis {
   using Result = DomTree;
   static const char *name() { return "domtree"; }
-  static Result run(Function &F, FunctionAnalysisManager &AM);
-};
-
-struct LoopAnalysis {
-  using Result = LoopForest;
-  static const char *name() { return "loops"; }
   static Result run(Function &F, FunctionAnalysisManager &AM);
 };
 

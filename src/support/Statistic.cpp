@@ -16,9 +16,10 @@
 using namespace depflow;
 
 /// The registry lock guards the registration lists, the slot counter, the
-/// shard list and the retired totals. Bumps never take it: they store into
-/// the calling thread's shard. Readings and the exit fold do, so a thread
-/// that retires is counted exactly once, in its shard or in `Retired`.
+/// shard list and the retired totals. Bumps and allocations never take it:
+/// they store into the calling thread's shard. Readings and the exit fold
+/// do, so a thread that retires is counted exactly once, in its shard or in
+/// the retired totals.
 struct detail::StatRegistry {
   std::mutex Lock;
   std::vector<Statistic *> Stats;
@@ -27,6 +28,7 @@ struct detail::StatRegistry {
   unsigned NumSlots = 1; // Slot 0 means "not registered".
   StatShard *Shards = nullptr;
   std::uint64_t Retired[MaxStatSlots] = {};
+  AllocTotals RetiredAlloc;
 
   unsigned allocateSlots(unsigned N, const char *Name) {
     if (NumSlots + N > MaxStatSlots) {
@@ -63,8 +65,19 @@ namespace {
 using Registry = detail::StatRegistry;
 
 Registry &registry() {
-  static Registry R; // Meyers singleton: safe across static-init order.
-  return R;
+  // Built on first use and never destroyed: operator new counts into the
+  // shards before main and after it returns, and during thread exit.
+  alignas(Registry) static unsigned char Storage[sizeof(Registry)];
+  static Registry *R = new (Storage) Registry;
+  return *R;
+}
+
+/// Locks the registry for work that allocates. operator new counts into
+/// the caller's shard, so the shard must exist before the lock is taken:
+/// acquiring it under the lock would deadlock.
+std::unique_lock<std::mutex> lockToAllocate(Registry &R) {
+  detail::localShard();
+  return std::unique_lock<std::mutex>(R.Lock);
 }
 
 /// Folds this thread's shard into the retired total when the thread
@@ -80,6 +93,10 @@ struct ShardFold {
       R.Retired[I] += S->Slots[I].load(std::memory_order_relaxed);
       S->Slots[I].store(0, std::memory_order_relaxed);
     }
+    R.RetiredAlloc.Bytes += S->AllocBytes.load(std::memory_order_relaxed);
+    R.RetiredAlloc.Count += S->AllocCount.load(std::memory_order_relaxed);
+    S->AllocBytes.store(0, std::memory_order_relaxed);
+    S->AllocCount.store(0, std::memory_order_relaxed);
     S->InUse = false;
     detail::LocalShard = nullptr;
   }
@@ -98,8 +115,9 @@ detail::StatShard &detail::acquireShard() {
   while (S && S->InUse)
     S = S->Next;
   if (!S) {
-    // malloc, not operator new: a shard must not show up in the calling
-    // thread's allocation counters, which are gated per pass.
+    // malloc, not operator new: operator new counts into this very shard,
+    // and a shard must not show up in the allocation counters, which are
+    // gated per pass.
     void *Mem = std::malloc(sizeof(StatShard));
     if (!Mem) {
       std::fprintf(stderr, "fatal: out of memory for a statistic shard\n");
@@ -116,7 +134,7 @@ detail::StatShard &detail::acquireShard() {
 
 unsigned Statistic::registerOnce() {
   Registry &R = registry();
-  std::lock_guard<std::mutex> G(R.Lock);
+  auto G = lockToAllocate(R);
   unsigned S = Slot.load(std::memory_order_relaxed);
   if (!S) {
     S = R.allocateSlots(1, Name);
@@ -136,7 +154,7 @@ void MaxStatistic::registerOnce() {
   if (Registered.load(std::memory_order_acquire))
     return;
   Registry &R = registry();
-  std::lock_guard<std::mutex> G(R.Lock);
+  auto G = lockToAllocate(R);
   if (!Registered.load(std::memory_order_relaxed)) {
     R.Maxes.push_back(this);
     Registered.store(true, std::memory_order_release);
@@ -145,7 +163,7 @@ void MaxStatistic::registerOnce() {
 
 unsigned HistStatistic::registerOnce() {
   Registry &R = registry();
-  std::lock_guard<std::mutex> G(R.Lock);
+  auto G = lockToAllocate(R);
   unsigned S = Slot.load(std::memory_order_relaxed);
   if (!S) {
     S = R.allocateSlots(NumSlots, Name);
@@ -165,7 +183,7 @@ std::vector<StatisticSnapshot> depflow::statisticsSnapshot() {
   Registry &R = registry();
   std::vector<StatisticSnapshot> Rows;
   {
-    std::lock_guard<std::mutex> G(R.Lock);
+    auto G = lockToAllocate(R);
     Rows.reserve(R.Stats.size() + R.Maxes.size() + R.Hists.size());
     for (const Statistic *S : R.Stats)
       Rows.push_back({S->group(), S->name(), S->desc(), R.total(*S)});
@@ -239,4 +257,24 @@ void depflow::resetStatistics() {
     S->Value.store(0, std::memory_order_relaxed);
   for (HistStatistic *S : R.Hists)
     S->Max.store(0, std::memory_order_relaxed);
+}
+
+detail::AllocTotals detail::allocationTotals() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> G(R.Lock);
+  AllocTotals Sum = R.RetiredAlloc;
+  for (const StatShard *S = R.Shards; S; S = S->Next) {
+    Sum.Bytes += S->AllocBytes.load(std::memory_order_relaxed);
+    Sum.Count += S->AllocCount.load(std::memory_order_relaxed);
+  }
+  return Sum;
+}
+
+std::size_t detail::shardCount() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> G(R.Lock);
+  std::size_t N = 0;
+  for (const StatShard *S = R.Shards; S; S = S->Next)
+    ++N;
+  return N;
 }

@@ -27,11 +27,16 @@
 ///   * **Shards.** Registration gives each counter one slot index and each
 ///     histogram a run of slots (count, sum, buckets). Every thread owns a
 ///     shard, an array indexed by slot; only the owner stores into it, so a
-///     bump is a single-writer relaxed load and store, never an RMW.
+///     bump is a single-writer relaxed load and store, never an RMW. The
+///     shard also carries the thread's allocation counters, which
+///     obs/Metrics.cpp's `operator new` bumps the same way: the shards are
+///     the process's one per-thread counter registry.
 ///   * **Fold.** A reading — `value()`, `statisticsSnapshot()`,
-///     `statisticValue()` — adds a retired total to every live shard, under
-///     the registry lock. When a thread exits, its shard folds into the
-///     retired total and is kept for reuse by the next thread.
+///     `statisticValue()`, `allocationTotals()` — adds a retired total to
+///     every live shard, under the registry lock. When a thread exits, its
+///     shard folds into the retired total and is kept for reuse by the next
+///     thread. The registry is never destroyed, so allocations after `main`
+///     returns and during thread exit still count.
 ///   * **Maxima** (`MaxStatistic`, a histogram's max) stay one process-wide
 ///     atomic with a compare-exchange loop: it writes only when the maximum
 ///     rises.
@@ -62,6 +67,7 @@
 #define DEPFLOW_SUPPORT_STATISTIC_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -74,10 +80,14 @@ namespace detail {
 /// registration past the last slot is a fatal error.
 inline constexpr unsigned MaxStatSlots = 2048;
 
-/// One thread's statistic slots. Only the owning thread stores into
-/// `Slots`; readers load them under the registry lock.
+/// One thread's statistic slots and allocation counters. Only the owning
+/// thread stores into them; readers load them under the registry lock.
 struct StatShard {
   std::atomic<std::uint64_t> Slots[MaxStatSlots] = {};
+  /// The thread's `operator new` traffic (obs/Metrics.cpp). Fields, not
+  /// slots: `resetStatistics()` leaves them alone.
+  std::atomic<std::uint64_t> AllocBytes{0};
+  std::atomic<std::uint64_t> AllocCount{0};
   StatShard *Next = nullptr; // Every shard ever made (registry-owned).
   bool InUse = false;        // Owned by a live thread.
 };
@@ -102,6 +112,18 @@ inline void bump(std::atomic<std::uint64_t> &Slot, std::uint64_t N) {
 
 /// The process-wide registry (Statistic.cpp); reads each statistic's slot.
 struct StatRegistry;
+
+/// Allocation counters summed over every thread that ever allocated: the
+/// retired total of exited threads plus every live shard.
+struct AllocTotals {
+  std::uint64_t Bytes = 0;
+  std::uint64_t Count = 0;
+};
+AllocTotals allocationTotals();
+
+/// Number of shards ever made. Exited threads' shards are reused, so this
+/// is the most threads ever alive at once.
+std::size_t shardCount();
 
 } // namespace detail
 
@@ -270,7 +292,8 @@ std::uint64_t statisticValue(const char *Group, const char *Name);
 void printStatistics(std::FILE *Out);
 
 /// Zeroes every registered counter, live shards and retired totals alike
-/// (tests and long-lived drivers). Call it with no writer running.
+/// (tests and long-lived drivers); the allocation counters stay. Call it
+/// with no writer running.
 void resetStatistics();
 
 } // namespace depflow

@@ -364,9 +364,9 @@ Status depflow::checkReportedChange(const Function &Before,
   if (SameText ? PA.preservesAll()
                : !PA.preservesAll() &&
                      preservesExactlyWhen<CFGEdgesAnalysis, DominatorAnalysis,
-                                          LoopAnalysis, CycleEquivAnalysis,
-                                          PSTAnalysis, FactoredCDGAnalysis>(
-                         PA, SameShape) &&
+                                          CycleEquivAnalysis, PSTAnalysis,
+                                          FactoredCDGAnalysis>(PA,
+                                                               SameShape) &&
                      preservesExactlyWhen<DFGAnalysis, RangeAnalysis,
                                           TaintAnalysis, NullUseAnalysis>(
                          PA, false))

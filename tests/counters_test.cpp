@@ -13,6 +13,7 @@
 #include "support/Statistic.h"
 
 #include "obs/Json.h"
+#include "obs/Metrics.h"
 #include "obs/StatsJson.h"
 #include "pass/ModulePipeline.h"
 #include "pass/PassPipeline.h"
@@ -127,7 +128,10 @@ TEST(StatisticShards, ResetClearsLiveAndRetired) {
     H.sample(100);
   }).join();
   ASSERT_GE(S.value(), 7u);
+  const std::uint64_t AllocBytes = obs::processAllocatedBytes();
   resetStatistics();
+  EXPECT_EQ(obs::processAllocatedBytes(), AllocBytes)
+      << "the shards' allocation counters are fields, not slots";
   EXPECT_EQ(S.value(), 0u);
   EXPECT_EQ(H.count(), 0u);
   EXPECT_EQ(H.sum(), 0u);

@@ -448,7 +448,6 @@ TEST(EventLog, RecordsStructuredLinesInTimestampOrder) {
   EventLogger &L = EventLogger::global();
   L.reset();
   L.setEnabled(true);
-  L.setMinLevel(LogLevel::Debug);
   LogEvent(LogLevel::Info, "test", "second").field("k", 2u);
   LogEvent(LogLevel::Debug, "test", "third").field("k", std::string("v"));
   std::vector<std::string> Lines = L.snapshot();
@@ -465,35 +464,40 @@ TEST(EventLog, RecordsStructuredLinesInTimestampOrder) {
   }
 }
 
-TEST(EventLog, MinLevelFiltersAndDisabledDropsEverything) {
+TEST(EventLog, KeepsEveryLevelAndDisabledDropsEverything) {
   EventLogger &L = EventLogger::global();
   L.reset();
   L.setEnabled(true);
-  L.setMinLevel(LogLevel::Warn);
-  LogEvent(LogLevel::Info, "test", "filtered");
-  LogEvent(LogLevel::Error, "test", "kept");
-  EXPECT_EQ(L.snapshot().size(), 1u);
+  for (LogLevel Level :
+       {LogLevel::Debug, LogLevel::Info, LogLevel::Warn, LogLevel::Error})
+    LogEvent(Level, "test", "kept");
+  std::vector<std::string> Lines = L.snapshot();
+  ASSERT_EQ(Lines.size(), 4u);
+  EXPECT_NE(Lines[0].find("\"level\":\"debug\""), std::string::npos);
+  EXPECT_NE(Lines[3].find("\"level\":\"error\""), std::string::npos);
   L.setEnabled(false);
   LogEvent(LogLevel::Error, "test", "ignored");
-  EXPECT_EQ(L.snapshot().size(), 1u);
-  L.setMinLevel(LogLevel::Debug);
+  EXPECT_EQ(L.snapshot().size(), 4u);
 }
 
 TEST(EventLog, BoundedRingDropsOldestAndCounts) {
+  constexpr unsigned Cap = EventLogger::CapacityPerThread;
   EventLogger &L = EventLogger::global();
   L.reset();
-  L.setCapacityPerThread(4);
   L.setEnabled(true);
-  for (unsigned I = 0; I != 10; ++I)
+  for (unsigned I = 0; I != Cap + 6; ++I)
     LogEvent(LogLevel::Info, "test", "e").field("i", I);
   std::vector<std::string> Lines = L.snapshot();
   L.setEnabled(false);
-  L.setCapacityPerThread(4096);
-  ASSERT_EQ(Lines.size(), 4u);
+  ASSERT_EQ(Lines.size(), Cap);
   EXPECT_EQ(L.droppedEvents(), 6u);
-  // The survivors are the newest four, still in order.
-  EXPECT_NE(Lines[0].find("\"i\":6"), std::string::npos);
-  EXPECT_NE(Lines[3].find("\"i\":9"), std::string::npos);
+  // The survivors are the newest ones, still in order.
+  auto HasI = [](const std::string &Line, unsigned I) {
+    return Line.find("\"i\":" + std::to_string(I) + "}") != std::string::npos;
+  };
+  EXPECT_TRUE(HasI(Lines.front(), 6));
+  EXPECT_TRUE(HasI(Lines.back(), Cap + 5));
+  L.reset();
 }
 
 TEST(EventLog, JournalEndMetaLineCarriesTotals) {

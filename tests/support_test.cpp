@@ -7,7 +7,6 @@
 
 #include "support/BitVector.h"
 #include "support/Casting.h"
-#include "support/IndexedMap.h"
 #include "support/RNG.h"
 #include "support/StringInterner.h"
 #include "support/Worklist.h"
@@ -77,15 +76,6 @@ TEST(BitVector, ResizeWithValue) {
   EXPECT_FALSE(BV.test(3));
   for (unsigned I = 10; I < 100; ++I)
     EXPECT_TRUE(BV.test(I)) << I;
-}
-
-TEST(IndexedMap, GrowsOnDemand) {
-  IndexedMap<unsigned, int> M(-1);
-  EXPECT_EQ(M.lookup(5), -1);
-  M[5] = 42;
-  EXPECT_EQ(M.lookup(5), 42);
-  EXPECT_EQ(M.lookup(4), -1);
-  EXPECT_EQ(M.lookup(1000), -1);
 }
 
 TEST(RNG, DeterministicAndBounded) {
