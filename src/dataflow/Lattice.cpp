@@ -46,39 +46,14 @@ std::int64_t roundUp(std::int64_t X) {
   return IntervalVal::PosInf;
 }
 
-bool isInf(std::int64_t B) {
-  return B == IntervalVal::NegInf || B == IntervalVal::PosInf;
-}
-
-// Bound addition with -inf/+inf absorption; finite overflow saturates to
-// the matching infinity (sound: the true bound is beyond the ladder).
-std::int64_t addBound(std::int64_t A, std::int64_t B) {
-  if (isInf(A))
-    return A;
-  if (isInf(B))
-    return B;
-  if (B > 0 && A > IntervalVal::PosInf - B)
-    return IntervalVal::PosInf;
-  if (B < 0 && A < IntervalVal::NegInf - B)
-    return IntervalVal::NegInf;
-  return A + B;
-}
-
-std::int64_t negBound(std::int64_t A) {
-  if (A == IntervalVal::NegInf)
-    return IntervalVal::PosInf;
-  if (A == IntervalVal::PosInf)
-    return IntervalVal::NegInf;
-  return -A;
-}
-
-std::int64_t mulBound(std::int64_t A, std::int64_t B) {
-  __int128 P = static_cast<__int128>(A) * B;
-  if (P > IntervalVal::PosInf)
-    return IntervalVal::PosInf;
-  if (P < IntervalVal::NegInf)
-    return IntervalVal::NegInf;
-  return static_cast<std::int64_t>(P);
+// The interval [Lo, Hi] of bounds computed exactly in 128 bits. Every
+// int64 lies in [INT64_MIN, INT64_MAX], so the -inf/+inf bounds read as
+// those values and the arithmetic on them is exact. A bound outside int64
+// means the interpreter's arithmetic can wrap, to any value: top.
+IntervalVal exactRange(__int128 Lo, __int128 Hi) {
+  if (Lo < IntervalVal::NegInf || Hi > IntervalVal::PosInf)
+    return IntervalVal::top();
+  return IntervalVal::range(std::int64_t(Lo), std::int64_t(Hi));
 }
 
 // Decidable interval comparisons produce an exact 0/1; everything else is
@@ -125,7 +100,7 @@ IntervalVal depflow::rangeUnOp(UnOp Op, const IntervalVal &A) {
     return IntervalVal::point(evalUnOp(Op, A.lo()));
   switch (Op) {
   case UnOp::Neg:
-    return IntervalVal::range(negBound(A.hi()), negBound(A.lo()));
+    return exactRange(-__int128(A.hi()), -__int128(A.lo()));
   case UnOp::Not:
     if (!A.mayBeTrue())
       return IntervalVal::point(1);
@@ -146,20 +121,13 @@ IntervalVal depflow::rangeBinOp(BinOp Op, const IntervalVal &A,
 
   switch (Op) {
   case BinOp::Add:
-    return IntervalVal::range(addBound(A.lo(), B.lo()),
-                              addBound(A.hi(), B.hi()));
+    return exactRange(__int128(A.lo()) + B.lo(), __int128(A.hi()) + B.hi());
   case BinOp::Sub:
-    return IntervalVal::range(addBound(A.lo(), negBound(B.hi())),
-                              addBound(A.hi(), negBound(B.lo())));
+    return exactRange(__int128(A.lo()) - B.hi(), __int128(A.hi()) - B.lo());
   case BinOp::Mul: {
-    if (!A.isBounded() || !B.isBounded())
-      return IntervalVal::top();
-    std::int64_t C0 = mulBound(A.lo(), B.lo());
-    std::int64_t C1 = mulBound(A.lo(), B.hi());
-    std::int64_t C2 = mulBound(A.hi(), B.lo());
-    std::int64_t C3 = mulBound(A.hi(), B.hi());
-    return IntervalVal::range(std::min({C0, C1, C2, C3}),
-                              std::max({C0, C1, C2, C3}));
+    __int128 C0 = __int128(A.lo()) * B.lo(), C1 = __int128(A.lo()) * B.hi();
+    __int128 C2 = __int128(A.hi()) * B.lo(), C3 = __int128(A.hi()) * B.hi();
+    return exactRange(std::min({C0, C1, C2, C3}), std::max({C0, C1, C2, C3}));
   }
   case BinOp::Div: {
     // Interpreter semantics: x/0 == 0, otherwise C++ truncated division.
@@ -181,8 +149,8 @@ IntervalVal depflow::rangeBinOp(BinOp Op, const IntervalVal &A,
       return IntervalVal::range(std::min<std::int64_t>(A.lo(), 0),
                                 std::max<std::int64_t>(A.hi(), 0));
     if (B.hi() <= 0)
-      return IntervalVal::range(std::min<std::int64_t>(negBound(A.hi()), 0),
-                                std::max<std::int64_t>(negBound(A.lo()), 0));
+      return IntervalVal::range(std::min<std::int64_t>(-A.hi(), 0),
+                                std::max<std::int64_t>(-A.lo(), 0));
     return IntervalVal::range(-M, M);
   }
   case BinOp::Eq:

@@ -176,13 +176,12 @@ TEST(SparseEngineRange, CountingLoopClimbsTheLadderToInfinity) {
   auto F = parseFunctionOrDie(CountSrc);
   RangeResult R = solveChecked<RangeResult>(*F, runRangeAnalysis);
 
-  // i starts at 0 and only grows; the ladder widening must terminate with
-  // a half-bounded interval, not loop forever refining the upper bound.
+  // i starts at 0 and only grows; the ladder widening must terminate, not
+  // loop forever refining the upper bound. Past +inf, i + 1 can wrap to
+  // any value, so the climb ends at top.
   IntervalVal IUse = R.useValue(instrAt(*F, "head", 0), 0);
   ASSERT_FALSE(IUse.isBottom());
-  EXPECT_EQ(IUse.lo(), 0);
-  EXPECT_EQ(IUse.hi(), IntervalVal::PosInf);
-  EXPECT_FALSE(IUse.isBounded());
+  EXPECT_TRUE(IUse.isTop());
 
   // The comparison's result is boolean no matter how wild its inputs are.
   IntervalVal TUse = R.useValue(instrAt(*F, "head", 1), 0);
@@ -192,8 +191,48 @@ TEST(SparseEngineRange, CountingLoopClimbsTheLadderToInfinity) {
 
   IntervalVal Ret = R.useValue(instrAt(*F, "out", 0), 0);
   ASSERT_FALSE(Ret.isBottom());
-  EXPECT_EQ(Ret.lo(), 0);
-  EXPECT_EQ(Ret.hi(), IntervalVal::PosInf);
+  EXPECT_TRUE(Ret.isTop());
+}
+
+// Doubling a negative value wraps to 0 after 64 rounds, so the loop exits
+// and returns 0. Saturating the bounds at -inf claimed v0 < 0 forever and
+// the exit dead (found by depflow-fuzz --iters 2000 --seed 20260806).
+const char *DoublingSrc = R"(
+func dbl() {
+entry:
+  v0 = - 7
+  goto body
+body:
+  v0 = v0 + v0
+  if v0 goto body else after
+after:
+  ret v0
+}
+)";
+
+TEST(SparseEngineRange, WrappingArithmeticIsTop) {
+  auto F = parseFunctionOrDie(DoublingSrc);
+  RangeResult R = solveChecked<RangeResult>(*F, runRangeAnalysis);
+  IntervalVal Ret = R.useValue(instrAt(*F, "after", 0), 0);
+  ASSERT_FALSE(Ret.isBottom()) << "the loop exit is reachable";
+  EXPECT_TRUE(Ret.isTop());
+  RNG Rand(1);
+  Status S = checkRangeContainsOutputs(*F, R, Rand);
+  EXPECT_TRUE(S.ok()) << S.str();
+
+  // Each bound is exact while it fits in int64, and top once it leaves.
+  const IntervalVal Neg = IntervalVal::range(IntervalVal::NegInf, -7);
+  const IntervalVal Pos = IntervalVal::range(0, IntervalVal::PosInf);
+  EXPECT_TRUE(rangeBinOp(BinOp::Add, Neg, Neg).isTop());
+  EXPECT_TRUE(rangeBinOp(BinOp::Add, Pos, IntervalVal::point(1)).isTop());
+  EXPECT_EQ(rangeBinOp(BinOp::Add, Neg, IntervalVal::point(1)),
+            IntervalVal::range(IntervalVal::NegInf, -3));
+  EXPECT_TRUE(rangeBinOp(BinOp::Sub, Pos, IntervalVal::point(-1)).isTop());
+  EXPECT_EQ(rangeBinOp(BinOp::Mul, Pos, IntervalVal::range(0, 1)), Pos);
+  EXPECT_TRUE(rangeBinOp(BinOp::Mul, Pos, IntervalVal::range(0, 2)).isTop());
+  EXPECT_TRUE(rangeUnOp(UnOp::Neg, Neg).isTop());
+  EXPECT_EQ(rangeUnOp(UnOp::Neg, Pos),
+            IntervalVal::range(-IntervalVal::PosInf, 0));
 }
 
 //===----------------------------------------------------------------------===//
