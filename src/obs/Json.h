@@ -147,7 +147,7 @@ bool parseJson(std::string_view Src, JsonValue &Out, std::string &Error);
 
 /// Writes \p Contents to the file \p Path, replacing it. The errors call
 /// the file "<What> output file" ("cannot open trace output file 'x'").
-/// Every artifact the drivers and benches write goes through here.
+/// The trace, journal, stats, counters and bench documents go through here.
 Status writeArtifact(const std::string &Path, std::string_view Contents,
                      const char *What);
 

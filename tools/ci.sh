@@ -4,8 +4,10 @@
 # Part of the depflow project: a reproduction of "Dependence-Based Program
 # Analysis" (Johnson & Pingali, PLDI 1993).
 #
-# Builds with AddressSanitizer + UBSan, runs the full test suite, a
-# 500-iteration differential fuzz smoke over every pass, a pipeline smoke
+# Builds with AddressSanitizer + UBSan, runs the full test suite (with
+# pipeline_golden, so depflow-opt's output and counters must equal the
+# recorded fixtures in the sanitized build too), a 500-iteration
+# differential fuzz smoke over every pass, a pipeline smoke
 # that drives the instrumented pass manager over the checked-in example
 # programs, a module smoke that checks -j 8 output against -j 1 on a
 # fuzz-generated module, an observability smoke (--trace-json /
