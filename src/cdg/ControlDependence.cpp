@@ -36,9 +36,12 @@ static std::vector<unsigned> branchEdges(const CFGEdges &E) {
 }
 
 std::vector<std::vector<unsigned>>
-depflow::nodeControlDependence(const Function &F, const CFGEdges &E) {
+depflow::nodeControlDependence(const Function &F, const CFGEdges &E,
+                               std::vector<char> *SelfDependent) {
   std::vector<std::vector<unsigned>> CD(F.numBlocks());
   DomTree PDT(F, DomTree::Post);
+  if (SelfDependent)
+    SelfDependent->assign(F.numBlocks(), 0);
 
   for (unsigned EdgeId : branchEdges(E)) {
     const CFGEdge &Edge = E.edge(EdgeId);
@@ -48,12 +51,14 @@ depflow::nodeControlDependence(const Function &F, const CFGEdges &E) {
     // On back edges the walk passes through U itself; FOW's algorithm
     // traditionally records that as a loop self-dependence, but Definition 2
     // of the paper ("x does not postdominate n") excludes it, and we follow
-    // the paper.
+    // the paper; callers that want it get the flag instead.
     int Stop = PDT.idom(U);
     int W = int(Edge.To->id());
     while (W >= 0 && W != Stop) {
       if (W != int(U))
         CD[unsigned(W)].push_back(EdgeId);
+      else if (SelfDependent)
+        (*SelfDependent)[U] = 1;
       W = PDT.idom(unsigned(W));
     }
   }

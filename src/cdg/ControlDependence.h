@@ -37,9 +37,14 @@ class Function;
 
 /// Per-block control dependence: for each block id, the sorted list of
 /// branch-edge ids it is control dependent on (FOW over the postdominator
-/// tree of the block-level CFG).
+/// tree of the block-level CFG). Following Definition 2, a block is never
+/// control dependent on its own branch. When \p SelfDependent is non-null
+/// it receives one flag per block id, set for every block that
+/// postdominates one of its own successors: the loop self-dependence the
+/// sets leave out, where the block's branch decides whether it runs again.
 std::vector<std::vector<unsigned>>
-nodeControlDependence(const Function &F, const CFGEdges &E);
+nodeControlDependence(const Function &F, const CFGEdges &E,
+                      std::vector<char> *SelfDependent = nullptr);
 
 /// Per-edge control dependence via the edge-split graph: for each CFG edge
 /// id, the sorted list of branch-edge ids it is control dependent on.

@@ -1,4 +1,4 @@
-//===- pass/Analyses.cpp - The registered function analyses ---------------===//
+//===- pass/Analyses.cpp - The function analyses and their manager --------===//
 //
 // Part of the depflow project: a reproduction of "Dependence-Based Program
 // Analysis" (Johnson & Pingali, PLDI 1993).
@@ -9,6 +9,7 @@
 
 #include "support/Statistic.h"
 
+#include <algorithm>
 #include <type_traits>
 
 using namespace depflow;
@@ -40,8 +41,8 @@ CycleEquivalence CycleEquivAnalysis::run(Function &F,
 ProgramStructureTree PSTAnalysis::run(Function &F,
                                       FunctionAnalysisManager &AM) {
   ++NumAnalysesComputed;
-  // Order matters only for readability: both live in stable heap slots, so
-  // the second getResult cannot move the first result out from under us.
+  // Order matters only for readability: each result has its own slot in
+  // the manager, so the second getResult cannot move the first one.
   const CFGEdges &E = AM.getResult<CFGEdgesAnalysis>();
   const CycleEquivalence &CE = AM.getResult<CycleEquivAnalysis>();
   return ProgramStructureTree(F, E, CE);
@@ -97,12 +98,26 @@ NullUseResult NullUseAnalysis::run(Function &F, FunctionAnalysisManager &AM) {
   return R;
 }
 
-PreservedAnalyses depflow::preserveCFGShapeAnalyses() {
-  PreservedAnalyses PA;
-  PA.preserve<CFGEdgesAnalysis>()
-      .preserve<DominatorAnalysis>()
-      .preserve<CycleEquivAnalysis>()
-      .preserve<PSTAnalysis>()
-      .preserve<FactoredCDGAnalysis>();
-  return PA;
+std::vector<FunctionAnalysisManager::Counter>
+FunctionAnalysisManager::counterSnapshot() const {
+  std::vector<Counter> Rows;
+  forEachSlot(*this, [&](const auto &S, unsigned I) {
+    if (S.Hits || S.Misses)
+      Rows.push_back({AllAnalyses::Names[I], S.Hits, S.Misses});
+  });
+  std::sort(Rows.begin(), Rows.end(),
+            [](const Counter &A, const Counter &B) { return A.Name < B.Name; });
+  return Rows;
+}
+
+std::uint64_t FunctionAnalysisManager::totalHits() const {
+  std::uint64_t N = 0;
+  forEachSlot(*this, [&](const auto &S, unsigned) { N += S.Hits; });
+  return N;
+}
+
+std::uint64_t FunctionAnalysisManager::totalMisses() const {
+  std::uint64_t N = 0;
+  forEachSlot(*this, [&](const auto &S, unsigned) { N += S.Misses; });
+  return N;
 }

@@ -13,8 +13,8 @@
 #include "obs/Sched.h"
 #include "support/FaultInjection.h"
 
+#include <algorithm>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <new>
 
@@ -99,18 +99,19 @@ ModulePipelineResult::aggregatePassRecords() const {
 
 std::vector<FunctionAnalysisManager::Counter>
 ModulePipelineResult::aggregateCounters() const {
-  std::map<std::string, FunctionAnalysisManager::Counter> ByName;
+  // Every snapshot is sorted by name; merging keeps Out sorted too.
+  std::vector<FunctionAnalysisManager::Counter> Out;
   for (const FunctionPipelineResult &FR : Functions)
     for (const FunctionAnalysisManager::Counter &C : FR.Counters) {
-      FunctionAnalysisManager::Counter &Agg = ByName[C.Name];
-      Agg.Name = C.Name;
-      Agg.Hits += C.Hits;
-      Agg.Misses += C.Misses;
+      auto It = std::lower_bound(
+          Out.begin(), Out.end(), C.Name,
+          [](const FunctionAnalysisManager::Counter &A,
+             const std::string &Name) { return A.Name < Name; });
+      if (It == Out.end() || It->Name != C.Name)
+        It = Out.insert(It, {C.Name, 0, 0});
+      It->Hits += C.Hits;
+      It->Misses += C.Misses;
     }
-  std::vector<FunctionAnalysisManager::Counter> Out;
-  Out.reserve(ByName.size());
-  for (auto &[Name, C] : ByName)
-    Out.push_back(C);
   return Out;
 }
 

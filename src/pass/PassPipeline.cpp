@@ -14,7 +14,6 @@
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
 #include "obs/Metrics.h"
-#include "pass/Analyses.h"
 #include "ssa/SSA.h"
 #include "support/Statistic.h"
 

@@ -18,8 +18,9 @@
 ///
 ///   * a pass that did not change the function preserves everything;
 ///   * a pass that changed instructions but not the CFG shape preserves
-///     every CFG-shape analysis (dominators, loops, cycle equivalence,
-///     PST, factored CDG, edge numbering) and invalidates the DFG;
+///     every CFG-shape analysis (edge numbering, dominators, cycle
+///     equivalence, PST, factored CDG) and invalidates the DFG and the
+///     dataflow clients;
 ///   * a pass that changed the CFG preserves nothing.
 ///
 /// checkReportedChange (verify/Oracles.h) holds every report against the
@@ -37,7 +38,7 @@
 #define DEPFLOW_PASS_PASSPIPELINE_H
 
 #include "obs/Trace.h"
-#include "pass/AnalysisManager.h"
+#include "pass/Analyses.h"
 #include "pass/Pass.h"
 #include "support/Error.h"
 

@@ -185,9 +185,11 @@ public:
     // --- Structural analyses ---------------------------------------------
     CFGEdges E(F);
     DepFlowGraph DFG = DepFlowGraph::build(F, E);
-    std::vector<std::vector<unsigned>> CD = nodeControlDependence(F, E);
+    std::vector<char> SelfDependent;
+    std::vector<std::vector<unsigned>> CD =
+        nodeControlDependence(F, E, &SelfDependent);
 
-    buildControlEdges(E, CD);
+    buildControlEdges(E, CD, SelfDependent);
     buildDataEdges(DFG);
     if (MayRead[FI])
       buildIOEdges();
@@ -213,7 +215,8 @@ private:
   }
 
   void buildControlEdges(const CFGEdges &E,
-                         const std::vector<std::vector<unsigned>> &CD) {
+                         const std::vector<std::vector<unsigned>> &CD,
+                         const std::vector<char> &SelfDependent) {
     // Formals hang off the entry, actuals off their call instruction.
     for (int FIn : L.FormalIns)
       L.ControlEdges.push_back({L.Entry, unsigned(FIn)});
@@ -239,7 +242,10 @@ private:
     // Instruction-level control dependence from the block-level FOW sets:
     // an instruction depends on the condbr at the source of every branch
     // edge its block depends on; blocks with no control dependence hang
-    // off the entry.
+    // off the entry. Whether a block that postdominates one of its own
+    // successors runs again is decided by its condbr, so every other
+    // instruction of the block also depends on that condbr — the loop
+    // self-dependence the block-level sets leave out (Definition 2).
     for (const auto &BB : F.blocks()) {
       std::vector<unsigned> Srcs;
       for (unsigned BranchEdge : CD[BB->id()]) {
@@ -249,6 +255,8 @@ private:
       }
       std::sort(Srcs.begin(), Srcs.end());
       Srcs.erase(std::unique(Srcs.begin(), Srcs.end()), Srcs.end());
+      const Instruction *Br = BB->terminator();
+      const int SelfSrc = SelfDependent[BB->id()] ? int(instrLocal(Br)) : -1;
       for (const auto &I : BB->instructions()) {
         unsigned Dst = instrLocal(I.get());
         if (Srcs.empty())
@@ -256,6 +264,8 @@ private:
         else
           for (unsigned Src : Srcs)
             L.ControlEdges.push_back({Src, Dst});
+        if (SelfSrc >= 0 && I.get() != Br)
+          L.ControlEdges.push_back({unsigned(SelfSrc), Dst});
       }
     }
   }

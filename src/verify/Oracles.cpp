@@ -14,7 +14,6 @@
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
 #include "pass/Analyses.h"
-#include "pass/AnalysisManager.h"
 #include "sdg/Slicer.h"
 #include "verify/PassVerifier.h"
 
@@ -340,13 +339,6 @@ std::vector<std::vector<unsigned>> successorLists(const Function &F) {
   return Lists;
 }
 
-/// True if \p PA preserves each of the analyses \p As exactly when
-/// \p Expected.
-template <typename... As>
-bool preservesExactlyWhen(const PreservedAnalyses &PA, bool Expected) {
-  return ((PA.preserves<As>() == Expected) && ...);
-}
-
 } // namespace
 
 Status depflow::checkReportedChange(const Function &Before,
@@ -362,14 +354,8 @@ Status depflow::checkReportedChange(const Function &Before,
   const bool SameShape =
       successorLists(Split ? *Split : Before) == successorLists(After);
   if (SameText ? PA.preservesAll()
-               : !PA.preservesAll() &&
-                     preservesExactlyWhen<CFGEdgesAnalysis, DominatorAnalysis,
-                                          CycleEquivAnalysis, PSTAnalysis,
-                                          FactoredCDGAnalysis>(PA,
-                                                               SameShape) &&
-                     preservesExactlyWhen<DFGAnalysis, RangeAnalysis,
-                                          TaintAnalysis, NullUseAnalysis>(
-                         PA, false))
+               : PA == (SameShape ? preserveCFGShapeAnalyses()
+                                  : PreservedAnalyses::none()))
     return Status::success();
   return Status::error(std::string("pass --") + passName(P) +
                        ": reported preserved analyses do not match its "

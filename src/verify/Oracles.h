@@ -30,7 +30,7 @@
 
 #include "dataflow/RangeAnalysis.h"
 #include "interp/Interpreter.h"
-#include "pass/AnalysisManager.h"
+#include "pass/Analyses.h"
 #include "pass/Pass.h"
 #include "verify/DiffOracle.h"
 
@@ -74,9 +74,9 @@ Status checkPassOutput(const Function &Original, Function &Transformed,
 /// Holds pass \p P's report \p PA of what it changed in turning \p Before
 /// into \p After against the functions themselves:
 ///  * the printed text is unchanged exactly when \p PA preserves all;
-///  * otherwise no analysis that holds instruction pointers is preserved,
-///    and the CFG-shape analyses (preserveCFGShapeAnalyses) are preserved
-///    exactly when every block's successor list is unchanged. PRE passes
+///  * otherwise \p PA is preserveCFGShapeAnalyses() when every block's
+///    successor list is unchanged and PreservedAnalyses::none() when not,
+///    so exactly the ShapeOnly analyses survive a shape-keeping change. PRE passes
 ///    split critical edges first and judge their shape after the split,
 ///    so for them the lists are compared with \p Before's after
 ///    splitCriticalEdges on a clone.

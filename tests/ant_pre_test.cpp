@@ -20,7 +20,7 @@
 #include "ir/Printer.h"
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
-#include "pass/AnalysisManager.h"
+#include "pass/Analyses.h"
 #include "pass/PassPipeline.h"
 #include "support/Statistic.h"
 #include "verify/DiffOracle.h"

@@ -6,13 +6,14 @@
 // Covers the analysis-manager contract: lazy computation, cache hits when
 // analyses share dependencies, epoch-based invalidation after a mutating
 // pass, PreservedAnalyses keeping CFG-shape analyses (dominators) alive
-// through an instruction-only pass, runPass's own input checks and its
-// verify-once rule, and pipeline-string parsing.
+// through an instruction-only pass as an allocation-free bitmask, runPass's
+// own input checks and its verify-once rule, and pipeline-string parsing.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ParseOrDie.h"
 #include "ir/Printer.h"
+#include "obs/Metrics.h"
 #include "pass/Analyses.h"
 #include "pass/PassPipeline.h"
 
@@ -172,44 +173,38 @@ TEST(AnalysisManager, NoChangePassPreservesEverything) {
   EXPECT_EQ(AM.getCachedResult<DFGAnalysis>(), G);
 }
 
-TEST(AnalysisManager, CachingDisabledAlwaysRecomputes) {
+TEST(PreservedAnalyses, IsAnAllocationFreeBitmask) {
   auto F = parseFunctionOrDie(DiamondSrc);
   FunctionAnalysisManager AM(*F);
-  AM.setCachingDisabled(true);
-  AM.getResult<DominatorAnalysis>();
-  AM.getResult<DominatorAnalysis>();
-  EXPECT_EQ(missesOf(AM, "domtree"), 2u);
-  EXPECT_EQ(hitsOf(AM, "domtree"), 0u);
+  AM.getResult<DFGAnalysis>();
+  {
+    // The counting allocator sees this thread's allocations...
+    obs::AllocDelta D;
+    auto Probe = parseFunctionOrDie(DiamondSrc);
+    EXPECT_GT(D.bytes(), 0u);
+  }
+  // ...and none while a PreservedAnalyses is built, copied and applied.
+  obs::AllocDelta D;
+  PreservedAnalyses PA = preserveCFGShapeAnalyses();
+  PreservedAnalyses Copy = PA;
+  AM.invalidate(Copy);
+  EXPECT_EQ(D.bytes(), 0u);
+  EXPECT_EQ(D.count(), 0u);
+  EXPECT_NE(AM.getCachedResult<PSTAnalysis>(), nullptr);
+  EXPECT_EQ(AM.getCachedResult<DFGAnalysis>(), nullptr);
 }
 
-TEST(AnalysisManager, CachingDisabledKeepsDisplacedResultsAlive) {
-  // With caching disabled every query recomputes, which displaces the
-  // previous result of the same analysis — while references to it may
-  // still be live: PST's run() holds the CFG edges across its nested
-  // cycle-equivalence query, and pass bodies hold several getResult
-  // references across each other. Displaced results must survive until
-  // the next pass boundary (regression: use-after-free caught by ASan
-  // through bench_pipeline's baseline configuration).
-  auto F = parseFunctionOrDie(DiamondSrc);
-  FunctionAnalysisManager AM(*F);
-  AM.setCachingDisabled(true);
-
-  // Nested displacement inside one top-level query.
-  AM.getResult<DFGAnalysis>();
-  AM.getResult<DFGAnalysis>();
-  EXPECT_EQ(missesOf(AM, "dfg"), 2u);
-  EXPECT_GE(missesOf(AM, "cfg-edges"), 4u);
-  EXPECT_EQ(hitsOf(AM, "cfg-edges"), 0u);
-
-  // Pass-body pattern: a reference held across a later query that
-  // recomputes the same analysis underneath.
-  const CFGEdges &Edges = AM.getResult<CFGEdgesAnalysis>();
-  unsigned NumEdges = Edges.size();
-  AM.getResult<DFGAnalysis>(); // Recomputes cfg-edges; must not free Edges.
-  EXPECT_EQ(Edges.size(), NumEdges);
-
-  // The pass boundary releases the parked results.
-  AM.invalidate(PreservedAnalyses::none());
+TEST(PreservedAnalyses, ShapePreservedSetIsTheShapeOnlyAnalyses) {
+  const PreservedAnalyses PA = preserveCFGShapeAnalyses();
+  EXPECT_FALSE(PA.preservesAll());
+  std::vector<std::string> Preserved;
+  for (unsigned I = 0; I != AllAnalyses::Size; ++I)
+    if (PA.preserves(I))
+      Preserved.push_back(AllAnalyses::Names[I]);
+  EXPECT_EQ(Preserved,
+            (std::vector<std::string>{"cfg-edges", "domtree", "cycle-equiv",
+                                      "pst", "factored-cdg"}));
+  EXPECT_EQ(AllAnalyses::Size, 9u);
 }
 
 // a + b is computed in thn and again in join: Morel-Renvoise inserts it

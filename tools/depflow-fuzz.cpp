@@ -65,7 +65,7 @@
 #include "ir/Verifier.h"
 #include "obs/EventLog.h"
 #include "obs/StatsJson.h"
-#include "pass/AnalysisManager.h"
+#include "pass/Analyses.h"
 #include "pass/ModulePipeline.h"
 #include "pass/PassPipeline.h"
 #include "support/FaultInjection.h"
