@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <vector>
 
 using namespace depflow;
 
@@ -43,7 +44,7 @@ static std::unique_ptr<Function> makePredicateChain(unsigned K) {
     Hit->setJump(Join);
     Cur = Join;
   }
-  Cur->setRet({Operand::var(Acc)});
+  Cur->setRet(std::vector<Operand>{Operand::var(Acc)});
   F->recomputePreds();
   return F;
 }

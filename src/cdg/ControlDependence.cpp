@@ -37,11 +37,18 @@ static std::vector<unsigned> branchEdges(const CFGEdges &E) {
 
 std::vector<std::vector<unsigned>>
 depflow::nodeControlDependence(const Function &F, const CFGEdges &E,
-                               std::vector<char> *SelfDependent) {
+                               std::vector<char> *SelfDependent,
+                               std::vector<char> *EntryDependent) {
   std::vector<std::vector<unsigned>> CD(F.numBlocks());
   DomTree PDT(F, DomTree::Post);
   if (SelfDependent)
     SelfDependent->assign(F.numBlocks(), 0);
+  if (EntryDependent) {
+    // The postdominators of the entry block: its chain up to the root.
+    EntryDependent->assign(F.numBlocks(), 0);
+    for (int W = int(F.entry()->id()); W >= 0; W = PDT.idom(unsigned(W)))
+      (*EntryDependent)[unsigned(W)] = 1;
+  }
 
   for (unsigned EdgeId : branchEdges(E)) {
     const CFGEdge &Edge = E.edge(EdgeId);

@@ -42,9 +42,14 @@ class Function;
 /// it receives one flag per block id, set for every block that
 /// postdominates one of its own successors: the loop self-dependence the
 /// sets leave out, where the block's branch decides whether it runs again.
+/// When \p EntryDependent is non-null it receives one flag per block id,
+/// set for every block that postdominates the entry block: the blocks that
+/// FOW's augmenting Entry→Exit edge makes control dependent on the
+/// function's entry, whatever their branch sources.
 std::vector<std::vector<unsigned>>
 nodeControlDependence(const Function &F, const CFGEdges &E,
-                      std::vector<char> *SelfDependent = nullptr);
+                      std::vector<char> *SelfDependent = nullptr,
+                      std::vector<char> *EntryDependent = nullptr);
 
 /// Per-edge control dependence via the edge-split graph: for each CFG edge
 /// id, the sorted list of branch-edge ids it is control dependent on.

@@ -7,13 +7,13 @@
 
 #include "core/DepFlowGraph.h"
 
-#include "graph/Dominators.h"
 #include "structure/CycleEquivalence.h"
 #include "support/Statistic.h"
 
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <span>
 
 using namespace depflow;
 
@@ -73,13 +73,17 @@ class depflow::DFGBuilder {
   std::size_t Words = 0; // 64-bit words per set over the variables
   const ProgramStructureTree *PST = nullptr;  // Borrowed (caller's cache)...
   std::unique_ptr<ProgramStructureTree> OwnedPST; // ...or built here.
-  std::vector<std::uint64_t> RegionDefs; // flat [region][word] def bitsets
+  /// The build's temporaries outside the routing arena below, carved from
+  /// one block sized once the PST is known: RPO, InstrBase, RegionDefs
+  /// and the scratch of the RPO search and the region order.
+  ScratchBlock Temps;
+  std::uint64_t *RegionDefs = nullptr; // flat [region][word] def bitsets
   /// Block ids in reverse postorder, each tagged with its merge/switch
   /// flags and (SESE bypass only) whether one of its out-edges is a
   /// region's exit edge, so the per-variable loops read no block state for
   /// them.
-  std::vector<unsigned> RPO;
-  std::vector<std::uint32_t> InstrBase; // block id -> first instr index
+  std::span<unsigned> RPO;
+  std::uint32_t *InstrBase = nullptr; // block id -> first instr index
 
   static constexpr unsigned MergeBit = 1u << 31;
   static constexpr unsigned SwitchBit = 1u << 30;
@@ -149,6 +153,14 @@ public:
     G.NumBlocksAtBuild = F.numBlocks();
     G.NumCFGEdges = E.size();
 
+    const bool Bypass = Mode == DepFlowGraph::BypassMode::SESE;
+    if (Bypass && !PST) {
+      CycleEquivalence CE = cycleEquivalenceClasses(F, E);
+      OwnedPST = std::make_unique<ProgramStructureTree>(F, E, CE);
+      PST = OwnedPST.get();
+    }
+    carveTemps();
+
     numberInstructions();
     G.EntryOfVarTab = G.Pool.allocateFilled<std::int32_t>(NumVarsWithCtrl, -1);
     G.SwitchTab = G.Pool.allocateFilled<std::int32_t>(
@@ -160,12 +172,7 @@ public:
 
     computeRPO();
     unsigned Redirects = 0;
-    if (Mode == DepFlowGraph::BypassMode::SESE) {
-      if (!PST) {
-        CycleEquivalence CE = cycleEquivalenceClasses(F, E);
-        OwnedPST = std::make_unique<ProgramStructureTree>(F, E, CE);
-        PST = OwnedPST.get();
-      }
+    if (Bypass) {
       computeRegionDefs();
       Redirects = markRegionExits();
     }
@@ -193,6 +200,22 @@ public:
   }
 
 private:
+  /// Sizes the temporaries block: RPO and InstrBase per block, the RPO
+  /// search's stack and seen flags, and (SESE bypass only) RegionDefs and
+  /// the region order.
+  void carveTemps() {
+    const std::size_t NB = F.numBlocks();
+    const std::size_t NR = PST ? PST->numRegions() : 0;
+    using U32 = std::uint32_t;
+    Temps = ScratchBlock(
+        3 * ScratchBlock::bytesFor<U32>(NB) +
+        ScratchBlock::bytesFor<SearchFrame>(NB) +
+        ScratchBlock::bytesFor<bool>(NB) +
+        ScratchBlock::bytesFor<std::uint64_t>(NR * Words) +
+        ScratchBlock::bytesFor<U32>(NR));
+    InstrBase = Temps.take<U32>(NB);
+  }
+
   /// Numbers instructions and blocks canonically (function order) and lays
   /// out the per-instruction tables: def node, use-slot CSR (one slot per
   /// operand plus one for the control use), and the sorted pointer index.
@@ -210,7 +233,6 @@ private:
     G.DefNodeOfInstr = G.Pool.allocateFilled<std::int32_t>(NumInstrs, -1);
     G.UseOff = G.Pool.allocateArray<std::uint32_t>(NumInstrs + 1);
     G.UseSlots = G.Pool.allocateFilled<std::int32_t>(NumSlots, -1);
-    InstrBase.assign(F.numBlocks(), 0);
 
     std::uint32_t Idx = 0, Slot = 0;
     for (const auto &BB : F.blocks()) {
@@ -232,29 +254,37 @@ private:
               });
   }
 
+  struct SearchFrame {
+    std::uint32_t Block;
+    std::uint32_t Cursor; // next out edge to examine
+  };
+
   void computeRPO() {
     // Successor order is the out-edge order of E, so traversing edge ids
-    // avoids materializing successor vectors per block.
-    std::vector<unsigned> Postorder;
-    std::vector<bool> Seen(F.numBlocks(), false);
-    std::vector<std::pair<BasicBlock *, unsigned>> Stack;
-    Stack.push_back({F.entry(), 0});
+    // avoids materializing successor vectors per block. The postorder is
+    // written into the RPO array and reversed in place.
+    unsigned *Order = Temps.take<unsigned>(F.numBlocks());
+    SearchFrame *Stack = Temps.take<SearchFrame>(F.numBlocks());
+    bool *Seen = Temps.takeFilled<bool>(F.numBlocks(), false);
+    std::size_t NumDone = 0, Top = 0;
+    Stack[Top++] = {F.entry()->id(), 0};
     Seen[F.entry()->id()] = true;
-    while (!Stack.empty()) {
-      auto &[BB, Cursor] = Stack.back();
-      const auto &Out = E.outEdges(BB);
+    while (Top) {
+      auto &[B, Cursor] = Stack[Top - 1];
+      std::span<const std::uint32_t> Out = E.outEdges(F.block(B));
       if (Cursor < Out.size()) {
-        BasicBlock *Next = E.edge(Out[Cursor++]).To;
-        if (!Seen[Next->id()]) {
-          Seen[Next->id()] = true;
-          Stack.push_back({Next, 0});
+        const unsigned Next = E.edge(Out[Cursor++]).To->id();
+        if (!Seen[Next]) {
+          Seen[Next] = true;
+          Stack[Top++] = {Next, 0};
         }
       } else {
-        Postorder.push_back(BB->id());
-        Stack.pop_back();
+        Order[NumDone++] = B;
+        --Top;
       }
     }
-    RPO.assign(Postorder.rbegin(), Postorder.rend());
+    RPO = {Order, NumDone};
+    std::reverse(RPO.begin(), RPO.end());
     for (unsigned &R : RPO) {
       assert(R <= BlockIdMask && "block id collides with the RPO flag bits");
       const BasicBlock *BB = F.block(R);
@@ -266,10 +296,11 @@ private:
   }
 
   void computeRegionDefs() {
-    RegionDefs.assign(PST->numRegions() * Words, 0);
+    const unsigned NR = PST->numRegions();
+    RegionDefs = Temps.takeFilled<std::uint64_t>(std::size_t(NR) * Words, 0);
     for (const auto &BB : F.blocks()) {
       std::uint64_t *Defs =
-          RegionDefs.data() + PST->regionOfBlock(BB->id()) * Words;
+          RegionDefs + PST->regionOfBlock(BB->id()) * Words;
       for (const auto &I : BB->instructions())
         if (const auto *D = dyn_cast<DefInst>(I.get()))
           Defs[D->def() / 64] |= std::uint64_t(1) << (D->def() % 64);
@@ -277,13 +308,13 @@ private:
     // Aggregate defs inside-out (children before parents): child region ids
     // are always larger than the parent's only in discovery order, so walk
     // regions by decreasing depth instead.
-    std::vector<unsigned> Order(PST->numRegions());
-    for (unsigned R = 0; R != PST->numRegions(); ++R)
+    unsigned *Order = Temps.take<unsigned>(NR);
+    for (unsigned R = 0; R != NR; ++R)
       Order[R] = R;
-    std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
+    std::sort(Order, Order + NR, [&](unsigned A, unsigned B) {
       return PST->region(A).Depth > PST->region(B).Depth;
     });
-    for (unsigned R : Order)
+    for (unsigned R : std::span<const unsigned>(Order, NR))
       if (int P = PST->region(R).Parent; P >= 0)
         for (std::size_t W = 0; W != Words; ++W)
           RegionDefs[unsigned(P) * Words + W] |= RegionDefs[R * Words + W];
@@ -462,10 +493,10 @@ private:
             if (int R = PST->regionOpenedBy(EId); R >= 0) {
               ExitLive = LiveEdge +
                          std::size_t(PST->region(unsigned(R)).ExitEdge) * W;
-              OpenedDefs = RegionDefs.data() + unsigned(R) * W;
+              OpenedDefs = RegionDefs + unsigned(R) * W;
             }
             if (int R = PST->regionClosedBy(EId); R >= 0)
-              ClosedDefs = RegionDefs.data() + unsigned(R) * W;
+              ClosedDefs = RegionDefs + unsigned(R) * W;
           }
           for (std::size_t I = 0; I != W; ++I) {
             std::uint64_t L = ToIn[I];

@@ -82,9 +82,9 @@ ReadInst *BasicBlock::appendRead(VarId Def) {
 }
 
 CallInst *BasicBlock::appendCall(VarId Def, std::string Callee,
-                                 std::vector<Operand> Args) {
-  return static_cast<CallInst *>(insert(
-      std::make_unique<CallInst>(Def, std::move(Callee), std::move(Args))));
+                                 std::span<const Operand> Args) {
+  return static_cast<CallInst *>(
+      insert(std::make_unique<CallInst>(Def, std::move(Callee), Args)));
 }
 
 PhiInst *BasicBlock::appendPhi(VarId Def) {
@@ -110,27 +110,7 @@ CondBrInst *BasicBlock::setCondBr(Operand Cond, BasicBlock *TrueTarget,
       std::make_unique<CondBrInst>(Cond, TrueTarget, FalseTarget)));
 }
 
-RetInst *BasicBlock::setRet(std::vector<Operand> Outputs) {
+RetInst *BasicBlock::setRet(std::span<const Operand> Outputs) {
   return static_cast<RetInst *>(
-      setTerminator(std::make_unique<RetInst>(std::move(Outputs))));
-}
-
-const std::vector<BasicBlock *> &BasicBlock::successors() const {
-  // A terminator's block references are exactly its successors in order
-  // (a ret holds none); only the phi, a non-terminator, uses them for
-  // something else.
-  static const std::vector<BasicBlock *> NoSuccessors;
-  Instruction *Term = terminator();
-  return Term ? Term->blockRefs() : NoSuccessors;
-}
-
-unsigned BasicBlock::numSuccessors() const {
-  Instruction *Term = terminator();
-  if (!Term)
-    return 0;
-  if (isa<JumpInst>(Term))
-    return 1;
-  if (isa<CondBrInst>(Term))
-    return 2;
-  return 0;
+      setTerminator(std::make_unique<RetInst>(Outputs)));
 }

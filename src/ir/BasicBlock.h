@@ -20,6 +20,7 @@
 #include "ir/Instruction.h"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,10 +35,16 @@ class BasicBlock {
   unsigned Id = 0;
   std::string Label;
   std::vector<std::unique_ptr<Instruction>> Insts;
-  std::vector<BasicBlock *> Preds; // Maintained by Function::recomputePreds().
+  InlineList<BasicBlock *, 2> Preds; // Kept by Function::recomputePreds().
+
+  /// Most blocks hold a few instructions; reserving room for four up front
+  /// spares them the vector's regrowth.
+  static constexpr unsigned InitialInsts = 4;
 
   BasicBlock(Function *Parent, unsigned Id, std::string Label)
-      : Parent(Parent), Id(Id), Label(std::move(Label)) {}
+      : Parent(Parent), Id(Id), Label(std::move(Label)) {
+    Insts.reserve(InitialInsts);
+  }
 
 public:
   BasicBlock(const BasicBlock &) = delete;
@@ -89,24 +96,31 @@ public:
   BinaryInst *appendBinary(VarId Def, BinOp Op, Operand A, Operand B);
   ReadInst *appendRead(VarId Def);
   CallInst *appendCall(VarId Def, std::string Callee,
-                       std::vector<Operand> Args);
+                       std::span<const Operand> Args);
   PhiInst *appendPhi(VarId Def); // Prepended before non-phi instructions.
   JumpInst *setJump(BasicBlock *Target);
   CondBrInst *setCondBr(Operand Cond, BasicBlock *TrueTarget,
                         BasicBlock *FalseTarget);
-  RetInst *setRet(std::vector<Operand> Outputs);
+  RetInst *setRet(std::span<const Operand> Outputs);
 
   /// Successor blocks in branch order: the terminator's block references
-  /// (goto: the target; if: true then false target), or an empty list if
-  /// there is no terminator or it is a ret. The reference stays valid until
-  /// the block's terminator changes; a caller that retargets, replaces, or
-  /// clears the terminator while iterating must copy the list first.
-  const std::vector<BasicBlock *> &successors() const;
-  /// Successor count without materializing the vector (hot: the DFG
-  /// builder asks this per block per variable).
-  unsigned numSuccessors() const;
+  /// (goto: the target; if: true then false target), or an empty span if
+  /// there is no terminator or it is a ret. The span views the terminator's
+  /// inline storage, so it stays valid until the block's terminator
+  /// changes; a caller that retargets, replaces, or clears the terminator
+  /// while iterating must copy the list first.
+  std::span<BasicBlock *const> successors() const {
+    // A terminator's block references are exactly its successors in order
+    // (a ret holds none); only the phi, a non-terminator, uses them for
+    // something else.
+    Instruction *Term = terminator();
+    return Term ? Term->blockRefs() : std::span<BasicBlock *const>();
+  }
+  unsigned numSuccessors() const { return unsigned(successors().size()); }
 
-  const std::vector<BasicBlock *> &predecessors() const { return Preds; }
+  /// Predecessor blocks, in the order recomputePreds() found them. The span
+  /// is valid until the next recomputePreds().
+  std::span<BasicBlock *const> predecessors() const { return Preds.span(); }
   unsigned numPredecessors() const { return unsigned(Preds.size()); }
 
   /// True if control can branch here (the block ends in a switch node).

@@ -11,6 +11,13 @@
 /// control flow edges rather than nodes. `CFGEdges` assigns each edge of a
 /// function a dense id and provides per-block in/out adjacency.
 ///
+/// Edge ids follow block order, then successor order, so a block's out
+/// edges have consecutive ids. The adjacency is two CSR arrays (one offset
+/// per block plus one edge id per edge and direction): `outEdges()` and
+/// `inEdges()` return spans into them, and a build makes a fixed handful
+/// of allocations however many blocks the function has. In edges list
+/// their ids ascending.
+///
 /// Edge ids are a snapshot: rebuild after mutating the CFG.
 ///
 //===----------------------------------------------------------------------===//
@@ -20,6 +27,8 @@
 
 #include "ir/Function.h"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace depflow {
@@ -35,8 +44,12 @@ struct CFGEdge {
 
 class CFGEdges {
   std::vector<CFGEdge> Edges;
-  std::vector<std::vector<unsigned>> Out; // indexed by block id
-  std::vector<std::vector<unsigned>> In;  // indexed by block id
+  // CSR adjacency indexed by block id: block B's out edges are
+  // OutIdx[OutOff[B]..OutOff[B+1]), its in edges likewise. Out edges have
+  // consecutive ids, so OutIdx is the identity; it is kept so that both
+  // directions hand out the same span type.
+  std::vector<std::uint32_t> OutOff, InOff;
+  std::vector<std::uint32_t> OutIdx, InIdx;
 
 public:
   explicit CFGEdges(const Function &F);
@@ -48,17 +61,19 @@ public:
     return Edges[Id];
   }
 
-  const std::vector<unsigned> &outEdges(const BasicBlock *BB) const {
-    return Out[BB->id()];
+  std::span<const std::uint32_t> outEdges(const BasicBlock *BB) const {
+    return {OutIdx.data() + OutOff[BB->id()],
+            OutIdx.data() + OutOff[BB->id() + 1]};
   }
-  const std::vector<unsigned> &inEdges(const BasicBlock *BB) const {
-    return In[BB->id()];
+  std::span<const std::uint32_t> inEdges(const BasicBlock *BB) const {
+    return {InIdx.data() + InOff[BB->id()],
+            InIdx.data() + InOff[BB->id() + 1]};
   }
 
   /// Returns the id of the \p SuccIdx-th out edge of \p From.
   unsigned outEdge(const BasicBlock *From, unsigned SuccIdx) const {
-    assert(SuccIdx < Out[From->id()].size() && "successor index out of range");
-    return Out[From->id()][SuccIdx];
+    assert(SuccIdx < outEdges(From).size() && "successor index out of range");
+    return OutIdx[OutOff[From->id()] + SuccIdx];
   }
 };
 

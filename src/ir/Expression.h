@@ -19,6 +19,8 @@
 
 #include "ir/Instruction.h"
 
+#include <vector>
+
 #include <optional>
 #include <string>
 #include <tuple>

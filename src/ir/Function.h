@@ -43,6 +43,8 @@ public:
   /// Creates a new block appended to the block list. The first block created
   /// becomes the entry.
   BasicBlock *makeBlock(std::string Label);
+  /// Reserves room for \p N blocks (the parser knows the count up front).
+  void reserveBlocks(unsigned N) { Blocks.reserve(N); }
 
   /// Interns a variable name, returning its dense id.
   VarId makeVar(std::string_view VarName) { return VarNames.intern(VarName); }

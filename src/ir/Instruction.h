@@ -23,10 +23,11 @@
 
 #include "ir/Operand.h"
 #include "support/Casting.h"
+#include "support/InlineList.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace depflow {
 
@@ -85,10 +86,12 @@ private:
   unsigned Line = 0; // 1-based source line (0 = synthesized, no source).
 
 protected:
-  std::vector<Operand> Ops;
+  // Every kind but a call, a ret and a phi has at most two operands and two
+  // block references, so those kinds never touch the heap for them.
+  InlineList<Operand, 2> Ops;
   /// Jump/CondBr: successor targets. Phi: incoming predecessor blocks
   /// (parallel to Ops).
-  std::vector<BasicBlock *> Blocks;
+  InlineList<BasicBlock *, 2> Blocks;
 
   explicit Instruction(Kind K) : K(K) {}
 
@@ -110,7 +113,7 @@ public:
   bool isTerminator() const { return K >= Kind::Jump; }
   bool isDefinition() const { return K <= Kind::Phi; }
 
-  unsigned numOperands() const { return unsigned(Ops.size()); }
+  unsigned numOperands() const { return Ops.size(); }
   const Operand &operand(unsigned Idx) const {
     assert(Idx < Ops.size() && "operand index out of range");
     return Ops[Idx];
@@ -119,11 +122,14 @@ public:
     assert(Idx < Ops.size() && "operand index out of range");
     Ops[Idx] = O;
   }
-  const std::vector<Operand> &operands() const { return Ops; }
+  /// The operands in order. Valid until the operand list grows (only a
+  /// phi's addIncoming does that).
+  std::span<const Operand> operands() const { return Ops.span(); }
 
-  const std::vector<BasicBlock *> &blockRefs() const { return Blocks; }
+  /// The block references in order, with the same lifetime as operands().
+  std::span<BasicBlock *const> blockRefs() const { return Blocks.span(); }
   void replaceBlockRef(BasicBlock *Old, BasicBlock *New) {
-    for (BasicBlock *&B : Blocks)
+    for (BasicBlock *&B : Blocks.span())
       if (B == Old)
         B = New;
   }
@@ -175,7 +181,8 @@ class BinaryInst : public DefInst {
 public:
   BinaryInst(VarId Def, BinOp Op, Operand A, Operand B)
       : DefInst(Kind::Binary, Def), Op(Op) {
-    Ops = {A, B};
+    Ops.push_back(A);
+    Ops.push_back(B);
   }
   BinOp op() const { return Op; }
   const Operand &lhs() const { return Ops[0]; }
@@ -206,9 +213,9 @@ class CallInst : public DefInst {
   std::string Callee;
 
 public:
-  CallInst(VarId Def, std::string Callee, std::vector<Operand> Args)
+  CallInst(VarId Def, std::string Callee, std::span<const Operand> Args)
       : DefInst(Kind::Call, Def), Callee(std::move(Callee)) {
-    Ops = std::move(Args);
+    Ops.assign(Args);
   }
   const std::string &callee() const { return Callee; }
   unsigned numArgs() const { return numOperands(); }
@@ -222,7 +229,7 @@ class PhiInst : public DefInst {
 public:
   explicit PhiInst(VarId Def) : DefInst(Kind::Phi, Def) {}
 
-  unsigned numIncoming() const { return unsigned(Ops.size()); }
+  unsigned numIncoming() const { return Ops.size(); }
   void addIncoming(BasicBlock *Pred, Operand Value) {
     Blocks.push_back(Pred);
     Ops.push_back(Value);
@@ -241,7 +248,7 @@ public:
 class JumpInst : public Instruction {
 public:
   explicit JumpInst(BasicBlock *Target) : Instruction(Kind::Jump) {
-    Blocks = {Target};
+    Blocks.push_back(Target);
   }
   BasicBlock *target() const { return Blocks[0]; }
   static bool classof(const Instruction *I) { return I->kind() == Kind::Jump; }
@@ -252,8 +259,9 @@ class CondBrInst : public Instruction {
 public:
   CondBrInst(Operand Cond, BasicBlock *TrueTarget, BasicBlock *FalseTarget)
       : Instruction(Kind::CondBr) {
-    Ops = {Cond};
-    Blocks = {TrueTarget, FalseTarget};
+    Ops.push_back(Cond);
+    Blocks.push_back(TrueTarget);
+    Blocks.push_back(FalseTarget);
   }
   const Operand &cond() const { return Ops[0]; }
   BasicBlock *trueTarget() const { return Blocks[0]; }
@@ -267,8 +275,8 @@ public:
 /// are the program's observable outputs.
 class RetInst : public Instruction {
 public:
-  explicit RetInst(std::vector<Operand> Outputs) : Instruction(Kind::Ret) {
-    Ops = std::move(Outputs);
+  explicit RetInst(std::span<const Operand> Outputs) : Instruction(Kind::Ret) {
+    Ops.assign(Outputs);
   }
   static bool classof(const Instruction *I) { return I->kind() == Kind::Ret; }
 };

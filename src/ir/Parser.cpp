@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <optional>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 using namespace depflow;
@@ -295,10 +297,18 @@ class Parser {
   std::size_t Pos = 0;
   std::unique_ptr<Function> Fn;
   /// Label -> block of the function being parsed, keyed by views into the
-  /// source; LabelSeen marks, per block id, whether its label line has
-  /// been parsed (a second one is a duplicate label).
-  std::unordered_map<std::string_view, BasicBlock *> BlockOf;
+  /// source: an open-addressing table over a power of two slots (empty
+  /// slots hold a null block), sized per function from its label count.
+  /// It and LabelToks are reused across functions, so a module parse
+  /// allocates them only when a function has more labels than any before.
+  /// LabelSeen marks, per block id, whether its label line has been parsed
+  /// (a second one is a duplicate label).
+  std::vector<std::pair<std::string_view, BasicBlock *>> BlockOf;
+  std::vector<std::size_t> LabelToks; // token index of each label, in order
   std::vector<bool> LabelSeen;
+  /// Call arguments or ret outputs of the instruction being parsed; the
+  /// instruction copies them, so one buffer serves the whole input.
+  std::vector<Operand> OperandBuf;
   std::string Error;
   unsigned ErrorLine = 0;
   unsigned FnNameLine = 0; // Line of the current function's name token.
@@ -324,7 +334,6 @@ public:
     do {
       // Per-function parser state: the block namespace is function-local.
       Fn.reset();
-      BlockOf.clear();
       Toks.erase(Toks.begin(), Toks.begin() + Pos);
       Pos = 0;
       if (!parseFunctionBody())
@@ -435,6 +444,7 @@ private:
   /// pre-creating them in textual order makes the first textual block the
   /// entry regardless of forward references.
   void preScanLabels(std::size_t BodyBegin) {
+    LabelToks.clear();
     int Depth = 0;
     for (std::size_t I = BodyBegin; tok(I).Kind != TokKind::End; ++I) {
       const TokKind NextKind = tok(I + 1).Kind; // May grow Toks: lex first.
@@ -446,17 +456,34 @@ private:
       else if (T.Kind == TokKind::RBrace)
         break;
       if (Depth == 0 && T.Kind == TokKind::Ident &&
-          NextKind == TokKind::Colon) {
-        auto [It, Inserted] = BlockOf.try_emplace(T.Text, nullptr);
-        if (Inserted)
-          It->second = Fn->makeBlock(std::string(T.Text));
+          NextKind == TokKind::Colon)
+        LabelToks.push_back(I);
+    }
+    std::size_t Slots = 8;
+    while (Slots < 2 * LabelToks.size())
+      Slots *= 2;
+    BlockOf.assign(Slots, {});
+    Fn->reserveBlocks(unsigned(LabelToks.size()));
+    for (std::size_t I : LabelToks) {
+      auto &[Label, Block] = slotOf(Toks[I].Text);
+      if (!Block) {
+        Label = Toks[I].Text;
+        Block = Fn->makeBlock(std::string(Label));
       }
     }
   }
 
+  /// The slot holding \p Label, or the empty slot where it would go.
+  std::pair<std::string_view, BasicBlock *> &slotOf(std::string_view Label) {
+    const std::size_t Mask = BlockOf.size() - 1;
+    std::size_t H = std::hash<std::string_view>()(Label) & Mask;
+    while (BlockOf[H].second && BlockOf[H].first != Label)
+      H = (H + 1) & Mask;
+    return BlockOf[H];
+  }
+
   BasicBlock *lookupBlock(std::string_view Label) {
-    auto It = BlockOf.find(Label);
-    return It == BlockOf.end() ? nullptr : It->second;
+    return slotOf(Label).second;
   }
 
   bool parseFunctionBody() {
@@ -487,7 +514,7 @@ private:
       return false;
 
     preScanLabels(Pos);
-    if (BlockOf.empty())
+    if (!Fn->numBlocks())
       return fail("function has no blocks");
 
     BasicBlock *Current = nullptr;
@@ -633,13 +660,13 @@ private:
     }
     if (isKeyword(Keyword::Ret)) {
       advance();
-      std::vector<Operand> Outputs;
+      OperandBuf.clear();
       // Outputs are optional; they end at the next label/instr/'}'. Since
       // operands are single tokens, parse a comma-separated list greedily.
       if (is(TokKind::Int) || (is(TokKind::Ident) && !nextIsColon()))
-        if (!parseOperandList(Outputs))
+        if (!parseOperandList(OperandBuf))
           return false;
-      BB->setRet(std::move(Outputs))->setLine(InstLine);
+      BB->setRet(OperandBuf)->setLine(InstLine);
       return true;
     }
     // Definition: IDENT '=' ...
@@ -664,13 +691,12 @@ private:
         return false;
       if (!expect(TokKind::LParen))
         return false;
-      std::vector<Operand> Args;
-      if (!is(TokKind::RParen) && !parseOperandList(Args))
+      OperandBuf.clear();
+      if (!is(TokKind::RParen) && !parseOperandList(OperandBuf))
         return false;
       if (!expect(TokKind::RParen))
         return false;
-      BB->appendCall(Def, std::string(Callee), std::move(Args))
-          ->setLine(InstLine);
+      BB->appendCall(Def, std::string(Callee), OperandBuf)->setLine(InstLine);
       return true;
     }
     if (isKeyword(Keyword::Phi)) {

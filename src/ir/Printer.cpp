@@ -27,7 +27,7 @@ void depflow::appendOperand(const Function &F, const Operand &Op,
 
 /// Appends `Op, Op, ...`.
 static void appendOperandList(const Function &F,
-                              const std::vector<Operand> &Ops,
+                              std::span<const Operand> Ops,
                               std::string &Out) {
   for (unsigned Idx = 0, E = unsigned(Ops.size()); Idx != E; ++Idx) {
     if (Idx)

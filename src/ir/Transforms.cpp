@@ -20,7 +20,7 @@ unsigned depflow::splitCriticalEdges(Function &F) {
   for (const auto &BB : F.blocks()) {
     if (!BB->isSwitch())
       continue;
-    const std::vector<BasicBlock *> &Succs = BB->successors();
+    std::span<BasicBlock *const> Succs = BB->successors();
     for (unsigned SI = 0, E = unsigned(Succs.size()); SI != E; ++SI)
       if (Succs[SI]->numPredecessors() > 1)
         Pending.push_back({BB.get(), Succs[SI], SI});

@@ -28,7 +28,7 @@ static void markReachable(const Function &F, BasicBlock *Root, bool Backward,
   while (!Stack.empty()) {
     BasicBlock *BB = Stack.back();
     Stack.pop_back();
-    const std::vector<BasicBlock *> &Next =
+    std::span<BasicBlock *const> Next =
         Backward ? BB->predecessors() : BB->successors();
     for (BasicBlock *N : Next) {
       if (!Seen.test(N->id())) {
@@ -104,8 +104,10 @@ std::vector<std::string> depflow::verifyFunction(Function &F) {
       if (SawNonPhi)
         Errors.push_back("block '" + BB->label() +
                          "' has a phi after a non-phi instruction");
-      std::vector<BasicBlock *> Incoming = Phi->blockRefs();
-      std::vector<BasicBlock *> Preds = BB->predecessors();
+      std::vector<BasicBlock *> Incoming(Phi->blockRefs().begin(),
+                                         Phi->blockRefs().end());
+      std::vector<BasicBlock *> Preds(BB->predecessors().begin(),
+                                      BB->predecessors().end());
       auto ById = [](BasicBlock *A, BasicBlock *B) {
         return A->id() < B->id();
       };

@@ -201,9 +201,11 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
     if (Split) {
       // The cache now holds nothing of the old shape; what the rest of the
       // body computes is for the split one, and the motions below keep
-      // that shape.
+      // that shape. Until a motion edits an instruction, the DFG built
+      // below is one of the split function as it stands, so it survives
+      // too.
       AM.invalidate(PreservedAnalyses::none());
-      PA = preserveCFGShapeAnalyses();
+      PA = preserveCFGShapeAnalyses().preserve<DFGAnalysis>();
     }
     // From here on the CFG shape is fixed, and a motion of expression e1
     // only inserts `t = e1` into a fresh temporary and rewrites e1's own

@@ -185,11 +185,11 @@ public:
     // --- Structural analyses ---------------------------------------------
     CFGEdges E(F);
     DepFlowGraph DFG = DepFlowGraph::build(F, E);
-    std::vector<char> SelfDependent;
+    std::vector<char> SelfDependent, EntryDependent;
     std::vector<std::vector<unsigned>> CD =
-        nodeControlDependence(F, E, &SelfDependent);
+        nodeControlDependence(F, E, &SelfDependent, &EntryDependent);
 
-    buildControlEdges(E, CD, SelfDependent);
+    buildControlEdges(E, CD, SelfDependent, EntryDependent);
     buildDataEdges(DFG);
     if (MayRead[FI])
       buildIOEdges();
@@ -216,7 +216,8 @@ private:
 
   void buildControlEdges(const CFGEdges &E,
                          const std::vector<std::vector<unsigned>> &CD,
-                         const std::vector<char> &SelfDependent) {
+                         const std::vector<char> &SelfDependent,
+                         const std::vector<char> &EntryDependent) {
     // Formals hang off the entry, actuals off their call instruction.
     for (int FIn : L.FormalIns)
       L.ControlEdges.push_back({L.Entry, unsigned(FIn)});
@@ -242,10 +243,15 @@ private:
     // Instruction-level control dependence from the block-level FOW sets:
     // an instruction depends on the condbr at the source of every branch
     // edge its block depends on; blocks with no control dependence hang
-    // off the entry. Whether a block that postdominates one of its own
-    // successors runs again is decided by its condbr, so every other
-    // instruction of the block also depends on that condbr — the loop
-    // self-dependence the block-level sets leave out (Definition 2).
+    // off the entry. A block that postdominates the entry block runs on
+    // every call that returns, so it also hangs off the entry, besides its
+    // branch sources (FOW's augmenting Entry→Exit edge). Without that, a
+    // loop whose blocks control each other would form a control cycle that
+    // never reaches the entry, and a slice would never cross to the call
+    // sites. Whether a block that postdominates one of its own successors
+    // runs again is decided by its condbr, so every other instruction of
+    // the block also depends on that condbr — the loop self-dependence the
+    // block-level sets leave out (Definition 2).
     for (const auto &BB : F.blocks()) {
       std::vector<unsigned> Srcs;
       for (unsigned BranchEdge : CD[BB->id()]) {
@@ -257,13 +263,13 @@ private:
       Srcs.erase(std::unique(Srcs.begin(), Srcs.end()), Srcs.end());
       const Instruction *Br = BB->terminator();
       const int SelfSrc = SelfDependent[BB->id()] ? int(instrLocal(Br)) : -1;
+      const bool OnEntry = Srcs.empty() || EntryDependent[BB->id()];
       for (const auto &I : BB->instructions()) {
         unsigned Dst = instrLocal(I.get());
-        if (Srcs.empty())
+        if (OnEntry)
           L.ControlEdges.push_back({L.Entry, Dst});
-        else
-          for (unsigned Src : Srcs)
-            L.ControlEdges.push_back({Src, Dst});
+        for (unsigned Src : Srcs)
+          L.ControlEdges.push_back({Src, Dst});
         if (SelfSrc >= 0 && I.get() != Br)
           L.ControlEdges.push_back({unsigned(SelfSrc), Dst});
       }

@@ -7,9 +7,9 @@
 
 #include "structure/SESE.h"
 
-#include "graph/Dominators.h"
 #include "ir/CFGEdges.h"
 #include "ir/Function.h"
+#include "support/Arena.h"
 #include "support/Statistic.h"
 
 #include <algorithm>
@@ -23,109 +23,126 @@ DEPFLOW_MAX_STATISTIC(MaxPSTDepth, "sese",
 
 ProgramStructureTree::ProgramStructureTree(const Function &F,
                                            const CFGEdges &E,
-                                           const CycleEquivalence &CE) {
-  // Root region covering the whole function.
-  Regions.push_back(SESERegion{0, -1, -1, -1, 0, {}});
-  OpenedBy.assign(E.size(), -1);
-  ClosedBy.assign(E.size(), -1);
-  RegionOfBlock.assign(F.numBlocks(), 0);
-  RegionOfEdge.assign(E.size(), 0);
+                                           const CycleEquivalence &CE)
+    : NumBlocks(F.numBlocks()), NumEdges(E.size()) {
+  const std::uint32_t NB = NumBlocks, NE = NumEdges, NC = CE.NumClasses;
+  using U32 = std::uint32_t;
+  ScratchBlock Scratch(2 * ScratchBlock::bytesFor<U32>(NE) +
+                       ScratchBlock::bytesFor<U32>(NC + 1) +
+                       ScratchBlock::bytesFor<U32>(NB) +
+                       ScratchBlock::bytesFor<bool>(NB));
 
-  // Group real CFG edges by equivalence class: a counting-sorted CSR (edge
-  // ids ascending within each class) instead of one vector per class.
-  std::vector<std::uint32_t> ClassOff(CE.NumClasses + 1, 0);
-  std::vector<std::uint32_t> ClassVal(E.size());
-  for (unsigned Id = 0, N = E.size(); Id != N; ++Id)
-    ++ClassOff[CE.ClassOf[Id] + 1];
-  for (unsigned C = 0; C != CE.NumClasses; ++C)
+  // One search from the entry lists the edges in the order it examines
+  // them, tagging the tree edges (those that discover their target). The
+  // search examines every edge on the tree path to a block before any out
+  // edge of that block, and a dominating edge lies on that path, so this
+  // order sorts each class by dominance (total within a class by Theorem
+  // 1).
+  constexpr U32 TreeBit = U32(1) << 31;
+  U32 *Order = Scratch.take<U32>(NE);
+  U32 *Stack = Scratch.take<U32>(NB);
+  bool *Seen = Scratch.takeFilled<bool>(NB, false);
+  U32 NumOrdered = 0, Top = 0;
+  Stack[Top++] = F.entry()->id();
+  Seen[F.entry()->id()] = true;
+  while (Top) {
+    for (U32 EdgeId : E.outEdges(F.block(Stack[--Top]))) {
+      assert(EdgeId < TreeBit && "edge id collides with the tree flag");
+      const unsigned To = E.edge(EdgeId).To->id();
+      if (!Seen[To]) {
+        Seen[To] = true;
+        Stack[Top++] = To;
+        EdgeId |= TreeBit;
+      }
+      Order[NumOrdered++] = EdgeId;
+    }
+  }
+
+  // Group the edges by class, each class in search order: a counting-sorted
+  // CSR whose fill uses each class's start as its cursor (which leaves it
+  // at the next class's start; one shift restores the offsets).
+  U32 *ClassOff = Scratch.takeFilled<U32>(NC + 1, 0);
+  U32 *ClassVal = Scratch.take<U32>(NE);
+  for (U32 K = 0; K != NumOrdered; ++K)
+    ++ClassOff[CE.ClassOf[Order[K] & ~TreeBit] + 1];
+  U32 NumRegions = 1;
+  for (U32 C = 0; C != NC; ++C) {
+    NumRegions += ClassOff[C + 1] > 1 ? ClassOff[C + 1] - 1 : 0;
     ClassOff[C + 1] += ClassOff[C];
-  {
-    std::vector<std::uint32_t> Fill(ClassOff.begin(), ClassOff.end() - 1);
-    for (unsigned Id = 0, N = E.size(); Id != N; ++Id)
-      ClassVal[Fill[CE.ClassOf[Id]]++] = Id;
   }
+  for (U32 K = 0; K != NumOrdered; ++K) {
+    const U32 EdgeId = Order[K] & ~TreeBit;
+    ClassVal[ClassOff[CE.ClassOf[EdgeId]]++] = EdgeId;
+  }
+  std::copy_backward(ClassOff, ClassOff + NC, ClassOff + NC + 1);
+  ClassOff[0] = 0;
 
-  // Order each class by dominance over the edge-split graph (node NB + e
-  // is CFG edge e); Theorem 1 guarantees dominance is total within a
-  // class, so this is a valid strict weak order on each class.
-  const unsigned NB = F.numBlocks();
-  DomTree Dom(F, E, DomTree::Forward);
-  for (unsigned C = 0; C != CE.NumClasses; ++C) {
-    std::uint32_t *First = ClassVal.data() + ClassOff[C];
-    std::uint32_t *Last = ClassVal.data() + ClassOff[C + 1];
-    if (Last - First < 2)
-      continue;
-    std::sort(First, Last, [&](std::uint32_t A, std::uint32_t B) {
-      return Dom.strictlyDominates(NB + A, NB + B);
-    });
-    for (std::uint32_t *I = First; I + 1 != Last; ++I) {
-      unsigned RegionId = unsigned(Regions.size());
+  // The tables, laid out as the accessors read them; every block and edge
+  // starts in the root region.
+  Tables.assign(NB + 3 * std::size_t(NE) + 2 * std::size_t(NumRegions), 0);
+  U32 *BlockRegion = Tables.data();
+  U32 *EdgeRegion = BlockRegion + NB;
+  U32 *OpenedBy = EdgeRegion + NE;
+  U32 *ClosedBy = OpenedBy + NE;
+  U32 *ChildOff = ClosedBy + NE;
+  U32 *ChildIdx = ChildOff + NumRegions + 1;
+  std::fill(OpenedBy, ChildOff, NoRegion);
+
+  // Region 0 is the whole function; each consecutive pair of a class's
+  // edges bounds one canonical region.
+  Regions.reserve(NumRegions);
+  Regions.push_back(SESERegion{0, -1, -1, -1, 0});
+  for (U32 C = 0; C != NC; ++C)
+    for (U32 I = ClassOff[C]; I + 1 < ClassOff[C + 1]; ++I) {
+      const U32 RegionId = U32(Regions.size());
       Regions.push_back(
-          SESERegion{RegionId, int(I[0]), int(I[1]), -1, 0, {}});
-      OpenedBy[I[0]] = int(RegionId);
-      ClosedBy[I[1]] = int(RegionId);
-      ++NumSESERegions;
+          SESERegion{RegionId, int(ClassVal[I]), int(ClassVal[I + 1]), -1, 0});
+      OpenedBy[ClassVal[I]] = RegionId;
+      ClosedBy[ClassVal[I + 1]] = RegionId;
     }
-  }
+  assert(Regions.size() == NumRegions && "region count predicted exactly");
+  NumSESERegions += NumRegions - 1;
 
-  // One CFG traversal assigns every block and edge its innermost region and
-  // links each canonical region to its PST parent. Context enters a region
-  // at its entry edge and leaves at its exit edge; the boundary edges
-  // themselves live in the surrounding region.
-  std::vector<int> Ctx(F.numBlocks(), -1);
-  std::vector<BasicBlock *> Stack;
-  Ctx[F.entry()->id()] = 0;
-  Stack.push_back(F.entry());
-  while (!Stack.empty()) {
-    BasicBlock *BB = Stack.back();
-    Stack.pop_back();
-    unsigned BlockCtx = unsigned(Ctx[BB->id()]);
-    RegionOfBlock[BB->id()] = BlockCtx;
-    for (unsigned EdgeId : E.outEdges(BB)) {
-      unsigned Cur = BlockCtx;
-      if (int Closed = ClosedBy[EdgeId]; Closed >= 0) {
-        assert(Cur == unsigned(Closed) &&
-               "exit edge traversed outside its region");
-        Cur = unsigned(Regions[unsigned(Closed)].Parent >= 0
-                           ? Regions[unsigned(Closed)].Parent
-                           : 0);
-      }
-      RegionOfEdge[EdgeId] = Cur;
-      if (int Opened = OpenedBy[EdgeId]; Opened >= 0) {
-        SESERegion &R = Regions[unsigned(Opened)];
-        assert((R.Parent == -1 || R.Parent == int(Cur)) &&
-               "region entered from two different contexts");
-        if (R.Parent == -1) {
-          R.Parent = int(Cur);
-          Regions[Cur].Children.push_back(R.Id);
-        }
-        Cur = unsigned(Opened);
-      }
-      BasicBlock *To = E.edge(EdgeId).To;
-      if (Ctx[To->id()] < 0) {
-        Ctx[To->id()] = int(Cur);
-        Stack.push_back(To);
-      } else {
-        assert(Ctx[To->id()] == int(Cur) &&
-               "inconsistent region context at a block");
-      }
+  // Replaying the search assigns every block and edge its innermost region
+  // and links each canonical region to its PST parent. Context enters a
+  // region at its entry edge and leaves at its exit edge; the boundary
+  // edges themselves live in the surrounding region. A region's exit edge
+  // is only examined from inside it, after its entry edge linked the
+  // parent.
+  for (U32 K = 0; K != NumOrdered; ++K) {
+    const U32 EdgeId = Order[K] & ~TreeBit;
+    const CFGEdge &Edge = E.edge(EdgeId);
+    U32 Cur = BlockRegion[Edge.From->id()];
+    if (U32 Closed = ClosedBy[EdgeId]; Closed != NoRegion) {
+      assert(Cur == Closed && "exit edge traversed outside its region");
+      Cur = U32(Regions[Closed].Parent);
     }
+    EdgeRegion[EdgeId] = Cur;
+    if (U32 Opened = OpenedBy[EdgeId]; Opened != NoRegion) {
+      Regions[Opened].Parent = int(Cur);
+      Regions[Opened].Depth = Regions[Cur].Depth + 1;
+      ++ChildOff[Cur + 1];
+      Cur = Opened;
+    }
+    if (Order[K] & TreeBit)
+      BlockRegion[Edge.To->id()] = Cur;
+    else
+      assert(BlockRegion[Edge.To->id()] == Cur &&
+             "inconsistent region context at a block");
   }
+  for (const SESERegion &R : Regions)
+    if (R.Id)
+      MaxPSTDepth.update(R.Depth);
 
-  // The traversal reads a region's Parent when it crosses the region's
-  // exit edge. That edge is only crossed from inside the region (the
-  // "exit edge traversed outside its region" assert), so the region's
-  // entry edge, which links the Parent, was crossed first. Every Parent
-  // is linked now; depths follow from the finished links.
-  for (SESERegion &R : Regions) {
-    if (R.Id == 0)
-      continue;
-    unsigned Depth = 0;
-    for (int P = R.Parent; P >= 0; P = Regions[unsigned(P)].Parent)
-      ++Depth;
-    R.Depth = Depth;
-    MaxPSTDepth.update(Depth);
-  }
+  // Children CSR, each list in the order the search entered the regions.
+  for (U32 R = 0; R != NumRegions; ++R)
+    ChildOff[R + 1] += ChildOff[R];
+  for (U32 K = 0; K != NumOrdered; ++K)
+    if (U32 Opened = OpenedBy[Order[K] & ~TreeBit]; Opened != NoRegion)
+      ChildIdx[ChildOff[U32(Regions[Opened].Parent)]++] = Opened;
+  std::copy_backward(ChildOff, ChildOff + NumRegions,
+                     ChildOff + NumRegions + 1);
+  ChildOff[0] = 0;
 }
 
 bool ProgramStructureTree::encloses(unsigned Ancestor, unsigned R) const {
@@ -154,7 +171,8 @@ std::string ProgramStructureTree::dump(const Function &F,
              In.From->label() + "->" + In.To->label() + ", exit " +
              OutE.From->label() + "->" + OutE.To->label() + "\n";
     }
-    for (auto It = R.Children.rbegin(); It != R.Children.rend(); ++It)
+    std::span<const std::uint32_t> Children = children(Id);
+    for (auto It = Children.rbegin(); It != Children.rend(); ++It)
       Stack.push_back({*It, Indent + 1});
   }
   return Out;

@@ -11,12 +11,22 @@
 /// (Theorem 1); each *consecutive* pair forms a canonical SESE region, and
 /// canonical regions nest into the Program Structure Tree (PST).
 ///
+/// No dominator tree is built. One stack-driven search from the entry
+/// numbers the edges in the order it examines them, and that order sorts
+/// every class by dominance: an edge that dominates edge e lies on the
+/// search-tree path to e's source, and the search examines every edge of
+/// that path before it reaches e.
+///
 /// Region 0 is always the synthetic root covering the whole function.
 /// A region's "interior" is the set of blocks on paths between its entry
 /// and exit edges; boundary edges belong to the *parent* region. Each block
-/// and each edge stores its innermost region, computed by one pass over the
-/// CFG that opens a region when its entry edge is traversed and closes it
+/// and each edge stores its innermost region, computed by replaying the
+/// same search: a region opens when its entry edge is examined and closes
 /// at its exit edge.
+///
+/// The tables (per block, per edge, and the children CSR) share one array,
+/// and the build's temporaries come from one ScratchBlock, so a build makes
+/// three allocations however large the function is.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +35,8 @@
 
 #include "structure/CycleEquivalence.h"
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,15 +48,27 @@ struct SESERegion {
   int ExitEdge = -1;
   int Parent = -1; // PST parent region; -1 only for the root.
   unsigned Depth = 0;
-  std::vector<unsigned> Children; // PST children, in discovery order.
 };
 
 class ProgramStructureTree {
   std::vector<SESERegion> Regions;
-  std::vector<unsigned> RegionOfBlock; // innermost region per block id
-  std::vector<unsigned> RegionOfEdge;  // innermost region per edge id
-  std::vector<int> OpenedBy;           // edge id -> region it enters, or -1
-  std::vector<int> ClosedBy;           // edge id -> region it exits, or -1
+  /// The per-block and per-edge tables and the children CSR, back to back:
+  /// innermost region per block id, innermost region per edge id, the
+  /// region each edge enters and exits (NoRegion for none), and region
+  /// R's children at ChildIdx[ChildOff[R]..ChildOff[R+1]).
+  std::vector<std::uint32_t> Tables;
+  std::uint32_t NumBlocks = 0;
+  std::uint32_t NumEdges = 0;
+  static constexpr std::uint32_t NoRegion = ~std::uint32_t(0);
+
+  const std::uint32_t *blockRegion() const { return Tables.data(); }
+  const std::uint32_t *edgeRegion() const { return blockRegion() + NumBlocks; }
+  const std::uint32_t *openedBy() const { return edgeRegion() + NumEdges; }
+  const std::uint32_t *closedBy() const { return openedBy() + NumEdges; }
+  const std::uint32_t *childOff() const { return closedBy() + NumEdges; }
+  const std::uint32_t *childIdx() const {
+    return childOff() + Regions.size() + 1;
+  }
 
 public:
   /// Builds the PST. \p CE must come from cycleEquivalenceClasses(F, E).
@@ -55,18 +79,25 @@ public:
   const SESERegion &region(unsigned Id) const { return Regions[Id]; }
   const SESERegion &root() const { return Regions[0]; }
 
+  /// PST children of region \p Id, in the order the search entered them.
+  std::span<const std::uint32_t> children(unsigned Id) const {
+    return {childIdx() + childOff()[Id], childIdx() + childOff()[Id + 1]};
+  }
+
   /// Innermost region whose interior contains \p BlockId.
   unsigned regionOfBlock(unsigned BlockId) const {
-    return RegionOfBlock[BlockId];
+    return blockRegion()[BlockId];
   }
   /// Innermost region containing edge \p EdgeId (boundary edges belong to
   /// the parent of the region they bound).
-  unsigned regionOfEdge(unsigned EdgeId) const { return RegionOfEdge[EdgeId]; }
+  unsigned regionOfEdge(unsigned EdgeId) const {
+    return edgeRegion()[EdgeId];
+  }
 
   /// Region entered through \p EdgeId (its entry edge), or -1.
-  int regionOpenedBy(unsigned EdgeId) const { return OpenedBy[EdgeId]; }
+  int regionOpenedBy(unsigned EdgeId) const { return int(openedBy()[EdgeId]); }
   /// Region exited through \p EdgeId (its exit edge), or -1.
-  int regionClosedBy(unsigned EdgeId) const { return ClosedBy[EdgeId]; }
+  int regionClosedBy(unsigned EdgeId) const { return int(closedBy()[EdgeId]); }
 
   /// True if \p Ancestor is \p R or encloses it.
   bool encloses(unsigned Ancestor, unsigned R) const;

@@ -30,14 +30,20 @@
 /// (bytes requested, chunks, and the per-arena footprint high-water mark),
 /// which the bench counter sweeps export as `ctr_arena_highwater`.
 ///
+/// `ScratchBlock`, at the end of this file, is the fixed-size sibling for a
+/// single build's temporaries (the PST's and the DFG builder's): one heap
+/// block, sized up front, carved, and freed when the build returns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DEPFLOW_SUPPORT_ARENA_H
 #define DEPFLOW_SUPPORT_ARENA_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -238,6 +244,47 @@ public:
     (void)P;
     return false;
 #endif
+  }
+};
+
+/// One build's scratch: a single exactly sized heap block, carved front to
+/// back into the temporary arrays of that build and freed with it. It is
+/// for temporaries whose total size is known before the first carve, so
+/// unlike BumpArena it never grows; and since it never outlives the build,
+/// it stays out of the arena statistics, which follow the kernels' table
+/// arenas. Each carve is rounded up to 8 bytes, so every array is 8-byte
+/// aligned; size the block with `bytesFor`.
+class ScratchBlock {
+  std::unique_ptr<std::byte[]> Storage;
+  std::size_t Size = 0;
+  std::size_t Used = 0;
+
+public:
+  /// Bytes that `take<T>(N)` consumes.
+  template <typename T> static constexpr std::size_t bytesFor(std::size_t N) {
+    return (N * sizeof(T) + 7) & ~std::size_t(7);
+  }
+
+  ScratchBlock() = default;
+  explicit ScratchBlock(std::size_t Bytes)
+      : Storage(new std::byte[Bytes]), Size(Bytes) {}
+
+  /// Uninitialized storage for \p N objects of trivially-destructible T.
+  template <typename T> T *take(std::size_t N) {
+    static_assert(std::is_trivially_destructible_v<T> && alignof(T) <= 8,
+                  "scratch holds 8-byte-aligned trivial payloads");
+    const std::size_t Bytes = bytesFor<T>(N);
+    assert(Used + Bytes <= Size && "scratch block sized too small");
+    T *P = reinterpret_cast<T *>(Storage.get() + Used);
+    Used += Bytes;
+    return P;
+  }
+
+  /// \p N objects of trivially-copyable T, filled with \p Init.
+  template <typename T> T *takeFilled(std::size_t N, const T &Init) {
+    T *P = take<T>(N);
+    std::fill_n(P, N, Init);
+    return P;
   }
 };
 

@@ -79,7 +79,10 @@ Status checkPassOutput(const Function &Original, Function &Transformed,
 ///    so exactly the ShapeOnly analyses survive a shape-keeping change. PRE passes
 ///    split critical edges first and judge their shape after the split,
 ///    so for them the lists are compared with \p Before's after
-///    splitCriticalEdges on a clone.
+///    splitCriticalEdges on a clone;
+///  * an instruction-holding analysis (the DFG) survives too exactly when
+///    \p After's text equals that split clone's: a PRE pass that split
+///    edges but moved nothing computed its DFG on the function it returns.
 Status checkReportedChange(const Function &Before, const Function &After,
                            PassId P, const PreservedAnalyses &PA);
 

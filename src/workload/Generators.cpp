@@ -89,7 +89,7 @@ public:
       for (VarId V : Vars)
         Outs.push_back(Operand::var(V));
     }
-    BB->setRet(std::move(Outs));
+    BB->setRet(Outs);
   }
 };
 
@@ -467,7 +467,7 @@ std::unique_ptr<Module> depflow::generateCallModule(unsigned NumFuncs,
                            : Operand::var(VarId(Rand.nextBelow(F->numVars()))));
       VarId Def = VarId(Rand.nextBelow(F->numVars()));
       BasicBlock *BB = F->block(unsigned(Rand.nextBelow(F->numBlocks())));
-      BB->appendCall(Def, Callee->name(), std::move(Args));
+      BB->appendCall(Def, Callee->name(), Args);
     }
   }
   return M;

@@ -12,12 +12,14 @@
 #include "ir/Printer.h"
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
+#include "obs/Metrics.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 using namespace depflow;
@@ -189,18 +191,112 @@ c:
 )";
   auto F = parseFunctionOrDie(Src);
   BasicBlock *A = F->block(0), *B = F->block(1), *C = F->block(2);
-  EXPECT_EQ(A->successors(), (std::vector<BasicBlock *>{B, C}));
-  EXPECT_EQ(B->successors(), (std::vector<BasicBlock *>{C}));
+  ASSERT_EQ(A->successors().size(), 2u);
+  EXPECT_EQ(A->successors()[0], B);
+  EXPECT_EQ(A->successors()[1], C);
+  ASSERT_EQ(B->successors().size(), 1u);
+  EXPECT_EQ(B->successors()[0], C);
   EXPECT_TRUE(C->successors().empty());
   for (BasicBlock *BB : {A, B, C}) {
-    // The same list, not a copy of it.
-    EXPECT_EQ(&BB->successors(), &BB->terminator()->blockRefs());
+    // The same storage, not a copy of it.
+    EXPECT_EQ(BB->successors().data(), BB->terminator()->blockRefs().data());
+    EXPECT_EQ(BB->successors().size(), BB->terminator()->blockRefs().size());
     EXPECT_EQ(BB->numSuccessors(), BB->successors().size());
   }
   BasicBlock *Empty = F->makeBlock("empty");
   EXPECT_EQ(Empty->terminator(), nullptr);
   EXPECT_TRUE(Empty->successors().empty());
   EXPECT_EQ(Empty->numSuccessors(), 0u);
+}
+
+/// Heap allocations \p Build makes on this thread.
+template <typename Fn> std::uint64_t allocationsOf(Fn Build) {
+  obs::AllocDelta D;
+  Build();
+  return D.count();
+}
+
+TEST(Instruction, UpToTwoOperandsAndBlockRefsStayInline) {
+  Function F("f");
+  const VarId X = F.makeVar("x"), Y = F.makeVar("y");
+  BasicBlock *A = F.makeBlock("a");
+  BasicBlock *B = F.makeBlock("b");
+  BasicBlock *C = F.makeBlock("c");
+  const std::vector<Operand> Two = {Operand::var(X), Operand::var(Y)};
+  // Each builder allocates the instruction object and nothing else: the
+  // lists fit inline, and every block reserved room for four instructions
+  // when it was made.
+  EXPECT_EQ(allocationsOf([&] {
+              A->appendBinary(X, BinOp::Add, Operand::var(X), Operand::imm(1));
+            }),
+            1u);
+  EXPECT_EQ(allocationsOf([&] { A->appendUnary(Y, UnOp::Neg, Two[0]); }), 1u);
+  EXPECT_EQ(allocationsOf([&] { A->appendCall(X, "f", Two); }), 1u);
+  CondBrInst *Br = nullptr;
+  EXPECT_EQ(allocationsOf([&] { Br = A->setCondBr(Two[0], B, C); }), 1u);
+  EXPECT_EQ(allocationsOf([&] { B->appendCopy(Y, Operand::imm(2)); }), 1u);
+  EXPECT_EQ(allocationsOf([&] { B->appendRead(X); }), 1u);
+  EXPECT_EQ(allocationsOf([&] { B->setJump(C); }), 1u);
+  EXPECT_EQ(allocationsOf([&] { C->setRet(Two); }), 1u);
+
+  // setOperand and replaceBlockRef edit the inline storage in place, and
+  // successors() views it.
+  Br->setOperand(0, Operand::imm(1));
+  EXPECT_EQ(Br->cond(), Operand::imm(1));
+  Br->replaceBlockRef(C, B);
+  ASSERT_EQ(Br->blockRefs().size(), 2u);
+  EXPECT_EQ(Br->blockRefs()[0], B);
+  EXPECT_EQ(Br->blockRefs()[1], B);
+  EXPECT_EQ(A->successors().data(), Br->blockRefs().data());
+  EXPECT_EQ(A->successors().size(), 2u);
+}
+
+TEST(Instruction, LongListsSpillToTheHeap) {
+  Function F("f");
+  VarId A = F.makeVar("a"), B = F.makeVar("b"), C = F.makeVar("c");
+  BasicBlock *Entry = F.makeBlock("entry");
+  BasicBlock *L = F.makeBlock("l");
+  BasicBlock *R = F.makeBlock("r");
+  BasicBlock *M = F.makeBlock("m");
+  BasicBlock *Join = F.makeBlock("join");
+  const std::vector<Operand> Three = {Operand::var(A), Operand::var(B),
+                                      Operand::imm(3)};
+  // Three operands: the instruction plus one heap array for them.
+  CallInst *Call = nullptr;
+  EXPECT_EQ(allocationsOf([&] { Call = Entry->appendCall(C, "f", Three); }),
+            2u);
+  ASSERT_EQ(Call->numArgs(), 3u);
+  for (unsigned I = 0; I != 3; ++I)
+    EXPECT_EQ(Call->arg(I), Three[I]);
+  Call->setOperand(2, Operand::var(C));
+  EXPECT_EQ(Call->operands()[2], Operand::var(C));
+
+  RetInst *Ret = nullptr;
+  EXPECT_EQ(allocationsOf([&] { Ret = Join->setRet(Three); }), 2u);
+  ASSERT_EQ(Ret->operands().size(), 3u);
+  EXPECT_EQ(Ret->operands()[1], Operand::var(B));
+  EXPECT_TRUE(Join->successors().empty());
+
+  // A phi grows one incoming pair at a time: inline for two; the third
+  // spills both lists, carrying every earlier pair over.
+  PhiInst *Phi = Join->appendPhi(A);
+  EXPECT_EQ(allocationsOf([&] {
+              Phi->addIncoming(L, Operand::var(A));
+              Phi->addIncoming(R, Operand::imm(7));
+            }),
+            0u);
+  EXPECT_EQ(allocationsOf([&] { Phi->addIncoming(M, Operand::var(B)); }), 2u);
+  ASSERT_EQ(Phi->numIncoming(), 3u);
+  EXPECT_EQ(Phi->incomingBlock(0), L);
+  EXPECT_EQ(Phi->incomingBlock(1), R);
+  EXPECT_EQ(Phi->incomingBlock(2), M);
+  EXPECT_EQ(Phi->incomingValue(0), Operand::var(A));
+  EXPECT_EQ(Phi->incomingValue(1), Operand::imm(7));
+  Phi->setIncomingValue(2, Operand::imm(9));
+  EXPECT_EQ(Phi->operand(2), Operand::imm(9));
+  Phi->replaceBlockRef(M, Entry);
+  EXPECT_EQ(Phi->blockRefs()[2], Entry);
+  EXPECT_EQ(Phi->blockRefs()[0], L);
 }
 
 TEST(Parser, ReportsErrors) {
@@ -255,6 +351,26 @@ TEST(CFGEdges, NumbersEdgesDensely) {
   EXPECT_EQ(E.size(), 4u);
   EXPECT_EQ(E.outEdges(F->entry()).size(), 2u);
   EXPECT_EQ(E.inEdges(F->exit()).size(), 2u);
+  // Every edge appears once in its source's out span and once in its
+  // target's in span; out spans follow successor order and in spans list
+  // ids ascending.
+  for (const auto &BB : F->blocks()) {
+    std::span<const std::uint32_t> Out = E.outEdges(BB.get());
+    ASSERT_EQ(Out.size(), BB->successors().size());
+    for (unsigned SI = 0; SI != Out.size(); ++SI) {
+      EXPECT_EQ(E.edge(Out[SI]).From, BB.get());
+      EXPECT_EQ(E.edge(Out[SI]).To, BB->successors()[SI]);
+      EXPECT_EQ(E.edge(Out[SI]).SuccIdx, SI);
+      EXPECT_EQ(E.outEdge(BB.get(), SI), Out[SI]);
+    }
+    std::span<const std::uint32_t> In = E.inEdges(BB.get());
+    ASSERT_EQ(In.size(), BB->predecessors().size());
+    for (unsigned PI = 0; PI != In.size(); ++PI) {
+      EXPECT_EQ(E.edge(In[PI]).To, BB.get());
+      if (PI)
+        EXPECT_LT(In[PI - 1], In[PI]);
+    }
+  }
   // True side is successor index 0.
   unsigned TrueEdge = E.outEdge(F->entry(), 0);
   EXPECT_EQ(E.edge(TrueEdge).To->label(), "then");

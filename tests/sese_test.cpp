@@ -6,7 +6,9 @@
 // Validates Theorem 1 of the paper: edges are in the same cycle-equivalence
 // class iff they bound single-entry single-exit regions, i.e. consecutive
 // class members (e1, e2) satisfy e1 dom e2 and e2 pdom e1; and the PST's
-// block/edge containment matches the dominance-based definition.
+// block/edge containment matches the dominance-based definition. The PST
+// orders each class by search order; a property test holds that order
+// against a sort by edge-split dominance over a DomTree.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,10 +16,15 @@
 #include "ParseOrDie.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "ir/Transforms.h"
 #include "structure/SESE.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 using namespace depflow;
 
@@ -29,7 +36,7 @@ struct Analysis {
   CycleEquivalence CE;
   std::unique_ptr<ProgramStructureTree> PST;
   // The edge-split graph and its reverse. Dominance is checked by brute
-  // force over them, independently of the DomTree the PST sorts with.
+  // force over them, independently of the search order the PST sorts with.
   Digraph Split, SplitRev;
 
   explicit Analysis(std::unique_ptr<Function> Fn) : F(std::move(Fn)) {
@@ -217,6 +224,69 @@ TEST_P(SESEPropertyTest, PSTParentsAreEnclosing) {
     EXPECT_TRUE(A.PST->encloses(0, R));
     EXPECT_FALSE(A.PST->encloses(R, unsigned(Reg.Parent)));
   }
+}
+
+/// Canonical regions as a dominator tree orders them: every class sorted
+/// by dominance over the edge-split graph (node NB + e is CFG edge e), one
+/// region per consecutive pair, classes in id order.
+std::vector<std::pair<int, int>>
+dominanceOrderedRegions(const Function &F, const CFGEdges &E,
+                        const CycleEquivalence &CE) {
+  const unsigned NB = F.numBlocks();
+  DomTree Dom(F, E, DomTree::Forward);
+  std::vector<std::vector<unsigned>> Classes(CE.NumClasses);
+  for (unsigned Id = 0; Id != E.size(); ++Id)
+    Classes[CE.ClassOf[Id]].push_back(Id);
+  std::vector<std::pair<int, int>> Regions;
+  for (std::vector<unsigned> &C : Classes) {
+    std::sort(C.begin(), C.end(), [&](unsigned A, unsigned B) {
+      return Dom.strictlyDominates(NB + A, NB + B);
+    });
+    for (std::size_t I = 0; I + 1 < C.size(); ++I) {
+      EXPECT_TRUE(Dom.strictlyDominates(NB + C[I], NB + C[I + 1]))
+          << "class not totally ordered by dominance";
+      Regions.push_back({int(C[I]), int(C[I + 1])});
+    }
+  }
+  return Regions;
+}
+
+TEST_P(SESEPropertyTest, SearchOrderEqualsDominanceOrder) {
+  const std::uint64_t Seed = std::uint64_t(GetParam());
+  GenOptions Opts;
+  Opts.Seed = Seed * 13 + 5;
+  Opts.TargetStmts = 40;
+  std::vector<std::unique_ptr<Function>> Fs;
+  Fs.push_back(generateStructuredProgram(Opts));
+  Fs.push_back(generateRandomCFGProgram(Seed * 11 + 3, 16, 60, 3, 1));
+  Fs.push_back(generateNestedLoops(1 + unsigned(Seed % 3), 2, 3, Seed));
+  for (std::unique_ptr<Function> &F : Fs)
+    for (bool Split : {false, true}) {
+      if (Split)
+        splitCriticalEdges(*F);
+      F->recomputePreds();
+      CFGEdges E(*F);
+      CycleEquivalence CE = cycleEquivalenceClasses(*F, E);
+      ProgramStructureTree PST(*F, E, CE);
+      std::vector<std::pair<int, int>> Want =
+          dominanceOrderedRegions(*F, E, CE);
+      ASSERT_EQ(PST.numRegions(), Want.size() + 1) << printFunction(*F);
+      for (unsigned R = 1; R != PST.numRegions(); ++R) {
+        EXPECT_EQ(PST.region(R).EntryEdge, Want[R - 1].first)
+            << "region " << R << "\n" << printFunction(*F);
+        EXPECT_EQ(PST.region(R).ExitEdge, Want[R - 1].second)
+            << "region " << R << "\n" << printFunction(*F);
+      }
+      // Every region but the root is some region's child, once.
+      std::vector<unsigned> Seen(PST.numRegions(), 0);
+      for (unsigned R = 0; R != PST.numRegions(); ++R)
+        for (std::uint32_t C : PST.children(R)) {
+          EXPECT_EQ(PST.region(C).Parent, int(R));
+          ++Seen[C];
+        }
+      for (unsigned R = 1; R != PST.numRegions(); ++R)
+        EXPECT_EQ(Seen[R], 1u) << "region " << R;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SESEPropertyTest, ::testing::Range(0, 30));

@@ -40,10 +40,10 @@
 //                        (SCCs clustered, condensation levels labeled)
 //   --run v1,v2,...      interpret each function with the given inputs and
 //                        print its outputs
-//   --trace-json FILE    write a Chrome trace-event JSON timeline (pass,
-//                        analysis, and function-task spans, one track per
-//                        worker thread) loadable in chrome://tracing or
-//                        Perfetto
+//   --trace-json FILE    write a Chrome trace-event JSON timeline (text
+//                        layer, pass, analysis, and function-task spans,
+//                        one track per worker thread) loadable in
+//                        chrome://tracing or Perfetto
 //   --log-json FILE      write the structured event journal (JSON Lines;
 //                        scheduler and task lifecycle events, one object
 //                        per line; tail also dumped by the crash handler)
@@ -212,7 +212,7 @@ void help() {
       "                      allocation report on stderr\n"
       "  --print-stats       global statistics counters on stderr\n"
       "  --trace-json FILE   write a Chrome trace-event JSON timeline\n"
-      "                      (pass/analysis/task spans, one track per\n"
+      "                      (ir/pass/analysis/task spans, one track per\n"
       "                      worker) for chrome://tracing or Perfetto\n"
       "  --stats-json FILE   write the machine-readable statistics report\n"
       "                      (versioned schema \"depflow-stats\")\n"
@@ -559,7 +559,13 @@ int main(int Argc, char **Argv) {
   // half here, before parsing, to prove the parser degrades gracefully.
   Src = faultTruncateSource(Src);
 
-  ParseModuleResult R = parseModule(Src);
+  // The text layers (parse, verify, hygiene, print) each get one `ir`
+  // span, so a trace covers the serial part of the run as well.
+  ParseModuleResult R;
+  {
+    obs::TraceSpan Span("ir", "parse");
+    R = parseModule(Src);
+  }
   if (!R.ok()) {
     std::fprintf(stderr, "parse error: %s\n%s", R.Error.c_str(),
                  sourceExcerpt(Src, R.ErrorLine).c_str());
@@ -571,20 +577,26 @@ int main(int Argc, char **Argv) {
   // warning (errors under --strict; the base IR gives unassigned variables
   // the value 0, so these are suspicious rather than ill-formed).
   bool AnyError = false, AnyWarning = false;
-  for (const auto &F : M.functions()) {
-    for (const std::string &Err : verifyFunction(*F)) {
-      std::fprintf(stderr, "verifier: %s: %s\n", F->name().c_str(),
-                   Err.c_str());
-      AnyError = true;
+  {
+    obs::TraceSpan Span("ir", "verify");
+    for (const auto &F : M.functions()) {
+      for (const std::string &Err : verifyFunction(*F)) {
+        std::fprintf(stderr, "verifier: %s: %s\n", F->name().c_str(),
+                     Err.c_str());
+        AnyError = true;
+      }
     }
   }
   if (AnyError)
     return 1;
-  for (const auto &F : M.functions()) {
-    for (const std::string &W : verifyDefUseHygiene(*F)) {
-      std::fprintf(stderr, "%s: %s: %s\n", O.Strict ? "error" : "warning",
-                   F->name().c_str(), W.c_str());
-      AnyWarning = true;
+  {
+    obs::TraceSpan Span("ir", "hygiene");
+    for (const auto &F : M.functions()) {
+      for (const std::string &W : verifyDefUseHygiene(*F)) {
+        std::fprintf(stderr, "%s: %s: %s\n", O.Strict ? "error" : "warning",
+                     F->name().c_str(), W.c_str());
+        AnyWarning = true;
+      }
     }
   }
   if (O.Strict && AnyWarning)
@@ -738,8 +750,10 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!O.Regions && !O.DotCFG && !O.DotDFG && !SDGMode && !O.FuzzSafe)
+  if (!O.Regions && !O.DotCFG && !O.DotDFG && !SDGMode && !O.FuzzSafe) {
+    obs::TraceSpan Span("ir", "print");
     std::printf("%s", printModule(M).c_str());
+  }
 
   if (O.TimePasses)
     PR.printReport(stderr);
