@@ -525,7 +525,7 @@ private:
   }
 
   /// Reads the routing plan off the liveness sets: transposes them into
-  /// the per-variable rows, counts the live graph exactly, and reserves
+  /// the per-variable rows, counts the live graph exactly, and carves
   /// every node/edge column at that size. An entry node and each merge
   /// exist where V is live in, a switch where V is live out, every use, and
   /// a def when a use in its block reads it or it is its block's last def
@@ -559,12 +559,25 @@ private:
     }
     NumLiveNodes = Nodes;
     NumLiveEdges = Edges;
-    G.NodeKinds.reserve(Nodes);
-    G.NodeVars.reserve(Nodes);
-    G.NodeInst.reserve(Nodes);
-    G.NodeOp.reserve(Nodes);
-    G.NodeBlock.reserve(Nodes);
-    G.Edges.reserve(Edges);
+    carveColumns();
+  }
+
+  /// Carves the node and edge columns at their exact live sizes from one
+  /// block the graph keeps.
+  void carveColumns() {
+    const std::size_t N = NumLiveNodes;
+    G.Columns = ScratchBlock(
+        ScratchBlock::bytesFor<std::uint8_t>(N) +
+        ScratchBlock::bytesFor<VarId>(N) +
+        2 * ScratchBlock::bytesFor<std::int32_t>(N) +
+        ScratchBlock::bytesFor<std::uint32_t>(N) +
+        ScratchBlock::bytesFor<DepFlowGraph::Edge>(NumLiveEdges));
+    G.NodeKinds = G.Columns.take<std::uint8_t>(N);
+    G.NodeVars = G.Columns.take<VarId>(N);
+    G.NodeInst = G.Columns.take<std::int32_t>(N);
+    G.NodeOp = G.Columns.take<std::uint32_t>(N);
+    G.NodeBlock = G.Columns.take<std::int32_t>(N);
+    G.Edges = G.Columns.take<DepFlowGraph::Edge>(NumLiveEdges);
   }
 
   /// Sets RPO position \p P in the row of every variable of word \p W
@@ -590,17 +603,20 @@ private:
   unsigned makeNode(DepFlowGraph::NodeKind Kind, VarId V,
                     std::int32_t InstIdx, std::uint32_t OpIdx,
                     std::int32_t BlockId) {
-    G.NodeKinds.push_back(std::uint8_t(Kind));
-    G.NodeVars.push_back(V);
-    G.NodeInst.push_back(InstIdx);
-    G.NodeOp.push_back(OpIdx);
-    G.NodeBlock.push_back(BlockId);
-    return G.NodeKinds.size() - 1;
+    assert(G.NumNodes < NumLiveNodes && "live node count predicted exactly");
+    const unsigned Id = G.NumNodes++;
+    G.NodeKinds[Id] = std::uint8_t(Kind);
+    G.NodeVars[Id] = V;
+    G.NodeInst[Id] = InstIdx;
+    G.NodeOp[Id] = OpIdx;
+    G.NodeBlock[Id] = BlockId;
+    return Id;
   }
 
   void addEdge(Source Src, unsigned Dst, VarId V, std::uint16_t DstPort = 0) {
     assert(Src.Node >= 0 && "dependence source must be live");
-    G.Edges.push_back({unsigned(Src.Node), Dst, V, Src.Port, DstPort});
+    assert(G.NumEdges < NumLiveEdges && "live edge count predicted exactly");
+    G.Edges[G.NumEdges++] = {unsigned(Src.Node), Dst, V, Src.Port, DstPort};
   }
 
   /// True if canonical region \p R contains no assignment to \p V (the
@@ -805,8 +821,8 @@ DepFlowGraph::EdgeIdRange DepFlowGraph::edgesOfVar(VarId V) const {
     bool operator()(const Edge &Ed, VarId V) const { return Ed.Var < V; }
     bool operator()(VarId V, const Edge &Ed) const { return V < Ed.Var; }
   };
-  auto [Lo, Hi] = std::equal_range(Edges.begin(), Edges.end(), V, ByVar{});
-  return {unsigned(Lo - Edges.begin()), unsigned(Hi - Edges.begin())};
+  auto [Lo, Hi] = std::equal_range(Edges, Edges + NumEdges, V, ByVar{});
+  return {unsigned(Lo - Edges), unsigned(Hi - Edges)};
 }
 
 std::vector<unsigned> DepFlowGraph::multiedge(unsigned NodeId,
@@ -853,7 +869,7 @@ std::string DepFlowGraph::toDot(const Function &F) const {
   for (unsigned N = 0; N != numNodes(); ++N)
     Out += "  n" + std::to_string(N) + " [label=\"" + nodeLabel(F, N) +
            "\"];\n";
-  for (const Edge &Ed : Edges) {
+  for (const Edge &Ed : std::span(Edges, NumEdges)) {
     Out += "  n" + std::to_string(Ed.Src) + " -> n" + std::to_string(Ed.Dst);
     if (Ed.SrcPort || Ed.DstPort)
       Out += " [label=\"" + std::to_string(Ed.SrcPort) + ":" +

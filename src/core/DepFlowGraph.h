@@ -46,17 +46,19 @@
 /// A *multiedge* is one (node, output port) with all of its out-edges: the
 /// tail and heads vocabulary of Sections 4-5.
 ///
-/// Memory layout: the graph is struct-of-arrays over 32-bit indices. Node
-/// attributes live in parallel packed columns; adjacency is two CSR index
-/// ranges (`outEdges`/`inEdges` return spans, not vectors); every lookup
-/// table (entry/def/use/switch/merge/dep-at-edge) is a flat array carved
-/// from one `BumpArena`. Instructions are referred to by a canonical dense
-/// index (function block/instruction order) — `Node::Inst` is materialized
-/// from that index on access, and pointer-keyed queries binary-search a
-/// sorted side table instead of hashing. Because arena chunks are
-/// heap-stable, a moved `DepFlowGraph` keeps every internal pointer valid:
-/// cached analysis results can relocate the graph freely. The graph is
-/// move-only.
+/// Memory layout: the graph is struct-of-arrays over 32-bit indices. The
+/// node attribute columns and the edge column are carved from one
+/// `ScratchBlock` the graph owns, sized from the exact live node and edge
+/// counts before routing. Adjacency is two CSR index ranges
+/// (`outEdges`/`inEdges` return `std::span`s into them). The CSR and every
+/// lookup table (entry/def/use/switch/merge/dep-at-edge) are flat arrays
+/// carved from one `BumpArena`. Instructions are referred to by a
+/// canonical dense index (function block/instruction order) — `Node::Inst`
+/// is materialized from that index on access, and pointer-keyed queries
+/// binary-search a sorted side table instead of hashing. Both the block
+/// and the arena chunks live on the heap, so a moved `DepFlowGraph` keeps
+/// every internal pointer valid: cached analysis results can relocate the
+/// graph freely. The graph is move-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,8 +69,9 @@
 #include "ir/Function.h"
 #include "structure/SESE.h"
 #include "support/Arena.h"
-#include "support/PackedVector.h"
 
+#include <cassert>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,22 +114,6 @@ public:
     unsigned EdgesBeforePrune = 0;
     unsigned NodesBeforePrune = 0;
     unsigned BypassRedirects = 0;
-  };
-
-  /// An immutable span of 32-bit edge ids inside the graph's CSR adjacency.
-  class EdgeRange {
-    const std::uint32_t *Ptr = nullptr;
-    std::uint32_t Len = 0;
-
-  public:
-    EdgeRange() = default;
-    EdgeRange(const std::uint32_t *P, std::uint32_t N) : Ptr(P), Len(N) {}
-    const std::uint32_t *begin() const { return Ptr; }
-    const std::uint32_t *end() const { return Ptr + Len; }
-    std::uint32_t operator[](std::uint32_t I) const { return Ptr[I]; }
-    std::uint32_t front() const { return Ptr[0]; }
-    std::uint32_t size() const { return Len; }
-    bool empty() const { return Len == 0; }
   };
 
   /// The ascending edge ids [First, Last) of one variable's slice.
@@ -172,13 +159,20 @@ private:
   /// graph never invalidates the raw pointers.
   BumpArena Pool;
 
-  // Node columns (struct-of-arrays).
-  PackedVector<std::uint8_t> NodeKinds;
-  PackedVector<VarId> NodeVars;
-  PackedVector<std::int32_t> NodeInst;   // canonical instr index or -1
-  PackedVector<std::uint32_t> NodeOp;    // Use: operand index
-  PackedVector<std::int32_t> NodeBlock;  // block id or -1
-  PackedVector<Edge> Edges;
+  /// Backs the node and edge columns: one block sized from the exact live
+  /// counts before routing. Like the arena's chunks it lives on the heap,
+  /// so the columns move with the graph.
+  ScratchBlock Columns;
+
+  // Node columns (struct-of-arrays), NumNodes entries each.
+  std::uint32_t NumNodes = 0;
+  std::uint32_t NumEdges = 0;
+  std::uint8_t *NodeKinds = nullptr;
+  VarId *NodeVars = nullptr;
+  std::int32_t *NodeInst = nullptr;   // canonical instr index or -1
+  std::uint32_t *NodeOp = nullptr;    // Use: operand index
+  std::int32_t *NodeBlock = nullptr;  // block id or -1
+  Edge *Edges = nullptr;              // NumEdges entries
 
   // CSR adjacency: edge ids of node N are OutIdx[OutOff[N]..OutOff[N+1])
   // (ascending edge id — creation order), likewise for in-edges.
@@ -234,21 +228,25 @@ public:
   static DepFlowGraph build(Function &F, const CFGEdges &E,
                             const ProgramStructureTree &PST);
 
-  unsigned numNodes() const { return NodeKinds.size(); }
-  unsigned numEdges() const { return Edges.size(); }
+  unsigned numNodes() const { return NumNodes; }
+  unsigned numEdges() const { return NumEdges; }
   Node node(unsigned Id) const {
+    assert(Id < NumNodes && "DFG node id out of range");
     std::int32_t II = NodeInst[Id];
     std::int32_t BI = NodeBlock[Id];
     return {NodeKind(NodeKinds[Id]), NodeVars[Id],
             II >= 0 ? InstrByIdx[II] : nullptr, NodeOp[Id],
             BI >= 0 ? BlockByIdx[BI] : nullptr};
   }
-  const Edge &edge(unsigned Id) const { return Edges[Id]; }
-  EdgeRange outEdges(unsigned NodeId) const {
-    return {OutIdx + OutOff[NodeId], OutOff[NodeId + 1] - OutOff[NodeId]};
+  const Edge &edge(unsigned Id) const {
+    assert(Id < NumEdges && "DFG edge id out of range");
+    return Edges[Id];
   }
-  EdgeRange inEdges(unsigned NodeId) const {
-    return {InIdx + InOff[NodeId], InOff[NodeId + 1] - InOff[NodeId]};
+  std::span<const std::uint32_t> outEdges(unsigned NodeId) const {
+    return {OutIdx + OutOff[NodeId], OutIdx + OutOff[NodeId + 1]};
+  }
+  std::span<const std::uint32_t> inEdges(unsigned NodeId) const {
+    return {InIdx + InOff[NodeId], InIdx + InOff[NodeId + 1]};
   }
 
   /// Edges of variable \p V (possibly the control variable). The builder

@@ -388,7 +388,7 @@ private:
   BumpArena Pool;
   Value *EdgeVal;
   std::uint64_t *TokensPerEdge;
-  ArenaWorklist WL;
+  Worklist WL;
 
   static std::size_t arenaBytes(std::size_t Nodes, std::size_t Edges) {
     return Edges * (sizeof(Value) + 8) + Nodes * 4 + 8 * ((Nodes + 63) / 64) +
@@ -538,7 +538,7 @@ public:
         64 + 512 * (std::uint64_t(NE) + F.numBlocks() + 1) * (NV + 1);
     std::uint64_t Pops = 0;
 
-    ArenaWorklist WL(Pool, F.numBlocks());
+    Worklist WL(Pool, F.numBlocks());
     BlockExec[F.entry()->id()] = true;
     WL.push(F.entry()->id());
     detail::bump(Ctr.Pushes);

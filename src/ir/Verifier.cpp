@@ -16,23 +16,21 @@
 
 using namespace depflow;
 
-/// Marks, into \p Seen, every block reachable from \p Root following
-/// forward (or, if \p Backward, predecessor) edges.
-static void markReachable(const Function &F, BasicBlock *Root, bool Backward,
-                          BitVector &Seen) {
+void depflow::markReachable(const Function &F, BasicBlock *Root,
+                            bool Backward, std::vector<bool> &Seen) {
   // Each block is pushed at most once, so one reservation covers the walk.
   std::vector<BasicBlock *> Stack;
   Stack.reserve(F.numBlocks());
   Stack.push_back(Root);
-  Seen.set(Root->id());
+  Seen[Root->id()] = true;
   while (!Stack.empty()) {
     BasicBlock *BB = Stack.back();
     Stack.pop_back();
     std::span<BasicBlock *const> Next =
         Backward ? BB->predecessors() : BB->successors();
     for (BasicBlock *N : Next) {
-      if (!Seen.test(N->id())) {
-        Seen.set(N->id());
+      if (!Seen[N->id()]) {
+        Seen[N->id()] = true;
         Stack.push_back(N);
       }
     }
@@ -81,14 +79,14 @@ std::vector<std::string> depflow::verifyFunction(Function &F) {
     Errors.push_back("entry block '" + F.entry()->label() +
                      "' has predecessors");
 
-  BitVector FromEntry(F.numBlocks()), ToExit(F.numBlocks());
+  std::vector<bool> FromEntry(F.numBlocks()), ToExit(F.numBlocks());
   markReachable(F, F.entry(), /*Backward=*/false, FromEntry);
   markReachable(F, Exit, /*Backward=*/true, ToExit);
   for (const auto &BB : F.blocks()) {
-    if (!FromEntry.test(BB->id()))
+    if (!FromEntry[BB->id()])
       Errors.push_back("block '" + BB->label() +
                        "' is unreachable from entry");
-    if (!ToExit.test(BB->id()))
+    if (!ToExit[BB->id()])
       Errors.push_back("block '" + BB->label() + "' cannot reach the exit");
   }
 

@@ -36,6 +36,12 @@ std::vector<std::string> verifyFunction(Function &F);
 /// Convenience: true iff verifyFunction reports no problems.
 bool isWellFormed(Function &F);
 
+/// Sets, in \p Seen (one flag per block id), every block reachable from
+/// \p Root following successor edges, or predecessor edges if
+/// \p Backward (which needs current predecessors).
+void markReachable(const Function &F, BasicBlock *Root, bool Backward,
+                   std::vector<bool> &Seen);
+
 /// Def-use hygiene checks, reported separately from verifyFunction because
 /// the IR gives every variable an implicit 0 at entry, so both conditions
 /// are legal — but in hand-written programs they usually indicate a typo:

@@ -8,6 +8,7 @@
 #include "sdg/Slicer.h"
 
 #include "graph/Dominators.h"
+#include "ir/Verifier.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -195,18 +196,8 @@ sliceFunction(const Function &F,
   }
 
   // Drop blocks the rewiring made unreachable.
-  std::vector<bool> Keep(NF->numBlocks(), false);
-  std::vector<BasicBlock *> Work{NF->entry()};
-  Keep[NF->entry()->id()] = true;
-  while (!Work.empty()) {
-    BasicBlock *B = Work.back();
-    Work.pop_back();
-    for (BasicBlock *S : B->successors())
-      if (!Keep[S->id()]) {
-        Keep[S->id()] = true;
-        Work.push_back(S);
-      }
-  }
+  std::vector<bool> Keep(NF->numBlocks());
+  markReachable(*NF, NF->entry(), /*Backward=*/false, Keep);
   NF->eraseBlocks(Keep);
   return NF;
 }

@@ -9,7 +9,6 @@
 
 #include "ir/CFGEdges.h"
 #include "ssa/SSA.h"
-#include "support/Worklist.h"
 
 #include <unordered_map>
 

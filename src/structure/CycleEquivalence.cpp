@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Storage note: the solver is allocation-lean by design. Brackets live in
-// one index-stable pool (32-bit indices, intrusive doubly-linked bracket
-// lists with O(1) splice), and every per-node/per-edge table — adjacency,
-// DFS structure, children/backedge lists, list heads — is a flat CSR array
-// carved from a single BumpArena. The traversal orders (per-node adjacency,
+// one index-stable pool (a vector reserved at its exact pre-counted size,
+// 32-bit indices, intrusive doubly-linked bracket lists with O(1) splice),
+// and every per-node/per-edge table — adjacency, DFS structure,
+// children/backedge lists, list heads — is a flat CSR array carved from a
+// single BumpArena. The traversal orders (per-node adjacency,
 // children, backedges) are byte-identical to the original vector-of-lists
 // formulation, so class ids and all counters are unchanged.
 //
@@ -19,7 +20,6 @@
 
 #include "ir/Function.h"
 #include "support/Arena.h"
-#include "support/PackedVector.h"
 #include "support/Statistic.h"
 
 #include <algorithm>
@@ -75,7 +75,7 @@ class CycleEquivSolver {
   unsigned Root;
 
   BumpArena Pool;
-  PackedVector<Bracket> Brackets; // index-stable bracket pool
+  std::vector<Bracket> Brackets; // index-stable bracket pool
 
   // Adjacency CSR: original edge indices of node N at
   // AdjEdge[AdjOff[N]..AdjOff[N+1]), ascending (== the old per-node push

@@ -30,9 +30,10 @@
 /// (bytes requested, chunks, and the per-arena footprint high-water mark),
 /// which the bench counter sweeps export as `ctr_arena_highwater`.
 ///
-/// `ScratchBlock`, at the end of this file, is the fixed-size sibling for a
-/// single build's temporaries (the PST's and the DFG builder's): one heap
-/// block, sized up front, carved, and freed when the build returns.
+/// `ScratchBlock`, at the end of this file, is the fixed-size sibling: one
+/// heap block, sized up front and carved, for a build's temporaries (the
+/// PST's and the DFG builder's) and for storage its owner keeps (the DFG's
+/// node and edge columns, a worklist's ring).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -247,13 +248,14 @@ public:
   }
 };
 
-/// One build's scratch: a single exactly sized heap block, carved front to
-/// back into the temporary arrays of that build and freed with it. It is
-/// for temporaries whose total size is known before the first carve, so
-/// unlike BumpArena it never grows; and since it never outlives the build,
-/// it stays out of the arena statistics, which follow the kernels' table
-/// arenas. Each carve is rounded up to 8 bytes, so every array is 8-byte
-/// aligned; size the block with `bytesFor`.
+/// A single exactly sized heap block, carved front to back into arrays
+/// whose total size is known before the first carve, so unlike BumpArena
+/// it never grows. A build's temporaries die with the build; an owner that
+/// keeps the block (the DFG's columns, a worklist) can move it, and the
+/// carved pointers stay valid because the block stays where it is on the
+/// heap. It stays out of the arena statistics, which follow the kernels'
+/// table arenas. Each carve is rounded up to 8 bytes, so every array is
+/// 8-byte aligned; size the block with `bytesFor`.
 class ScratchBlock {
   std::unique_ptr<std::byte[]> Storage;
   std::size_t Size = 0;

@@ -16,58 +16,39 @@
 #define DEPFLOW_SUPPORT_WORKLIST_H
 
 #include "support/Arena.h"
-#include "support/BitVector.h"
 
 #include <cstdint>
-#include <deque>
 
 namespace depflow {
 
+/// A fixed ring of `UniverseSize` slots plus one presence bit per id.
+/// Deduplication keeps at most one pending entry per id, so the ring can
+/// never overflow. The storage is either one owned, exactly sized block or,
+/// for the per-solve engines, carved from the caller's `BumpArena` (which
+/// must outlive the worklist).
 class Worklist {
-  std::deque<unsigned> Queue;
-  BitVector InQueue;
-
-public:
-  explicit Worklist(unsigned UniverseSize) : InQueue(UniverseSize) {}
-
-  bool empty() const { return Queue.empty(); }
-  std::size_t size() const { return Queue.size(); }
-
-  /// Enqueues \p Id unless it is already pending.
-  void push(unsigned Id) {
-    if (InQueue.test(Id))
-      return;
-    InQueue.set(Id);
-    Queue.push_back(Id);
-  }
-
-  unsigned pop() {
-    unsigned Id = Queue.front();
-    Queue.pop_front();
-    InQueue.reset(Id);
-    return Id;
-  }
-};
-
-/// The same FIFO-with-dedup contract as `Worklist`, but with all storage
-/// carved from a caller-owned `BumpArena`: a fixed ring of `UniverseSize`
-/// slots (dedup guarantees at most one pending entry per id, so the ring
-/// can never overflow) plus one presence bit per id. Per-solve engines use
-/// this so a whole solve costs a handful of chunk allocations instead of
-/// deque-page churn. Pop order is identical to `Worklist` for the same
-/// push sequence.
-class ArenaWorklist {
+  ScratchBlock Owned; // Empty when the storage comes from an arena.
   std::uint32_t *Ring;
   std::uint64_t *InQueue;
   std::uint32_t Capacity;
   std::uint32_t Head = 0;
   std::uint32_t Pending = 0;
 
+  static std::size_t bitWords(unsigned UniverseSize) {
+    return (std::size_t(UniverseSize) + 63) / 64;
+  }
+
 public:
-  ArenaWorklist(BumpArena &Pool, unsigned UniverseSize)
+  explicit Worklist(unsigned UniverseSize)
+      : Owned(ScratchBlock::bytesFor<std::uint32_t>(UniverseSize) +
+              ScratchBlock::bytesFor<std::uint64_t>(bitWords(UniverseSize))),
+        Ring(Owned.take<std::uint32_t>(UniverseSize)),
+        InQueue(Owned.takeFilled<std::uint64_t>(bitWords(UniverseSize), 0)),
+        Capacity(UniverseSize) {}
+
+  Worklist(BumpArena &Pool, unsigned UniverseSize)
       : Ring(Pool.allocateArray<std::uint32_t>(UniverseSize)),
-        InQueue(Pool.allocateFilled<std::uint64_t>((UniverseSize + 63) / 64,
-                                                   0)),
+        InQueue(Pool.allocateFilled<std::uint64_t>(bitWords(UniverseSize), 0)),
         Capacity(UniverseSize) {}
 
   bool empty() const { return Pending == 0; }

@@ -5,24 +5,28 @@
 //
 // The contracts the struct-of-arrays kernels stand on: BumpArena alignment
 // and growth across chunk boundaries, reset-and-reuse (with ASan poisoning
-// when compiled in), PackedVector's exact-reservation growth, ArenaWorklist
-// agreeing with the heap Worklist pop for pop, and a relocated
-// DataflowResult surviving a snapshot/bindTo round trip onto a re-parsed
-// function.
+// when compiled in), the worklist ring agreeing with a reference queue on
+// both of its storage origins, a moved DepFlowGraph answering every query
+// as before the move, and a relocated DataflowResult surviving a
+// snapshot/bindTo round trip onto a re-parsed function.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/DepFlowGraph.h"
 #include "dataflow/ConstantPropagation.h"
 #include "ir/Printer.h"
 #include "ParseOrDie.h"
 #include "support/Arena.h"
-#include "support/PackedVector.h"
 #include "support/Worklist.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 using namespace depflow;
@@ -114,66 +118,137 @@ TEST(BumpArena, MoveKeepsPointersValid) {
 }
 
 //===----------------------------------------------------------------------===//
-// PackedVector
+// Worklist
 //===----------------------------------------------------------------------===//
 
-TEST(PackedVector, PushGrowCopySemantics) {
-  PackedVector<std::uint16_t> V;
-  EXPECT_TRUE(V.empty());
-  for (std::uint32_t I = 0; I != 1000; ++I)
-    V.push_back(std::uint16_t(I * 3));
-  ASSERT_EQ(V.size(), 1000u);
-  for (std::uint32_t I = 0; I != 1000; ++I)
-    ASSERT_EQ(V[I], std::uint16_t(I * 3));
-
-  PackedVector<std::uint16_t> C(V); // copy
-  PackedVector<std::uint16_t> M(std::move(V));
-  ASSERT_EQ(C.size(), 1000u);
-  ASSERT_EQ(M.size(), 1000u);
-  EXPECT_EQ(V.size(), 0u);
-  for (std::uint32_t I = 0; I != 1000; ++I) {
-    ASSERT_EQ(C[I], std::uint16_t(I * 3));
-    ASSERT_EQ(M[I], std::uint16_t(I * 3));
-  }
-}
-
-TEST(PackedVector, ReserveOnEmptyIsExact) {
-  // The hot kernels pre-size their columns exactly; a doubling reserve
-  // would show up directly in the alloc-bytes perf gate.
-  PackedVector<std::uint64_t> V;
-  V.reserve(12345);
-  EXPECT_EQ(V.capacity(), 12345u);
-  for (std::uint32_t I = 0; I != 12345; ++I)
-    V.push_back(I);
-  EXPECT_EQ(V.capacity(), 12345u); // No growth while within the reserve.
-}
-
-//===----------------------------------------------------------------------===//
-// ArenaWorklist
-//===----------------------------------------------------------------------===//
-
-TEST(ArenaWorklist, MatchesHeapWorklistPopForPop) {
-  const unsigned Universe = 300;
-  BumpArena Pool(8192);
-  ArenaWorklist AW(Pool, Universe);
-  Worklist HW(Universe);
-
-  std::mt19937 Rng(7);
-  std::uniform_int_distribution<unsigned> Id(0, Universe - 1);
-  for (unsigned Step = 0; Step != 5000; ++Step) {
-    if (Rng() % 3 != 0 || AW.empty()) {
-      unsigned N = Id(Rng);
-      AW.push(N);
-      HW.push(N);
+/// Drives \p WL and a deque + set reference model through one seeded
+/// push/pop sequence and checks every pop and size against the model.
+/// Phases of 1000 steps alternate between mostly pushing (the queue fills
+/// up, so most pushes re-push a pending id) and mostly popping (it
+/// drains), so the ring wraps many times in both states.
+void expectMatchesModel(Worklist &WL, unsigned Universe, unsigned Seed) {
+  std::deque<unsigned> Queue;
+  std::set<unsigned> Pending;
+  std::mt19937 Rng(Seed);
+  unsigned Pops = 0, PendingRepushes = 0;
+  for (unsigned Step = 0; Step != 20000; ++Step) {
+    const unsigned PushesOutOfFive = (Step / 1000) % 2 ? 1 : 4;
+    if (Queue.empty() || Rng() % 5 < PushesOutOfFive) {
+      const unsigned N = unsigned(Rng() % Universe);
+      if (Pending.insert(N).second)
+        Queue.push_back(N);
+      else
+        ++PendingRepushes;
+      WL.push(N);
     } else {
-      ASSERT_EQ(AW.pop(), HW.pop());
+      const unsigned Expected = Queue.front();
+      Queue.pop_front();
+      Pending.erase(Expected);
+      ASSERT_EQ(WL.pop(), Expected) << "step " << Step;
+      ++Pops;
     }
-    ASSERT_EQ(AW.size(), HW.size());
-    ASSERT_EQ(AW.empty(), HW.empty());
+    ASSERT_EQ(WL.size(), Queue.size()) << "step " << Step;
+    ASSERT_EQ(WL.empty(), Queue.empty()) << "step " << Step;
   }
-  while (!AW.empty())
-    ASSERT_EQ(AW.pop(), HW.pop());
-  EXPECT_TRUE(HW.empty());
+  for (; !Queue.empty(); Queue.pop_front(), ++Pops)
+    ASSERT_EQ(WL.pop(), Queue.front());
+  EXPECT_TRUE(WL.empty());
+  EXPECT_GE(Pops, 10 * Universe) << "the ring must wrap several times";
+  EXPECT_GE(PendingRepushes, 1000u) << "pending ids must be re-pushed";
+}
+
+TEST(Worklist, OwnedStorageMatchesReferenceModel) {
+  for (unsigned Universe : {1u, 37u, 64u, 300u}) {
+    Worklist WL(Universe);
+    expectMatchesModel(WL, Universe, 7 + Universe);
+  }
+}
+
+TEST(Worklist, ArenaStorageMatchesReferenceModel) {
+  for (unsigned Universe : {1u, 37u, 64u, 300u}) {
+    BumpArena Pool(64);
+    Worklist WL(Pool, Universe);
+    expectMatchesModel(WL, Universe, 7 + Universe);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// DepFlowGraph relocation
+//===----------------------------------------------------------------------===//
+
+/// Everything a client can ask a DepFlowGraph, read into plain values.
+struct GraphAnswers {
+  std::vector<std::tuple<DepFlowGraph::NodeKind, VarId, const Instruction *,
+                         unsigned, const BasicBlock *>>
+      Nodes;
+  std::vector<std::tuple<unsigned, unsigned, VarId, unsigned, unsigned>>
+      Edges;
+  std::vector<std::vector<std::uint32_t>> Out, In;
+  std::vector<std::pair<unsigned, unsigned>> VarSlices;
+
+  explicit GraphAnswers(const DepFlowGraph &G) {
+    for (unsigned N = 0; N != G.numNodes(); ++N) {
+      const DepFlowGraph::Node Nd = G.node(N);
+      Nodes.emplace_back(Nd.Kind, Nd.Var, Nd.Inst, Nd.OpIdx, Nd.Block);
+      Out.emplace_back(G.outEdges(N).begin(), G.outEdges(N).end());
+      In.emplace_back(G.inEdges(N).begin(), G.inEdges(N).end());
+    }
+    for (unsigned E = 0; E != G.numEdges(); ++E) {
+      const DepFlowGraph::Edge &Ed = G.edge(E);
+      Edges.emplace_back(Ed.Src, Ed.Dst, Ed.Var, Ed.SrcPort, Ed.DstPort);
+    }
+    for (VarId V = 0; V <= G.controlVar(); ++V) {
+      const DepFlowGraph::EdgeIdRange R = G.edgesOfVar(V);
+      VarSlices.emplace_back(R.first(), R.size());
+    }
+  }
+
+  bool operator==(const GraphAnswers &) const = default;
+};
+
+const char *kLoopSource = R"(func f(n) {
+entry:
+  i = 0
+  s = 0
+  goto head
+head:
+  c = i < n
+  if c goto body else done
+body:
+  t = i + i
+  if t goto odd else even
+odd:
+  s = s + i
+  goto latch
+even:
+  s = s - 1
+  goto latch
+latch:
+  i = i + 1
+  goto head
+done:
+  ret s
+})";
+
+TEST(DepFlowGraph, MovedGraphAnswersAsBefore) {
+  auto F = parseFunctionOrDie(kLoopSource);
+  DepFlowGraph Built = DepFlowGraph::build(*F);
+  ASSERT_GT(Built.numNodes(), 0u);
+  ASSERT_GT(Built.numEdges(), 0u);
+  const GraphAnswers Before(Built);
+
+  // The analysis manager's slot: an optional the result is moved into.
+  std::optional<DepFlowGraph> Slot;
+  Slot.emplace(std::move(Built));
+  EXPECT_TRUE(GraphAnswers(*Slot) == Before);
+
+  // Move-assign over a graph that already owns columns of its own.
+  auto Other =
+      parseFunctionOrDie("func g(p) {\nentry:\n  x = p + 1\n  ret x\n}");
+  DepFlowGraph Assigned = DepFlowGraph::build(*Other);
+  Assigned = std::move(*Slot);
+  Slot.reset();
+  EXPECT_TRUE(GraphAnswers(Assigned) == Before);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (CI's docs job).
 
-Two guarantees:
+Seven guarantees:
 
 1. **Links resolve.** Every relative markdown link in README.md,
    DESIGN.md, EXPERIMENTS.md, ROADMAP.md, and docs/*.md points at a file
@@ -38,6 +38,14 @@ Two guarantees:
    directions — the perf gate and the ``--counters-json`` schema both
    key on these names, so a silently renamed counter is a doc bug and a
    baseline bug at once.
+
+7. **Source files named in the docs exist.** Every backticked ``*.h`` or
+   ``*.cpp`` file in README.md, DESIGN.md and docs/*.md must exist. A
+   path resolves against the repository root or ``src/`` (the docs name
+   library files relative to ``src/``, as README's tree does); a bare
+   file name must exist somewhere under src/, tools/, tests/ or bench/.
+   ``Foo.{h,cpp}`` names both files; names with ``<`` or ``*`` are
+   patterns and are skipped.
 
 Usage:
     python3 tools/check_docs.py [--root DIR] [--depflow-opt BIN]
@@ -227,6 +235,51 @@ def check_sdg_counter_drift(root, errors):
                       f"src/sdg/ does not define it")
 
 
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+SOURCE_REF_RE = re.compile(r"([\w./<>*-]+)\.(h|cpp|\{[\w,]+\})(?![\w])")
+SOURCE_DIRS = ["src", "tools", "tests", "bench"]
+
+
+def iter_source_refs(text):
+    """Yield (lineno, name) for each *.h/*.cpp file named in a code span
+    outside code fences, with ``.{h,cpp}`` expanded."""
+    in_fence = False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if CODE_FENCE_RE.match(line):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        for span in CODE_SPAN_RE.finditer(line):
+            for m in SOURCE_REF_RE.finditer(span.group(1)):
+                stem, ext = m.group(1), m.group(2)
+                if "<" in stem or "*" in stem:
+                    continue
+                exts = ext.strip("{}").split(",")
+                for e in exts:
+                    yield lineno, f"{stem}.{e}"
+
+
+def check_source_refs(root, errors):
+    files = [root / "README.md", root / "DESIGN.md"] + sorted(
+        (root / "docs").glob("*.md"))
+    bare = set()
+    for d in SOURCE_DIRS:
+        bare |= {p.name for p in (root / d).rglob("*") if p.is_file()}
+    for f in files:
+        if not f.exists():
+            continue
+        rel = f.relative_to(root)
+        for lineno, name in iter_source_refs(f.read_text()):
+            if "/" in name:
+                ok = (root / name).is_file() or (root / "src" / name).is_file()
+            else:
+                ok = name in bare
+            if not ok:
+                errors.append(f"{rel}:{lineno}: names '{name}', which does "
+                              f"not exist")
+
+
 def check_bench_compare_drift(root, errors):
     section = tools_md_section(root, "bench_compare.py")
     if section is None:
@@ -291,6 +344,7 @@ def main():
 
     errors = []
     check_links(args.root, errors)
+    check_source_refs(args.root, errors)
     check_bench_compare_drift(args.root, errors)
     check_trace_analyze_drift(args.root, errors)
     check_sdg_counter_drift(args.root, errors)

@@ -336,18 +336,8 @@ Status checkOnePass(const Function &Original, PassId P,
 /// verifier rejects candidates that lose the path to the exit). Returns
 /// false if the entry or exit would be erased.
 bool dropUnreachable(Function &F) {
-  std::vector<bool> Keep(F.numBlocks(), false);
-  std::vector<BasicBlock *> Work{F.entry()};
-  Keep[F.entry()->id()] = true;
-  while (!Work.empty()) {
-    BasicBlock *B = Work.back();
-    Work.pop_back();
-    for (BasicBlock *S : B->successors())
-      if (!Keep[S->id()]) {
-        Keep[S->id()] = true;
-        Work.push_back(S);
-      }
-  }
+  std::vector<bool> Keep(F.numBlocks());
+  markReachable(F, F.entry(), /*Backward=*/false, Keep);
   if (!F.exit() || !Keep[F.exit()->id()])
     return false;
   F.eraseBlocks(Keep);
