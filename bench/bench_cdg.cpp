@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cdg/ControlDependence.h"
+#include "graph/Dominators.h"
 #include "workload/Generators.h"
 
 #include "obs/BenchMain.h"
@@ -76,7 +77,7 @@ static void BM_NodeCDG_FOW(benchmark::State &State) {
   auto F = makeCFG(unsigned(State.range(0)));
   CFGEdges E(*F);
   for (auto _ : State) {
-    auto CD = nodeControlDependence(*F, E);
+    auto CD = nodeControlDependence(*F, E, DomTree(*F, DomTree::Post));
     benchmark::DoNotOptimize(CD.data());
   }
   State.counters["E"] = double(E.size());

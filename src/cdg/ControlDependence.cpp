@@ -37,10 +37,10 @@ static std::vector<unsigned> branchEdges(const CFGEdges &E) {
 
 std::vector<std::vector<unsigned>>
 depflow::nodeControlDependence(const Function &F, const CFGEdges &E,
+                               const DomTree &PDT,
                                std::vector<char> *SelfDependent,
                                std::vector<char> *EntryDependent) {
   std::vector<std::vector<unsigned>> CD(F.numBlocks());
-  DomTree PDT(F, DomTree::Post);
   if (SelfDependent)
     SelfDependent->assign(F.numBlocks(), 0);
   if (EntryDependent) {

@@ -33,13 +33,14 @@
 
 namespace depflow {
 
+class DomTree;
 class Function;
 
 /// Per-block control dependence: for each block id, the sorted list of
-/// branch-edge ids it is control dependent on (FOW over the postdominator
-/// tree of the block-level CFG). Following Definition 2, a block is never
-/// control dependent on its own branch. When \p SelfDependent is non-null
-/// it receives one flag per block id, set for every block that
+/// branch-edge ids it is control dependent on (FOW over \p PDT, the
+/// caller's `DomTree(F, DomTree::Post)`). Following Definition 2, a block
+/// is never control dependent on its own branch. When \p SelfDependent is
+/// non-null it receives one flag per block id, set for every block that
 /// postdominates one of its own successors: the loop self-dependence the
 /// sets leave out, where the block's branch decides whether it runs again.
 /// When \p EntryDependent is non-null it receives one flag per block id,
@@ -48,6 +49,7 @@ class Function;
 /// function's entry, whatever their branch sources.
 std::vector<std::vector<unsigned>>
 nodeControlDependence(const Function &F, const CFGEdges &E,
+                      const DomTree &PDT,
                       std::vector<char> *SelfDependent = nullptr,
                       std::vector<char> *EntryDependent = nullptr);
 

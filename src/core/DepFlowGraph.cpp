@@ -825,25 +825,6 @@ DepFlowGraph::EdgeIdRange DepFlowGraph::edgesOfVar(VarId V) const {
   return {unsigned(Lo - Edges), unsigned(Hi - Edges)};
 }
 
-std::vector<unsigned> DepFlowGraph::multiedge(unsigned NodeId,
-                                              unsigned Port) const {
-  std::vector<unsigned> Result;
-  for (unsigned EId : outEdges(NodeId))
-    if (Edges[EId].SrcPort == Port)
-      Result.push_back(EId);
-  return Result;
-}
-
-int DepFlowGraph::useNode(const Instruction *I, unsigned OpIdx) const {
-  int Idx = instrIndex(I);
-  if (Idx < 0)
-    return -1;
-  std::uint32_t Width = UseOff[Idx + 1] - UseOff[Idx];
-  if (OpIdx >= Width)
-    return -1;
-  return UseSlots[UseOff[Idx] + OpIdx];
-}
-
 std::string DepFlowGraph::nodeLabel(const Function &F, unsigned NodeId) const {
   const Node N = node(NodeId);
   std::string Var =

@@ -255,9 +255,6 @@ public:
   /// the edge column.
   EdgeIdRange edgesOfVar(VarId V) const;
 
-  /// Out-edges of (node, port) — one multiedge (tail with its heads).
-  std::vector<unsigned> multiedge(unsigned NodeId, unsigned Port) const;
-
   /// The variable id used for control edges (== Function::numVars()).
   VarId controlVar() const { return ControlVar; }
   bool isControl(VarId V) const { return V == ControlVar; }
@@ -272,7 +269,18 @@ public:
   /// Use node for operand \p OpIdx of \p I, or -1 (non-var operand, or
   /// not an instruction of the graph). For statements with a control use,
   /// the control use is indexed at position numOperands().
-  int useNode(const Instruction *I, unsigned OpIdx) const;
+  int useNode(const Instruction *I, unsigned OpIdx) const {
+    int Idx = instrIndex(I);
+    return Idx < 0 ? -1 : useNodeAt(unsigned(Idx), OpIdx);
+  }
+  /// The same for the instruction with canonical index \p InstrIdx.
+  int useNodeAt(unsigned InstrIdx, unsigned OpIdx) const {
+    if (OpIdx >= UseOff[InstrIdx + 1] - UseOff[InstrIdx])
+      return -1;
+    return UseSlots[UseOff[InstrIdx] + OpIdx];
+  }
+  /// Canonical index of the instruction of Def/Use node \p NodeId, or -1.
+  int instrIndexOf(unsigned NodeId) const { return NodeInst[NodeId]; }
   int switchNode(const BasicBlock *BB, VarId V) const {
     return SwitchTab[BB->id() * NumVarsWithCtrl + V];
   }
@@ -291,9 +299,6 @@ public:
   }
 
   const Stats &stats() const { return BuildStats; }
-
-  /// Bytes the graph's arena currently holds (tables + CSR).
-  std::uint64_t arenaBytesReserved() const { return Pool.bytesReserved(); }
 
   /// Renders the graph in GraphViz format (per-variable coloring).
   std::string toDot(const Function &F) const;

@@ -131,12 +131,7 @@ inline void bump(Statistic *S, std::uint64_t N) {
 /// Storage is struct-of-arrays over the canonical instruction order (the
 /// function's block/instruction walk): row R holds the values of
 /// instruction R at `Values[Offsets[R] .. Offsets[R+1])`, and pointer-keyed
-/// queries binary-search one sorted side index instead of hashing. Only
-/// `Instrs`/`Index` hold pointers — `Offsets`/`Values`/`ExecutableBlock`
-/// are pure positions, so `snapshot()` captures a result that outlives its
-/// function and `bindTo()` re-attaches it to any structurally identical
-/// function (e.g. a re-parsed clone). That relocatability is what lets
-/// cached analysis results move between pipeline stages by value.
+/// queries binary-search one sorted side index instead of hashing.
 template <typename ValueT> struct DataflowResult {
   using Value = ValueT;
 
@@ -194,42 +189,24 @@ template <typename ValueT> struct DataflowResult {
       F(Instrs[R], row(R), rowWidth(R));
   }
 
-  /// The position-based payload alone — no instruction pointers. The copy
-  /// stays valid after the source function is destroyed; `bindTo()` makes
-  /// it queryable again.
-  DataflowResult snapshot() const {
-    DataflowResult S;
-    S.ExecutableBlock = ExecutableBlock;
-    S.Offsets = Offsets;
-    S.Values = Values;
-    return S;
-  }
-
-  /// Re-binds the payload to \p F, whose canonical walk must match the one
-  /// the payload was produced from (same instruction count and operand
-  /// widths — asserted). Rebuilds `Instrs` and the sorted index.
+private:
+  /// Fills `Instrs` and the pointer index from \p F's canonical walk.
   void bindTo(const Function &F) {
     Instrs.clear();
     Instrs.reserve(size());
     for (const auto &BB : F.blocks())
       for (const auto &I : BB->instructions())
         Instrs.push_back(I.get());
-    assert(Instrs.size() == size() &&
-           "result bound to a structurally different function");
     Index.clear();
     Index.reserve(Instrs.size());
-    for (std::uint32_t R = 0; R != Instrs.size(); ++R) {
-      assert(Instrs[R]->numOperands() == rowWidth(R) &&
-             "operand widths diverge from the bound function");
+    for (std::uint32_t R = 0; R != Instrs.size(); ++R)
       Index.push_back({Instrs[R], R});
-    }
     std::sort(Index.begin(), Index.end(),
               [](const InstRow &A, const InstRow &B) {
                 return std::less<const Instruction *>()(A.I, B.I);
               });
   }
 
-private:
   struct InstRow {
     const Instruction *I;
     std::uint32_t Row;

@@ -21,7 +21,6 @@ CallGraph CallGraph::build(const Module &M) {
   const unsigned N = M.numFunctions();
   CG.SitesOf.resize(N);
   CG.Callees.resize(N);
-  CG.Callers.resize(N);
 
   std::unordered_map<const Function *, unsigned> IndexOf;
   IndexOf.reserve(N);
@@ -41,14 +40,9 @@ CallGraph CallGraph::build(const Module &M) {
         CG.SitesOf[FI].push_back(unsigned(CG.Sites.size()));
         CG.Sites.push_back({FI, C, CalleeIdx});
         CG.Callees[FI].push_back(CalleeIdx);
-        CG.Callers[CalleeIdx].push_back(FI);
       }
   }
   for (auto &V : CG.Callees) {
-    std::sort(V.begin(), V.end());
-    V.erase(std::unique(V.begin(), V.end()), V.end());
-  }
-  for (auto &V : CG.Callers) {
     std::sort(V.begin(), V.end());
     V.erase(std::unique(V.begin(), V.end()), V.end());
   }

@@ -44,7 +44,6 @@ public:
   /// clean: every callee must resolve.
   static CallGraph build(const Module &M);
 
-  const Module &module() const { return *M; }
   unsigned numFunctions() const { return unsigned(Callees.size()); }
 
   const std::vector<Site> &sites() const { return Sites; }
@@ -53,10 +52,6 @@ public:
   /// Deduplicated callee function indices of \p F (ascending).
   const std::vector<unsigned> &calleesOf(unsigned F) const {
     return Callees[F];
-  }
-  /// Deduplicated caller function indices of \p F (ascending).
-  const std::vector<unsigned> &callersOf(unsigned F) const {
-    return Callers[F];
   }
 
   // SCC condensation (Tarjan). SCC ids are in bottom-up topological
@@ -88,7 +83,6 @@ private:
   std::vector<Site> Sites;
   std::vector<std::vector<unsigned>> SitesOf;
   std::vector<std::vector<unsigned>> Callees;
-  std::vector<std::vector<unsigned>> Callers;
   std::vector<unsigned> SCCOf;
   std::vector<std::vector<unsigned>> Members;
   std::vector<char> Recursive;

@@ -7,13 +7,11 @@
 
 #include "sdg/Slicer.h"
 
-#include "graph/Dominators.h"
 #include "ir/Verifier.h"
 #include "support/Casting.h"
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace depflow;
 
@@ -134,12 +132,14 @@ depflow::sliceLines(const SystemDependenceGraph &G,
 
 namespace {
 
-/// Clones \p F into a fresh function keeping only instructions in
-/// \p Kept, with non-kept conditional branches rewired to the immediate
-/// postdominator of their block.
-std::unique_ptr<Function>
-sliceFunction(const Function &F,
-              const std::unordered_set<const Instruction *> &Kept) {
+/// Clones function \p FI of the SDG's module into a fresh function keeping
+/// only the instructions whose Instr node is flagged in \p Kept, with
+/// non-kept conditional branches rewired to the immediate postdominator of
+/// their block.
+std::unique_ptr<Function> sliceFunction(const SystemDependenceGraph &G,
+                                        unsigned FI,
+                                        const std::vector<char> &Kept) {
+  const Function &F = *G.module().function(FI);
   auto NF = std::make_unique<Function>(F.name());
   // Same variable ids (the interner assigns densely in insertion order),
   // same parameters, same block ids and labels.
@@ -151,31 +151,31 @@ sliceFunction(const Function &F,
   for (const auto &BB : F.blocks())
     BlockMap[BB->id()] = NF->makeBlock(BB->label());
 
-  // Immediate postdominators of the original CFG, for rewiring skipped
-  // branches past the region they guard (every instruction in that region
-  // is control-dependent on the branch, hence also outside the slice).
-  DomTree PDT(F, DomTree::Post);
-
+  unsigned Node = G.firstInstrNode(FI);
   for (const auto &BB : F.blocks()) {
     BasicBlock *NB = BlockMap[BB->id()];
     for (const auto &IPtr : BB->instructions()) {
       const Instruction *I = IPtr.get();
+      const bool IsKept = Kept[Node++];
       Instruction *Clone = nullptr;
       if (const auto *T = dyn_cast<JumpInst>(I)) {
         Clone = NB->setJump(BlockMap[T->target()->id()]);
       } else if (const auto *T = dyn_cast<RetInst>(I)) {
         Clone = NB->setRet(T->operands());
       } else if (const auto *T = dyn_cast<CondBrInst>(I)) {
-        if (Kept.count(I)) {
+        if (IsKept) {
           Clone = NB->setCondBr(T->cond(), BlockMap[T->trueTarget()->id()],
                                 BlockMap[T->falseTarget()->id()]);
         } else {
-          int IPD = PDT.idom(BB->id());
+          // Rewire past the region the branch guards: every instruction in
+          // it is control-dependent on the branch, hence also outside the
+          // slice.
+          int IPD = G.ipdom(FI, BB->id());
           assert(IPD >= 0 && "branch block without a postdominator");
           NB->setJump(BlockMap[unsigned(IPD)]); // Synthesized: line 0.
           continue;
         }
-      } else if (!Kept.count(I)) {
+      } else if (!IsKept) {
         continue;
       } else if (const auto *D = dyn_cast<CopyInst>(I)) {
         Clone = NB->appendCopy(D->def(), D->src());
@@ -208,10 +208,10 @@ std::unique_ptr<Module>
 depflow::extractBackwardSlice(const Module &M, const SystemDependenceGraph &G,
                               const std::vector<char> &Marks) {
   assert(&G.module() == &M && "marks must come from this module's SDG");
-  // An instruction survives when any of its nodes is marked; for calls the
-  // actual-in/out nodes count (a call can be in the slice purely for its
-  // io effect or its returned value).
-  std::unordered_set<const Instruction *> Kept;
+  // One flag per Instr node: an instruction survives when any of its nodes
+  // is marked; for calls the actual-in/out nodes count (a call can be in
+  // the slice purely for its io effect or its returned value).
+  std::vector<char> Kept(G.numNodes(), 0);
   using NK = SystemDependenceGraph::NodeKind;
   for (unsigned N = 0; N != G.numNodes(); ++N) {
     if (!Marks[N])
@@ -219,11 +219,13 @@ depflow::extractBackwardSlice(const Module &M, const SystemDependenceGraph &G,
     const SystemDependenceGraph::Node &Nd = G.node(N);
     switch (Nd.Kind) {
     case NK::Instr:
+      Kept[N] = 1;
+      break;
     case NK::ActualIn:
     case NK::ActualIOIn:
     case NK::ActualOut:
     case NK::ActualIOOut:
-      Kept.insert(Nd.I);
+      Kept[G.callNode(Nd.Aux)] = 1;
       break;
     default:
       break;
@@ -232,7 +234,7 @@ depflow::extractBackwardSlice(const Module &M, const SystemDependenceGraph &G,
 
   auto NM = std::make_unique<Module>(M.name());
   for (unsigned FI = 0; FI != M.numFunctions(); ++FI) {
-    Status S = NM->addFunction(sliceFunction(*M.function(FI), Kept));
+    Status S = NM->addFunction(sliceFunction(G, FI, Kept));
     assert(S.ok() && "clone preserves unique names");
     (void)S;
   }

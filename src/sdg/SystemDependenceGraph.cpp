@@ -9,6 +9,7 @@
 
 #include "cdg/ControlDependence.h"
 #include "core/DepFlowGraph.h"
+#include "graph/Dominators.h"
 #include "ir/CFGEdges.h"
 #include "obs/Sched.h"
 #include "support/FaultInjection.h"
@@ -35,88 +36,37 @@ DEPFLOW_MAX_STATISTIC(MaxSDGLevelWidth, "sdg",
 DEPFLOW_HIST_STATISTIC(HistSDGSummaryPorts, "sdg",
                        "Formal-in ports per formal-out summary set");
 
-const char *SystemDependenceGraph::nodeKindName(NodeKind K) {
-  switch (K) {
-  case NodeKind::Entry:
-    return "entry";
-  case NodeKind::Instr:
-    return "instr";
-  case NodeKind::FormalIn:
-    return "formal-in";
-  case NodeKind::FormalIOIn:
-    return "formal-io-in";
-  case NodeKind::FormalOut:
-    return "formal-out";
-  case NodeKind::FormalIOOut:
-    return "formal-io-out";
-  case NodeKind::ActualIn:
-    return "actual-in";
-  case NodeKind::ActualIOIn:
-    return "actual-io-in";
-  case NodeKind::ActualOut:
-    return "actual-out";
-  case NodeKind::ActualIOOut:
-    return "actual-io-out";
-  }
-  return "unknown";
-}
-
-const char *SystemDependenceGraph::edgeKindName(EdgeKind K) {
-  switch (K) {
-  case EdgeKind::Control:
-    return "control";
-  case EdgeKind::Data:
-    return "data";
-  case EdgeKind::Call:
-    return "call";
-  case EdgeKind::ParamIn:
-    return "param-in";
-  case EdgeKind::ParamOut:
-    return "param-out";
-  case EdgeKind::Summary:
-    return "summary";
-  }
-  return "unknown";
-}
-
-int SystemDependenceGraph::instrNode(unsigned F, const Instruction *I) const {
-  const auto &Map = InstrMap[F];
-  auto It = std::lower_bound(
-      Map.begin(), Map.end(), I,
-      [](const std::pair<const Instruction *, unsigned> &P,
-         const Instruction *Key) { return P.first < Key; });
-  if (It == Map.end() || It->first != I)
-    return -1;
-  return int(It->second);
-}
-
 namespace {
 
 /// Everything one per-function task produces: the function's PDG nodes
 /// (local ids, deterministic creation order) and its intraprocedural
 /// control/data edges. Committed into a function-indexed slot, so global
-/// numbering is independent of worker scheduling.
+/// numbering is independent of worker scheduling. Node roles are positions:
+/// the entry is node 0, formal-in p is node 1 + p, and instruction k
+/// (block/instruction order) is node FirstInstr + k.
 struct LocalPDG {
   using Node = SystemDependenceGraph::Node;
   using NodeKind = SystemDependenceGraph::NodeKind;
+
+  static constexpr unsigned Entry = 0;
+  static unsigned formalIn(unsigned Param) { return 1 + Param; }
 
   std::vector<Node> Nodes;
   /// (src, dst) in local ids.
   std::vector<std::pair<unsigned, unsigned>> ControlEdges, DataEdges;
 
-  unsigned Entry = 0;
-  std::vector<int> FormalIns;
   int FormalOut = -1, FormalIOIn = -1, FormalIOOut = -1;
+  unsigned FirstInstr = 0;
 
+  /// One call site's nodes: actual-in a is FirstIn + a.
   struct SiteNodes {
-    std::vector<int> Ins;
-    int IOIn = -1, Out = -1, IOOut = -1;
+    unsigned Call = 0; // the call's Instr node
+    unsigned FirstIn = 0;
+    int IOIn = -1, IOOut = -1;
+    unsigned Out = 0;
   };
   /// Indexed like CallGraph::sitesOf(F) (canonical site order).
   std::vector<SiteNodes> Sites;
-
-  /// Local id of every instruction's Instr node, in block/instr order.
-  std::vector<std::pair<const Instruction *, unsigned>> Instrs;
 };
 
 /// An io point: an instruction that both uses and defines the io
@@ -135,6 +85,15 @@ class FunctionPDGBuilder {
   const CallGraph &CG;
   const std::vector<char> &MayRead;
   LocalPDG &L;
+  /// Out: immediate postdominator of each block of F.
+  int *IPDom;
+
+  /// Local node of each block's first instruction.
+  std::vector<unsigned> BlockFirst;
+  /// Scratch for reachingSources: DFG nodes marked visited, and the walk's
+  /// stack. Every walk clears exactly the marks it set.
+  std::vector<char> Visited;
+  std::vector<unsigned> Touched, Work;
 
   unsigned addNode(LocalPDG::NodeKind K, const Instruction *I = nullptr,
                    unsigned Aux = 0, unsigned Aux2 = 0) {
@@ -144,17 +103,18 @@ class FunctionPDGBuilder {
 
 public:
   FunctionPDGBuilder(Function &F, unsigned FI, const CallGraph &CG,
-                     const std::vector<char> &MayRead, LocalPDG &L)
-      : F(F), FI(FI), CG(CG), MayRead(MayRead), L(L) {}
+                     const std::vector<char> &MayRead, LocalPDG &L,
+                     int *IPDom)
+      : F(F), FI(FI), CG(CG), MayRead(MayRead), L(L), IPDom(IPDom) {}
 
   void run() {
     using NK = LocalPDG::NodeKind;
     const std::vector<unsigned> &SiteIds = CG.sitesOf(FI);
 
     // --- Nodes, in a fixed order -----------------------------------------
-    L.Entry = addNode(NK::Entry);
+    addNode(NK::Entry);
     for (unsigned P = 0; P != F.params().size(); ++P)
-      L.FormalIns.push_back(int(addNode(NK::FormalIn, nullptr, P)));
+      addNode(NK::FormalIn, nullptr, P);
     if (MayRead[FI]) {
       L.FormalIOIn = int(addNode(NK::FormalIOIn));
       L.FormalIOOut = int(addNode(NK::FormalIOOut));
@@ -163,31 +123,42 @@ public:
     if (Ret && Ret->numOperands() > 0)
       L.FormalOut = int(addNode(NK::FormalOut, Ret));
 
-    for (const auto &BB : F.blocks())
-      for (const auto &I : BB->instructions())
-        L.Instrs.push_back({I.get(), addNode(NK::Instr, I.get())});
-    std::sort(L.Instrs.begin(), L.Instrs.end());
-
+    L.FirstInstr = unsigned(L.Nodes.size());
     L.Sites.resize(SiteIds.size());
-    for (unsigned SI = 0; SI != SiteIds.size(); ++SI) {
+    BlockFirst.resize(F.numBlocks());
+    unsigned SI = 0;
+    for (const auto &BB : F.blocks()) {
+      BlockFirst[BB->id()] = unsigned(L.Nodes.size());
+      for (const auto &I : BB->instructions()) {
+        unsigned N = addNode(NK::Instr, I.get());
+        if (isa<CallInst>(I.get()))
+          L.Sites[SI++].Call = N;
+      }
+    }
+    assert(SI == SiteIds.size() && "sites are the calls in canonical order");
+
+    for (SI = 0; SI != SiteIds.size(); ++SI) {
       const CallGraph::Site &S = CG.sites()[SiteIds[SI]];
       LocalPDG::SiteNodes &SN = L.Sites[SI];
+      SN.FirstIn = unsigned(L.Nodes.size());
       for (unsigned A = 0; A != S.Call->numArgs(); ++A)
-        SN.Ins.push_back(
-            int(addNode(NK::ActualIn, S.Call, SiteIds[SI], A)));
+        addNode(NK::ActualIn, S.Call, SiteIds[SI], A);
       if (MayRead[S.Callee]) {
         SN.IOIn = int(addNode(NK::ActualIOIn, S.Call, SiteIds[SI]));
         SN.IOOut = int(addNode(NK::ActualIOOut, S.Call, SiteIds[SI]));
       }
-      SN.Out = int(addNode(NK::ActualOut, S.Call, SiteIds[SI]));
+      SN.Out = addNode(NK::ActualOut, S.Call, SiteIds[SI]);
     }
 
     // --- Structural analyses ---------------------------------------------
     CFGEdges E(F);
     DepFlowGraph DFG = DepFlowGraph::build(F, E);
+    DomTree PDT(F, DomTree::Post);
+    for (unsigned B = 0; B != F.numBlocks(); ++B)
+      IPDom[B] = PDT.idom(B);
     std::vector<char> SelfDependent, EntryDependent;
     std::vector<std::vector<unsigned>> CD =
-        nodeControlDependence(F, E, &SelfDependent, &EntryDependent);
+        nodeControlDependence(F, E, PDT, &SelfDependent, &EntryDependent);
 
     buildControlEdges(E, CD, SelfDependent, EntryDependent);
     buildDataEdges(DFG);
@@ -196,22 +167,20 @@ public:
   }
 
 private:
-  unsigned instrLocal(const Instruction *I) const {
-    auto It = std::lower_bound(
-        L.Instrs.begin(), L.Instrs.end(), I,
-        [](const std::pair<const Instruction *, unsigned> &P,
-           const Instruction *Key) { return P.first < Key; });
-    assert(It != L.Instrs.end() && It->first == I && "instruction not mapped");
-    return It->second;
+  /// The Instr node of \p BB's terminator (its last instruction).
+  unsigned terminatorNode(const BasicBlock *BB) const {
+    return BlockFirst[BB->id()] + unsigned(BB->size()) - 1;
   }
 
-  /// Local site index of a call instruction (sites are few per function).
-  int siteOf(const Instruction *I) const {
-    const std::vector<unsigned> &SiteIds = CG.sitesOf(FI);
-    for (unsigned SI = 0; SI != SiteIds.size(); ++SI)
-      if (CG.sites()[SiteIds[SI]].Call == I)
-        return int(SI);
-    return -1;
+  /// Local site index of the call whose Instr node is \p CallNode.
+  unsigned siteOfCall(unsigned CallNode) const {
+    auto It = std::lower_bound(L.Sites.begin(), L.Sites.end(), CallNode,
+                               [](const LocalPDG::SiteNodes &SN, unsigned N) {
+                                 return SN.Call < N;
+                               });
+    assert(It != L.Sites.end() && It->Call == CallNode &&
+           "call without a site");
+    return unsigned(It - L.Sites.begin());
   }
 
   void buildControlEdges(const CFGEdges &E,
@@ -219,25 +188,23 @@ private:
                          const std::vector<char> &SelfDependent,
                          const std::vector<char> &EntryDependent) {
     // Formals hang off the entry, actuals off their call instruction.
-    for (int FIn : L.FormalIns)
-      L.ControlEdges.push_back({L.Entry, unsigned(FIn)});
+    for (unsigned P = 0; P != F.params().size(); ++P)
+      L.ControlEdges.push_back({L.Entry, L.formalIn(P)});
     if (L.FormalIOIn >= 0)
       L.ControlEdges.push_back({L.Entry, unsigned(L.FormalIOIn)});
     if (L.FormalIOOut >= 0)
       L.ControlEdges.push_back({L.Entry, unsigned(L.FormalIOOut)});
     if (L.FormalOut >= 0)
       L.ControlEdges.push_back({L.Entry, unsigned(L.FormalOut)});
-    const std::vector<unsigned> &SiteIds = CG.sitesOf(FI);
-    for (unsigned SI = 0; SI != SiteIds.size(); ++SI) {
-      unsigned CallNode = instrLocal(CG.sites()[SiteIds[SI]].Call);
-      const LocalPDG::SiteNodes &SN = L.Sites[SI];
-      for (int In : SN.Ins)
-        L.ControlEdges.push_back({CallNode, unsigned(In)});
+    for (const LocalPDG::SiteNodes &SN : L.Sites) {
+      const unsigned NumArgs = cast<CallInst>(L.Nodes[SN.Call].I)->numArgs();
+      for (unsigned A = 0; A != NumArgs; ++A)
+        L.ControlEdges.push_back({SN.Call, SN.FirstIn + A});
       if (SN.IOIn >= 0)
-        L.ControlEdges.push_back({CallNode, unsigned(SN.IOIn)});
+        L.ControlEdges.push_back({SN.Call, unsigned(SN.IOIn)});
       if (SN.IOOut >= 0)
-        L.ControlEdges.push_back({CallNode, unsigned(SN.IOOut)});
-      L.ControlEdges.push_back({CallNode, unsigned(SN.Out)});
+        L.ControlEdges.push_back({SN.Call, unsigned(SN.IOOut)});
+      L.ControlEdges.push_back({SN.Call, SN.Out});
     }
 
     // Instruction-level control dependence from the block-level FOW sets:
@@ -252,63 +219,59 @@ private:
     // runs again is decided by its condbr, so every other instruction of
     // the block also depends on that condbr — the loop self-dependence the
     // block-level sets leave out (Definition 2).
+    std::vector<unsigned> Srcs;
     for (const auto &BB : F.blocks()) {
-      std::vector<unsigned> Srcs;
+      Srcs.clear();
       for (unsigned BranchEdge : CD[BB->id()]) {
-        const Instruction *Br = E.edge(BranchEdge).From->terminator();
-        assert(Br && isa<CondBrInst>(Br) && "branch edge without a condbr");
-        Srcs.push_back(instrLocal(Br));
+        const BasicBlock *From = E.edge(BranchEdge).From;
+        assert(isa<CondBrInst>(From->terminator()) &&
+               "branch edge without a condbr");
+        Srcs.push_back(terminatorNode(From));
       }
       std::sort(Srcs.begin(), Srcs.end());
       Srcs.erase(std::unique(Srcs.begin(), Srcs.end()), Srcs.end());
-      const Instruction *Br = BB->terminator();
-      const int SelfSrc = SelfDependent[BB->id()] ? int(instrLocal(Br)) : -1;
+      const unsigned Br = terminatorNode(BB.get());
+      const bool Self = SelfDependent[BB->id()];
       const bool OnEntry = Srcs.empty() || EntryDependent[BB->id()];
-      for (const auto &I : BB->instructions()) {
-        unsigned Dst = instrLocal(I.get());
+      for (unsigned Dst = BlockFirst[BB->id()]; Dst <= Br; ++Dst) {
         if (OnEntry)
           L.ControlEdges.push_back({L.Entry, Dst});
         for (unsigned Src : Srcs)
           L.ControlEdges.push_back({Src, Dst});
-        if (SelfSrc >= 0 && I.get() != Br)
-          L.ControlEdges.push_back({unsigned(SelfSrc), Dst});
+        if (Self && Dst != Br)
+          L.ControlEdges.push_back({Br, Dst});
       }
     }
   }
 
-  /// All reaching definition sources of use (I, OpIdx), walked backward
-  /// through the DFG's switch/merge routing until a def or the entry.
-  void reachingSources(const DepFlowGraph &DFG, const Instruction *I,
-                       unsigned OpIdx, VarId V,
-                       std::vector<unsigned> &SrcsOut,
-                       std::vector<char> &Visited) {
-    int Use = DFG.useNode(I, OpIdx);
+  /// All reaching definition sources of DFG use node \p Use of variable
+  /// \p V, walked backward through the DFG's switch/merge routing until a
+  /// def or the entry.
+  void reachingSources(const DepFlowGraph &DFG, int Use, VarId V,
+                       std::vector<unsigned> &SrcsOut) {
     if (Use < 0)
       return;
-    std::fill(Visited.begin(), Visited.end(), 0);
-    std::vector<unsigned> Work{unsigned(Use)};
-    Visited[unsigned(Use)] = 1;
+    auto Mark = [&](unsigned N) {
+      Visited[N] = 1;
+      Touched.push_back(N);
+    };
+    Mark(unsigned(Use));
+    Work.push_back(unsigned(Use));
     while (!Work.empty()) {
       unsigned N = Work.back();
       Work.pop_back();
       for (unsigned EId : DFG.inEdges(N)) {
         const DepFlowGraph::Edge &DE = DFG.edge(EId);
-        if (DE.Var != V)
+        if (DE.Var != V || Visited[DE.Src])
           continue;
-        if (Visited[DE.Src])
-          continue;
-        Visited[DE.Src] = 1;
-        const DepFlowGraph::Node DN = DFG.node(DE.Src);
-        switch (DN.Kind) {
+        Mark(DE.Src);
+        switch (DFG.node(DE.Src).Kind) {
         case DepFlowGraph::NodeKind::Def: {
           // A def by a call materializes at the site's actual-out.
-          if (isa<CallInst>(DN.Inst)) {
-            int SI = siteOf(DN.Inst);
-            assert(SI >= 0 && "call def without a site");
-            SrcsOut.push_back(unsigned(L.Sites[SI].Out));
-          } else {
-            SrcsOut.push_back(instrLocal(DN.Inst));
-          }
+          unsigned Def = L.FirstInstr + unsigned(DFG.instrIndexOf(DE.Src));
+          if (isa<CallInst>(L.Nodes[Def].I))
+            Def = L.Sites[siteOfCall(Def)].Out;
+          SrcsOut.push_back(Def);
           break;
         }
         case DepFlowGraph::NodeKind::Entry:
@@ -316,7 +279,7 @@ private:
           // variables are implicitly zero (no dependence).
           for (unsigned P = 0; P != F.params().size(); ++P)
             if (F.params()[P] == V)
-              SrcsOut.push_back(unsigned(L.FormalIns[P]));
+              SrcsOut.push_back(L.formalIn(P));
           break;
         case DepFlowGraph::NodeKind::Use:
           break; // Uses have no in-edges; unreachable on a backward walk.
@@ -327,27 +290,32 @@ private:
         }
       }
     }
+    for (unsigned N : Touched)
+      Visited[N] = 0;
+    Touched.clear();
     std::sort(SrcsOut.begin(), SrcsOut.end());
     SrcsOut.erase(std::unique(SrcsOut.begin(), SrcsOut.end()), SrcsOut.end());
   }
 
   void buildDataEdges(const DepFlowGraph &DFG) {
-    std::vector<char> Visited(DFG.numNodes(), 0);
+    Visited.assign(DFG.numNodes(), 0);
     std::vector<unsigned> Srcs;
+    unsigned K = 0, SI = 0;
     for (const auto &BB : F.blocks()) {
       for (const auto &IPtr : BB->instructions()) {
         const Instruction *I = IPtr.get();
-        int SI = isa<CallInst>(I) ? siteOf(I) : -1;
+        const unsigned Idx = K++;
+        const LocalPDG::SiteNodes *Site =
+            isa<CallInst>(I) ? &L.Sites[SI++] : nullptr;
         for (unsigned OpIdx = 0; OpIdx != I->numOperands(); ++OpIdx) {
           const Operand &Op = I->operand(OpIdx);
           if (!Op.isVar())
             continue;
           Srcs.clear();
-          reachingSources(DFG, I, OpIdx, Op.var(), Srcs, Visited);
+          reachingSources(DFG, DFG.useNodeAt(Idx, OpIdx), Op.var(), Srcs);
           // A call's argument value feeds the site's actual-in node; every
           // other operand feeds the instruction itself.
-          unsigned Dst = SI >= 0 ? unsigned(L.Sites[SI].Ins[OpIdx])
-                                 : instrLocal(I);
+          unsigned Dst = Site ? Site->FirstIn + OpIdx : L.FirstInstr + Idx;
           for (unsigned Src : Srcs)
             L.DataEdges.push_back({Src, Dst});
         }
@@ -356,11 +324,11 @@ private:
     // The function's return value: reaching defs of the first ret operand
     // feed formal-out (the value a call site receives).
     if (L.FormalOut >= 0) {
-      const Instruction *Ret = F.exit()->terminator();
-      const Operand &Op = Ret->operand(0);
+      const Operand &Op = F.exit()->terminator()->operand(0);
       if (Op.isVar()) {
         Srcs.clear();
-        reachingSources(DFG, Ret, 0, Op.var(), Srcs, Visited);
+        unsigned RetIdx = terminatorNode(F.exit()) - L.FirstInstr;
+        reachingSources(DFG, DFG.useNodeAt(RetIdx, 0), Op.var(), Srcs);
         for (unsigned Src : Srcs)
           L.DataEdges.push_back({Src, unsigned(L.FormalOut)});
       }
@@ -374,17 +342,16 @@ private:
   void buildIOEdges() {
     std::vector<IOPoint> Points;
     std::vector<std::vector<unsigned>> PointsOf(F.numBlocks());
+    unsigned N = L.FirstInstr, SI = 0;
     for (const auto &BB : F.blocks())
       for (const auto &IPtr : BB->instructions()) {
         const Instruction *I = IPtr.get();
+        const unsigned Node = N++;
         if (isa<ReadInst>(I)) {
-          unsigned N = instrLocal(I);
           PointsOf[BB->id()].push_back(unsigned(Points.size()));
-          Points.push_back({BB->id(), N, N});
+          Points.push_back({BB->id(), Node, Node});
         } else if (isa<CallInst>(I)) {
-          int SI = siteOf(I);
-          assert(SI >= 0);
-          const LocalPDG::SiteNodes &SN = L.Sites[SI];
+          const LocalPDG::SiteNodes &SN = L.Sites[SI++];
           if (SN.IOIn < 0)
             continue; // Callee never reads: io passes through untouched.
           PointsOf[BB->id()].push_back(unsigned(Points.size()));
@@ -456,29 +423,28 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
   faultAnalysisCheckpoint("sdg");
   SystemDependenceGraph G;
   G.M = &M;
-  G.CG = CallGraph::build(M);
-  const CallGraph &CG = G.CG;
+  const CallGraph CG = CallGraph::build(M);
   const unsigned NF = M.numFunctions();
   const unsigned NS = unsigned(CG.sites().size());
 
   // May-read: a function reads if it contains a read() or calls a reader.
   // Bottom-up over the condensation; within an SCC the property is shared
   // (mutual recursion), so iterate members until stable.
-  G.MayRead.assign(NF, 0);
+  std::vector<char> MayRead(NF, 0);
   for (unsigned FI = 0; FI != NF; ++FI)
     for (const auto &BB : M.function(FI)->blocks())
       for (const auto &I : BB->instructions())
         if (isa<ReadInst>(I.get()))
-          G.MayRead[FI] = 1;
+          MayRead[FI] = 1;
   for (unsigned SCC = 0; SCC != CG.numSCCs(); ++SCC) {
     bool Changed = true;
     while (Changed) {
       Changed = false;
       for (unsigned FI : CG.members(SCC))
-        if (!G.MayRead[FI])
+        if (!MayRead[FI])
           for (unsigned Callee : CG.calleesOf(FI))
-            if (G.MayRead[Callee]) {
-              G.MayRead[FI] = 1;
+            if (MayRead[Callee]) {
+              MayRead[FI] = 1;
               Changed = true;
               break;
             }
@@ -495,57 +461,32 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
   obs::LevelPool Pool("sdg-build", Opts.Jobs, MaxWidth);
 
   // --- Phase A: per-function PDGs, one pool task per function -----------
+  // Each task also writes its function's immediate postdominators into
+  // its own range of G.IPDom.
+  G.FirstBlock.assign(NF + 1, 0);
+  for (unsigned FI = 0; FI != NF; ++FI)
+    G.FirstBlock[FI + 1] = G.FirstBlock[FI] + M.function(FI)->numBlocks();
+  G.IPDom.assign(G.FirstBlock[NF], -1);
   std::vector<LocalPDG> Locals(NF);
   Pool.runLevel(
       NF, [&](unsigned FI) { return "pdg:" + M.function(FI)->name(); },
       [&](unsigned FI) {
-        FunctionPDGBuilder B(*M.function(FI), FI, CG, G.MayRead, Locals[FI]);
+        FunctionPDGBuilder B(*M.function(FI), FI, CG, MayRead, Locals[FI],
+                             G.IPDom.data() + G.FirstBlock[FI]);
         B.run();
       });
 
   // --- Phase B: global numbering + interprocedural stitching (serial) ---
+  // Phases B-D name a node by its function's Base plus its local id.
   std::vector<unsigned> Base(NF + 1, 0);
   for (unsigned FI = 0; FI != NF; ++FI)
     Base[FI + 1] = Base[FI] + unsigned(Locals[FI].Nodes.size());
   G.Nodes.reserve(Base[NF]);
-  for (unsigned FI = 0; FI != NF; ++FI)
+  G.FirstInstr.resize(NF);
+  for (unsigned FI = 0; FI != NF; ++FI) {
     G.Nodes.insert(G.Nodes.end(), Locals[FI].Nodes.begin(),
                    Locals[FI].Nodes.end());
-
-  G.EntryOf.resize(NF);
-  G.FormalIns.resize(NF);
-  G.FormalOutOf.assign(NF, -1);
-  G.FormalIOInOf.assign(NF, -1);
-  G.FormalIOOutOf.assign(NF, -1);
-  G.InstrMap.resize(NF);
-  G.ActualIns.resize(NS);
-  G.ActualOutOf.assign(NS, -1);
-  G.ActualIOInOf.assign(NS, -1);
-  G.ActualIOOutOf.assign(NS, -1);
-
-  auto Lift = [&](unsigned FI, int Local) {
-    return Local < 0 ? -1 : int(Base[FI] + unsigned(Local));
-  };
-  for (unsigned FI = 0; FI != NF; ++FI) {
-    const LocalPDG &L = Locals[FI];
-    G.EntryOf[FI] = Base[FI] + L.Entry;
-    for (int FIn : L.FormalIns)
-      G.FormalIns[FI].push_back(Lift(FI, FIn));
-    G.FormalOutOf[FI] = Lift(FI, L.FormalOut);
-    G.FormalIOInOf[FI] = Lift(FI, L.FormalIOIn);
-    G.FormalIOOutOf[FI] = Lift(FI, L.FormalIOOut);
-    for (const auto &[I, LocalId] : L.Instrs)
-      G.InstrMap[FI].push_back({I, Base[FI] + LocalId});
-    const std::vector<unsigned> &SiteIds = CG.sitesOf(FI);
-    for (unsigned SI = 0; SI != SiteIds.size(); ++SI) {
-      const LocalPDG::SiteNodes &SN = L.Sites[SI];
-      unsigned Site = SiteIds[SI];
-      for (int In : SN.Ins)
-        G.ActualIns[Site].push_back(Lift(FI, In));
-      G.ActualOutOf[Site] = Lift(FI, SN.Out);
-      G.ActualIOInOf[Site] = Lift(FI, SN.IOIn);
-      G.ActualIOOutOf[Site] = Lift(FI, SN.IOOut);
-    }
+    G.FirstInstr[FI] = Base[FI] + Locals[FI].FirstInstr;
   }
 
   for (unsigned FI = 0; FI != NF; ++FI) {
@@ -555,27 +496,45 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
       G.Edges.push_back({Base[FI] + Src, Base[FI] + Dst, EdgeKind::Data});
   }
 
+  // A site's nodes in its caller's local ids; Lift maps a local id of
+  // function FI to its global id (-1, an absent node, stays -1).
+  auto SiteNodesOf = [&](unsigned Site) -> const LocalPDG::SiteNodes & {
+    unsigned Caller = CG.sites()[Site].Caller;
+    return Locals[Caller].Sites[Site - CG.sitesOf(Caller).front()];
+  };
+  auto Lift = [&](unsigned FI, int Local) {
+    return Local < 0 ? -1 : int(Base[FI] + unsigned(Local));
+  };
+  auto NumParams = [&](unsigned FI) {
+    return unsigned(M.function(FI)->params().size());
+  };
+
+  G.CallNodes.resize(NS);
   for (unsigned Site = 0; Site != NS; ++Site) {
-    const CallGraph::Site &S = CG.sites()[Site];
-    unsigned Callee = S.Callee;
-    int CallNode = G.instrNode(S.Caller, S.Call);
-    assert(CallNode >= 0);
+    const unsigned Caller = CG.sites()[Site].Caller;
+    const unsigned Callee = CG.sites()[Site].Callee;
+    const LocalPDG::SiteNodes &SN = SiteNodesOf(Site);
+    const LocalPDG &C = Locals[Callee];
+    G.CallNodes[Site] = Base[Caller] + SN.Call;
     G.Edges.push_back(
-        {unsigned(CallNode), G.EntryOf[Callee], EdgeKind::Call});
-    assert(G.ActualIns[Site].size() == G.FormalIns[Callee].size() &&
+        {G.CallNodes[Site], Base[Callee] + LocalPDG::Entry, EdgeKind::Call});
+    assert(cast<CallInst>(G.Nodes[G.CallNodes[Site]].I)->numArgs() ==
+               NumParams(Callee) &&
            "arity verified before SDG construction");
-    for (unsigned A = 0; A != G.ActualIns[Site].size(); ++A)
-      G.Edges.push_back({unsigned(G.ActualIns[Site][A]),
-                         unsigned(G.FormalIns[Callee][A]), EdgeKind::ParamIn});
-    if (G.ActualIOInOf[Site] >= 0) {
-      G.Edges.push_back({unsigned(G.ActualIOInOf[Site]),
-                         unsigned(G.FormalIOInOf[Callee]), EdgeKind::ParamIn});
-      G.Edges.push_back({unsigned(G.FormalIOOutOf[Callee]),
-                         unsigned(G.ActualIOOutOf[Site]), EdgeKind::ParamOut});
+    for (unsigned A = 0; A != NumParams(Callee); ++A)
+      G.Edges.push_back({Base[Caller] + SN.FirstIn + A,
+                         Base[Callee] + LocalPDG::formalIn(A),
+                         EdgeKind::ParamIn});
+    if (SN.IOIn >= 0) {
+      G.Edges.push_back({unsigned(Lift(Caller, SN.IOIn)),
+                         unsigned(Lift(Callee, C.FormalIOIn)),
+                         EdgeKind::ParamIn});
+      G.Edges.push_back({unsigned(Lift(Callee, C.FormalIOOut)),
+                         unsigned(Lift(Caller, SN.IOOut)), EdgeKind::ParamOut});
     }
-    if (G.FormalOutOf[Callee] >= 0)
-      G.Edges.push_back({unsigned(G.FormalOutOf[Callee]),
-                         unsigned(G.ActualOutOf[Site]), EdgeKind::ParamOut});
+    if (C.FormalOut >= 0)
+      G.Edges.push_back({unsigned(Lift(Callee, C.FormalOut)),
+                         Base[Caller] + SN.Out, EdgeKind::ParamOut});
   }
 
   auto RebuildAdjacency = [&](unsigned FromEdge) {
@@ -597,8 +556,7 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
   };
   std::vector<FnSummary> Summaries(NF);
   for (unsigned FI = 0; FI != NF; ++FI) {
-    unsigned Ports = unsigned(G.FormalIns[FI].size()) +
-                     (G.FormalIOInOf[FI] >= 0 ? 1 : 0);
+    unsigned Ports = NumParams(FI) + (Locals[FI].FormalIOIn >= 0 ? 1 : 0);
     Summaries[FI].RetDeps.assign(Ports, 0);
     Summaries[FI].IODeps.assign(Ports, 0);
   }
@@ -607,8 +565,16 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
     if (N.Kind == NodeKind::FormalIn)
       return int(N.Aux);
     if (N.Kind == NodeKind::FormalIOIn)
-      return int(G.FormalIns[FI].size());
+      return int(NumParams(FI));
     return -1;
+  };
+  // The actual node of in-port \p Port at \p Site (-1 when absent).
+  auto ActualInOf = [&](unsigned Site, unsigned Port) -> int {
+    const LocalPDG::SiteNodes &SN = SiteNodesOf(Site);
+    unsigned Caller = CG.sites()[Site].Caller;
+    if (Port < NumParams(CG.sites()[Site].Callee))
+      return int(Base[Caller] + SN.FirstIn + Port);
+    return Lift(Caller, SN.IOIn);
   };
 
   std::atomic<std::uint64_t> TotalRounds{0};
@@ -650,12 +616,10 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
         const std::vector<char> &Deps =
             Nd.Kind == NodeKind::ActualOut ? Summaries[Callee].RetDeps
                                            : Summaries[Callee].IODeps;
-        unsigned NumParams = unsigned(G.FormalIns[Callee].size());
         for (unsigned P = 0; P != Deps.size(); ++P) {
           if (!Deps[P])
             continue;
-          int ActualNode = P < NumParams ? G.ActualIns[Site][P]
-                                         : G.ActualIOInOf[Site];
+          int ActualNode = ActualInOf(Site, P);
           if (ActualNode >= 0)
             Push(unsigned(ActualNode));
         }
@@ -671,18 +635,19 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
       Changed = false;
       ++Rounds;
       for (unsigned FI : Members) {
-        std::vector<char> Visited(Locals[FI].Nodes.size(), 0);
+        const LocalPDG &L = Locals[FI];
+        std::vector<char> Visited(L.Nodes.size(), 0);
         FnSummary &S = Summaries[FI];
         std::vector<char> Fresh(S.RetDeps.size(), 0);
-        if (G.FormalOutOf[FI] >= 0) {
-          ComputePort(FI, unsigned(G.FormalOutOf[FI]), Fresh, Visited);
+        if (L.FormalOut >= 0) {
+          ComputePort(FI, unsigned(Lift(FI, L.FormalOut)), Fresh, Visited);
           if (Fresh != S.RetDeps) {
             S.RetDeps = Fresh;
             Changed = true;
           }
         }
-        if (G.FormalIOOutOf[FI] >= 0) {
-          ComputePort(FI, unsigned(G.FormalIOOutOf[FI]), Fresh, Visited);
+        if (L.FormalIOOut >= 0) {
+          ComputePort(FI, unsigned(Lift(FI, L.FormalIOOut)), Fresh, Visited);
           if (Fresh != S.IODeps) {
             S.IODeps = Fresh;
             Changed = true;
@@ -709,26 +674,26 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
   // --- Phase D: materialize summary edges (serial, site order) ----------
   unsigned FirstSummaryEdge = unsigned(G.Edges.size());
   for (unsigned Site = 0; Site != NS; ++Site) {
-    unsigned Callee = CG.sites()[Site].Callee;
+    const unsigned Caller = CG.sites()[Site].Caller;
+    const unsigned Callee = CG.sites()[Site].Callee;
+    const LocalPDG::SiteNodes &SN = SiteNodesOf(Site);
     const FnSummary &S = Summaries[Callee];
-    unsigned NumParams = unsigned(G.FormalIns[Callee].size());
     auto EmitSummary = [&](const std::vector<char> &Deps, int OutNode) {
       if (OutNode < 0)
         return;
       for (unsigned P = 0; P != Deps.size(); ++P) {
         if (!Deps[P])
           continue;
-        int InNode = P < NumParams ? G.ActualIns[Site][P]
-                                   : G.ActualIOInOf[Site];
+        int InNode = ActualInOf(Site, P);
         if (InNode >= 0)
           G.Edges.push_back(
               {unsigned(InNode), unsigned(OutNode), EdgeKind::Summary});
       }
     };
-    if (G.FormalOutOf[Callee] >= 0)
-      EmitSummary(S.RetDeps, G.ActualOutOf[Site]);
-    if (G.FormalIOOutOf[Callee] >= 0)
-      EmitSummary(S.IODeps, G.ActualIOOutOf[Site]);
+    if (Locals[Callee].FormalOut >= 0)
+      EmitSummary(S.RetDeps, Lift(Caller, int(SN.Out)));
+    if (Locals[Callee].FormalIOOut >= 0)
+      EmitSummary(S.IODeps, Lift(Caller, SN.IOOut));
   }
   RebuildAdjacency(FirstSummaryEdge);
 
@@ -752,11 +717,11 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
   for (unsigned SCC = 0; SCC != CG.numSCCs(); ++SCC)
     MaxSDGSCCSize.update(CG.members(SCC).size());
   for (unsigned FI = 0; FI != NF; ++FI) {
-    if (G.FormalOutOf[FI] >= 0)
+    if (Locals[FI].FormalOut >= 0)
       HistSDGSummaryPorts.sample(std::uint64_t(
           std::count(Summaries[FI].RetDeps.begin(),
                      Summaries[FI].RetDeps.end(), char(1))));
-    if (G.FormalIOOutOf[FI] >= 0)
+    if (Locals[FI].FormalIOOut >= 0)
       HistSDGSummaryPorts.sample(std::uint64_t(
           std::count(Summaries[FI].IODeps.begin(), Summaries[FI].IODeps.end(),
                      char(1))));
@@ -764,65 +729,4 @@ SystemDependenceGraph::build(Module &M, const SDGBuildOptions &Opts) {
 
   Pool.finish();
   return G;
-}
-
-std::string SystemDependenceGraph::nodeLabel(unsigned Id) const {
-  const Node &N = Nodes[Id];
-  const Function *F = M->function(N.Func);
-  std::string S = F->name() + ":" + nodeKindName(N.Kind);
-  switch (N.Kind) {
-  case NodeKind::Instr:
-    S += " line " + std::to_string(N.I->line());
-    break;
-  case NodeKind::FormalIn:
-    S += " " + F->varName(F->params()[N.Aux]);
-    break;
-  case NodeKind::ActualIn:
-    S += " arg" + std::to_string(N.Aux2) + " line " +
-         std::to_string(N.I->line());
-    break;
-  case NodeKind::ActualOut:
-  case NodeKind::ActualIOIn:
-  case NodeKind::ActualIOOut:
-    S += " line " + std::to_string(N.I->line());
-    break;
-  default:
-    break;
-  }
-  return S;
-}
-
-std::string SystemDependenceGraph::toDot() const {
-  std::string S = "digraph sdg {\n  node [shape=box, fontname=\"monospace\"];\n";
-  for (unsigned FI = 0; FI != M->numFunctions(); ++FI) {
-    S += "  subgraph cluster_f" + std::to_string(FI) + " {\n    label=\"" +
-         M->function(FI)->name() + "\";\n";
-    for (unsigned N = 0; N != Nodes.size(); ++N)
-      if (Nodes[N].Func == FI)
-        S += "    n" + std::to_string(N) + " [label=\"" + nodeLabel(N) +
-             "\"];\n";
-    S += "  }\n";
-  }
-  for (const Edge &E : Edges) {
-    const char *Style = "";
-    switch (E.Kind) {
-    case EdgeKind::Control:
-      Style = " [style=dashed]";
-      break;
-    case EdgeKind::Summary:
-      Style = " [style=dotted, color=blue]";
-      break;
-    case EdgeKind::Call:
-    case EdgeKind::ParamIn:
-    case EdgeKind::ParamOut:
-      Style = " [color=red]";
-      break;
-    case EdgeKind::Data:
-      break;
-    }
-    S += "  n" + std::to_string(E.Src) + " -> n" + std::to_string(E.Dst) +
-         Style + ";\n";
-  }
-  S += "}\n";
-  return S;
 }

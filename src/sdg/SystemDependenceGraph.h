@@ -8,8 +8,9 @@
 /// \file
 /// The system dependence graph (Horwitz-Reps-Binkley): per-function program
 /// dependence graphs — data dependence derived from the paper's dependence
-/// flow graph, control dependence from the factored CDG machinery — stitched
-/// together at call sites through explicit parameter-passing nodes:
+/// flow graph, control dependence from Ferrante-Ottenstein-Warren over the
+/// block postdominator tree (nodeControlDependence) — stitched together at
+/// call sites through explicit parameter-passing nodes:
 ///
 ///   * `Entry`      — one per function; call edges target it.
 ///   * `Instr`      — one per IR instruction (definitions and terminators).
@@ -30,6 +31,10 @@
 /// transitive formal-in → formal-out dependence projected onto the site,
 /// which lets slicing cross a call without descending).
 ///
+/// Each function's block postdominator tree is built once per build, in
+/// its PDG task: control dependence is read off it, and its immediate
+/// postdominators are kept (`ipdom`) for slice extraction.
+///
 /// The build is scheduled over the call graph's SCC condensation on the
 /// shared `obs::LevelPool` (obs/Sched.h): per-function PDGs are pool level
 /// 0, embarrassingly parallel (one task per function); summary
@@ -46,7 +51,6 @@
 
 #include "sdg/CallGraph.h"
 
-#include <string>
 #include <vector>
 
 namespace depflow {
@@ -118,7 +122,6 @@ public:
   static SystemDependenceGraph build(Module &M,
                                      const SDGBuildOptions &Opts = {});
 
-  const CallGraph &callGraph() const { return CG; }
   const Module &module() const { return *M; }
 
   unsigned numNodes() const { return unsigned(Nodes.size()); }
@@ -132,60 +135,33 @@ public:
     return In[NodeId];
   }
 
-  // Per-function nodes (-1 when absent).
-  unsigned entryNode(unsigned F) const { return EntryOf[F]; }
-  int formalIn(unsigned F, unsigned Param) const {
-    return FormalIns[F][Param];
-  }
-  int formalOut(unsigned F) const { return FormalOutOf[F]; }
-  int formalIOIn(unsigned F) const { return FormalIOInOf[F]; }
-  int formalIOOut(unsigned F) const { return FormalIOOutOf[F]; }
-
-  // Per-site nodes (CallGraph::sites() numbering; -1 when absent).
-  int actualIn(unsigned Site, unsigned Arg) const {
-    return ActualIns[Site][Arg];
-  }
-  int actualOut(unsigned Site) const { return ActualOutOf[Site]; }
-  int actualIOIn(unsigned Site) const { return ActualIOInOf[Site]; }
-  int actualIOOut(unsigned Site) const { return ActualIOOutOf[Site]; }
-
-  /// The Instr node of \p I (which must belong to function \p F), or -1.
-  int instrNode(unsigned F, const Instruction *I) const;
-
-  /// True if \p F contains a read() or transitively calls one.
-  bool mayRead(unsigned F) const { return MayRead[F] != 0; }
+  /// The Instr node of the first instruction of function \p F. A
+  /// function's Instr nodes are contiguous and in block/instruction order
+  /// (the DFG's canonical numbering): instruction k is node
+  /// firstInstrNode(F) + k.
+  unsigned firstInstrNode(unsigned F) const { return FirstInstr[F]; }
+  /// The Instr node of the call of site \p Site (CallGraph::sites()
+  /// numbering), which every Actual* node of the site names in `Aux`.
+  unsigned callNode(unsigned Site) const { return CallNodes[Site]; }
+  /// Immediate postdominator of block \p B of function \p F, or -1 (the
+  /// exit block, or a block that reaches no exit), in the block-level
+  /// postdominator tree the build derived control dependence from.
+  int ipdom(unsigned F, unsigned B) const { return IPDom[FirstBlock[F] + B]; }
 
   const Stats &stats() const { return BuildStats; }
 
-  static const char *nodeKindName(NodeKind K);
-  static const char *edgeKindName(EdgeKind K);
-
-  /// Human-readable node label for diagnostics and dot output.
-  std::string nodeLabel(unsigned Id) const;
-
-  /// GraphViz rendering (functions as clusters, edge kind styling).
-  std::string toDot() const;
-
 private:
   Module *M = nullptr;
-  CallGraph CG;
   std::vector<Node> Nodes;
   std::vector<Edge> Edges;
   std::vector<std::vector<unsigned>> Out, In;
 
-  std::vector<unsigned> EntryOf;
-  std::vector<std::vector<int>> FormalIns;
-  std::vector<int> FormalOutOf, FormalIOInOf, FormalIOOutOf;
-  std::vector<std::vector<int>> ActualIns;
-  std::vector<int> ActualOutOf, ActualIOInOf, ActualIOOutOf;
-  std::vector<char> MayRead;
-
-  /// Per function: instruction pointer -> node id, sorted for lookup.
-  std::vector<std::vector<std::pair<const Instruction *, unsigned>>> InstrMap;
+  std::vector<unsigned> FirstInstr; // per function
+  std::vector<unsigned> CallNodes;  // per call site
+  std::vector<unsigned> FirstBlock; // per function: its offset in IPDom
+  std::vector<int> IPDom;           // per block of every function
 
   Stats BuildStats;
-
-  friend class SDGBuilder;
 };
 
 } // namespace depflow

@@ -6,15 +6,12 @@
 // The contracts the struct-of-arrays kernels stand on: BumpArena alignment
 // and growth across chunk boundaries, reset-and-reuse (with ASan poisoning
 // when compiled in), the worklist ring agreeing with a reference queue on
-// both of its storage origins, a moved DepFlowGraph answering every query
-// as before the move, and a relocated DataflowResult surviving a
-// snapshot/bindTo round trip onto a re-parsed function.
+// both of its storage origins, and a moved DepFlowGraph answering every
+// query as before the move.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/DepFlowGraph.h"
-#include "dataflow/ConstantPropagation.h"
-#include "ir/Printer.h"
 #include "ParseOrDie.h"
 #include "support/Arena.h"
 #include "support/Worklist.h"
@@ -249,65 +246,6 @@ TEST(DepFlowGraph, MovedGraphAnswersAsBefore) {
   Assigned = std::move(*Slot);
   Slot.reset();
   EXPECT_TRUE(GraphAnswers(Assigned) == Before);
-}
-
-//===----------------------------------------------------------------------===//
-// DataflowResult relocation
-//===----------------------------------------------------------------------===//
-
-const char *kSnapshotSource = R"(func f(p) {
-entry:
-  x = 1
-  c = p == 4
-  if c goto then else join
-then:
-  y = x + 2
-  goto join
-join:
-  z = x + y
-  ret z
-})";
-
-TEST(DataflowResult, SnapshotRebindsToReparsedFunction) {
-  auto F1 = parseFunctionOrDie(kSnapshotSource);
-  ConstPropResult R1;
-  ASSERT_TRUE(runConstantPropagation(*F1, /*G=*/nullptr, EvalMode::DenseCFG,
-                                     R1, /*PredicateRefinement=*/true)
-                  .ok());
-
-  // Snapshot carries positions only — safe to keep after F1 dies.
-  ConstPropResult R2;
-  static_cast<DataflowResult<ConstVal> &>(R2) = R1.snapshot();
-
-  // Round-trip the function through the printer so the clone shares no
-  // instruction pointers with the original.
-  std::string Printed = printFunction(*F1);
-  auto F2 = parseFunctionOrDie(Printed);
-  F1.reset();
-
-  R2.bindTo(*F2);
-  ASSERT_EQ(R2.size(), [&] {
-    std::uint32_t N = 0;
-    for (const auto &BB : F2->blocks())
-      N += std::uint32_t(BB->size());
-    return N;
-  }());
-
-  // Every operand value answered through the rebuilt pointer index must
-  // match what a fresh solve of the clone computes.
-  ConstPropResult Fresh;
-  ASSERT_TRUE(runConstantPropagation(*F2, /*G=*/nullptr, EvalMode::DenseCFG,
-                                     Fresh, /*PredicateRefinement=*/true)
-                  .ok());
-  EXPECT_EQ(R2.ExecutableBlock, Fresh.ExecutableBlock);
-  for (const auto &BB : F2->blocks())
-    for (const auto &IPtr : BB->instructions()) {
-      const Instruction *I = IPtr.get();
-      for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx)
-        EXPECT_TRUE(R2.useValue(I, Idx) == Fresh.useValue(I, Idx))
-            << "operand " << Idx << " in block " << BB->label();
-    }
-  EXPECT_EQ(R2.numConstantUses(), Fresh.numConstantUses());
 }
 
 } // namespace

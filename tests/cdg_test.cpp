@@ -52,7 +52,7 @@ join:
 }
 )");
   CFGEdges E(*F);
-  auto CD = nodeControlDependence(*F, E);
+  auto CD = nodeControlDependence(*F, E, DomTree(*F, DomTree::Post));
   // Blocks: entry 0, t 1, e 2, join 3. Edges: entry->t 0, entry->e 1.
   EXPECT_TRUE(CD[0].empty());
   ASSERT_EQ(CD[1].size(), 1u);
@@ -76,7 +76,7 @@ out:
 }
 )");
   CFGEdges E(*F);
-  auto CD = nodeControlDependence(*F, E);
+  auto CD = nodeControlDependence(*F, E, DomTree(*F, DomTree::Post));
   // body (2) is control dependent on the head->body edge. Under the
   // paper's Definition 2 the head itself is NOT dependent on its own
   // branch (it postdominates itself), unlike FOW's loop-dependence
@@ -180,7 +180,7 @@ TEST(ControlDependence, NodeCDMatchesDefinitionOnRandomCFGs) {
   for (std::uint64_t Seed = 0; Seed < 12; ++Seed) {
     auto F = generateRandomCFGProgram(Seed, 11, 50, 3, 1);
     CFGEdges E(*F);
-    auto CD = nodeControlDependence(*F, E);
+    auto CD = nodeControlDependence(*F, E, DomTree(*F, DomTree::Post));
     Digraph G = cfgDigraph(*F);
     DomTree PDT(G.reversed(), F->exit()->id());
     for (const auto &BB : F->blocks()) {

@@ -7,8 +7,9 @@
 // schedule, SDG construction (parameter, return, and io plumbing), summary
 // edges over recursion, hand-computed forward/backward slices on a
 // three-function fixture, executable slice extraction through the
-// library's trace-equivalence oracle (checkSliceExecution), and -j
-// determinism of the sdg counter group.
+// library's trace-equivalence oracle (checkSliceExecution), -j
+// determinism of the sdg counter group, and a golden digest of whole
+// graphs (every node, edge and build statistic) at -j1 and -j4.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +28,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 using namespace depflow;
@@ -458,6 +461,138 @@ TEST(SDGTest, GeneratedCallModulesVerifyAndBuild) {
     SystemDependenceGraph G = SystemDependenceGraph::build(*R.M);
     EXPECT_GT(G.numNodes(), 0u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden graphs: the node list, the edge list and the build statistics of
+// fixed modules, pinned by size and FNV-1a digest. Any change to which
+// nodes or edges the SDG creates, or to their order, fails here.
+//===----------------------------------------------------------------------===//
+
+/// FNV-1a over a sequence of unsigned fields.
+struct FieldDigest {
+  std::uint64_t H = 14695981039346656037ull;
+  void add(std::uint64_t V) {
+    for (unsigned B = 0; B != 8; ++B) {
+      H ^= (V >> (8 * B)) & 0xff;
+      H *= 1099511628211ull;
+    }
+  }
+};
+
+struct GraphDigest {
+  unsigned Nodes, Edges;
+  std::uint64_t NodeDigest, EdgeDigest, StatsDigest;
+};
+
+GraphDigest digestOf(const SystemDependenceGraph &G) {
+  FieldDigest N, E, S;
+  for (unsigned Id = 0; Id != G.numNodes(); ++Id) {
+    const SystemDependenceGraph::Node &Nd = G.node(Id);
+    N.add(unsigned(Nd.Kind));
+    N.add(Nd.Func);
+    N.add(Nd.I ? Nd.I->line() : 0);
+    N.add(Nd.Aux);
+    N.add(Nd.Aux2);
+  }
+  for (unsigned Id = 0; Id != G.numEdges(); ++Id) {
+    const SystemDependenceGraph::Edge &Ed = G.edge(Id);
+    E.add(Ed.Src);
+    E.add(Ed.Dst);
+    E.add(unsigned(Ed.Kind));
+  }
+  const SystemDependenceGraph::Stats &St = G.stats();
+  for (unsigned V : {St.Nodes, St.Edges, St.SummaryEdges, St.CallSites,
+                     St.SCCs, St.Levels, St.SummaryRounds})
+    S.add(V);
+  return {G.numNodes(), G.numEdges(), N.H, E.H, S.H};
+}
+
+/// Mutual recursion through a read, appended to a generated call module so
+/// the golden set covers a recursive SCC (generated call graphs are DAGs).
+const char *RecursiveTail = R"(
+func ping(n) {
+e:
+  t = n > 0
+  if t goto rec else out
+rec:
+  m = n - 1
+  r = call pong(m)
+  x = read()
+  s = r + x
+  goto done
+out:
+  s = call f3()
+  goto done
+done:
+  ret s
+}
+func pong(n) {
+e:
+  r = call ping(n)
+  u = r * 2
+  ret u
+}
+)";
+
+struct GoldenCase {
+  const char *Name;
+  GraphDigest Expected;
+};
+
+std::unique_ptr<Module> goldenModule(const std::string &Name) {
+  if (Name == "calls.df") {
+    std::ifstream In(std::string(DEPFLOW_PIPELINE_FIXTURES_DIR) + "/calls.df");
+    std::stringstream Text;
+    Text << In.rdbuf();
+    return parseModuleOrDie(Text.str());
+  }
+  if (Name == "gen-12-seed-1")
+    return generateCallModule(12, 1);
+  if (Name == "gen-16-seed-20260808")
+    return generateCallModule(16, 20260808);
+  // gen-8-seed-3 plus the recursive pair.
+  return parseModuleOrDie(printModule(*generateCallModule(8, 3)) +
+                          RecursiveTail);
+}
+
+TEST(SDGGolden, GraphsMatchPinnedDigests) {
+  static const GoldenCase Cases[] = {
+      {"calls.df",
+       {1082, 2443, 0x266ee8e23522287aull, 0x1886f2d4cde70896ull,
+        0x6f4df141ae71a371ull}},
+      {"gen-12-seed-1",
+       {401, 862, 0xc5ca778eb2472d6bull, 0xfa7ae5497a273310ull,
+        0x87ed8d16b28766b1ull}},
+      {"gen-16-seed-20260808",
+       {603, 1447, 0xb9a67c0cc36b4981ull, 0xba3176b697ce64f1ull,
+        0xfa7ead9bf21767b4ull}},
+      {"gen-8-seed-3+recursion",
+       {325, 663, 0x9614f095bc9a52e8ull, 0xf1e2abcb01676cadull,
+        0xe368f2113dd2cb9eull}},
+  };
+  unsigned RecursiveSCCs = 0;
+  for (const GoldenCase &C : Cases) {
+    std::unique_ptr<Module> M = goldenModule(C.Name);
+    CallGraph CG = CallGraph::build(*M);
+    for (unsigned SCC = 0; SCC != CG.numSCCs(); ++SCC)
+      RecursiveSCCs += CG.isRecursive(SCC);
+    for (unsigned Jobs : {1u, 4u}) {
+      SDGBuildOptions SO;
+      SO.Jobs = Jobs;
+      GraphDigest D = digestOf(SystemDependenceGraph::build(*M, SO));
+      SCOPED_TRACE(std::string(C.Name) + " at -j" + std::to_string(Jobs));
+      EXPECT_EQ(D.Nodes, C.Expected.Nodes);
+      EXPECT_EQ(D.Edges, C.Expected.Edges);
+      EXPECT_EQ(D.NodeDigest, C.Expected.NodeDigest) << std::hex
+                                                     << D.NodeDigest;
+      EXPECT_EQ(D.EdgeDigest, C.Expected.EdgeDigest) << std::hex
+                                                     << D.EdgeDigest;
+      EXPECT_EQ(D.StatsDigest, C.Expected.StatsDigest) << std::hex
+                                                       << D.StatsDigest;
+    }
+  }
+  EXPECT_GT(RecursiveSCCs, 0u); // The summary fixpoint over an SCC is pinned.
 }
 
 } // namespace

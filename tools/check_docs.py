@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (CI's docs job).
 
-Seven guarantees:
+Eight guarantees:
 
 1. **Links resolve.** Every relative markdown link in README.md,
    DESIGN.md, EXPERIMENTS.md, ROADMAP.md, and docs/*.md points at a file
@@ -46,6 +46,12 @@ Seven guarantees:
    file name must exist somewhere under src/, tools/, tests/ or bench/.
    ``Foo.{h,cpp}`` names both files; names with ``<`` or ``*`` are
    patterns and are skipped.
+
+8. **The oracle budget table tracks the ctest list.** Every row of the
+   ``## Oracle budgets`` table in docs/TOOLS.md names a ctest that an
+   ``add_test`` in tests/, tools/ or bench/ defines (directly, or through
+   a CMake function such as ``depflow_test``), and every
+   ``depflow_fuzz_*`` ctest has a row.
 
 Usage:
     python3 tools/check_docs.py [--root DIR] [--depflow-opt BIN]
@@ -332,6 +338,48 @@ def check_trace_analyze_drift(root, errors):
                       f"trace_analyze.py --help does not mention it")
 
 
+ADD_TEST_RE = re.compile(r"add_test\(\s*NAME\s+([\w-]+)")
+CMAKE_FUNCTION_RE = re.compile(
+    r"function\(\s*(\w+)\s+(\w+)[^)]*\)(.*?)endfunction\(\)", re.S)
+BUDGET_ROW_RE = re.compile(r"^\|\s*`([\w-]+)`\s*\|", re.M)
+
+
+def ctest_names(root):
+    """Names of the ctests the CMakeLists.txt of tests/, tools/ and bench/
+    define: literal ``add_test(NAME x`` plus the first argument of every
+    call to a CMake function whose body does ``add_test(NAME ${param}``."""
+    names = set()
+    for d in ["tests", "tools", "bench"]:
+        f = root / d / "CMakeLists.txt"
+        if not f.exists():
+            continue
+        text = f.read_text()
+        names |= set(ADD_TEST_RE.findall(text))
+        for fn, param, body in CMAKE_FUNCTION_RE.findall(text):
+            if re.search(rf"add_test\(\s*NAME\s+\$\{{{param}\}}", body):
+                names |= set(re.findall(rf"^\s*{fn}\(\s*([\w-]+)", text,
+                                        re.M))
+    return names
+
+
+def check_oracle_budgets(root, errors):
+    section = tools_md_section(root, "Oracle budgets")
+    if section is None:
+        errors.append("docs/TOOLS.md: no '## Oracle budgets' table (one "
+                      "row per oracle ctest)")
+        return
+    rows = BUDGET_ROW_RE.findall(section)
+    defined = ctest_names(root)
+    for name in rows:
+        if name not in defined:
+            errors.append(f"docs/TOOLS.md: oracle budget row '{name}' names "
+                          f"no ctest defined in tests/, tools/ or bench/")
+    for name in sorted(defined):
+        if name.startswith("depflow_fuzz_") and name not in rows:
+            errors.append(f"docs/TOOLS.md: ctest '{name}' has no row in the "
+                          f"oracle budget table")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path,
@@ -348,6 +396,7 @@ def main():
     check_bench_compare_drift(args.root, errors)
     check_trace_analyze_drift(args.root, errors)
     check_sdg_counter_drift(args.root, errors)
+    check_oracle_budgets(args.root, errors)
     if args.depflow_opt is not None:
         check_flag_drift(args.root, str(args.depflow_opt), errors)
         check_pass_name_drift(args.root, str(args.depflow_opt), errors)
