@@ -108,8 +108,9 @@ static void addCounterSweeps(obs::BenchReport &Report) {
     // Allocation footprint of one build, measured on the deterministic
     // thread-local counters (operator new is hooked by dep_obs): exact
     // and machine-independent, so the perf gate diffs it like any other
-    // ctr_* metric. The arena high-water gauge rides along once the
-    // graph's tables live in a BumpArena.
+    // ctr_* metric. The graph's storage is one exactly sized block, so
+    // the arena high-water gauge follows the build's cycle-equivalence
+    // solve.
     obs::AllocDelta Alloc;
     DepFlowGraph G = DepFlowGraph::build(*F, E);
     double AllocBytes = double(Alloc.bytes());

@@ -73,9 +73,9 @@ class depflow::DFGBuilder {
   std::size_t Words = 0; // 64-bit words per set over the variables
   const ProgramStructureTree *PST = nullptr;  // Borrowed (caller's cache)...
   std::unique_ptr<ProgramStructureTree> OwnedPST; // ...or built here.
-  /// The build's temporaries outside the routing arena below, carved from
-  /// one block sized once the PST is known: RPO, InstrBase, RegionDefs
-  /// and the scratch of the RPO search and the region order.
+  /// The build's temporaries outside the routing scratch below, carved
+  /// from one block sized once the PST is known: RPO, InstrBase,
+  /// RegionDefs and the scratch of the RPO search and the region order.
   ScratchBlock Temps;
   std::uint64_t *RegionDefs = nullptr; // flat [region][word] def bitsets
   /// Block ids in reverse postorder, each tagged with its merge/switch
@@ -99,10 +99,17 @@ class depflow::DFGBuilder {
   std::uint32_t NumTaps = 0;
   std::uint32_t NumLiveNodes = 0;
   std::uint32_t NumLiveEdges = 0;
+  std::uint32_t NumLiveSwitches = 0;
+  std::uint32_t NumLiveMerges = 0;
+  /// Live (CFG edge, variable) pairs: the size of the dependence map.
+  std::uint32_t NumLiveDeps = 0;
+  /// Canonical instructions and their use slots (operands + control use).
+  std::uint32_t NumInstrs = 0;
+  std::uint32_t NumUseSlots = 0;
   /// Defs whose value a later use in the same block reads.
   std::uint32_t NumDefsUsedLocally = 0;
 
-  /// Routing scratch, carved from one arena at its exact size.
+  /// Routing scratch, carved from one block at its exact size.
   ///
   /// Taps: a tap is (instruction index, code), where code is the operand
   /// index of a use (numOperands() for the control use) or DefTap for the
@@ -122,8 +129,16 @@ class depflow::DFGBuilder {
   /// blocks: VisitRows (blocks holding V's taps, a live incoming value, or
   /// a live out-edge), MergeRows and SwitchRows (the live merges and
   /// switches).
-  BumpArena Scratch;
+  ///
+  /// List cursors: per block id, the next free slot of its switch and
+  /// merge lists; per CFG edge, of its dependence list. `planRouting()`
+  /// counts each list's length into them, and `carveStorage()` turns the
+  /// counts into the lists' offsets. Routing appends one variable at a
+  /// time, so the entry before a cursor is the routed variable's whenever
+  /// it has one there; `mergeOf`, `switchOf` and `depOf` assert that.
+  ScratchBlock Scratch;
   std::uint32_t *TapOff = nullptr;
+  std::uint32_t *TapFill = nullptr;
   std::uint32_t *TapInst = nullptr;
   std::int32_t *TapCode = nullptr;
   std::uint64_t *Gen = nullptr;
@@ -136,6 +151,9 @@ class depflow::DFGBuilder {
   std::uint64_t *VisitRows = nullptr;
   std::uint64_t *MergeRows = nullptr;
   std::uint64_t *SwitchRows = nullptr;
+  std::uint32_t *MergeFill = nullptr;
+  std::uint32_t *SwitchFill = nullptr;
+  std::uint32_t *DepFill = nullptr;
   static constexpr std::int32_t DefTap = -1;
 
 public:
@@ -149,9 +167,6 @@ public:
     G.ControlVar = F.numVars();
     NumVarsWithCtrl = F.numVars() + 1;
     Words = (NumVarsWithCtrl + 63) / 64;
-    G.NumVarsWithCtrl = NumVarsWithCtrl;
-    G.NumBlocksAtBuild = F.numBlocks();
-    G.NumCFGEdges = E.size();
 
     const bool Bypass = Mode == DepFlowGraph::BypassMode::SESE;
     if (Bypass && !PST) {
@@ -162,20 +177,13 @@ public:
     carveTemps();
 
     numberInstructions();
-    G.EntryOfVarTab = G.Pool.allocateFilled<std::int32_t>(NumVarsWithCtrl, -1);
-    G.SwitchTab = G.Pool.allocateFilled<std::int32_t>(
-        std::size_t(F.numBlocks()) * NumVarsWithCtrl, -1);
-    G.MergeTab = G.Pool.allocateFilled<std::int32_t>(
-        std::size_t(F.numBlocks()) * NumVarsWithCtrl, -1);
-    G.DepTab = G.Pool.allocateFilled<DepFlowGraph::DepSlot>(
-        std::size_t(NumVarsWithCtrl) * E.size(), {-1, 0});
-
     computeRPO();
     unsigned Redirects = 0;
     if (Bypass) {
       computeRegionDefs();
       Redirects = markRegionExits();
     }
+    assert(Temps.remaining() == 0 && "temporaries block sized exactly");
 
     countBase();
     carveScratch();
@@ -186,7 +194,7 @@ public:
       routeVariable(V);
     assert(G.numNodes() == NumLiveNodes && G.numEdges() == NumLiveEdges &&
            "live counts predicted exactly");
-    Scratch = BumpArena();
+    Scratch = ScratchBlock();
     buildAdjacency();
 
     G.BuildStats.EdgesBeforePrune = NumBaseEdges;
@@ -208,7 +216,7 @@ private:
     const std::size_t NR = PST ? PST->numRegions() : 0;
     using U32 = std::uint32_t;
     Temps = ScratchBlock(
-        3 * ScratchBlock::bytesFor<U32>(NB) +
+        2 * ScratchBlock::bytesFor<U32>(NB) +
         ScratchBlock::bytesFor<SearchFrame>(NB) +
         ScratchBlock::bytesFor<bool>(NB) +
         ScratchBlock::bytesFor<std::uint64_t>(NR * Words) +
@@ -216,42 +224,17 @@ private:
     InstrBase = Temps.take<U32>(NB);
   }
 
-  /// Numbers instructions and blocks canonically (function order) and lays
-  /// out the per-instruction tables: def node, use-slot CSR (one slot per
-  /// operand plus one for the control use), and the sorted pointer index.
+  /// Numbers instructions canonically (function order): each block's
+  /// first instruction index, and the instruction and use-slot counts
+  /// that size the graph's per-instruction tables.
   void numberInstructions() {
-    std::uint32_t NumInstrs = 0, NumSlots = 0;
-    for (const auto &BB : F.blocks())
+    for (const auto &BB : F.blocks()) {
+      InstrBase[BB->id()] = NumInstrs;
       for (const auto &I : BB->instructions()) {
         ++NumInstrs;
-        NumSlots += I->numOperands() + 1;
-      }
-    G.NumInstrs = NumInstrs;
-    G.InstrByIdx = G.Pool.allocateArray<Instruction *>(NumInstrs);
-    G.BlockByIdx = G.Pool.allocateArray<BasicBlock *>(F.numBlocks());
-    G.InstIndex = G.Pool.allocateArray<DepFlowGraph::InstKey>(NumInstrs);
-    G.DefNodeOfInstr = G.Pool.allocateFilled<std::int32_t>(NumInstrs, -1);
-    G.UseOff = G.Pool.allocateArray<std::uint32_t>(NumInstrs + 1);
-    G.UseSlots = G.Pool.allocateFilled<std::int32_t>(NumSlots, -1);
-
-    std::uint32_t Idx = 0, Slot = 0;
-    for (const auto &BB : F.blocks()) {
-      G.BlockByIdx[BB->id()] = BB.get();
-      InstrBase[BB->id()] = Idx;
-      for (const auto &I : BB->instructions()) {
-        G.InstrByIdx[Idx] = I.get();
-        G.InstIndex[Idx] = {I.get(), Idx};
-        G.UseOff[Idx] = Slot;
-        Slot += I->numOperands() + 1;
-        ++Idx;
+        NumUseSlots += I->numOperands() + 1;
       }
     }
-    G.UseOff[NumInstrs] = Slot;
-    std::sort(G.InstIndex, G.InstIndex + NumInstrs,
-              [](const DepFlowGraph::InstKey &A,
-                 const DepFlowGraph::InstKey &B) {
-                return std::less<const Instruction *>()(A.I, B.I);
-              });
   }
 
   struct SearchFrame {
@@ -382,30 +365,40 @@ private:
     NumBaseEdges = NumUses + NumVarsWithCtrl * (SwitchBlocks + MergeIndeg);
   }
 
-  /// Carves the taps and the liveness sets from one arena chunk sized
-  /// exactly (the 64-bit sets first, so no array needs padding).
+  /// Carves the taps, the liveness sets, the routing plan and the list
+  /// cursors from one block sized exactly.
   void carveScratch() {
-    const std::size_t BlockWords = std::size_t(F.numBlocks()) * Words;
+    const std::size_t NB = F.numBlocks(), NE = E.size();
+    const std::size_t BlockWords = NB * Words;
     RPOWords = (RPO.size() + 63) / 64;
     const std::size_t RowWords = std::size_t(NumVarsWithCtrl) * RPOWords;
-    const std::size_t SetWords =
-        5 * BlockWords + std::size_t(E.size()) * Words + 3 * RowWords;
-    Scratch = BumpArena(SetWords * 8 +
-                        (2 * std::size_t(NumVarsWithCtrl) + 1 +
-                         2 * std::size_t(NumTaps)) * 4);
-    std::uint64_t *Sets = Scratch.allocateFilled<std::uint64_t>(SetWords, 0);
+    const std::size_t SetWords = 5 * BlockWords + NE * Words + 3 * RowWords;
+    using U32 = std::uint32_t;
+    Scratch = ScratchBlock(
+        ScratchBlock::bytesFor<std::uint64_t>(SetWords) +
+        ScratchBlock::bytesFor<U32>(NumVarsWithCtrl + 1) +
+        ScratchBlock::bytesFor<U32>(NumVarsWithCtrl) +
+        ScratchBlock::bytesFor<U32>(NumTaps) +
+        ScratchBlock::bytesFor<std::int32_t>(NumTaps) +
+        2 * ScratchBlock::bytesFor<U32>(NB) + ScratchBlock::bytesFor<U32>(NE));
+    std::uint64_t *Sets = Scratch.takeFilled<std::uint64_t>(SetWords, 0);
     Gen = Sets;
     Kill = Gen + BlockWords;
     DefEnd = Kill + BlockWords;
     LiveIn = DefEnd + BlockWords;
     LiveOut = LiveIn + BlockWords;
     LiveEdge = LiveOut + BlockWords;
-    VisitRows = LiveEdge + std::size_t(E.size()) * Words;
+    VisitRows = LiveEdge + NE * Words;
     MergeRows = VisitRows + RowWords;
     SwitchRows = MergeRows + RowWords;
-    TapOff = Scratch.allocateFilled<std::uint32_t>(NumVarsWithCtrl + 1, 0);
-    TapInst = Scratch.allocateArray<std::uint32_t>(NumTaps);
-    TapCode = Scratch.allocateArray<std::int32_t>(NumTaps);
+    TapOff = Scratch.takeFilled<U32>(NumVarsWithCtrl + 1, 0);
+    TapFill = Scratch.take<U32>(NumVarsWithCtrl);
+    TapInst = Scratch.take<U32>(NumTaps);
+    TapCode = Scratch.take<std::int32_t>(NumTaps);
+    MergeFill = Scratch.take<U32>(NB);
+    SwitchFill = Scratch.take<U32>(NB);
+    DepFill = Scratch.take<U32>(NE);
+    assert(Scratch.remaining() == 0 && "routing scratch sized exactly");
   }
 
   /// Buckets every variable's taps with one stable counting sort over the
@@ -423,7 +416,6 @@ private:
         std::uint32_t InstIdx = InstrBase[B];
         for (const auto &IPtr : BB->instructions()) {
           const Instruction *I = IPtr.get();
-          assert(G.InstrByIdx[InstIdx] == I && "canonical numbering in sync");
           bool HasVarOperand = false;
           for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx)
             if (const Operand &Op = I->operand(OpIdx); Op.isVar()) {
@@ -441,8 +433,6 @@ private:
     ForEachTap([&](unsigned, VarId V, std::uint32_t, std::int32_t) {
       ++TapOff[V + 1];
     });
-    std::uint32_t *TapFill =
-        Scratch.allocateArray<std::uint32_t>(NumVarsWithCtrl);
     for (VarId V = 0; V != NumVarsWithCtrl; ++V) {
       TapOff[V + 1] += TapOff[V];
       TapFill[V] = TapOff[V];
@@ -483,7 +473,7 @@ private:
         const unsigned B = *It & BlockIdMask;
         std::uint64_t *Out = LiveOut + B * W;
         std::fill(Out, Out + W, 0);
-        for (unsigned EId : E.outEdges(G.BlockByIdx[B])) {
+        for (unsigned EId : E.outEdges(F.block(B))) {
           std::uint64_t *Live = LiveEdge + std::size_t(EId) * W;
           const std::uint64_t *ToIn =
               LiveIn + std::size_t(E.edge(EId).To->id()) * W;
@@ -525,19 +515,22 @@ private:
   }
 
   /// Reads the routing plan off the liveness sets: transposes them into
-  /// the per-variable rows, counts the live graph exactly, and carves
-  /// every node/edge column at that size. An entry node and each merge
-  /// exist where V is live in, a switch where V is live out, every use, and
-  /// a def when a use in its block reads it or it is its block's last def
-  /// and V is live out. Every use and every live switch or merge has one
-  /// in-edge per input.
+  /// the per-variable rows, counts the live graph exactly (and each
+  /// block's switch and merge list and each CFG edge's dependence list),
+  /// and carves the graph's storage at that size. An entry node and each
+  /// merge exist where V is live in, a switch where V is live out, every
+  /// use, and a def when a use in its block reads it or it is its block's
+  /// last def and V is live out. Every use and every live switch or merge
+  /// has one in-edge per input. A CFG edge's dependence list has one entry
+  /// per variable live on it.
   void planRouting() {
     std::uint32_t Nodes = NumUses + NumDefsUsedLocally, Edges = NumUses;
     const unsigned EntryId = F.entry()->id();
     for (std::size_t P = 0; P != RPO.size(); ++P) {
       const unsigned R = RPO[P], B = R & BlockIdMask;
-      const BasicBlock *BB = G.BlockByIdx[B];
+      const BasicBlock *BB = F.block(B);
       const std::uint32_t Preds = std::uint32_t(E.inEdges(BB).size());
+      std::uint32_t BlockMerges = 0, BlockSwitches = 0;
       for (std::size_t W = 0, I = B * Words; W != Words; ++W, ++I) {
         const std::uint64_t In = LiveIn[I], Out = LiveOut[I];
         const std::uint64_t Merges = (R & MergeBit) ? In : 0;
@@ -549,35 +542,122 @@ private:
         Nodes += std::uint32_t(std::popcount(DefEnd[I] & Out));
         if (B == EntryId)
           Nodes += std::uint32_t(std::popcount(In));
-        Nodes += std::uint32_t(std::popcount(Merges) + std::popcount(Switches));
-        Edges += std::uint32_t(std::popcount(Merges)) * Preds +
-                 std::uint32_t(std::popcount(Switches));
+        BlockMerges += std::uint32_t(std::popcount(Merges));
+        BlockSwitches += std::uint32_t(std::popcount(Switches));
         scatter(VisitRows, W, Visit, P);
         scatter(MergeRows, W, Merges, P);
         scatter(SwitchRows, W, Switches, P);
       }
+      MergeFill[B] = BlockMerges;
+      SwitchFill[B] = BlockSwitches;
+      NumLiveMerges += BlockMerges;
+      NumLiveSwitches += BlockSwitches;
+      Edges += BlockMerges * Preds + BlockSwitches;
     }
-    NumLiveNodes = Nodes;
+    for (std::size_t EId = 0; EId != E.size(); ++EId) {
+      std::uint32_t Live = 0;
+      for (std::size_t W = 0; W != Words; ++W)
+        Live += std::uint32_t(std::popcount(LiveEdge[EId * Words + W]));
+      DepFill[EId] = Live;
+      NumLiveDeps += Live;
+    }
+    NumLiveNodes = Nodes + NumLiveMerges + NumLiveSwitches;
     NumLiveEdges = Edges;
-    carveColumns();
+    carveStorage();
   }
 
-  /// Carves the node and edge columns at their exact live sizes from one
-  /// block the graph keeps.
-  void carveColumns() {
-    const std::size_t N = NumLiveNodes;
-    G.Columns = ScratchBlock(
+  /// Carves every array of the graph from one block sized exactly, lays
+  /// out the canonical numbering and the per-instruction tables (def node,
+  /// use-slot CSR with one slot per operand plus one for the control use,
+  /// the sorted pointer index), and the offsets of the per-block and
+  /// per-edge lists, whose cursors start at them.
+  void carveStorage() {
+    using U32 = std::uint32_t;
+    using I32 = std::int32_t;
+    const std::size_t N = NumLiveNodes, NE = NumLiveEdges;
+    const std::size_t NB = F.numBlocks(), NC = E.size();
+    const std::size_t NV = NumVarsWithCtrl;
+    G.Storage = ScratchBlock(
         ScratchBlock::bytesFor<std::uint8_t>(N) +
-        ScratchBlock::bytesFor<VarId>(N) +
-        2 * ScratchBlock::bytesFor<std::int32_t>(N) +
-        ScratchBlock::bytesFor<std::uint32_t>(N) +
-        ScratchBlock::bytesFor<DepFlowGraph::Edge>(NumLiveEdges));
-    G.NodeKinds = G.Columns.take<std::uint8_t>(N);
-    G.NodeVars = G.Columns.take<VarId>(N);
-    G.NodeInst = G.Columns.take<std::int32_t>(N);
-    G.NodeOp = G.Columns.take<std::uint32_t>(N);
-    G.NodeBlock = G.Columns.take<std::int32_t>(N);
-    G.Edges = G.Columns.take<DepFlowGraph::Edge>(NumLiveEdges);
+        ScratchBlock::bytesFor<VarId>(N) + 2 * ScratchBlock::bytesFor<I32>(N) +
+        ScratchBlock::bytesFor<U32>(N) +
+        ScratchBlock::bytesFor<DepFlowGraph::Edge>(NE) +
+        2 * ScratchBlock::bytesFor<U32>(N + 1) +
+        2 * ScratchBlock::bytesFor<U32>(NE) +
+        ScratchBlock::bytesFor<Instruction *>(NumInstrs) +
+        ScratchBlock::bytesFor<BasicBlock *>(NB) +
+        ScratchBlock::bytesFor<U32>(NB) +
+        ScratchBlock::bytesFor<DepFlowGraph::InstKey>(NumInstrs) +
+        ScratchBlock::bytesFor<I32>(NV) +
+        ScratchBlock::bytesFor<I32>(NumInstrs) +
+        ScratchBlock::bytesFor<U32>(NumInstrs + 1) +
+        ScratchBlock::bytesFor<I32>(NumUseSlots) +
+        2 * ScratchBlock::bytesFor<U32>(NB + 1) +
+        ScratchBlock::bytesFor<U32>(NumLiveSwitches) +
+        ScratchBlock::bytesFor<U32>(NumLiveMerges) +
+        ScratchBlock::bytesFor<U32>(NC + 1) +
+        ScratchBlock::bytesFor<DepFlowGraph::DepEntry>(NumLiveDeps));
+    ScratchBlock &S = G.Storage;
+    G.NodeKinds = S.take<std::uint8_t>(N);
+    G.NodeVars = S.take<VarId>(N);
+    G.NodeInst = S.take<I32>(N);
+    G.NodeOp = S.take<U32>(N);
+    G.NodeBlock = S.take<I32>(N);
+    G.Edges = S.take<DepFlowGraph::Edge>(NE);
+    G.OutOff = S.takeFilled<U32>(N + 1, 0);
+    G.InOff = S.takeFilled<U32>(N + 1, 0);
+    G.OutIdx = S.take<U32>(NE);
+    G.InIdx = S.take<U32>(NE);
+    G.InstrByIdx = S.take<Instruction *>(NumInstrs);
+    G.BlockByIdx = S.take<BasicBlock *>(NB);
+    G.BlockFirstInstr = S.take<U32>(NB);
+    G.InstIndex = S.take<DepFlowGraph::InstKey>(NumInstrs);
+    G.EntryOfVarTab = S.takeFilled<I32>(NV, -1);
+    G.DefNodeOfInstr = S.takeFilled<I32>(NumInstrs, -1);
+    G.UseOff = S.take<U32>(NumInstrs + 1);
+    G.UseSlots = S.takeFilled<I32>(NumUseSlots, -1);
+    G.SwitchOff = S.take<U32>(NB + 1);
+    G.MergeOff = S.take<U32>(NB + 1);
+    G.SwitchIds = S.take<U32>(NumLiveSwitches);
+    G.MergeIds = S.take<U32>(NumLiveMerges);
+    G.DepOff = S.take<U32>(NC + 1);
+    G.Deps = S.take<DepFlowGraph::DepEntry>(NumLiveDeps);
+    assert(S.remaining() == 0 && "graph storage sized exactly");
+
+    G.NumInstrs = NumInstrs;
+    std::copy_n(InstrBase, NB, G.BlockFirstInstr);
+    std::uint32_t Idx = 0, Slot = 0;
+    for (const auto &BB : F.blocks()) {
+      G.BlockByIdx[BB->id()] = BB.get();
+      for (const auto &I : BB->instructions()) {
+        G.InstrByIdx[Idx] = I.get();
+        G.InstIndex[Idx] = {I.get(), Idx};
+        G.UseOff[Idx] = Slot;
+        Slot += I->numOperands() + 1;
+        ++Idx;
+      }
+    }
+    G.UseOff[NumInstrs] = Slot;
+    std::sort(G.InstIndex, G.InstIndex + NumInstrs,
+              [](const DepFlowGraph::InstKey &A,
+                 const DepFlowGraph::InstKey &B) {
+                return std::less<const Instruction *>()(A.I, B.I);
+              });
+
+    startLists(MergeFill, G.MergeOff, NB);
+    startLists(SwitchFill, G.SwitchOff, NB);
+    startLists(DepFill, G.DepOff, NC);
+  }
+
+  /// Turns the \p N list lengths in \p Fill into the offsets \p Off
+  /// (N + 1 entries) and points each cursor at its list's start.
+  static void startLists(std::uint32_t *Fill, std::uint32_t *Off,
+                         std::size_t N) {
+    Off[0] = 0;
+    for (std::size_t I = 0; I != N; ++I) {
+      Off[I + 1] = Off[I] + Fill[I];
+      Fill[I] = Off[I];
+    }
   }
 
   /// Sets RPO position \p P in the row of every variable of word \p W
@@ -627,25 +707,43 @@ private:
     return !(RegionDefs[R * Words + V / 64] >> (V % 64) & 1);
   }
 
-  int32_t &switchSlot(unsigned B, VarId V) {
-    return G.SwitchTab[std::size_t(B) * NumVarsWithCtrl + V];
+  /// \p V's merge at block \p B, \p V's switch there, and the source of
+  /// \p V's value on CFG edge \p EId: each the last entry of its list so
+  /// far, which must exist and carry \p V.
+  unsigned mergeOf(unsigned B, VarId V) const {
+    assert(MergeFill[B] > G.MergeOff[B] &&
+           G.NodeVars[G.MergeIds[MergeFill[B] - 1]] == V &&
+           "the variable's merge is created before it is read");
+    return G.MergeIds[MergeFill[B] - 1];
   }
-  int32_t &mergeSlot(unsigned B, VarId V) {
-    return G.MergeTab[std::size_t(B) * NumVarsWithCtrl + V];
+  unsigned switchOf(unsigned B, VarId V) const {
+    assert(SwitchFill[B] > G.SwitchOff[B] &&
+           G.NodeVars[G.SwitchIds[SwitchFill[B] - 1]] == V &&
+           "the variable's switch is created before it is read");
+    return G.SwitchIds[SwitchFill[B] - 1];
+  }
+  Source depOf(unsigned EId, VarId V) const {
+    assert(DepFill[EId] > G.DepOff[EId] &&
+           G.Deps[DepFill[EId] - 1].Var == V &&
+           "the value on a live CFG edge is routed before it is read");
+    return G.Deps[DepFill[EId] - 1].Src;
+  }
+  void setDep(unsigned EId, VarId V, Source Src) {
+    assert(Src.Node >= 0 && "a live CFG edge carries a value");
+    assert(DepFill[EId] < G.DepOff[EId + 1] && "dependence list sized exactly");
+    G.Deps[DepFill[EId]++] = {V, Src};
   }
 
   /// Routes \p V, creating only live nodes and edges, in base-level order:
   /// the entry node, merges and switches in RPO, then each block's taps
-  /// and switch input in RPO, then the merge inputs. The dependence map
-  /// (DepTab) is written on exactly the CFG edges where V is live, and is
-  /// read only there.
+  /// and switch input in RPO, then the merge inputs. V's value is recorded
+  /// on exactly the CFG edges where V is live, and read only there.
   void routeVariable(VarId V) {
     const std::size_t Word = V / 64;
     const std::uint64_t Bit = std::uint64_t(1) << (V % 64);
     auto IsLive = [&](const std::uint64_t *Set, unsigned Idx) {
       return (Set[Idx * Words + Word] & Bit) != 0;
     };
-    Source *Dep = G.DepTab + std::size_t(V) * E.size();
     const unsigned EntryId = F.entry()->id();
 
     Source EntryValue = NoSource;
@@ -666,11 +764,11 @@ private:
         const std::size_t P = W * 64 + std::size_t(std::countr_zero(Bits));
         const unsigned B = RPO[P] & BlockIdMask;
         if (Merges[W] & Bits & -Bits)
-          mergeSlot(B, V) = std::int32_t(makeNode(
-              DepFlowGraph::NodeKind::Merge, V, -1, 0, std::int32_t(B)));
+          G.MergeIds[MergeFill[B]++] = makeNode(
+              DepFlowGraph::NodeKind::Merge, V, -1, 0, std::int32_t(B));
         if (Switches[W] & Bits & -Bits)
-          switchSlot(B, V) = std::int32_t(makeNode(
-              DepFlowGraph::NodeKind::Switch, V, -1, 0, std::int32_t(B)));
+          G.SwitchIds[SwitchFill[B]++] = makeNode(
+              DepFlowGraph::NodeKind::Switch, V, -1, 0, std::int32_t(B));
       }
 
     // The blocks holding V's taps, a live incoming value, or a live
@@ -690,13 +788,12 @@ private:
         if (B == EntryId) {
           Cur = EntryValue;
         } else if (R & MergeBit) {
-          Cur = {mergeSlot(B, V), 0};
+          Cur = {std::int32_t(mergeOf(B, V)), 0};
         } else {
           const auto &In = E.inEdges(G.BlockByIdx[B]);
           assert(In.size() == 1 &&
                  "non-entry block without merge has one pred");
-          Cur = Dep[In[0]];
-          assert(Cur.Node >= 0 && "single pred processed before (RPO)");
+          Cur = depOf(In[0], V); // The single pred comes first in RPO.
         }
       }
 
@@ -732,10 +829,9 @@ private:
       // a bypassable region carries the value of its entry edge, not the
       // interior through-value.
       int S = -1;
-      if (R & SwitchBit) {
-        S = switchSlot(B, V);
-        if (S >= 0)
-          addEdge(Cur, unsigned(S), V);
+      if ((R & SwitchBit) && IsLive(LiveOut, B)) {
+        S = int(switchOf(B, V));
+        addEdge(Cur, unsigned(S), V);
       }
       const auto &Out = E.outEdges(G.BlockByIdx[B]);
       for (unsigned SI = 0; SI != Out.size(); ++SI) {
@@ -744,14 +840,12 @@ private:
           continue;
         int Closed = (R & ExitBit) ? PST->regionClosedBy(EId) : -1;
         if (Closed >= 0 && regionBypassable(unsigned(Closed), V)) {
-          const Source Entry =
-              Dep[unsigned(PST->region(unsigned(Closed)).EntryEdge)];
-          assert(Entry.Node >= 0 &&
-                 "region entry dep resolved before its exit (RPO order)");
-          Dep[EId] = Entry;
+          // The region's entry edge precedes its exit in RPO.
+          setDep(EId, V,
+                 depOf(unsigned(PST->region(unsigned(Closed)).EntryEdge), V));
         } else {
-          Dep[EId] = (R & SwitchBit) ? Source{S, std::uint16_t(SI)} : Cur;
-          assert(Dep[EId].Node >= 0 && "a live CFG edge carries a value");
+          setDep(EId, V,
+                 (R & SwitchBit) ? Source{S, std::uint16_t(SI)} : Cur);
         }
       }
     });
@@ -761,12 +855,10 @@ private:
     // known.
     forEachBlock(Merges, [&](unsigned R) {
       const unsigned B = R & BlockIdMask;
-      const unsigned M = unsigned(mergeSlot(B, V));
+      const unsigned M = mergeOf(B, V);
       const auto &In = E.inEdges(G.BlockByIdx[B]);
-      for (unsigned PI = 0; PI != In.size(); ++PI) {
-        assert(Dep[In[PI]].Node >= 0 && "all deps resolved after block pass");
-        addEdge(Dep[In[PI]], M, V, std::uint16_t(PI));
-      }
+      for (unsigned PI = 0; PI != In.size(); ++PI)
+        addEdge(depOf(In[PI], V), M, V, std::uint16_t(PI));
     });
   }
 
@@ -776,8 +868,6 @@ private:
   void buildAdjacency() {
     const unsigned NN = G.numNodes();
     const unsigned NE = G.numEdges();
-    G.OutOff = G.Pool.allocateFilled<std::uint32_t>(NN + 1, 0);
-    G.InOff = G.Pool.allocateFilled<std::uint32_t>(NN + 1, 0);
     for (unsigned Id = 0; Id != NE; ++Id) {
       ++G.OutOff[G.Edges[Id].Src + 1];
       ++G.InOff[G.Edges[Id].Dst + 1];
@@ -786,8 +876,6 @@ private:
       G.OutOff[N + 1] += G.OutOff[N];
       G.InOff[N + 1] += G.InOff[N];
     }
-    G.OutIdx = G.Pool.allocateArray<std::uint32_t>(NE);
-    G.InIdx = G.Pool.allocateArray<std::uint32_t>(NE);
     for (unsigned Id = 0; Id != NE; ++Id) {
       G.OutIdx[G.OutOff[G.Edges[Id].Src]++] = Id;
       G.InIdx[G.InOff[G.Edges[Id].Dst]++] = Id;
@@ -814,6 +902,26 @@ DepFlowGraph DepFlowGraph::build(Function &F, BypassMode Mode) {
   F.recomputePreds();
   CFGEdges E(F);
   return build(F, E, Mode);
+}
+
+int DepFlowGraph::findNodeOfVar(const std::uint32_t *First,
+                                const std::uint32_t *Last, VarId V) const {
+  const std::uint32_t *It =
+      std::lower_bound(First, Last, V, [&](std::uint32_t N, VarId Key) {
+        return NodeVars[N] < Key;
+      });
+  return It != Last && NodeVars[*It] == V ? int(*It) : -1;
+}
+
+std::pair<int, unsigned> DepFlowGraph::depAtEdge(unsigned EdgeId,
+                                                 VarId V) const {
+  const DepEntry *First = Deps + DepOff[EdgeId];
+  const DepEntry *Last = Deps + DepOff[EdgeId + 1];
+  const DepEntry *It = std::lower_bound(
+      First, Last, V, [](const DepEntry &D, VarId Key) { return D.Var < Key; });
+  if (It == Last || It->Var != V)
+    return {-1, 0};
+  return {It->Src.Node, unsigned(It->Src.Port)};
 }
 
 DepFlowGraph::EdgeIdRange DepFlowGraph::edgesOfVar(VarId V) const {

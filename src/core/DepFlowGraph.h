@@ -46,19 +46,27 @@
 /// A *multiedge* is one (node, output port) with all of its out-edges: the
 /// tail and heads vocabulary of Sections 4-5.
 ///
-/// Memory layout: the graph is struct-of-arrays over 32-bit indices. The
-/// node attribute columns and the edge column are carved from one
-/// `ScratchBlock` the graph owns, sized from the exact live node and edge
-/// counts before routing. Adjacency is two CSR index ranges
-/// (`outEdges`/`inEdges` return `std::span`s into them). The CSR and every
-/// lookup table (entry/def/use/switch/merge/dep-at-edge) are flat arrays
-/// carved from one `BumpArena`. Instructions are referred to by a
-/// canonical dense index (function block/instruction order) — `Node::Inst`
-/// is materialized from that index on access, and pointer-keyed queries
-/// binary-search a sorted side table instead of hashing. Both the block
-/// and the arena chunks live on the heap, so a moved `DepFlowGraph` keeps
-/// every internal pointer valid: cached analysis results can relocate the
-/// graph freely. The graph is move-only.
+/// Memory layout: the graph is struct-of-arrays over 32-bit indices, and
+/// its storage is proportional to the live graph. Everything is carved
+/// from one exactly sized `ScratchBlock` the graph owns, sized once the
+/// builder knows the live node, edge, switch, merge and (edge, variable)
+/// counts:
+///   * the node attribute columns and the edge column;
+///   * the CSR adjacency (`outEdges`/`inEdges` return `std::span`s into
+///     it);
+///   * the per-instruction tables (def node, use slots) and the canonical
+///     numbering: instructions are referred to by a dense index (function
+///     block/instruction order), `Node::Inst` is materialized from that
+///     index on access, and pointer-keyed queries binary-search a sorted
+///     side table instead of hashing;
+///   * per block, the live switch and merge nodes, and per CFG edge, the
+///     dependence source of each variable live on it: CSR lists in
+///     ascending variable order, filled during routing, which goes one
+///     variable at a time.
+/// No table is sized blocks × variables or CFG edges × variables. The
+/// block lives on the heap, so a moved `DepFlowGraph` keeps every internal
+/// pointer valid: cached analysis results can relocate the graph freely.
+/// The graph is move-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,19 +158,21 @@ private:
     std::int32_t Node;
     std::uint16_t Port;
   };
+  /// One entry of a CFG edge's dependence list: the source of the value
+  /// of `Var` crossing the edge.
+  struct DepEntry {
+    VarId Var;
+    DepSlot Src;
+  };
   struct InstKey {
     const Instruction *I;
     std::uint32_t Idx;
   };
 
-  /// Backs every flat table below; chunks are heap-stable, so moving the
-  /// graph never invalidates the raw pointers.
-  BumpArena Pool;
-
-  /// Backs the node and edge columns: one block sized from the exact live
-  /// counts before routing. Like the arena's chunks it lives on the heap,
-  /// so the columns move with the graph.
-  ScratchBlock Columns;
+  /// Backs every array below: one block sized from the exact live counts
+  /// before routing. It lives on the heap, so the arrays move with the
+  /// graph.
+  ScratchBlock Storage;
 
   // Node columns (struct-of-arrays), NumNodes entries each.
   std::uint32_t NumNodes = 0;
@@ -186,25 +196,36 @@ private:
 
   // Canonical numbering (function block/instruction order).
   std::uint32_t NumInstrs = 0;
-  std::uint32_t NumBlocksAtBuild = 0;
-  std::uint32_t NumCFGEdges = 0;
-  std::uint32_t NumVarsWithCtrl = 0;
   Instruction **InstrByIdx = nullptr;   // [instr index] -> instruction
   BasicBlock **BlockByIdx = nullptr;    // [block id] -> block
+  std::uint32_t *BlockFirstInstr = nullptr; // [block id] -> first instr index
   InstKey *InstIndex = nullptr;         // sorted by pointer, for lookups
 
-  // Lookup tables (all arena-resident, 32-bit entries, -1 == absent).
+  // Lookup tables (32-bit entries, -1 == absent).
   std::int32_t *EntryOfVarTab = nullptr;   // [var] -> node
   std::int32_t *DefNodeOfInstr = nullptr;  // [instr index] -> node
   std::uint32_t *UseOff = nullptr;         // [instr index] -> UseSlots base
   std::int32_t *UseSlots = nullptr;        // per instr: numOperands()+1 slots
-  std::int32_t *SwitchTab = nullptr;       // [block*vars+var] -> node
-  std::int32_t *MergeTab = nullptr;        // [block*vars+var] -> node
-  DepSlot *DepTab = nullptr;               // [var*cfgEdges+edge] -> (node,port)
+
+  // Per block id B: its live switch nodes are SwitchIds[SwitchOff[B] ..
+  // SwitchOff[B+1]), its live merges likewise, each list ascending.
+  std::uint32_t *SwitchOff = nullptr;
+  std::uint32_t *SwitchIds = nullptr;
+  std::uint32_t *MergeOff = nullptr;
+  std::uint32_t *MergeIds = nullptr;
+
+  // Per CFG edge: Deps[DepOff[E] .. DepOff[E+1]) covers exactly the
+  // variables live on E, ascending.
+  std::uint32_t *DepOff = nullptr;
+  DepEntry *Deps = nullptr;
 
   /// Canonical index of \p I, or -1 for instructions not in the numbered
   /// function (binary search over InstIndex).
   int instrIndex(const Instruction *I) const;
+
+  /// The node of variable \p V in the ascending list [First, Last), or -1.
+  int findNodeOfVar(const std::uint32_t *First, const std::uint32_t *Last,
+                    VarId V) const;
 
   friend class DFGBuilder;
 
@@ -266,6 +287,8 @@ public:
     int Idx = instrIndex(I);
     return Idx < 0 ? -1 : DefNodeOfInstr[Idx];
   }
+  /// The same for the instruction with canonical index \p InstrIdx.
+  int defNodeAt(unsigned InstrIdx) const { return DefNodeOfInstr[InstrIdx]; }
   /// Use node for operand \p OpIdx of \p I, or -1 (non-var operand, or
   /// not an instruction of the graph). For statements with a control use,
   /// the control use is indexed at position numOperands().
@@ -281,11 +304,25 @@ public:
   }
   /// Canonical index of the instruction of Def/Use node \p NodeId, or -1.
   int instrIndexOf(unsigned NodeId) const { return NodeInst[NodeId]; }
-  int switchNode(const BasicBlock *BB, VarId V) const {
-    return SwitchTab[BB->id() * NumVarsWithCtrl + V];
+  /// Canonical index of the terminator of \p BB.
+  unsigned terminatorIndex(const BasicBlock *BB) const {
+    return BlockFirstInstr[BB->id()] + unsigned(BB->size()) - 1;
   }
+
+  /// The live switch nodes at \p BB, in ascending variable order.
+  std::span<const std::uint32_t> switchesAt(const BasicBlock *BB) const {
+    return {SwitchIds + SwitchOff[BB->id()],
+            SwitchIds + SwitchOff[BB->id() + 1]};
+  }
+  /// The switch node of \p V at \p BB, or -1 if V is dead out of BB.
+  int switchNode(const BasicBlock *BB, VarId V) const {
+    return findNodeOfVar(SwitchIds + SwitchOff[BB->id()],
+                         SwitchIds + SwitchOff[BB->id() + 1], V);
+  }
+  /// The merge node of \p V at \p BB, or -1 if V is dead into BB.
   int mergeNode(const BasicBlock *BB, VarId V) const {
-    return MergeTab[BB->id() * NumVarsWithCtrl + V];
+    return findNodeOfVar(MergeIds + MergeOff[BB->id()],
+                         MergeIds + MergeOff[BB->id() + 1], V);
   }
 
   /// The dependence source (node, port) whose value for \p V crosses CFG
@@ -293,10 +330,7 @@ public:
   /// value crossing that edge (\p V is dead there). This is the Section
   /// 5.1 projection hook: a dependence edge from that source spans the
   /// CFG edge.
-  std::pair<int, unsigned> depAtEdge(unsigned EdgeId, VarId V) const {
-    const DepSlot &P = DepTab[V * NumCFGEdges + EdgeId];
-    return {P.Node, unsigned(P.Port)};
-  }
+  std::pair<int, unsigned> depAtEdge(unsigned EdgeId, VarId V) const;
 
   const Stats &stats() const { return BuildStats; }
 

@@ -10,6 +10,7 @@
 #include "dataflow/DefUse.h"
 #include "support/Statistic.h"
 
+#include <cassert>
 #include <optional>
 
 using namespace depflow;
@@ -256,16 +257,21 @@ ConstantsApplied depflow::applyConstantsAndDCE(Function &F,
     return CP.ExecutableBlock.empty() || CP.ExecutableBlock[BB->id()];
   };
 
-  // 1. Rewrite constant variable uses to immediates.
+  // 1. Rewrite constant variable uses to immediates, reading each
+  // instruction's values by its canonical row (the same walk).
+  std::uint32_t Row = 0;
   for (const auto &BB : F.blocks()) {
-    if (!BlockExec(BB.get()))
+    if (!BlockExec(BB.get())) {
+      Row += std::uint32_t(BB->size());
       continue;
+    }
     for (const auto &IPtr : BB->instructions()) {
       Instruction *I = IPtr.get();
+      const ConstVal *Vals = CP.row(Row++);
       for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx) {
         if (!I->operand(Idx).isVar())
           continue;
-        ConstVal V = CP.useValue(I, Idx);
+        ConstVal V = Vals[Idx];
         if (V.isConst()) {
           I->setOperand(Idx, Operand::imm(V.value()));
           ++Out.OperandsFolded;
@@ -273,6 +279,7 @@ ConstantsApplied depflow::applyConstantsAndDCE(Function &F,
       }
     }
   }
+  assert(Row == CP.size() && "the result's rows follow F's canonical walk");
 
   // 2+3. Simplify branches whose condition is now an immediate and drop
   // the blocks that become unreachable — but only when the exit survives.

@@ -37,7 +37,8 @@
 ///   Value entryValue(VarId V, bool IsControl) const;  // value on entry
 ///   bool mayBeTrue(const Value &) const;          // branch may be taken
 ///   bool mayBeFalse(const Value &) const;         // branch may fall through
-///   template <typename GetFn>                     // GetFn: (const Operand&)
+///   template <typename GetFn>   // GetFn: (const Operand &), given a
+///                               // reference into the def's operands()
 ///   Value transfer(const DefInst &, GetFn, bool Executable) const;
 ///   // Optional precision hooks; default to no refinement:
 ///   void refineSwitch(const BasicBlock *, const CondBrInst *,
@@ -76,6 +77,7 @@
 #include "support/Worklist.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -231,9 +233,11 @@ public:
   SparseEngine(Function &F, const DepFlowGraph &G, const Client &C,
                const SparseEngineCounters &Ctr = {})
       : F(F), G(G), C(C), Ctr(Ctr),
-        Pool(arenaBytes(G.numNodes(), G.numEdges())),
+        Pool(arenaBytes(G.numNodes(), G.numEdges(), Ctr.TokensPerEdge)),
         EdgeVal(Pool.allocateFilled<Value>(G.numEdges(), Client::bottom())),
-        TokensPerEdge(Pool.allocateFilled<std::uint64_t>(G.numEdges(), 0)),
+        TokensPerEdge(Ctr.TokensPerEdge
+                          ? Pool.allocateFilled<std::uint32_t>(G.numEdges(), 0)
+                          : nullptr),
         WL(Pool, G.numNodes()) {}
 
   /// Runs the token worklist to its fixed point and extracts per-use
@@ -268,7 +272,7 @@ public:
       detail::bump(Ctr.Pops);
       evalNode(WL.pop());
     }
-    if (Ctr.TokensPerEdge)
+    if (TokensPerEdge)
       for (unsigned EId = 0, NE = G.numEdges(); EId != NE; ++EId)
         Ctr.TokensPerEdge->sample(TokensPerEdge[EId]);
     return Status::success();
@@ -282,29 +286,31 @@ public:
     return In.empty() ? Client::bottom() : EdgeVal[In[0]];
   }
 
-  /// Lattice value of instruction operand \p Idx. Dead instructions report
-  /// ⊥ for every operand, even when region bypassing routed a (termination-
-  /// optimistic) value past the switch that guards them — this keeps the
-  /// reported results identical to the dense algorithm's.
-  Value operandValue(const Instruction *I, unsigned Idx,
+  /// Lattice value of operand \p Idx of \p I, the instruction with
+  /// canonical index \p Row. Dead instructions report ⊥ for every operand,
+  /// even when region bypassing routed a (termination-optimistic) value
+  /// past the switch that guards them — this keeps the reported results
+  /// identical to the dense algorithm's.
+  Value operandValue(unsigned Row, const Instruction *I, unsigned Idx,
                      bool Executable) const {
     if (!Executable)
       return Client::bottom();
     const Operand &Op = I->operand(Idx);
     if (Op.isImm())
       return C.fromImmediate(Op.imm());
-    return useValue(G.useNode(I, Idx));
+    return useValue(G.useNodeAt(Row, Idx));
   }
 
-  /// Executability of instruction \p I: the control use if it has one,
-  /// otherwise the liveness of its first variable operand's dependence.
-  bool executable(const Instruction *I) const {
-    int Ctrl = G.useNode(I, I->numOperands());
+  /// Executability of \p I, the instruction with canonical index \p Row:
+  /// the control use if it has one, otherwise the liveness of its first
+  /// variable operand's dependence.
+  bool executable(unsigned Row, const Instruction *I) const {
+    int Ctrl = G.useNodeAt(Row, I->numOperands());
     if (Ctrl >= 0)
       return !isBottom(useValue(Ctrl));
     for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx)
       if (I->operand(Idx).isVar())
-        return !isBottom(useValue(G.useNode(I, Idx)));
+        return !isBottom(useValue(G.useNodeAt(Row, Idx)));
     return true; // No operands at all: treated as executable.
   }
 
@@ -330,7 +336,7 @@ public:
       };
       if (auto *Br = dyn_cast<CondBrInst>(Term)) {
         Value Pred = Br->cond().isImm() ? C.fromImmediate(Br->cond().imm())
-                                        : useValue(G.useNode(Br, 0));
+                                        : predicateValue(BB);
         if (C.mayBeTrue(Pred))
           Push(Br->trueTarget());
         if (C.mayBeFalse(Pred))
@@ -346,9 +352,10 @@ public:
       bool Exec = R.ExecutableBlock[BB->id()];
       for (const auto &IPtr : BB->instructions()) {
         const Instruction *I = IPtr.get();
-        Value *Vals = R.row(Row++);
+        Value *Vals = R.row(Row);
         for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx)
-          Vals[Idx] = operandValue(I, Idx, Exec);
+          Vals[Idx] = operandValue(Row, I, Idx, Exec);
+        ++Row;
       }
     }
     return R;
@@ -364,12 +371,20 @@ private:
   /// solve costs one allocation instead of one per table.
   BumpArena Pool;
   Value *EdgeVal;
-  std::uint64_t *TokensPerEdge;
+  /// Tokens written per edge; allocated only when a histogram is attached.
+  std::uint32_t *TokensPerEdge;
   Worklist WL;
 
-  static std::size_t arenaBytes(std::size_t Nodes, std::size_t Edges) {
-    return Edges * (sizeof(Value) + 8) + Nodes * 4 + 8 * ((Nodes + 63) / 64) +
-           128;
+  static std::size_t arenaBytes(std::size_t Nodes, std::size_t Edges,
+                                bool TallyTokens) {
+    return Edges * (sizeof(Value) + (TallyTokens ? 4 : 0)) + Nodes * 4 +
+           8 * ((Nodes + 63) / 64) + 128;
+  }
+
+  /// Value of the branch predicate of \p BB's terminator, read by its
+  /// canonical row.
+  Value predicateValue(const BasicBlock *BB) const {
+    return useValue(G.useNodeAt(G.terminatorIndex(BB), 0));
   }
 
   bool isBottom(const Value &V) const {
@@ -378,7 +393,8 @@ private:
 
   void writeEdge(unsigned EId, const Value &V) {
     detail::bump(Ctr.Tokens);
-    ++TokensPerEdge[EId];
+    if (TokensPerEdge)
+      ++TokensPerEdge[EId];
     if (Client::equal(EdgeVal[EId], V))
       return;
     detail::bump(Ctr.Lowerings);
@@ -410,28 +426,28 @@ private:
       // part in, or the switches keyed on it when it is a branch predicate.
       const Instruction *I = Node.Inst;
       if (isa<DefInst>(I)) {
-        if (int D = G.defNode(I); D >= 0)
+        if (int D = G.defNodeAt(unsigned(G.instrIndexOf(N))); D >= 0)
           schedule(unsigned(D));
       } else if (isa<CondBrInst>(I)) {
-        for (VarId V = 0; V <= F.numVars(); ++V)
-          if (int S = G.switchNode(Node.Block, V); S >= 0)
-            schedule(unsigned(S));
+        for (unsigned S : G.switchesAt(Node.Block))
+          schedule(S);
       }
       break;
     }
     case DepFlowGraph::NodeKind::Def: {
       const auto *D = cast<DefInst>(Node.Inst);
+      const unsigned Row = unsigned(G.instrIndexOf(N));
       // The client's transfer resolves immediates itself; the callback only
-      // sees variable operands and maps them back to their use nodes.
+      // sees variable operands and maps them back, by position, to their
+      // use nodes.
       Value Out = C.transfer(
           *D,
           [&](const Operand &Op) {
-            for (unsigned Idx = 0; Idx != D->numOperands(); ++Idx)
-              if (D->operand(Idx) == Op)
-                return useValue(G.useNode(D, Idx));
-            depflow_unreachable("operand not found on its instruction");
+            const auto Idx = unsigned(&Op - D->operands().data());
+            assert(Idx < D->numOperands() && "operand not on its instruction");
+            return useValue(G.useNodeAt(Row, Idx));
           },
-          executable(D));
+          executable(Row, D));
       writePort(N, 0, Out);
       break;
     }
@@ -443,7 +459,7 @@ private:
         Pred = isBottom(In) ? Client::bottom()
                             : C.fromImmediate(Br->cond().imm());
       else
-        Pred = useValue(G.useNode(Br, 0));
+        Pred = predicateValue(Node.Block);
       Value OutTrue = C.mayBeTrue(Pred) ? In : Client::bottom();
       Value OutFalse = C.mayBeFalse(Pred) ? In : Client::bottom();
       C.refineSwitch(Node.Block, Br, Pred, In, Node.Var, OutTrue, OutFalse);

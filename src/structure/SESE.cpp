@@ -63,6 +63,7 @@ ProgramStructureTree::ProgramStructureTree(const Function &F,
   // at the next class's start; one shift restores the offsets).
   U32 *ClassOff = Scratch.takeFilled<U32>(NC + 1, 0);
   U32 *ClassVal = Scratch.take<U32>(NE);
+  assert(Scratch.remaining() == 0 && "PST scratch sized exactly");
   for (U32 K = 0; K != NumOrdered; ++K)
     ++ClassOff[CE.ClassOf[Order[K] & ~TreeBit] + 1];
   U32 NumRegions = 1;

@@ -32,8 +32,8 @@
 ///
 /// `ScratchBlock`, at the end of this file, is the fixed-size sibling: one
 /// heap block, sized up front and carved, for a build's temporaries (the
-/// PST's and the DFG builder's) and for storage its owner keeps (the DFG's
-/// node and edge columns, a worklist's ring).
+/// PST's and the DFG builder's) and for storage its owner keeps (all of a
+/// DFG's columns and lookup lists, a worklist's ring).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +68,34 @@ namespace detail {
 /// file-local, so the header routes through these).
 void arenaStatChunk(std::uint64_t ChunkBytes, std::uint64_t ArenaFootprint);
 void arenaStatReset();
+
+/// Manual ASan poisoning; no-ops without AddressSanitizer.
+inline void poisonRegion(const void *P, std::size_t N) {
+#ifdef DEPFLOW_ASAN
+  __asan_poison_memory_region(P, N);
+#else
+  (void)P;
+  (void)N;
+#endif
+}
+inline void unpoisonRegion(const void *P, std::size_t N) {
+#ifdef DEPFLOW_ASAN
+  __asan_unpoison_memory_region(P, N);
+#else
+  (void)P;
+  (void)N;
+#endif
+}
+
+/// ScratchBlock's deleter: unpoisons the whole block before returning it
+/// to the heap.
+struct ScratchRelease {
+  std::size_t Bytes = 0;
+  void operator()(std::byte *P) const {
+    unpoisonRegion(P, Bytes);
+    delete[] P;
+  }
+};
 } // namespace detail
 
 class BumpArena {
@@ -87,21 +115,9 @@ class BumpArena {
     return reinterpret_cast<char *>(C + 1);
   }
 
-  static void poison(void *P, std::size_t N) {
-#ifdef DEPFLOW_ASAN
-    __asan_poison_memory_region(P, N);
-#else
-    (void)P;
-    (void)N;
-#endif
-  }
+  static void poison(void *P, std::size_t N) { detail::poisonRegion(P, N); }
   static void unpoison(void *P, std::size_t N) {
-#ifdef DEPFLOW_ASAN
-    __asan_unpoison_memory_region(P, N);
-#else
-    (void)P;
-    (void)N;
-#endif
+    detail::unpoisonRegion(P, N);
   }
 
   /// Chunks double geometrically but the growth is capped: past the cap a
@@ -251,13 +267,20 @@ public:
 /// A single exactly sized heap block, carved front to back into arrays
 /// whose total size is known before the first carve, so unlike BumpArena
 /// it never grows. A build's temporaries die with the build; an owner that
-/// keeps the block (the DFG's columns, a worklist) can move it, and the
+/// keeps the block (a DFG's storage, a worklist) can move it, and the
 /// carved pointers stay valid because the block stays where it is on the
 /// heap. It stays out of the arena statistics, which follow the kernels'
 /// table arenas. Each carve is rounded up to 8 bytes, so every array is
 /// 8-byte aligned; size the block with `bytesFor`.
+///
+/// An owner that sizes its block exactly asserts `remaining() == 0` once
+/// it has carved everything, so a sizing formula that reserves too much
+/// fails in debug builds instead of wasting memory silently. Under
+/// AddressSanitizer the block starts poisoned and each carve unpoisons
+/// exactly its array, so reading an uncarved tail or a carve's rounding
+/// padding faults.
 class ScratchBlock {
-  std::unique_ptr<std::byte[]> Storage;
+  std::unique_ptr<std::byte[], detail::ScratchRelease> Storage;
   std::size_t Size = 0;
   std::size_t Used = 0;
 
@@ -269,7 +292,10 @@ public:
 
   ScratchBlock() = default;
   explicit ScratchBlock(std::size_t Bytes)
-      : Storage(new std::byte[Bytes]), Size(Bytes) {}
+      : Storage(new std::byte[Bytes], detail::ScratchRelease{Bytes}),
+        Size(Bytes) {
+    detail::poisonRegion(Storage.get(), Bytes);
+  }
 
   /// Uninitialized storage for \p N objects of trivially-destructible T.
   template <typename T> T *take(std::size_t N) {
@@ -278,6 +304,7 @@ public:
     const std::size_t Bytes = bytesFor<T>(N);
     assert(Used + Bytes <= Size && "scratch block sized too small");
     T *P = reinterpret_cast<T *>(Storage.get() + Used);
+    detail::unpoisonRegion(P, N * sizeof(T));
     Used += Bytes;
     return P;
   }
@@ -288,6 +315,9 @@ public:
     std::fill_n(P, N, Init);
     return P;
   }
+
+  /// Bytes not yet carved.
+  std::size_t remaining() const { return Size - Used; }
 };
 
 } // namespace depflow

@@ -17,6 +17,7 @@
 
 #include "support/Arena.h"
 
+#include <cassert>
 #include <cstdint>
 
 namespace depflow {
@@ -44,7 +45,9 @@ public:
               ScratchBlock::bytesFor<std::uint64_t>(bitWords(UniverseSize))),
         Ring(Owned.take<std::uint32_t>(UniverseSize)),
         InQueue(Owned.takeFilled<std::uint64_t>(bitWords(UniverseSize), 0)),
-        Capacity(UniverseSize) {}
+        Capacity(UniverseSize) {
+    assert(Owned.remaining() == 0 && "worklist block sized exactly");
+  }
 
   Worklist(BumpArena &Pool, unsigned UniverseSize)
       : Ring(Pool.allocateArray<std::uint32_t>(UniverseSize)),

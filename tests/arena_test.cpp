@@ -115,6 +115,36 @@ TEST(BumpArena, MoveKeepsPointersValid) {
 }
 
 //===----------------------------------------------------------------------===//
+// ScratchBlock
+//===----------------------------------------------------------------------===//
+
+TEST(ScratchBlock, RemainingCountsTheUncarvedBytes) {
+  ScratchBlock B(ScratchBlock::bytesFor<std::uint32_t>(3) +
+                 ScratchBlock::bytesFor<std::uint64_t>(2));
+  EXPECT_EQ(B.remaining(), 32u);
+  std::uint32_t *P = B.takeFilled<std::uint32_t>(3, 7); // 12 bytes -> 16
+  EXPECT_EQ(B.remaining(), 16u);
+  EXPECT_EQ(P[2], 7u);
+  std::uint64_t *Q = B.takeFilled<std::uint64_t>(2, 9);
+  EXPECT_EQ(B.remaining(), 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(Q) % 8, 0u);
+  EXPECT_EQ(ScratchBlock().remaining(), 0u);
+}
+
+TEST(ScratchBlock, PoisonsPaddingAndTheUncarvedTailUnderASan) {
+  if (!BumpArena::poisoningActive())
+    GTEST_SKIP() << "ASan poisoning is not compiled in";
+  ScratchBlock B(64);
+  auto *Bytes = reinterpret_cast<const char *>(B.take<std::uint32_t>(3));
+  EXPECT_FALSE(BumpArena::addressIsPoisoned(Bytes + 11));
+  EXPECT_TRUE(BumpArena::addressIsPoisoned(Bytes + 12)); // rounding padding
+  EXPECT_TRUE(BumpArena::addressIsPoisoned(Bytes + 16)); // uncarved tail
+  B.take<std::uint64_t>(1);
+  EXPECT_FALSE(BumpArena::addressIsPoisoned(Bytes + 16));
+  EXPECT_TRUE(BumpArena::addressIsPoisoned(Bytes + 63));
+}
+
+//===----------------------------------------------------------------------===//
 // Worklist
 //===----------------------------------------------------------------------===//
 

@@ -20,13 +20,17 @@
 #include "ir/Verifier.h"
 #include "dataflow/DefUse.h"
 #include "dataflow/Liveness.h"
+#include "obs/Metrics.h"
 #include "ir/CFGEdges.h"
 #include "workload/Generators.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
+#include <tuple>
 
 using namespace depflow;
 
@@ -303,7 +307,106 @@ TEST_P(DFGPropertyTest, EdgesOfVarTileTheEdgeIds) {
   }
 }
 
+// The per-block lists answer the point queries: switchesAt(BB) lists
+// exactly the switches switchNode finds there, in ascending variable
+// order, and every node a lookup returns sits at that block and carries
+// that variable.
+TEST_P(DFGPropertyTest, BlockListsAgreeWithPointLookups) {
+  auto F = generateRandomCFGProgram(std::uint64_t(GetParam()) * 37 + 9, 10,
+                                    50, 5, 2);
+  F->recomputePreds();
+  CFGEdges E(*F);
+  for (auto Mode :
+       {DepFlowGraph::BypassMode::None, DepFlowGraph::BypassMode::SESE}) {
+    DepFlowGraph G = DepFlowGraph::build(*F, E, Mode);
+    for (const auto &BB : F->blocks()) {
+      std::vector<std::uint32_t> Expected;
+      for (VarId V = 0; V <= G.controlVar(); ++V) {
+        if (int S = G.switchNode(BB.get(), V); S >= 0) {
+          Expected.push_back(std::uint32_t(S));
+          EXPECT_EQ(G.node(unsigned(S)).Kind, DepFlowGraph::NodeKind::Switch);
+          EXPECT_EQ(G.node(unsigned(S)).Var, V);
+          EXPECT_EQ(G.node(unsigned(S)).Block, BB.get());
+        }
+        if (int M = G.mergeNode(BB.get(), V); M >= 0) {
+          EXPECT_EQ(G.node(unsigned(M)).Kind, DepFlowGraph::NodeKind::Merge);
+          EXPECT_EQ(G.node(unsigned(M)).Var, V);
+          EXPECT_EQ(G.node(unsigned(M)).Block, BB.get());
+        }
+      }
+      std::span<const std::uint32_t> Listed = G.switchesAt(BB.get());
+      EXPECT_EQ(std::vector<std::uint32_t>(Listed.begin(), Listed.end()),
+                Expected)
+          << BB->label();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DFGPropertyTest, ::testing::Range(0, 30));
+
+// The graph's storage follows the live graph, not the variable count:
+// variables that nothing references add no node or edge, and cost the
+// build a few bytes each, far below one slot per block and per CFG edge
+// (the dense lookup tables cost 8 bytes per block and per edge).
+TEST(DFGStorage, UnreferencedVariablesBarelyGrowTheBuild) {
+  GenOptions Opts;
+  Opts.Seed = 11;
+  Opts.TargetStmts = 60;
+  auto F = generateStructuredProgram(Opts);
+  F->recomputePreds();
+  CFGEdges E(*F);
+
+  using NodeRow = std::tuple<DepFlowGraph::NodeKind, std::int64_t,
+                             const Instruction *, unsigned,
+                             const BasicBlock *>;
+  using EdgeRow = std::tuple<unsigned, unsigned, std::int64_t, unsigned,
+                             unsigned>;
+  struct Built {
+    std::vector<NodeRow> Nodes;
+    std::vector<EdgeRow> Edges;
+    std::uint64_t Bytes = 0;
+  };
+  // The control variable's id moves with the variable count, so it is
+  // compared as -1.
+  auto BuildAndRead = [&] {
+    Built B;
+    std::optional<DepFlowGraph> G;
+    {
+      obs::AllocDelta D;
+      G.emplace(DepFlowGraph::build(*F, E));
+      B.Bytes = D.bytes();
+    }
+    auto VarKey = [&](VarId V) {
+      return G->isControl(V) ? std::int64_t(-1) : std::int64_t(V);
+    };
+    for (unsigned N = 0; N != G->numNodes(); ++N) {
+      const DepFlowGraph::Node Nd = G->node(N);
+      B.Nodes.emplace_back(Nd.Kind, VarKey(Nd.Var), Nd.Inst, Nd.OpIdx,
+                           Nd.Block);
+    }
+    for (unsigned Id = 0; Id != G->numEdges(); ++Id) {
+      const DepFlowGraph::Edge &Ed = G->edge(Id);
+      B.Edges.emplace_back(Ed.Src, Ed.Dst, VarKey(Ed.Var), Ed.SrcPort,
+                           Ed.DstPort);
+    }
+    return B;
+  };
+
+  const Built Before = BuildAndRead();
+  ASSERT_GT(Before.Bytes, 0u) << "allocation tallies must be active";
+  constexpr unsigned Added = 1000;
+  for (unsigned I = 0; I != Added; ++I)
+    F->makeVar("unused" + std::to_string(I));
+  const Built After = BuildAndRead();
+
+  EXPECT_EQ(After.Nodes, Before.Nodes);
+  EXPECT_EQ(After.Edges, Before.Edges);
+  const std::uint64_t PerVarBound = 2 * (F->numBlocks() + E.size());
+  EXPECT_LE(After.Bytes, Before.Bytes + Added * PerVarBound)
+      << "build bytes " << Before.Bytes << " -> " << After.Bytes << " for "
+      << Added << " added variables, " << F->numBlocks() << " blocks, "
+      << E.size() << " CFG edges";
+}
 
 /// True if \p I carries the control use: a statement with no variable
 /// operand that is an assignment or has an operand (Section 3.3).

@@ -20,7 +20,10 @@ the exit code, the size and 64-bit FNV-1a digest of stdout and of stderr,
 and the `--counters-json` entries verbatim, one per line.
 
 `--update` rewrites the fixtures from the current build. Rewrite them only
-for an intended change, and say which runs moved and why.
+for an intended change, and say which runs moved and why. For each
+fixture it rewrites, it prints what changed: the exit code and the
+stdout/stderr size and digest lines, then the counters by group, each as
+`name: old -> new` (or the whole entry when one was added or removed).
 """
 
 import json
@@ -74,6 +77,48 @@ def record(opt, args, path, jobs, tmp):
     return "\n".join(lines) + "\n"
 
 
+def describe_changes(old, new):
+    """Lines saying how fixture text \p new differs from \p old."""
+    def split(text):
+        head, counters = [], {}
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            if line == "counters":
+                for entry in lines[i + 1:]:
+                    e = json.loads(entry)
+                    counters[(e["group"], e["name"])] = e
+                break
+            head.append(line)
+        return head, counters
+
+    old_head, old_ctrs = split(old)
+    new_head, new_ctrs = split(new)
+    out = []
+    for i in range(max(len(old_head), len(new_head))):
+        o = old_head[i] if i < len(old_head) else "(none)"
+        n = new_head[i] if i < len(new_head) else "(none)"
+        if o != n:
+            out.append(f"  {o} -> {n}")
+    groups = {}
+    for key in sorted(set(old_ctrs) | set(new_ctrs)):
+        o, n = old_ctrs.get(key), new_ctrs.get(key)
+        if o == n:
+            continue
+        if o is None or n is None:
+            line = (f"added {json.dumps(n)}" if o is None
+                    else f"removed {json.dumps(o)}")
+        elif {k: v for k, v in o.items() if k != "value"} == \
+                {k: v for k, v in n.items() if k != "value"}:
+            line = f"{key[1]}: {o['value']} -> {n['value']}"
+        else:
+            line = f"{json.dumps(o)} -> {json.dumps(n)}"
+        groups.setdefault(key[0], []).append(line)
+    for group, lines in groups.items():
+        out.append(f"  [{group}]")
+        out.extend(f"    {line}" for line in lines)
+    return out
+
+
 def main(argv):
     update = "--update" in argv
     args = [a for a in argv[1:] if a != "--update"]
@@ -87,14 +132,18 @@ def main(argv):
             path = os.path.join(fixtures, inp + ".df")
             fixture = os.path.join(fixtures, name + ".txt")
             got = {j: record(opt, opt_args, path, j, tmp) for j in JOBS}
-            if update:
-                with open(fixture, "w") as f:
-                    f.write(got[JOBS[0]])
             try:
                 with open(fixture) as f:
                     want = f.read()
             except OSError:
                 want = None
+            if update and got[JOBS[0]] != want:
+                print(f"updated {name}:")
+                for line in describe_changes(want or "", got[JOBS[0]]):
+                    print(line)
+                with open(fixture, "w") as f:
+                    f.write(got[JOBS[0]])
+                want = got[JOBS[0]]
             for j in JOBS:
                 if got[j] == want:
                     continue
