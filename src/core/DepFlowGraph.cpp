@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <span>
 
 using namespace depflow;
@@ -35,18 +34,6 @@ DEPFLOW_STATISTIC(NumDFGDeadNodesRemoved, "dfg-build",
                   "Nodes removed by the dead-edge prune");
 DEPFLOW_HIST_STATISTIC(HistDFGBypassPerRegion, "dfg-build",
                        "Bypass redirects per SESE region (all variables)");
-
-int DepFlowGraph::instrIndex(const Instruction *I) const {
-  const InstKey *First = InstIndex;
-  const InstKey *Last = InstIndex + NumInstrs;
-  const InstKey *It = std::lower_bound(
-      First, Last, I, [](const InstKey &K, const Instruction *P) {
-        return std::less<const Instruction *>()(K.I, P);
-      });
-  if (It == Last || It->I != I)
-    return -1;
-  return int(It->Idx);
-}
 
 /// Builds a DepFlowGraph; a friend of the class so it can fill the private
 /// tables directly.
@@ -567,10 +554,11 @@ private:
   }
 
   /// Carves every array of the graph from one block sized exactly, lays
-  /// out the canonical numbering and the per-instruction tables (def node,
-  /// use-slot CSR with one slot per operand plus one for the control use,
-  /// the sorted pointer index), and the offsets of the per-block and
-  /// per-edge lists, whose cursors start at them.
+  /// out the canonical numbering (each block's first row, each row's
+  /// instruction) and the per-instruction tables (def node, use-slot CSR
+  /// with one slot per operand plus one for the control use), and the
+  /// offsets of the per-block and per-edge lists, whose cursors start at
+  /// them.
   void carveStorage() {
     using U32 = std::uint32_t;
     using I32 = std::int32_t;
@@ -586,9 +574,7 @@ private:
         2 * ScratchBlock::bytesFor<U32>(NE) +
         ScratchBlock::bytesFor<Instruction *>(NumInstrs) +
         ScratchBlock::bytesFor<BasicBlock *>(NB) +
-        ScratchBlock::bytesFor<U32>(NB) +
-        ScratchBlock::bytesFor<DepFlowGraph::InstKey>(NumInstrs) +
-        ScratchBlock::bytesFor<I32>(NV) +
+        ScratchBlock::bytesFor<U32>(NB) + ScratchBlock::bytesFor<I32>(NV) +
         ScratchBlock::bytesFor<I32>(NumInstrs) +
         ScratchBlock::bytesFor<U32>(NumInstrs + 1) +
         ScratchBlock::bytesFor<I32>(NumUseSlots) +
@@ -611,7 +597,6 @@ private:
     G.InstrByIdx = S.take<Instruction *>(NumInstrs);
     G.BlockByIdx = S.take<BasicBlock *>(NB);
     G.BlockFirstInstr = S.take<U32>(NB);
-    G.InstIndex = S.take<DepFlowGraph::InstKey>(NumInstrs);
     G.EntryOfVarTab = S.takeFilled<I32>(NV, -1);
     G.DefNodeOfInstr = S.takeFilled<I32>(NumInstrs, -1);
     G.UseOff = S.take<U32>(NumInstrs + 1);
@@ -625,24 +610,19 @@ private:
     assert(S.remaining() == 0 && "graph storage sized exactly");
 
     G.NumInstrs = NumInstrs;
+    G.NumBlocks = std::uint32_t(NB);
     std::copy_n(InstrBase, NB, G.BlockFirstInstr);
     std::uint32_t Idx = 0, Slot = 0;
     for (const auto &BB : F.blocks()) {
       G.BlockByIdx[BB->id()] = BB.get();
       for (const auto &I : BB->instructions()) {
         G.InstrByIdx[Idx] = I.get();
-        G.InstIndex[Idx] = {I.get(), Idx};
         G.UseOff[Idx] = Slot;
         Slot += I->numOperands() + 1;
         ++Idx;
       }
     }
     G.UseOff[NumInstrs] = Slot;
-    std::sort(G.InstIndex, G.InstIndex + NumInstrs,
-              [](const DepFlowGraph::InstKey &A,
-                 const DepFlowGraph::InstKey &B) {
-                return std::less<const Instruction *>()(A.I, B.I);
-              });
 
     startLists(MergeFill, G.MergeOff, NB);
     startLists(SwitchFill, G.SwitchOff, NB);

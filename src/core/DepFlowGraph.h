@@ -57,8 +57,9 @@
 ///   * the per-instruction tables (def node, use slots) and the canonical
 ///     numbering: instructions are referred to by a dense index (function
 ///     block/instruction order), `Node::Inst` is materialized from that
-///     index on access, and pointer-keyed queries binary-search a sorted
-///     side table instead of hashing;
+///     index on access, and pointer-keyed queries compute the index as the
+///     block's first index plus the instruction's position in the block
+///     (`canonicalRow`);
 ///   * per block, the live switch and merge nodes, and per CFG edge, the
 ///     dependence source of each variable live on it: CSR lists in
 ///     ascending variable order, filled during routing, which goes one
@@ -164,11 +165,6 @@ private:
     VarId Var;
     DepSlot Src;
   };
-  struct InstKey {
-    const Instruction *I;
-    std::uint32_t Idx;
-  };
-
   /// Backs every array below: one block sized from the exact live counts
   /// before routing. It lives on the heap, so the arrays move with the
   /// graph.
@@ -196,10 +192,10 @@ private:
 
   // Canonical numbering (function block/instruction order).
   std::uint32_t NumInstrs = 0;
+  std::uint32_t NumBlocks = 0;
   Instruction **InstrByIdx = nullptr;   // [instr index] -> instruction
   BasicBlock **BlockByIdx = nullptr;    // [block id] -> block
   std::uint32_t *BlockFirstInstr = nullptr; // [block id] -> first instr index
-  InstKey *InstIndex = nullptr;         // sorted by pointer, for lookups
 
   // Lookup tables (32-bit entries, -1 == absent).
   std::int32_t *EntryOfVarTab = nullptr;   // [var] -> node
@@ -220,8 +216,11 @@ private:
   DepEntry *Deps = nullptr;
 
   /// Canonical index of \p I, or -1 for instructions not in the numbered
-  /// function (binary search over InstIndex).
-  int instrIndex(const Instruction *I) const;
+  /// function.
+  int instrIndex(const Instruction *I) const {
+    return canonicalRow(I, {BlockFirstInstr, NumBlocks},
+                        {InstrByIdx, NumInstrs});
+  }
 
   /// The node of variable \p V in the ascending list [First, Last), or -1.
   int findNodeOfVar(const std::uint32_t *First, const std::uint32_t *Last,
@@ -282,7 +281,8 @@ public:
 
   /// Entry node of \p V, or -1 if V is dead at entry.
   int entryNode(VarId V) const { return EntryOfVarTab[V]; }
-  /// Def node of instruction \p I, or -1 if its value is dead.
+  /// Def node of instruction \p I, or -1 (its value is dead, or \p I is
+  /// not an instruction of the graph).
   int defNode(const Instruction *I) const {
     int Idx = instrIndex(I);
     return Idx < 0 ? -1 : DefNodeOfInstr[Idx];
@@ -304,9 +304,13 @@ public:
   }
   /// Canonical index of the instruction of Def/Use node \p NodeId, or -1.
   int instrIndexOf(unsigned NodeId) const { return NodeInst[NodeId]; }
+  /// Canonical index of the first instruction of \p BB.
+  unsigned firstIndex(const BasicBlock *BB) const {
+    return BlockFirstInstr[BB->id()];
+  }
   /// Canonical index of the terminator of \p BB.
   unsigned terminatorIndex(const BasicBlock *BB) const {
-    return BlockFirstInstr[BB->id()] + unsigned(BB->size()) - 1;
+    return firstIndex(BB) + unsigned(BB->size()) - 1;
   }
 
   /// The live switch nodes at \p BB, in ascending variable order.

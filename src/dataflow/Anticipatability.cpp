@@ -226,17 +226,18 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
   const DomTree &PDT = Ctx.PDT;
   unsigned NB = F.numBlocks();
 
-  // A node's position within its block: merges sit at the head, switches
-  // at the end, defs/uses at their instruction's index.
-  auto Position = [](const DepFlowGraph::Node &N) {
+  // The order of node \p Id within its block: merges sit at the head,
+  // switches at the end, defs/uses at their instruction's canonical index.
+  auto Position = [&](unsigned Id) {
+    const DepFlowGraph::Node N = G.node(Id);
     switch (N.Kind) {
     case DepFlowGraph::NodeKind::Merge:
     case DepFlowGraph::NodeKind::Entry:
       return -1;
     case DepFlowGraph::NodeKind::Switch:
-      return int(N.Block->size()) + 1;
+      return int(G.terminatorIndex(N.Block)) + 1;
     default:
-      return N.Block->indexOf(N.Inst);
+      return G.instrIndexOf(Id);
     }
   };
 
@@ -260,7 +261,7 @@ static std::vector<bool> projectEdgeValues(Function &F, const CFGEdges &E,
     // Same-block with the head at or before the tail (e.g. the loop
     // header's switch feeding its own merge): the value *wraps* around a
     // cycle, spanning the whole loop body.
-    bool Wrap = SameBlock && Position(Head) <= Position(Tail);
+    bool Wrap = SameBlock && Position(D.Dst) <= Position(D.Src);
     if (SameBlock && !Wrap)
       continue;
     unsigned TailAnchor =

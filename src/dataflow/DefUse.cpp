@@ -80,10 +80,12 @@ ReachingDefs::ReachingDefs(Function &F) {
   }
 
   // Walk each block once more to attach reaching sites to each use.
+  std::uint32_t Row = 0;
   for (const auto &BB : F.blocks()) {
     BitVector Cur = In[BB->id()];
     for (const auto &IPtr : BB->instructions()) {
       const Instruction *I = IPtr.get();
+      const std::uint32_t R = Row++;
       for (unsigned OpIdx = 0, N = I->numOperands(); OpIdx != N; ++OpIdx) {
         const Operand &Op = I->operand(OpIdx);
         if (!Op.isVar())
@@ -92,7 +94,7 @@ ReachingDefs::ReachingDefs(Function &F) {
         if (Slots.empty())
           Slots.assign(I->numOperands(), -1);
         Slots[OpIdx] = int(AllUses.size());
-        AllUses.push_back({I, OpIdx, Op.var()});
+        AllUses.push_back({I, OpIdx, Op.var(), R});
         std::vector<unsigned> R;
         const BitVector &Mask = SitesOfVar[Op.var()];
         for (int S = Cur.findFirst(); S >= 0; S = Cur.findNext(unsigned(S)))

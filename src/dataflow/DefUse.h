@@ -27,11 +27,14 @@ namespace depflow {
 
 class ReachingDefs {
 public:
-  /// One use site: operand \p OpIdx of \p I reads a variable.
+  /// One use site: operand \p OpIdx of \p I, the instruction with
+  /// canonical row \p Row (block order, then position in the block), reads
+  /// a variable.
   struct Use {
     const Instruction *I;
     unsigned OpIdx;
     VarId Var;
+    std::uint32_t Row;
   };
 
 private:

@@ -79,7 +79,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -130,10 +129,11 @@ inline void bump(Statistic *S, std::uint64_t N) {
 /// instructions get ⊥) plus per-block executability. `ConstPropResult` and
 /// the other client results derive from instantiations of this.
 ///
-/// Storage is struct-of-arrays over the canonical instruction order (the
-/// function's block/instruction walk): row R holds the values of
-/// instruction R at `Values[Offsets[R] .. Offsets[R+1])`, and pointer-keyed
-/// queries binary-search one sorted side index instead of hashing.
+/// Storage is struct-of-arrays over the canonical instruction order (block
+/// order, then position in the block): row R holds the values of
+/// instruction R at `Values[Offsets[R] .. Offsets[R+1])`. A pointer-keyed
+/// query takes its row from the block's first row plus the instruction's
+/// position in the block (`canonicalRow`).
 template <typename ValueT> struct DataflowResult {
   using Value = ValueT;
 
@@ -141,29 +141,27 @@ template <typename ValueT> struct DataflowResult {
   std::vector<bool> ExecutableBlock;
 
   /// Lays out one row per instruction of \p F in canonical order, every
-  /// value ⊥, and binds the pointer index. Engines fill rows in the same
-  /// walk via `row()`.
+  /// value ⊥, in one walk. Engines fill rows in the same walk via `row()`.
   void allocate(const Function &F) {
-    std::uint32_t NumInstrs = 0, NumSlots = 0;
-    for (const auto &BB : F.blocks())
-      for (const auto &I : BB->instructions()) {
-        ++NumInstrs;
-        NumSlots += I->numOperands();
-      }
+    const unsigned NumInstrs = F.numInstructions();
+    Instrs.clear();
+    Instrs.reserve(NumInstrs);
     Offsets.clear();
     Offsets.reserve(NumInstrs + 1);
     Offsets.push_back(0);
-    for (const auto &BB : F.blocks())
-      for (const auto &I : BB->instructions())
+    BlockFirst.resize(F.numBlocks());
+    for (const auto &BB : F.blocks()) {
+      BlockFirst[BB->id()] = std::uint32_t(Instrs.size());
+      for (const auto &I : BB->instructions()) {
+        Instrs.push_back(I.get());
         Offsets.push_back(Offsets.back() + I->numOperands());
-    Values.assign(NumSlots, ValueT::bottom());
-    bindTo(F);
+      }
+    }
+    Values.assign(Offsets.back(), ValueT::bottom());
   }
 
   /// Number of instruction rows.
-  std::uint32_t size() const {
-    return Offsets.empty() ? 0 : std::uint32_t(Offsets.size() - 1);
-  }
+  std::uint32_t size() const { return std::uint32_t(Instrs.size()); }
   /// Operand-value slots of row \p R (canonical instruction index).
   ValueT *row(std::uint32_t R) { return Values.data() + Offsets[R]; }
   const ValueT *row(std::uint32_t R) const {
@@ -172,16 +170,18 @@ template <typename ValueT> struct DataflowResult {
   unsigned rowWidth(std::uint32_t R) const {
     return Offsets[R + 1] - Offsets[R];
   }
+  /// Row of the terminator of \p BB.
+  std::uint32_t terminatorRow(const BasicBlock *BB) const {
+    return BlockFirst[BB->id()] + std::uint32_t(BB->size()) - 1;
+  }
 
+  /// Value of operand \p OpIdx of \p I, or ⊥ when \p I has no such
+  /// operand or is not an instruction of the solved function.
   ValueT useValue(const Instruction *I, unsigned OpIdx) const {
-    auto It = std::lower_bound(
-        Index.begin(), Index.end(), I,
-        [](const InstRow &Row, const Instruction *P) {
-          return std::less<const Instruction *>()(Row.I, P);
-        });
-    if (It == Index.end() || It->I != I || OpIdx >= rowWidth(It->Row))
+    const int R = canonicalRow(I, BlockFirst, Instrs);
+    if (R < 0 || OpIdx >= rowWidth(std::uint32_t(R)))
       return ValueT::bottom();
-    return Values[Offsets[It->Row] + OpIdx];
+    return row(std::uint32_t(R))[OpIdx];
   }
 
   /// Calls \p Fn(instruction, values, numValues) for every row in
@@ -192,31 +192,10 @@ template <typename ValueT> struct DataflowResult {
   }
 
 private:
-  /// Fills `Instrs` and the pointer index from \p F's canonical walk.
-  void bindTo(const Function &F) {
-    Instrs.clear();
-    Instrs.reserve(size());
-    for (const auto &BB : F.blocks())
-      for (const auto &I : BB->instructions())
-        Instrs.push_back(I.get());
-    Index.clear();
-    Index.reserve(Instrs.size());
-    for (std::uint32_t R = 0; R != Instrs.size(); ++R)
-      Index.push_back({Instrs[R], R});
-    std::sort(Index.begin(), Index.end(),
-              [](const InstRow &A, const InstRow &B) {
-                return std::less<const Instruction *>()(A.I, B.I);
-              });
-  }
-
-  struct InstRow {
-    const Instruction *I;
-    std::uint32_t Row;
-  };
   std::vector<const Instruction *> Instrs; // [row] -> instruction
+  std::vector<std::uint32_t> BlockFirst;   // [block id] -> first row
   std::vector<std::uint32_t> Offsets;      // [row] -> first value slot
   std::vector<ValueT> Values;              // flat operand values
-  std::vector<InstRow> Index;              // sorted by pointer
 };
 
 //===----------------------------------------------------------------------===//

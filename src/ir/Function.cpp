@@ -79,3 +79,16 @@ bool Function::hasPhis() const {
         return true;
   return false;
 }
+
+int depflow::canonicalRow(const Instruction *I,
+                          std::span<const std::uint32_t> BlockFirst,
+                          std::span<const Instruction *const> Instrs) {
+  const BasicBlock *BB = I->parent();
+  if (!BB || BB->id() >= BlockFirst.size())
+    return -1;
+  const int Pos = BB->indexOf(I);
+  if (Pos < 0)
+    return -1;
+  const std::size_t Row = BlockFirst[BB->id()] + std::size_t(Pos);
+  return Row < Instrs.size() && Instrs[Row] == I ? int(Row) : -1;
+}

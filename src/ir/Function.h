@@ -19,7 +19,9 @@
 #include "ir/BasicBlock.h"
 #include "support/StringInterner.h"
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,6 +96,16 @@ public:
   /// True if any block holds a phi instruction.
   bool hasPhis() const;
 };
+
+/// The canonical numbering of a function's instructions is block order,
+/// then position in the block; per-instruction tables are indexed by this
+/// row. Given a numbering's first row per block id and instruction per
+/// row, returns the row of \p I (its block's first row plus its position
+/// there), or -1 unless that row holds \p I: an instruction of another
+/// function, or one inserted or moved since the numbering was taken.
+int canonicalRow(const Instruction *I,
+                 std::span<const std::uint32_t> BlockFirst,
+                 std::span<const Instruction *const> Instrs);
 
 } // namespace depflow
 

@@ -88,8 +88,6 @@ class FunctionPDGBuilder {
   /// Out: immediate postdominator of each block of F.
   int *IPDom;
 
-  /// Local node of each block's first instruction.
-  std::vector<unsigned> BlockFirst;
   /// Scratch for reachingSources: DFG nodes marked visited, and the walk's
   /// stack. Every walk clears exactly the marks it set.
   std::vector<char> Visited;
@@ -125,16 +123,13 @@ public:
 
     L.FirstInstr = unsigned(L.Nodes.size());
     L.Sites.resize(SiteIds.size());
-    BlockFirst.resize(F.numBlocks());
     unsigned SI = 0;
-    for (const auto &BB : F.blocks()) {
-      BlockFirst[BB->id()] = unsigned(L.Nodes.size());
+    for (const auto &BB : F.blocks())
       for (const auto &I : BB->instructions()) {
         unsigned N = addNode(NK::Instr, I.get());
         if (isa<CallInst>(I.get()))
           L.Sites[SI++].Call = N;
       }
-    }
     assert(SI == SiteIds.size() && "sites are the calls in canonical order");
 
     for (SI = 0; SI != SiteIds.size(); ++SI) {
@@ -160,18 +155,13 @@ public:
     std::vector<std::vector<unsigned>> CD =
         nodeControlDependence(F, E, PDT, &SelfDependent, &EntryDependent);
 
-    buildControlEdges(E, CD, SelfDependent, EntryDependent);
+    buildControlEdges(E, DFG, CD, SelfDependent, EntryDependent);
     buildDataEdges(DFG);
     if (MayRead[FI])
       buildIOEdges();
   }
 
 private:
-  /// The Instr node of \p BB's terminator (its last instruction).
-  unsigned terminatorNode(const BasicBlock *BB) const {
-    return BlockFirst[BB->id()] + unsigned(BB->size()) - 1;
-  }
-
   /// Local site index of the call whose Instr node is \p CallNode.
   unsigned siteOfCall(unsigned CallNode) const {
     auto It = std::lower_bound(L.Sites.begin(), L.Sites.end(), CallNode,
@@ -183,7 +173,7 @@ private:
     return unsigned(It - L.Sites.begin());
   }
 
-  void buildControlEdges(const CFGEdges &E,
+  void buildControlEdges(const CFGEdges &E, const DepFlowGraph &DFG,
                          const std::vector<std::vector<unsigned>> &CD,
                          const std::vector<char> &SelfDependent,
                          const std::vector<char> &EntryDependent) {
@@ -226,14 +216,15 @@ private:
         const BasicBlock *From = E.edge(BranchEdge).From;
         assert(isa<CondBrInst>(From->terminator()) &&
                "branch edge without a condbr");
-        Srcs.push_back(terminatorNode(From));
+        Srcs.push_back(L.FirstInstr + DFG.terminatorIndex(From));
       }
       std::sort(Srcs.begin(), Srcs.end());
       Srcs.erase(std::unique(Srcs.begin(), Srcs.end()), Srcs.end());
-      const unsigned Br = terminatorNode(BB.get());
+      const unsigned Br = L.FirstInstr + DFG.terminatorIndex(BB.get());
       const bool Self = SelfDependent[BB->id()];
       const bool OnEntry = Srcs.empty() || EntryDependent[BB->id()];
-      for (unsigned Dst = BlockFirst[BB->id()]; Dst <= Br; ++Dst) {
+      for (unsigned Dst = L.FirstInstr + DFG.firstIndex(BB.get()); Dst <= Br;
+           ++Dst) {
         if (OnEntry)
           L.ControlEdges.push_back({L.Entry, Dst});
         for (unsigned Src : Srcs)
@@ -327,8 +318,8 @@ private:
       const Operand &Op = F.exit()->terminator()->operand(0);
       if (Op.isVar()) {
         Srcs.clear();
-        unsigned RetIdx = terminatorNode(F.exit()) - L.FirstInstr;
-        reachingSources(DFG, DFG.useNodeAt(RetIdx, 0), Op.var(), Srcs);
+        reachingSources(DFG, DFG.useNodeAt(DFG.terminatorIndex(F.exit()), 0),
+                        Op.var(), Srcs);
         for (unsigned Src : Srcs)
           L.DataEdges.push_back({Src, unsigned(L.FormalOut)});
       }

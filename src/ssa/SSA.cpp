@@ -11,8 +11,6 @@
 #include "graph/Dominators.h"
 #include "support/Worklist.h"
 
-#include <unordered_map>
-
 using namespace depflow;
 
 PhiPlacement depflow::cytronPhiPlacement(Function &F, bool Pruned) {
@@ -147,14 +145,12 @@ std::vector<VarId> depflow::applySSA(Function &F,
                                      const DomTree &DT) {
   F.recomputePreds();
 
-  // Insert empty φs, remembering each one's original variable.
-  std::unordered_map<PhiInst *, VarId> PhiOrig;
-  for (unsigned B = 0; B != F.numBlocks(); ++B) {
-    for (VarId V : Placement[B]) {
-      PhiInst *Phi = F.block(B)->appendPhi(V);
-      PhiOrig[Phi] = V;
-    }
-  }
+  // Insert empty φs defining their original variable. A φ's original
+  // variable is OrigOf[Phi->def()] before and after it is renamed, since
+  // FreshName records every new name.
+  for (unsigned B = 0; B != F.numBlocks(); ++B)
+    for (VarId V : Placement[B])
+      F.block(B)->appendPhi(V);
 
   unsigned OriginalVars = F.numVars();
   std::vector<VarId> OrigOf(OriginalVars);
@@ -188,7 +184,7 @@ std::vector<VarId> depflow::applySSA(Function &F,
     for (const auto &IPtr : BB->instructions()) {
       Instruction *I = IPtr.get();
       if (auto *Phi = dyn_cast<PhiInst>(I)) {
-        VarId V = PhiOrig.count(Phi) ? PhiOrig[Phi] : Phi->def();
+        VarId V = OrigOf[Phi->def()];
         VarId NewV = FreshName(V);
         Phi->setDef(NewV);
         Stack[V].push_back(NewV);
@@ -214,8 +210,7 @@ std::vector<VarId> depflow::applySSA(Function &F,
         auto *Phi = dyn_cast<PhiInst>(IPtr.get());
         if (!Phi)
           break;
-        VarId V = PhiOrig.count(Phi) ? PhiOrig[Phi] : Phi->def();
-        Phi->addIncoming(BB, Operand::var(Stack[V].back()));
+        Phi->addIncoming(BB, Operand::var(Stack[OrigOf[Phi->def()]].back()));
       }
     }
   };

@@ -48,7 +48,8 @@ bool denseProvesDivergence(const Function &F, const Result &Dense) {
         MayTrue = Br->cond().imm() != 0;
         MayFalse = !MayTrue;
       } else {
-        typename Result::Value Pred = Dense.useValue(Br, 0);
+        typename Result::Value Pred =
+            Dense.row(Dense.terminatorRow(BB.get()))[0];
         MayTrue = Pred.mayBeTrue();
         MayFalse = Pred.mayBeFalse();
       }
@@ -128,15 +129,18 @@ Status checkRangeConstpropConsistency(Function &F, const DepFlowGraph &G,
   if (!S.ok())
     return S;
   Status Out;
+  std::uint32_t Row = 0;
   for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
+    for (const auto &I : BB->instructions()) {
+      const ConstVal *CPVals = CP.row(Row);
+      const IntervalVal *RVals = R.row(Row++);
       for (unsigned Op = 0; Op != I->numOperands() && Out.ok(); ++Op) {
         if (!I->operand(Op).isVar())
           continue;
-        ConstVal C = CP.useValue(I.get(), Op);
+        ConstVal C = CPVals[Op];
         if (!C.isConst())
           continue;
-        IntervalVal V = R.useValue(I.get(), Op);
+        IntervalVal V = RVals[Op];
         if (!V.isBottom() &&
             !IntervalVal::point(C.value()).containedIn(V))
           Out.addError("range: constprop pins operand " +
@@ -146,6 +150,7 @@ Status checkRangeConstpropConsistency(Function &F, const DepFlowGraph &G,
                        " but the interval " + V.str() +
                        " excludes that value");
       }
+    }
   return Out;
 }
 
@@ -161,15 +166,17 @@ Status checkTaintNoSource(const Function &F, const TaintResult &R) {
       if (isa<ReadInst>(I.get()) || isa<CallInst>(I.get()))
         return Status::success();
   Status Out;
+  std::uint32_t Row = 0;
   for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
+    for (const auto &I : BB->instructions()) {
+      const TaintVal *Vals = R.row(Row++);
       for (unsigned Op = 0; Op != I->numOperands() && Out.ok(); ++Op)
-        if (I->operand(Op).isVar() &&
-            R.useValue(I.get(), Op).isTainted())
+        if (I->operand(Op).isVar() && Vals[Op].isTainted())
           Out.addError("taint: operand " + std::to_string(Op) +
                        " in block b" + std::to_string(BB->id()) +
                        " is flagged tainted in a function with no taint "
                        "source (no parameters, no read())");
+    }
   return Out;
 }
 
@@ -231,13 +238,16 @@ Status depflow::compareEvalModes(const Function &F, const Result &Sparse,
                               " on a divergent program)"
                             : ""));
   }
+  std::uint32_t Row = 0;
   for (const auto &BB : F.blocks())
-    for (const auto &I : BB->instructions())
+    for (const auto &I : BB->instructions()) {
+      const typename Result::Value *SVals = Sparse.row(Row);
+      const typename Result::Value *DVals = Dense.row(Row++);
       for (unsigned Op = 0; Op != I->numOperands() && Out.ok(); ++Op) {
         if (!I->operand(Op).isVar())
           continue;
-        typename Result::Value SV = Sparse.useValue(I.get(), Op);
-        typename Result::Value DV = Dense.useValue(I.get(), Op);
+        typename Result::Value SV = SVals[Op];
+        typename Result::Value DV = DVals[Op];
         if (Result::Value::equal(SV, DV))
           continue;
         if (Divergent && Result::Value::equal(DV.meet(SV), SV))
@@ -248,6 +258,7 @@ Status depflow::compareEvalModes(const Function &F, const Result &Sparse,
                      DV.str() + " at operand " + std::to_string(Op) +
                      " in block b" + std::to_string(BB->id()));
       }
+    }
   return Out;
 }
 
@@ -272,6 +283,7 @@ Status depflow::checkRangeContainsOutputs(const Function &F,
   const Instruction *Ret = F.exit() ? F.exit()->terminator() : nullptr;
   if (!Ret || !isa<RetInst>(Ret))
     return Status::success();
+  const IntervalVal *RetVals = R.row(R.terminatorRow(F.exit()));
   Status Out;
   for (unsigned Run = 0; Run != Opts.Runs && Out.ok(); ++Run) {
     ExecResult E =
@@ -283,7 +295,7 @@ Status depflow::checkRangeContainsOutputs(const Function &F,
          ++Op) {
       if (!Ret->operand(Op).isVar())
         continue;
-      IntervalVal V = R.useValue(Ret, Op);
+      IntervalVal V = RetVals[Op];
       if (V.isBottom())
         Out.addError("range: a halted execution reached ret operand " +
                      std::to_string(Op) +

@@ -45,8 +45,9 @@ namespace depflow {
 /// deviations"): when the dense solution proves an executable region can
 /// never reach the exit, the bypass routes values around it as if it
 /// completed. On exactly those programs the sparse solution need only
-/// contain the dense one (dense ⊑ sparse). Instantiated for the results of
-/// constprop, range, taint and nulluse.
+/// contain the dense one (dense ⊑ sparse). Both results must be solutions
+/// of \p F as it stands: their rows are read in \p F's canonical order.
+/// Instantiated for the results of constprop, range, taint and nulluse.
 template <typename Result>
 Status compareEvalModes(const Function &F, const Result &Sparse,
                         const Result &Dense, const char *Name);
@@ -54,7 +55,7 @@ Status compareEvalModes(const Function &F, const Result &Sparse,
 /// Interprets \p F on `Opts.Runs` random input vectors from \p Rand and
 /// requires every halted run's output to lie inside the interval \p R
 /// computed for the corresponding ret operand; a ret operand a halted run
-/// reaches cannot be ⊥.
+/// reaches cannot be ⊥. \p R must be a solution of \p F as it stands.
 Status checkRangeContainsOutputs(const Function &F, const RangeResult &R,
                                  RNG &Rand, const OracleOptions &Opts = {});
 

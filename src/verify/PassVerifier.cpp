@@ -296,7 +296,7 @@ static void checkDFG(Function &F, const CFGEdges &E, const ReachingDefs &RD,
   // Definition 6 / Theorem 1 semantics: for every use, the definitions
   // with a dependence path to it equal the classic reaching definitions.
   for (const ReachingDefs::Use &U : RD.uses()) {
-    int UseNode = G.useNode(U.I, U.OpIdx);
+    int UseNode = G.useNodeAt(U.Row, U.OpIdx);
     if (UseNode < 0) {
       Error("use of '" + F.varName(U.Var) + "' in '" +
             printInstruction(F, *U.I) + "' has no DFG use node");

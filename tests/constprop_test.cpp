@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace depflow;
 
 namespace {
@@ -337,6 +339,46 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConstPropPropertyTest,
 // Section 4's Multiflow extension: `if (x == 1)` lets both the CFG and
 // DFG algorithms propagate x = 1 into the true side even though x itself
 // is unknown.
+// useValue takes an instruction's row from its block's first row plus its
+// position there, and answers only for the solved function's
+// instructions: in both modes every operand agrees with the canonical row
+// walk, while the instructions of a twin function (same block ids and
+// positions) and an instruction inserted after the solve read ⊥.
+TEST_P(ConstPropPropertyTest, UseValueAnswersOnlyForTheSolvedFunction) {
+  auto F = makeProgram(GetParam(), /*Separate=*/false);
+  auto Twin = makeProgram(GetParam(), /*Separate=*/false);
+  ASSERT_EQ(printFunction(*F), printFunction(*Twin));
+  DepFlowGraph G = DepFlowGraph::build(*F);
+  ConstPropResult Results[2];
+  ASSERT_TRUE(
+      runConstantPropagation(*F, &G, EvalMode::SparseDFG, Results[0]).ok());
+  ASSERT_TRUE(
+      runConstantPropagation(*F, nullptr, EvalMode::DenseCFG, Results[1])
+          .ok());
+  for (const ConstPropResult &R : Results) {
+    std::uint32_t Row = 0;
+    unsigned Answered = 0;
+    for (unsigned B = 0; B != F->numBlocks(); ++B)
+      for (unsigned K = 0; K != F->block(B)->size(); ++K, ++Row) {
+        const Instruction *I = F->block(B)->instructions()[K].get();
+        const Instruction *TwinI = Twin->block(B)->instructions()[K].get();
+        for (unsigned Op = 0; Op != I->numOperands(); ++Op) {
+          EXPECT_TRUE(ConstVal::equal(R.useValue(I, Op), R.row(Row)[Op]));
+          EXPECT_TRUE(R.useValue(TwinI, Op).isBot());
+          Answered += !R.row(Row)[Op].isBot();
+        }
+        EXPECT_TRUE(R.useValue(I, I->numOperands()).isBot());
+      }
+    EXPECT_EQ(Row, R.size());
+    EXPECT_GT(Answered, 0u);
+  }
+
+  const Instruction *New = F->entry()->insertAt(
+      0, std::make_unique<CopyInst>(VarId(0), Operand::var(VarId(0))));
+  for (const ConstPropResult &R : Results)
+    EXPECT_TRUE(R.useValue(New, 0).isBot());
+}
+
 TEST(ConstProp, PredicateRefinementFindsMoreConstants) {
   auto F = parseFunctionOrDie(R"(
 func pred(x) {

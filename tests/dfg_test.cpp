@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -340,6 +341,39 @@ TEST_P(DFGPropertyTest, BlockListsAgreeWithPointLookups) {
           << BB->label();
     }
   }
+}
+
+// Pointer-keyed queries take an instruction's row from its block's first
+// row plus its position there, and answer only for the graph's own
+// instructions: every instruction agrees with the canonical row walk,
+// while the instructions of a twin function (same block ids and positions)
+// and an instruction inserted after the build answer -1.
+TEST_P(DFGPropertyTest, PointerQueriesAnswerOnlyForTheGraphsInstructions) {
+  const std::uint64_t Seed = std::uint64_t(GetParam()) * 41 + 3;
+  auto F = generateRandomCFGProgram(Seed, 10, 50, 5, 2);
+  auto Twin = generateRandomCFGProgram(Seed, 10, 50, 5, 2);
+  ASSERT_EQ(printFunction(*F), printFunction(*Twin));
+  DepFlowGraph G = DepFlowGraph::build(*F);
+  unsigned Row = 0, Answered = 0;
+  for (unsigned B = 0; B != F->numBlocks(); ++B)
+    for (unsigned K = 0; K != F->block(B)->size(); ++K, ++Row) {
+      const Instruction *I = F->block(B)->instructions()[K].get();
+      const Instruction *TwinI = Twin->block(B)->instructions()[K].get();
+      EXPECT_EQ(G.defNode(I), G.defNodeAt(Row));
+      EXPECT_EQ(G.defNode(TwinI), -1);
+      for (unsigned Op = 0; Op <= I->numOperands() + 1; ++Op) {
+        EXPECT_EQ(G.useNode(I, Op), G.useNodeAt(Row, Op));
+        EXPECT_EQ(G.useNode(TwinI, Op), -1);
+        Answered += G.useNode(I, Op) >= 0;
+      }
+    }
+  EXPECT_GT(Answered, 0u);
+
+  const Instruction *New = F->entry()->insertAt(
+      0, std::make_unique<CopyInst>(VarId(0), Operand::var(VarId(0))));
+  EXPECT_EQ(G.defNode(New), -1);
+  EXPECT_EQ(G.useNode(New, 0), -1);
+  EXPECT_EQ(G.useNode(New, 1), -1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DFGPropertyTest, ::testing::Range(0, 30));

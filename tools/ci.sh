@@ -61,10 +61,16 @@ fi
 
 # Pipeline smoke: the managed pass pipeline, with instrumentation on, over
 # every example program (exercises --time-passes / --print-stats output and
-# the analysis cache under ASan).
+# the analysis cache under ASan), through the default pipeline and both
+# benchmark pipelines, so --verify-each checks the DFG and the forward
+# clients' results under the sanitizers.
 for EX in "$ROOT"/examples/ir/*.df; do
-  "$BUILD/tools/depflow-opt" --passes=separate,constprop,pre --verify-each \
-      --time-passes --print-stats "$EX" >/dev/null
+  for PIPE in separate,constprop,pre \
+              separate,constprop,pre,range,taint,nulluse \
+              separate,constprop,pre,ssa-dfg; do
+    "$BUILD/tools/depflow-opt" --passes="$PIPE" --verify-each \
+        --time-passes --print-stats "$EX" >/dev/null
+  done
 done
 
 # Module smoke: a fuzz-generated 60-function module must optimize to
