@@ -104,11 +104,8 @@ join:
   // F1b: SSA places exactly one phi (for y at the join), none for x.
   auto SSAFn = parseOrDie(printFunction(*F));
   PhiPlacement P = cytronPhiPlacement(*SSAFn, /*Pruned=*/true);
-  unsigned Phis = 0;
-  for (const auto &S : P)
-    Phis += unsigned(S.size());
   row("F1", "SSA form: phi count (y at the join only)", "1",
-      std::to_string(Phis));
+      std::to_string(P.numPhis()));
 
   // F1c: in the DFG (computation separated), x has no switch or merge —
   // its dependence bypasses the conditional.

@@ -26,17 +26,23 @@
 /// entry edge, skipping the interior; and *dead edge removal*, discarding
 /// nodes from which no use is reachable (this restricts the graph to live
 /// ranges, matching conditions 1-2 of Definition 6). The builder produces
-/// exactly that graph without materializing the base level:
-///   1. defs-per-region, aggregated inside-out over the PST;
-///   2. *liveness under bypass*: one backward fixpoint over the CFG,
-///      word-parallel over all variables, whose one extra transfer rule is
-///      the redirect — the liveness of a bypassable region's exit edge
-///      flows to the region's entry edge, not to the exit edge's source;
-///   3. *live routing*: per variable, only the nodes whose value is live
-///      and the edges into them are created, in the base level's creation
-///      order. A node reaches a use iff its value is live, so this is the
-///      base level plus dead-edge removal, node for node and edge for
-///      edge (`tests/fixtures/dfg/` pins it).
+/// exactly that graph without materializing the base level, in two steps:
+///   * the *routing plan* (`DFGPlan`), a value:
+///     1. defs-per-region, aggregated inside-out over the PST;
+///     2. *liveness under bypass*: one backward fixpoint over the CFG,
+///        word-parallel over all variables, whose one extra transfer rule
+///        is the redirect — the liveness of a bypassable region's exit
+///        edge flows to the region's entry edge, not to the exit edge's
+///        source;
+///     3. per variable, rows over the RPO positions of the blocks it
+///        visits and of its live merges and switches, and the exact size
+///        of every list of the live graph;
+///   * *materialization* (`DepFlowGraph::materialize`): per variable, only
+///     the nodes whose value is live and the edges into them are created,
+///     in the base level's creation order. A node reaches a use iff its
+///     value is live, so this is the base level plus dead-edge removal,
+///     node for node and edge for edge (`tests/fixtures/dfg/` pins it).
+/// SSA construction (ssa/SSA.h) reads its φs off the plan alone.
 ///
 /// A *control variable* (id == Function::numVars()) is defined at entry and
 /// used by every statement with no variable operands (Section 3.3); its
@@ -79,7 +85,9 @@
 #include "structure/SESE.h"
 #include "support/Arena.h"
 
+#include <bit>
 #include <cassert>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -87,6 +95,7 @@
 namespace depflow {
 
 class DFGBuilder;
+class DFGPlan;
 
 class DepFlowGraph {
 public:
@@ -248,6 +257,10 @@ public:
   static DepFlowGraph build(Function &F, const CFGEdges &E,
                             const ProgramStructureTree &PST);
 
+  /// Creates the graph \p Plan routes. Routing consumes the plan's list
+  /// counts as its cursors, so the plan is spent afterwards.
+  static DepFlowGraph materialize(DFGPlan &&Plan);
+
   unsigned numNodes() const { return NumNodes; }
   unsigned numEdges() const { return NumEdges; }
   Node node(unsigned Id) const {
@@ -343,6 +356,204 @@ public:
 
   /// Human-readable node label for diagnostics.
   std::string nodeLabel(const Function &F, unsigned NodeId) const;
+};
+
+/// The routing plan of one DFG build: every decision Section 3.2's
+/// construction makes before it creates a node, per variable and over all
+/// variables at once. It holds
+///   * the reachable blocks in reverse postorder (RPO);
+///   * every variable's taps (def and use points) in RPO order;
+///   * liveness under bypass, per block and per CFG edge;
+///   * per variable, one row over the RPO positions each for the blocks it
+///     visits (its taps, a live incoming value or a live out-edge), its
+///     live merges and its live switches;
+///   * the exact node, edge and list counts of the live graph.
+/// `DepFlowGraph::materialize` turns it into the graph; clients that need
+/// only routing decisions (φ placement) read them here instead.
+class DFGPlan {
+public:
+  /// A reachable block as the plan walks it: its id and the flags routing
+  /// reads, packed in one word.
+  class Block {
+    unsigned Entry;
+
+  public:
+    static constexpr unsigned MergeBit = 1u << 31;
+    static constexpr unsigned SwitchBit = 1u << 30;
+    static constexpr unsigned ExitBit = 1u << 29;
+    static constexpr unsigned IdMask = ExitBit - 1;
+
+    explicit Block(unsigned Entry) : Entry(Entry) {}
+    unsigned id() const { return Entry & IdMask; }
+    bool isMerge() const { return Entry & MergeBit; }
+    bool isSwitch() const { return Entry & SwitchBit; }
+    /// One of the block's out-edges is the exit edge of a canonical SESE
+    /// region (SESE bypass only).
+    bool closesRegion() const { return Entry & ExitBit; }
+  };
+
+  /// Plans the DFG of \p F. Requires: F verifies and contains no phis.
+  DFGPlan(Function &F, const CFGEdges &E,
+          DepFlowGraph::BypassMode Mode = DepFlowGraph::BypassMode::SESE);
+  /// SESE-bypass plan reusing an already-computed PST of (F, E).
+  DFGPlan(Function &F, const CFGEdges &E, const ProgramStructureTree &PST);
+  DFGPlan(DFGPlan &&) = default;
+  DFGPlan(const DFGPlan &) = delete;
+  DFGPlan &operator=(const DFGPlan &) = delete;
+
+  Function &function() const { return F; }
+  const CFGEdges &cfgEdges() const { return E; }
+  /// The control variable (== Function::numVars()).
+  VarId controlVar() const { return VarId(NumVarsWithCtrl - 1); }
+
+  /// Calls \p Visit with each block \p V visits, in RPO.
+  template <typename Fn> void forEachVisitedBlock(VarId V, Fn Visit) const {
+    forEachBlock(VisitRows + std::size_t(V) * RPOWords, Visit);
+  }
+  /// Calls \p Visit with each block holding a live merge of \p V, in RPO.
+  template <typename Fn> void forEachLiveMerge(VarId V, Fn Visit) const {
+    forEachBlock(MergeRows + std::size_t(V) * RPOWords, Visit);
+  }
+
+  bool liveIn(unsigned B, VarId V) const { return test(LiveIn, B, V); }
+  /// \p V's own outgoing value of block \p B (not a bypassed one) is live.
+  bool liveOut(unsigned B, VarId V) const { return test(LiveOut, B, V); }
+  bool liveOnEdge(unsigned EId, VarId V) const {
+    return test(LiveEdge, EId, V);
+  }
+  /// Block \p B assigns \p V.
+  bool assigns(unsigned B, VarId V) const { return test(Kill, B, V); }
+  /// If CFG edge \p EId is the exit edge of a canonical region that does
+  /// not assign \p V, the region's entry edge, whose value \p EId carries
+  /// (the bypass redirect); otherwise -1. Only blocks that
+  /// `closesRegion()` own such edges.
+  int bypassedFrom(unsigned EId, VarId V) const {
+    const int R = PST->regionClosedBy(EId);
+    if (R < 0 || RegionDefs[unsigned(R) * Words + V / 64] >> (V % 64) & 1)
+      return -1;
+    return PST->region(unsigned(R)).EntryEdge;
+  }
+
+  /// Live merges over all variables, the control variable included.
+  unsigned numLiveMerges() const { return NumLiveMerges; }
+
+private:
+  friend class DFGBuilder;
+
+  Function &F;
+  const CFGEdges &E;
+  unsigned NumVarsWithCtrl = 0;
+  std::size_t Words = 0; // 64-bit words per set over the variables
+  const ProgramStructureTree *PST = nullptr;      // Borrowed (caller's cache)...
+  std::unique_ptr<ProgramStructureTree> OwnedPST; // ...or built here.
+
+  /// The plan's temporaries outside the routing scratch below, carved
+  /// from one block sized once the PST is known: RPO, InstrBase,
+  /// RegionDefs and the scratch of the RPO search and the region order.
+  ScratchBlock Temps;
+  std::uint64_t *RegionDefs = nullptr; // flat [region][word] def bitsets
+  /// Block ids in RPO, each tagged with its `Block` flags, so the
+  /// per-variable loops read no block state for them.
+  std::span<unsigned> RPO;
+  std::uint32_t *InstrBase = nullptr; // block id -> first instr index
+  /// The RPO search's stack (two words per block), then liveness's block
+  /// queue; and per block id, whether the search reached it and whether
+  /// liveness has it queued.
+  std::uint32_t *SearchStack = nullptr;
+  std::uint8_t *Mark = nullptr;
+  enum : std::uint8_t { Unreached, Reached, Queued };
+
+  /// Exact sizes of the paper's base-level graph (counted, never built),
+  /// its bypass redirects, the tap counts, and the exact live sizes (read
+  /// off the liveness sets).
+  std::uint32_t NumBaseNodes = 0;
+  std::uint32_t NumBaseEdges = 0;
+  std::uint32_t NumRedirects = 0;
+  std::uint32_t NumUses = 0;
+  std::uint32_t NumTaps = 0;
+  std::uint32_t NumLiveNodes = 0;
+  std::uint32_t NumLiveEdges = 0;
+  std::uint32_t NumLiveSwitches = 0;
+  std::uint32_t NumLiveMerges = 0;
+  /// Live (CFG edge, variable) pairs: the size of the dependence map.
+  std::uint32_t NumLiveDeps = 0;
+  /// Canonical instructions and their use slots (operands + control use).
+  std::uint32_t NumInstrs = 0;
+  std::uint32_t NumUseSlots = 0;
+  /// Defs whose value a later use in the same block reads.
+  std::uint32_t NumDefsUsedLocally = 0;
+
+  /// The per-variable and per-block facts, carved from one block at its
+  /// exact size.
+  ///
+  /// Taps: a tap is (instruction index, code), where code is the operand
+  /// index of a use (numOperands() for the control use) or DefTap for the
+  /// def; variable V's taps are [TapOff[V], TapOff[V+1]), in RPO block
+  /// order and instruction order within a block.
+  ///
+  /// Liveness, each a `Words`-word bitset over the variables and the
+  /// control variable: per block id, Gen (used before any def in the
+  /// block), Kill (defined in the block), DefEnd (the block's last tap is
+  /// a def), LiveIn and LiveOut; per CFG edge, LiveEdge (the value crossing
+  /// the edge reaches a use). LiveOut covers only the out-edges that are
+  /// not bypass-redirected: it is the liveness of the block's own outgoing
+  /// value.
+  ///
+  /// Rows: the same facts transposed to one `RPOWords`-word bitset over
+  /// RPO positions per variable, so a walk over V touches only its own
+  /// blocks: VisitRows, MergeRows and SwitchRows.
+  ///
+  /// List counts: per block id, the length of its switch and merge lists;
+  /// per CFG edge, of its dependence list (one entry per live variable).
+  /// Materialization turns them into its append cursors.
+  ScratchBlock Scratch;
+  std::uint32_t *TapOff = nullptr;
+  std::uint32_t *TapFill = nullptr;
+  std::uint32_t *TapInst = nullptr;
+  std::int32_t *TapCode = nullptr;
+  std::uint64_t *Gen = nullptr;
+  std::uint64_t *Kill = nullptr;
+  std::uint64_t *DefEnd = nullptr;
+  std::uint64_t *LiveIn = nullptr;
+  std::uint64_t *LiveOut = nullptr;
+  std::uint64_t *LiveEdge = nullptr;
+  std::size_t RPOWords = 0;
+  std::uint64_t *VisitRows = nullptr;
+  std::uint64_t *MergeRows = nullptr;
+  std::uint64_t *SwitchRows = nullptr;
+  std::uint32_t *MergeCount = nullptr;
+  std::uint32_t *SwitchCount = nullptr;
+  std::uint32_t *DepCount = nullptr;
+  static constexpr std::int32_t DefTap = -1;
+
+  bool test(const std::uint64_t *Sets, unsigned Idx, VarId V) const {
+    return Sets[Idx * Words + V / 64] >> (V % 64) & 1;
+  }
+  /// Calls \p Visit with the `Block` of each position set in \p Row, in
+  /// RPO.
+  template <typename Fn>
+  void forEachBlock(const std::uint64_t *Row, Fn Visit) const {
+    for (std::size_t W = 0; W != RPOWords; ++W)
+      for (std::uint64_t Bits = Row[W]; Bits; Bits &= Bits - 1)
+        Visit(Block(RPO[W * 64 + std::size_t(std::countr_zero(Bits))]));
+  }
+  /// The variables canonical region \p R does not assign, the control
+  /// variable included: its bypass redirects.
+  unsigned bypassedVars(unsigned R) const;
+
+  void run();
+  void carveTemps();
+  void numberInstructions();
+  void computeRPO();
+  void computeRegionDefs();
+  void markRegionExits();
+  void countBase();
+  void carveScratch();
+  void collectTaps();
+  void computeLiveness();
+  void planRouting();
+  void scatter(std::uint64_t *Rows, std::size_t W, std::uint64_t Bits,
+               std::size_t P);
 };
 
 } // namespace depflow

@@ -264,14 +264,16 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
     break;
   case PassId::SSA:
   case PassId::SSADfg: {
-    const DepFlowGraph *G =
-        P == PassId::SSADfg ? &AM.getResult<DFGAnalysis>() : nullptr;
+    // The DFG route reads its φs off the routing plan, which the
+    // structure analyses (kept across instruction edits) feed; it never
+    // materializes the graph.
     const DomTree &DT = AM.getResult<DominatorAnalysis>();
     PhiPlacement Placement =
-        G ? dfgPhiPlacement(F, *G) : cytronPhiPlacement(F, /*Pruned=*/true, DT);
-    std::size_t Phis = 0;
-    for (const auto &Vars : Placement)
-      Phis += Vars.size();
+        P == PassId::SSADfg
+            ? dfgPhiPlacement(DFGPlan(F, AM.getResult<CFGEdgesAnalysis>(),
+                                      AM.getResult<PSTAnalysis>()))
+            : cytronPhiPlacement(F, /*Pruned=*/true, DT);
+    const std::size_t Phis = Placement.numPhis();
     NumPhisPlaced += Phis;
     // Renaming gives every definition a fresh variable, so a function
     // whose origin map did not grow was left as it was.

@@ -15,7 +15,11 @@
 #include "ir/Verifier.h"
 #include "pass/Analyses.h"
 #include "sdg/Slicer.h"
+#include "graph/Dominators.h"
+#include "ssa/SSA.h"
 #include "verify/PassVerifier.h"
+
+#include <algorithm>
 
 using namespace depflow;
 
@@ -310,6 +314,89 @@ Status depflow::checkRangeContainsOutputs(const Function &F,
   return Out;
 }
 
+namespace {
+
+/// The variables placed at each block, one line per block that differs.
+std::string placementDiff(const Function &F, const PhiPlacement &Cytron,
+                          const PhiPlacement &FromDFG) {
+  auto Names = [&](std::span<const VarId> Vars) {
+    std::string S;
+    for (VarId V : Vars)
+      S += " " + F.varName(V);
+    return S.empty() ? std::string(" (none)") : S;
+  };
+  std::string Diff;
+  for (unsigned B = 0; B != F.numBlocks(); ++B)
+    if (!std::ranges::equal(Cytron[B], FromDFG[B]))
+      Diff += "  " + F.block(B)->label() + ": cytron" + Names(Cytron[B]) +
+              "; dfg" + Names(FromDFG[B]) + "\n";
+  return Diff;
+}
+
+/// True if the reachable CFG of \p F stays acyclic once the edges into a
+/// dominator of their source (the loop back edges) are removed: every
+/// cycle is entered through one block.
+bool isReducible(const Function &F, const DomTree &DT) {
+  std::vector<unsigned> Indeg(F.numBlocks(), 0), Ready;
+  for (const auto &BB : F.blocks())
+    if (DT.isReachable(BB->id()))
+      for (const BasicBlock *S : BB->successors())
+        Indeg[S->id()] += !DT.dominates(S->id(), BB->id());
+  Ready.push_back(F.entry()->id());
+  unsigned Done = 0;
+  while (!Ready.empty()) {
+    const BasicBlock *BB = F.block(Ready.back());
+    Ready.pop_back();
+    ++Done;
+    for (const BasicBlock *S : BB->successors())
+      if (!DT.dominates(S->id(), BB->id()) && --Indeg[S->id()] == 0)
+        Ready.push_back(S->id());
+  }
+  unsigned Reachable = 0;
+  for (unsigned B = 0; B != F.numBlocks(); ++B)
+    Reachable += DT.isReachable(B);
+  return Done == Reachable;
+}
+
+} // namespace
+
+Status depflow::checkPhiPlacement(const Function &F,
+                                  const Function *Renamed) {
+  std::unique_ptr<Function> Clone;
+  if (Status S = cloneFunction(F, Clone); !S.ok())
+    return S;
+  const PhiPlacement FromDFG = dfgPhiPlacement(*Clone);
+  const PhiPlacement Cytron = cytronPhiPlacement(*Clone, /*Pruned=*/true);
+  bool Holds = FromDFG == Cytron;
+  if (!Holds && !isReducible(*Clone, DomTree(*Clone, DomTree::Forward))) {
+    Holds = true;
+    for (unsigned B = 0; B != Clone->numBlocks(); ++B)
+      Holds &= std::ranges::includes(FromDFG[B], Cytron[B]);
+  }
+  if (!Holds)
+    return Status::error("phi placement: the DFG route differs from pruned "
+                         "Cytron:\n" +
+                         placementDiff(*Clone, Cytron, FromDFG) + "in\n" +
+                         printFunction(F));
+  if (!Renamed)
+    return Status::success();
+  if (Renamed->numBlocks() != F.numBlocks())
+    return Status::error("phi placement: SSA construction changed the "
+                         "block count");
+  for (unsigned B = 0; B != F.numBlocks(); ++B) {
+    std::size_t Phis = 0;
+    for (const auto &I : Renamed->block(B)->instructions())
+      Phis += isa<PhiInst>(I.get());
+    if (Phis != FromDFG[B].size())
+      return Status::error("phi placement: block " +
+                           Renamed->block(B)->label() + " holds " +
+                           std::to_string(Phis) + " phis, the placement " +
+                           std::to_string(FromDFG[B].size()) + ", in\n" +
+                           printFunction(*Renamed));
+  }
+  return Status::success();
+}
+
 Status depflow::checkPassOutput(const Function &Original,
                                 Function &Transformed, PassId P,
                                 std::uint64_t Seed,
@@ -320,6 +407,8 @@ Status depflow::checkPassOutput(const Function &Original,
     RNG ClientRand(Seed ^ 0x9e3779b97f4a7c15ull);
     S = checkClientOracles(Transformed, P, ClientRand, Opts);
   }
+  if (S.ok() && P == PassId::SSADfg)
+    S = checkPhiPlacement(Original, &Transformed);
   if (!S.ok())
     return S;
 

@@ -19,6 +19,8 @@
 ///    gives the CFG's solution, for one client result.
 ///  * `checkRangeContainsOutputs` — observed outputs lie inside the
 ///    intervals range analysis computed for them.
+///  * `checkPhiPlacement` — the paper's Section 3.3 claim that the DFG's
+///    surviving merges are exactly the φs of pruned SSA form.
 ///  * `checkSliceExecution` — an extracted backward slice reproduces the
 ///    original's observations at its criterion: the CFG≡PDG semantics of
 ///    Ito (arXiv 1803.02976) made executable.
@@ -59,12 +61,27 @@ Status compareEvalModes(const Function &F, const Result &Sparse,
 Status checkRangeContainsOutputs(const Function &F, const RangeResult &R,
                                  RNG &Rand, const OracleOptions &Opts = {});
 
+/// Requires the DFG route's φ placement on the phi-free \p F
+/// (`dfgPhiPlacement`, read off the routing plan) to equal pruned Cytron's
+/// block for block, and, when \p Renamed is given (the output of the
+/// `ssa-dfg` pass on \p F), each block of \p Renamed to hold exactly as
+/// many φs as the placement puts there. \p F is left unchanged.
+///
+/// Equality is the property on reducible CFGs. On an irreducible one the
+/// route's pessimistic trivial-φ collapse can keep a cycle of merges that
+/// pass one value around (two loop entries, no def inside), which pruned
+/// Cytron does not place; there the check requires only that every
+/// Cytron φ is placed too.
+Status checkPhiPlacement(const Function &F,
+                         const Function *Renamed = nullptr);
+
 /// The checked pipeline's verdict on \p Transformed, the output of pass
 /// \p P on \p Original. Runs, stopping at the first failing stage:
 ///  1. verifyPassInvariants(Transformed, P, Opts.MaxCrossCheckEdges);
 ///  2. for range, taint and nulluse: sparse/dense agreement, interpreter
 ///     executability soundness, and the per-client checks (range outputs
-///     and constprop consistency; no taint without a source);
+///     and constprop consistency; no taint without a source); for ssa-dfg:
+///     checkPhiPlacement(Original, &Transformed);
 ///  3. diffExecutions(Original, Transformed), for PRE passes also
 ///     watching every PRE candidate expression of \p Original.
 /// \p Seed fixes every random input; Opts.NoNewComputationsOf is ignored.

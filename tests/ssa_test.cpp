@@ -29,7 +29,7 @@ namespace {
 
 std::string placementToString(const Function &F, const PhiPlacement &P) {
   std::string S;
-  for (unsigned B = 0; B != P.size(); ++B) {
+  for (unsigned B = 0; B != P.numBlocks(); ++B) {
     if (P[B].empty())
       continue;
     S += F.block(B)->label() + ":";
@@ -62,13 +62,12 @@ join:
   VarId X = unsigned(F->lookupVar("x"));
 
   PhiPlacement Cytron = cytronPhiPlacement(*F, /*Pruned=*/true);
-  DepFlowGraph G = DepFlowGraph::build(*F);
-  PhiPlacement FromDFG = dfgPhiPlacement(*F, G);
+  PhiPlacement FromDFG = dfgPhiPlacement(*F);
 
   // Exactly one φ: for y at the join. x needs none (Figure 1b).
   unsigned JoinId = F->exit()->id();
-  EXPECT_TRUE(Cytron[JoinId].count(Y));
-  EXPECT_FALSE(Cytron[JoinId].count(X));
+  EXPECT_TRUE(Cytron.contains(JoinId, Y));
+  EXPECT_FALSE(Cytron.contains(JoinId, X));
   EXPECT_EQ(Cytron, FromDFG)
       << "cytron:\n" << placementToString(*F, Cytron) << "dfg:\n"
       << placementToString(*F, FromDFG);
@@ -113,8 +112,7 @@ std::unique_ptr<Function> makeStructured(int Param) {
 TEST_P(SSAPropertyTest, DFGPlacementEqualsPrunedCytronOnStructured) {
   auto F = makeStructured(GetParam());
   PhiPlacement Cytron = cytronPhiPlacement(*F, /*Pruned=*/true);
-  DepFlowGraph G = DepFlowGraph::build(*F);
-  PhiPlacement FromDFG = dfgPhiPlacement(*F, G);
+  PhiPlacement FromDFG = dfgPhiPlacement(*F);
   EXPECT_EQ(Cytron, FromDFG)
       << printFunction(*F) << "cytron:\n"
       << placementToString(*F, Cytron) << "dfg:\n"
@@ -127,7 +125,7 @@ TEST_P(SSAPropertyTest, MinimalContainsPruned) {
   PhiPlacement Pruned = cytronPhiPlacement(*F, /*Pruned=*/true);
   for (unsigned B = 0; B != F->numBlocks(); ++B)
     for (VarId V : Pruned[B])
-      EXPECT_TRUE(Minimal[B].count(V)) << F->block(B)->label();
+      EXPECT_TRUE(Minimal.contains(B, V)) << F->block(B)->label();
 }
 
 TEST_P(SSAPropertyTest, SSAPreservesSemantics) {
@@ -151,8 +149,7 @@ TEST_P(SSAPropertyTest, SSAPreservesSemantics) {
 TEST_P(SSAPropertyTest, DFGSSAPreservesSemanticsToo) {
   auto F = makeStructured(GetParam() + 100);
   auto Clone = parseFunctionOrDie(printFunction(*F));
-  DepFlowGraph G = DepFlowGraph::build(*Clone);
-  PhiPlacement P = dfgPhiPlacement(*Clone, G);
+  PhiPlacement P = dfgPhiPlacement(*Clone);
   applySSA(*Clone, P);
   ASSERT_TRUE(isSSAForm(*Clone)) << printFunction(*Clone);
   ASSERT_TRUE(isWellFormed(*Clone)) << printFunction(*Clone);

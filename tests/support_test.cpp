@@ -109,6 +109,21 @@ TEST(StringInterner, DenseIdsRoundTrip) {
   EXPECT_EQ(SI.size(), 2u);
 }
 
+TEST(StringInterner, ManyNamesSurviveGrowth) {
+  StringInterner SI;
+  for (unsigned I = 0; I != 1000; ++I)
+    EXPECT_EQ(SI.intern("v" + std::to_string(I)), I);
+  for (unsigned I = 0; I != 1000; ++I) {
+    EXPECT_EQ(SI.intern("v" + std::to_string(I)), I);
+    EXPECT_EQ(SI.lookup("v" + std::to_string(I)), int(I));
+    EXPECT_EQ(SI.name(I), "v" + std::to_string(I));
+  }
+  EXPECT_EQ(SI.lookup("v1000"), -1);
+  EXPECT_EQ(SI.lookup(""), -1);
+  EXPECT_EQ(SI.intern(""), 1000u);
+  EXPECT_EQ(SI.size(), 1001u);
+}
+
 TEST(Worklist, Deduplicates) {
   Worklist WL(10);
   WL.push(3);

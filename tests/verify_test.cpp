@@ -16,6 +16,7 @@
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "pass/PassPipeline.h"
+#include "ssa/SSA.h"
 #include "support/Error.h"
 #include "verify/Oracles.h"
 #include "verify/PassVerifier.h"
@@ -149,6 +150,44 @@ TEST(SSAForm, AcceptsBothConstructionRoutes) {
     Status S = verifySSAForm(*F);
     EXPECT_TRUE(S.ok()) << S.str();
   }
+}
+
+TEST(PhiPlacementOracle, HoldsTheSSADfgPassToItsPlacement) {
+  auto F = parseFunctionOrDie(DiamondSrc);
+  auto T = parseFunctionOrDie(DiamondSrc);
+  ASSERT_TRUE(runPassFresh(*T, PassId::SSADfg).ok());
+  Status S = checkPhiPlacement(*F, T.get());
+  EXPECT_TRUE(S.ok()) << S.str();
+  // The placement puts y's φ at the join; the phi-free input holds none.
+  S = checkPhiPlacement(*F, F.get());
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.str().find("block join holds 0 phis, the placement 1"),
+            std::string::npos)
+      << S.str();
+}
+
+// The known deviation on irreducible CFGs: a loop entered from both ends
+// with no def of v inside. The pessimistic collapse keeps both merges of
+// v (each sees the other as a second input); pruned Cytron places none.
+// The oracle accepts the superset there and nowhere else.
+TEST(PhiPlacementOracle, AcceptsExtraPhisOnlyOnIrreducibleLoops) {
+  const char *Src = R"(
+func f() {
+b0:
+  if 0 goto b1 else b3
+b1:
+  goto b3
+b3:
+  if 0 goto b5 else b1
+b5:
+  ret v
+}
+)";
+  auto F = parseFunctionOrDie(Src);
+  EXPECT_EQ(cytronPhiPlacement(*F, /*Pruned=*/true).numPhis(), 0u);
+  EXPECT_EQ(dfgPhiPlacement(*F).numPhis(), 2u);
+  Status S = checkPhiPlacement(*F);
+  EXPECT_TRUE(S.ok()) << S.str();
 }
 
 TEST(SSAForm, RejectsDoubleDefinition) {
