@@ -13,6 +13,7 @@
 #include "dataflow/Anticipatability.h"
 #include "dataflow/PRE.h"
 #include "ir/Transforms.h"
+#include "obs/Metrics.h"
 #include "support/Statistic.h"
 #include "workload/Generators.h"
 
@@ -20,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cstdlib>
 
 using namespace depflow;
@@ -47,14 +49,28 @@ static CFGAntResult solveCFGAnt(Function &F, const CFGEdges &E,
 
 static std::vector<bool> solveDFGAnt(Function &F, const CFGEdges &E,
                                      const DepFlowGraph &G,
-                                     const Expression &Ex,
-                                     const ProjectionContext *Ctx = nullptr) {
+                                     const ProgramStructureTree &PST,
+                                     const Expression &Ex) {
   std::vector<bool> Ant;
   if (!runExpressionAnticipatability(F, E, &G, Ex, EvalMode::SparseDFG, Ant,
-                                     /*Pan=*/nullptr, Ctx)
+                                     /*Pan=*/nullptr, &PST)
            .ok())
     std::abort();
   return Ant;
+}
+
+/// Every expression's ANT in one batched sparse call, as rows per CFG
+/// edge.
+static void solveDFGAntBatched(Function &F, const CFGEdges &E,
+                               const DepFlowGraph &G,
+                               const ProgramStructureTree &PST,
+                               const CandidateSet &Cands,
+                               std::vector<std::uint64_t> &Rows) {
+  Rows.assign(std::size_t(E.size()) * Cands.words(), 0);
+  if (!runBatchedAnticipatability(F, E, &G, Cands, EvalMode::SparseDFG, Rows,
+                                  &PST)
+           .ok())
+    std::abort();
 }
 
 static PREDecisions solvePRE(Function &F, const CFGEdges &E,
@@ -92,11 +108,12 @@ static void BM_ANT_DFG_AllExpressions(benchmark::State &State) {
   auto F = makeProgram(unsigned(State.range(0)));
   CFGEdges E(*F);
   DepFlowGraph G = DepFlowGraph::build(*F, E);
+  const ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
   std::vector<Expression> Exprs = collectExpressions(*F);
   for (auto _ : State) {
     unsigned Bits = 0;
     for (const Expression &Ex : Exprs) {
-      std::vector<bool> Ant = solveDFGAnt(*F, E, G, Ex);
+      std::vector<bool> Ant = solveDFGAnt(*F, E, G, PST, Ex);
       for (unsigned C = 0; C != E.size(); ++C)
         Bits += Ant[C];
     }
@@ -111,28 +128,28 @@ BENCHMARK(BM_ANT_DFG_AllExpressions)
     ->Arg(1600)
     ->Unit(benchmark::kMicrosecond);
 
-/// The DFG row as the PRE pass runs it: one projection context (the
-/// edge-split dominator and postdominator trees) per function, shared by
-/// every expression. The row above builds one per expression.
-static void BM_ANT_DFG_AllExpressions_SharedContext(benchmark::State &State) {
+/// The DFG row as the PRE pass runs it: every expression's ANT in one
+/// call, one word-parallel solve per variable and one projection. The row
+/// above makes one call per expression.
+static void BM_ANT_DFG_AllExpressions_Batched(benchmark::State &State) {
   auto F = makeProgram(unsigned(State.range(0)));
   CFGEdges E(*F);
   DepFlowGraph G = DepFlowGraph::build(*F, E);
+  const ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
   std::vector<Expression> Exprs = collectExpressions(*F);
+  const CandidateSet Cands(*F, Exprs);
+  std::vector<std::uint64_t> Rows;
   for (auto _ : State) {
-    ProjectionContext Ctx(*F, E);
+    solveDFGAntBatched(*F, E, G, PST, Cands, Rows);
     unsigned Bits = 0;
-    for (const Expression &Ex : Exprs) {
-      std::vector<bool> Ant = solveDFGAnt(*F, E, G, Ex, &Ctx);
-      for (unsigned C = 0; C != E.size(); ++C)
-        Bits += Ant[C];
-    }
+    for (std::uint64_t Word : Rows)
+      Bits += unsigned(std::popcount(Word));
     benchmark::DoNotOptimize(Bits);
   }
   State.counters["exprs"] = double(Exprs.size());
   State.counters["E"] = double(E.size());
 }
-BENCHMARK(BM_ANT_DFG_AllExpressions_SharedContext)
+BENCHMARK(BM_ANT_DFG_AllExpressions_Batched)
     ->Arg(100)
     ->Arg(400)
     ->Arg(1600)
@@ -192,12 +209,13 @@ static void BM_EPR_MorelRenvoise_DFGAnt(benchmark::State &State) {
   auto F = makeProgram(unsigned(State.range(0)));
   CFGEdges E(*F);
   DepFlowGraph G = DepFlowGraph::build(*F, E);
+  const ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
   std::vector<Expression> Exprs = collectExpressions(*F);
   double Inserts = 0, Deletes = 0;
   for (auto _ : State) {
     Inserts = Deletes = 0;
     for (const Expression &Ex : Exprs) {
-      std::vector<bool> Ant = solveDFGAnt(*F, E, G, Ex);
+      std::vector<bool> Ant = solveDFGAnt(*F, E, G, PST, Ex);
       PREDecisions D = solvePRE(*F, E, Ex, Ant, PREStrategy::MorelRenvoise);
       Inserts += double(D.Inserts.size());
       Deletes += double(D.Deletes.size());
@@ -219,14 +237,17 @@ static void BM_EPR_MorelRenvoise_Batched(benchmark::State &State) {
   auto F = makeProgram(unsigned(State.range(0)));
   CFGEdges E(*F);
   std::vector<Expression> Exprs = collectExpressions(*F);
-  std::vector<std::vector<bool>> Ants(Exprs.size());
+  std::vector<std::uint64_t> Ant;
   std::vector<PREDecisions> Ds;
   double Inserts = 0, Deletes = 0;
   for (auto _ : State) {
     Inserts = Deletes = 0;
-    for (std::size_t K = 0; K != Exprs.size(); ++K)
-      Ants[K] = solveCFGAnt(*F, E, Exprs[K]).ANT;
-    if (!runPRE(*F, E, Exprs, Ants, PREStrategy::MorelRenvoise, Ds).ok())
+    const CandidateSet Cands(*F, Exprs);
+    Ant.assign(std::size_t(E.size()) * Cands.words(), 0);
+    if (!runBatchedAnticipatability(*F, E, nullptr, Cands, EvalMode::DenseCFG,
+                                    Ant)
+             .ok() ||
+        !runPRE(*F, E, Cands, Ant, PREStrategy::MorelRenvoise, Ds).ok())
       std::abort();
     for (const PREDecisions &D : Ds) {
       Inserts += double(D.Inserts.size());
@@ -272,16 +293,22 @@ BENCHMARK(BM_EPR_BusyCodeMotion)
 // benchMain's Extra hook. Both anticipatability engines must average
 // O(E) evaluations per expression solve; the fits are on the per-solve
 // mean so the (slowly growing) expression count doesn't inflate the
-// exponent.
+// exponent. The batched call solves each variable once for all of its
+// expressions (per 64 of them), so its total evaluations must stay
+// linear in E at a fixed variable count: a return to one solve per
+// (expression, variable) pair multiplies them by the expression count.
+// Its allocation traffic comes from the thread-local counters (operator
+// new is hooked by dep_obs), so the gate also catches per-pair buffers.
 //===----------------------------------------------------------------------===//
 
 static void addCounterSweeps(obs::BenchReport &Report) {
-  std::vector<std::pair<double, double>> CFGPoints, DFGPoints;
+  std::vector<std::pair<double, double>> CFGPoints, DFGPoints, BatchedPoints;
 
   auto Sweep = [&](unsigned Stmts) {
     auto F = makeProgram(Stmts);
     CFGEdges E(*F);
     DepFlowGraph G = DepFlowGraph::build(*F, E);
+    const ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
     std::vector<Expression> Exprs = collectExpressions(*F);
     if (Exprs.empty())
       return;
@@ -294,13 +321,28 @@ static void addCounterSweeps(obs::BenchReport &Report) {
 
     resetStatistics();
     for (const Expression &Ex : Exprs)
-      solveDFGAnt(*F, E, G, Ex);
+      solveDFGAnt(*F, E, G, PST, Ex);
     double DFGEvals = double(statisticValue("ant", "NumAntDFGEvals"));
     double DFGFlips = double(statisticValue("ant", "NumAntDFGBitsFlipped"));
+
+    const CandidateSet Cands(*F, Exprs);
+    std::vector<std::uint64_t> Rows(std::size_t(E.size()) * Cands.words());
+    resetStatistics();
+    obs::AllocDelta Alloc;
+    if (!runBatchedAnticipatability(*F, E, &G, Cands, EvalMode::SparseDFG,
+                                    Rows, &PST)
+             .ok())
+      std::abort();
+    const double AllocBytes = double(Alloc.bytes());
+    const double AllocCount = double(Alloc.count());
+    double BatchedEvals = double(statisticValue("ant", "NumAntDFGEvals"));
+    double BatchedFlips =
+        double(statisticValue("ant", "NumAntDFGBitsFlipped"));
 
     double N = double(Exprs.size());
     CFGPoints.push_back({double(E.size()), CFGEvals / N});
     DFGPoints.push_back({double(E.size()), DFGEvals / N});
+    BatchedPoints.push_back({double(E.size()), BatchedEvals});
     Report.add("Counters_Structured/" + std::to_string(Stmts),
                {{"E", double(E.size())},
                 {"exprs", N},
@@ -309,7 +351,11 @@ static void addCounterSweeps(obs::BenchReport &Report) {
                 {"ctr_ant_cfg_evals_per_expr", CFGEvals / N},
                 {"ctr_ant_dfg_evals", DFGEvals},
                 {"ctr_ant_dfg_flips", DFGFlips},
-                {"ctr_ant_dfg_evals_per_expr", DFGEvals / N}},
+                {"ctr_ant_dfg_evals_per_expr", DFGEvals / N},
+                {"ctr_ant_dfg_evals_batched", BatchedEvals},
+                {"ctr_ant_dfg_flips_batched", BatchedFlips},
+                {"ctr_alloc_bytes_ant", AllocBytes},
+                {"ctr_alloc_count_ant", AllocCount}},
                "count");
   };
 
@@ -322,6 +368,9 @@ static void addCounterSweeps(obs::BenchReport &Report) {
   Report.addClaim(obs::fitClaim("ant-dfg-solve-linear-in-E",
                                 "ctr_ant_dfg_evals_per_expr", DFGPoints, 1.0,
                                 0.25, /*UpperBound=*/true));
+  Report.addClaim(obs::fitClaim("ant-dfg-batched-linear-in-E",
+                                "ctr_ant_dfg_evals_batched", BatchedPoints,
+                                1.0, 0.25, /*UpperBound=*/true));
 }
 
 int main(int argc, char **argv) {

@@ -239,8 +239,7 @@ join:
   int UseNode = G.useNode(ZDef, 0);
   row("F6", "dependence into the x*2 use (d4) is false", "0",
       std::to_string(int(R.AntEdge[G.inEdges(unsigned(UseNode))[0]])));
-  std::vector<bool> Proj =
-      projectRelativeAnt(*F, E, G, R, X, ProjectionContext(*F, E));
+  std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X);
   row("F6", "ANT projected onto entry->a", "1", std::to_string(int(Proj[0])));
   row("F6", "ANT projected onto entry->b", "1", std::to_string(int(Proj[1])));
   row("F6", "ANT projected onto a->join (behind the computations)", "0",
@@ -292,16 +291,16 @@ low:
       solveRelAnt(*F, G, XPlusY, unsigned(F->lookupVar("x")));
   DFGAntResult RY =
       solveRelAnt(*F, G, XPlusY, unsigned(F->lookupVar("y")));
-  ProjectionContext Ctx(*F, E);
+  const ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
   row("F7", "ANT(x+y) relative to x per edge [entry->mid, mid->low]", "11",
       Bits(projectRelativeAnt(*F, E, G, RX, unsigned(F->lookupVar("x")),
-                              Ctx)));
+                              &PST)));
   row("F7", "ANT(x+y) relative to y per edge (y reassigned in mid)", "01",
       Bits(projectRelativeAnt(*F, E, G, RY, unsigned(F->lookupVar("y")),
-                              Ctx)));
+                              &PST)));
   std::vector<bool> Combined;
   if (!runExpressionAnticipatability(*F, E, &G, XPlusY, EvalMode::SparseDFG,
-                                     Combined, /*Pan=*/nullptr, &Ctx)
+                                     Combined, /*Pan=*/nullptr, &PST)
            .ok())
     std::abort();
   row("F7", "combined multivariable ANT(x+y) (conjunction)", "01",

@@ -104,35 +104,15 @@ void DFGPlan::numberInstructions() {
 }
 
 void DFGPlan::computeRPO() {
-  // Successor order is the out-edge order of E, so traversing edge ids
-  // avoids materializing successor vectors per block. The postorder is
-  // written into the RPO array and reversed in place.
-  // The stack holds (block, next out-edge to examine) pairs.
   unsigned *Order = Temps.take<unsigned>(F.numBlocks());
   SearchStack = Temps.take<std::uint32_t>(2 * std::size_t(F.numBlocks()));
   Mark = Temps.takeFilled<std::uint8_t>(F.numBlocks(), Unreached);
-  std::size_t NumDone = 0, Top = 0;
-  auto Enter = [&](unsigned B) {
-    Mark[B] = Reached;
-    SearchStack[2 * Top] = B;
-    SearchStack[2 * Top++ + 1] = 0;
-  };
-  Enter(F.entry()->id());
-  while (Top) {
-    const unsigned B = SearchStack[2 * Top - 2];
-    std::uint32_t &Cursor = SearchStack[2 * Top - 1];
-    std::span<const std::uint32_t> Out = E.outEdges(F.block(B));
-    if (Cursor < Out.size()) {
-      const unsigned Next = E.edge(Out[Cursor++]).To->id();
-      if (Mark[Next] == Unreached)
-        Enter(Next);
-    } else {
-      Order[NumDone++] = B;
-      --Top;
-    }
-  }
-  RPO = {Order, NumDone};
-  std::reverse(RPO.begin(), RPO.end());
+  static_assert(Unreached == 0 && Reached == 1,
+                "the search marks reached blocks 1");
+  RPO = {Order, blockReversePostorder(
+                    F, E, {Order, F.numBlocks()},
+                    {SearchStack, 2 * std::size_t(F.numBlocks())},
+                    {Mark, F.numBlocks()})};
   for (unsigned &R : RPO) {
     assert(R <= Block::IdMask && "block id collides with the RPO flag bits");
     const BasicBlock *BB = F.block(R);

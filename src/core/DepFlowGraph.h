@@ -163,7 +163,7 @@ public:
     bool empty() const { return First == Last; }
   };
 
-private:
+  /// A dependence source: a node and its output port.
   struct DepSlot {
     std::int32_t Node;
     std::uint16_t Port;
@@ -174,6 +174,8 @@ private:
     VarId Var;
     DepSlot Src;
   };
+
+private:
   /// Backs every array below: one block sized from the exact live counts
   /// before routing. It lives on the heap, so the arrays move with the
   /// graph.
@@ -275,6 +277,9 @@ public:
     assert(Id < NumEdges && "DFG edge id out of range");
     return Edges[Id];
   }
+  /// Out-edges in creation order: heads that are uses or switches in
+  /// the reverse postorder of their blocks, then the merge heads. The ANT
+  /// projection relies on this order.
   std::span<const std::uint32_t> outEdges(unsigned NodeId) const {
     return {OutIdx + OutOff[NodeId], OutIdx + OutOff[NodeId + 1]};
   }
@@ -344,10 +349,15 @@ public:
 
   /// The dependence source (node, port) whose value for \p V crosses CFG
   /// edge \p EdgeId, or {-1, 0} exactly when no use is reachable from the
-  /// value crossing that edge (\p V is dead there). This is the Section
-  /// 5.1 projection hook: a dependence edge from that source spans the
-  /// CFG edge.
+  /// value crossing that edge (\p V is dead there). Section 5.1's
+  /// projection reads ANT at the CFG edge off that source's heads
+  /// (dataflow/Anticipatability.h).
   std::pair<int, unsigned> depAtEdge(unsigned EdgeId, VarId V) const;
+  /// The whole dependence list of CFG edge \p EdgeId: one entry per
+  /// variable live on it, in ascending variable order.
+  std::span<const DepEntry> depsAt(unsigned EdgeId) const {
+    return {Deps + DepOff[EdgeId], Deps + DepOff[EdgeId + 1]};
+  }
 
   const Stats &stats() const { return BuildStats; }
 

@@ -9,45 +9,58 @@
 
 #include "support/Worklist.h"
 
+#include <algorithm>
+
 using namespace depflow;
 
 Liveness depflow::computeLiveness(Function &F) {
   F.recomputePreds();
-  unsigned NB = F.numBlocks();
-  unsigned NV = F.numVars();
+  const unsigned NB = F.numBlocks();
+  const std::size_t W = (std::size_t(F.numVars()) + 63) / 64;
+  using Word = std::uint64_t;
 
-  // UEVar: upward-exposed uses; DefMask: variables assigned in the block.
-  // Phi uses are attributed to the incoming predecessor's live-out, phi
-  // defs to the block itself.
-  std::vector<BitVector> UEVar(NB, BitVector(NV));
-  std::vector<BitVector> DefMask(NB, BitVector(NV));
+  Liveness L;
+  L.Words = W;
+  L.Rows.assign(2 * NB * W, 0);
+  auto LiveIn = [&](unsigned B) { return L.Rows.data() + 2 * B * W; };
+  auto LiveOut = [&](unsigned B) { return LiveIn(B) + W; };
+
+  // Per block, UEVar (upward-exposed uses) then DefMask (variables
+  // assigned in the block), then one scratch set. Phi uses are attributed
+  // to the incoming predecessor's live-out, phi defs to the block itself.
+  std::vector<Word> Local((2 * std::size_t(NB) + 1) * W, 0);
+  auto UEVar = [&](unsigned B) { return Local.data() + 2 * B * W; };
+  auto DefMask = [&](unsigned B) { return UEVar(B) + W; };
+  Word *In = Local.data() + 2 * std::size_t(NB) * W;
+  auto Set = [](Word *Row, VarId V) { Row[V / 64] |= Word(1) << (V % 64); };
+  auto Test = [](const Word *Row, VarId V) {
+    return Row[V / 64] >> (V % 64) & 1;
+  };
   for (const auto &BB : F.blocks()) {
-    BitVector &UE = UEVar[BB->id()];
-    BitVector &DM = DefMask[BB->id()];
+    Word *UE = UEVar(BB->id()), *DM = DefMask(BB->id());
     for (const auto &I : BB->instructions()) {
       if (!isa<PhiInst>(I.get())) {
         for (const Operand &Op : I->operands())
-          if (Op.isVar() && !DM.test(Op.var()))
-            UE.set(Op.var());
+          if (Op.isVar() && !Test(DM, Op.var()))
+            Set(UE, Op.var());
       }
       if (const auto *D = dyn_cast<DefInst>(I.get()))
-        DM.set(D->def());
+        Set(DM, D->def());
     }
   }
-
-  Liveness L;
-  L.LiveIn.assign(NB, BitVector(NV));
-  L.LiveOut.assign(NB, BitVector(NV));
 
   Worklist WL(NB);
   for (unsigned B = 0; B != NB; ++B)
     WL.push(B);
   while (!WL.empty()) {
-    unsigned B = WL.pop();
+    const unsigned B = WL.pop();
     BasicBlock *BB = F.block(B);
-    BitVector Out(NV);
+    Word *Out = LiveOut(B);
+    std::fill(Out, Out + W, Word(0));
     for (BasicBlock *S : BB->successors()) {
-      Out |= L.LiveIn[S->id()];
+      const Word *SuccIn = LiveIn(S->id());
+      for (std::size_t I = 0; I != W; ++I)
+        Out[I] |= SuccIn[I];
       // Phi operands flowing along this edge are live out of B.
       for (const auto &I : S->instructions()) {
         const auto *Phi = dyn_cast<PhiInst>(I.get());
@@ -56,15 +69,15 @@ Liveness depflow::computeLiveness(Function &F) {
         for (unsigned K = 0; K != Phi->numIncoming(); ++K)
           if (Phi->incomingBlock(K) == BB &&
               Phi->incomingValue(K).isVar())
-            Out.set(Phi->incomingValue(K).var());
+            Set(Out, Phi->incomingValue(K).var());
       }
     }
-    BitVector In = Out;
-    In.resetAll(DefMask[B]);
-    In |= UEVar[B];
-    L.LiveOut[B] = Out;
-    if (In != L.LiveIn[B]) {
-      L.LiveIn[B] = In;
+    const Word *UE = UEVar(B), *DM = DefMask(B);
+    for (std::size_t I = 0; I != W; ++I)
+      In[I] = UE[I] | (Out[I] & ~DM[I]);
+    Word *OldIn = LiveIn(B);
+    if (!std::equal(In, In + W, OldIn)) {
+      std::copy(In, In + W, OldIn);
       for (BasicBlock *P : BB->predecessors())
         WL.push(P->id());
     }

@@ -17,22 +17,32 @@
 #define DEPFLOW_DATAFLOW_LIVENESS_H
 
 #include "ir/Function.h"
-#include "support/BitVector.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace depflow {
 
-struct Liveness {
-  /// Per block id: variables live at block entry / exit.
-  std::vector<BitVector> LiveIn;
-  std::vector<BitVector> LiveOut;
+/// Variables live at each block's entry and exit, stored as flat rows of
+/// 64-bit words: block B's live-in set, then its live-out set.
+class Liveness {
+  std::size_t Words = 0; // words per set
+  std::vector<std::uint64_t> Rows;
 
+  bool test(unsigned B, bool Out, VarId V) const {
+    return Rows[(2 * std::size_t(B) + Out) * Words + V / 64] >> (V % 64) & 1;
+  }
+
+  friend Liveness computeLiveness(Function &F);
+
+public:
+  bool liveIn(unsigned B, VarId V) const { return test(B, false, V); }
+  bool liveOut(unsigned B, VarId V) const { return test(B, true, V); }
   bool liveIn(const BasicBlock *BB, VarId V) const {
-    return LiveIn[BB->id()].test(V);
+    return liveIn(BB->id(), V);
   }
   bool liveOut(const BasicBlock *BB, VarId V) const {
-    return LiveOut[BB->id()].test(V);
+    return liveOut(BB->id(), V);
   }
 };
 

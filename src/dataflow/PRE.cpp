@@ -55,9 +55,9 @@ template <typename Fn> void forEachBit(const Word *Row, unsigned W, Fn Visit) {
 /// The placement problem of every candidate at once. Candidate k is bit
 /// k % 64 of word k / 64 of a W-word row; each property (Morel-Renvoise's
 /// local properties and the AV, PAV, PP and ANT solutions) has one row per
-/// block, and ANT has one per CFG edge. Bit-vector problems are separable,
-/// so each bit reaches exactly the fixed point of its candidate's solo
-/// solve. Padding bits past the last candidate stay clear in every row:
+/// block, and the ANT input has one per CFG edge. Bit-vector problems are
+/// separable, so each bit reaches exactly the fixed point of its
+/// candidate's solo solve. Padding bits past the last candidate stay clear in every row:
 /// the tops are masked and the solvers only AND and OR.
 class PlacementBatch {
   enum Prop : unsigned {
@@ -73,150 +73,70 @@ class PlacementBatch {
     PpOut,
     NumProps
   };
-  static constexpr std::uint32_t NoCand = ~std::uint32_t(0);
 
   Function &F;
   const CFGEdges &E;
+  const CandidateSet &Cands;
+  /// ANT per CFG edge, one row each.
+  const Word *Ant;
   const unsigned K, W, NB;
   /// Property rows grouped by block (a block's properties are adjacent,
-  /// as the solvers read them), then one ANT row per CFG edge, then the
-  /// all-candidates row and a scratch row.
+  /// as the solvers read them), then the all-candidates row and a scratch
+  /// row.
   std::vector<Word> Store;
   Word *Top, *Tmp;
-  /// The candidate each instruction computes (NoCand if none), in block
-  /// then instruction order.
-  std::vector<std::uint32_t> InstCand;
-  /// The candidates an assignment to each variable kills, grouped by
-  /// variable: variable V's are KillList[KillStart[V] .. KillStart[V+1]).
-  std::vector<std::uint32_t> KillStart, KillList;
 
   Word *row(Prop P, unsigned B) {
     return Store.data() + (std::size_t(B) * NumProps + P) * W;
   }
-  Word *antRow(unsigned C) {
-    return Store.data() + (std::size_t(NumProps) * NB + C) * W;
-  }
-  std::span<const std::uint32_t> kills(VarId V) const {
-    return {KillList.data() + KillStart[V], KillStart[V + 1] - KillStart[V]};
-  }
+  const Word *antRow(unsigned C) const { return Ant + std::size_t(C) * W; }
   void fill(Word *Row, const Word *From) { std::copy(From, From + W, Row); }
   void clear(Word *Row) { std::fill(Row, Row + W, Word(0)); }
 
 public:
-  PlacementBatch(Function &F, const CFGEdges &E,
-                 std::span<const Expression> Cands,
-                 std::span<const std::vector<bool>> Ants)
-      : F(F), E(E), K(unsigned(Cands.size())), W((K + 63) / 64),
-        NB(F.numBlocks()),
-        Store((std::size_t(NumProps) * NB + E.size() + 2) * W, 0) {
-    Top = antRow(E.size());
+  PlacementBatch(Function &F, const CFGEdges &E, const CandidateSet &Cands,
+                 const Word *Ant)
+      : F(F), E(E), Cands(Cands), Ant(Ant), K(Cands.size()),
+        W(Cands.words()), NB(F.numBlocks()),
+        Store((std::size_t(NumProps) * NB + 2) * W, 0) {
+    Top = Store.data() + std::size_t(NumProps) * NB * W;
     Tmp = Top + W;
     std::fill(Top, Top + W, ~Word(0));
     if (K % 64)
       Top[W - 1] = (Word(1) << (K % 64)) - 1;
-    buildKillLists(Cands);
-    scanLocalProps(Cands);
-    loadAnt(Ants);
+    scanLocalProps();
+    deriveAntIn();
   }
 
   Status busyCodeMotion(std::vector<PREDecisions> &Out);
   Status morelRenvoise(std::vector<PREDecisions> &Out);
 
 private:
-  void buildKillLists(std::span<const Expression> Cands) {
-    KillStart.assign(F.numVars() + 1, 0);
-    for (const Expression &X : Cands)
-      for (VarId V : X.variables())
-        ++KillStart[V + 1];
-    for (unsigned V = 0; V != F.numVars(); ++V)
-      KillStart[V + 1] += KillStart[V];
-    KillList.resize(KillStart.back());
-    std::vector<std::uint32_t> Next(KillStart.begin(), KillStart.end() - 1);
-    for (std::uint32_t C = 0; C != K; ++C)
-      for (VarId V : Cands[C].variables())
-        KillList[Next[V]++] = C;
-  }
+  void deriveAntIn();
 
-  /// One scan of the instructions fills TRANSP, ANTLOC and COMP and
-  /// records which candidate each instruction computes.
-  void scanLocalProps(std::span<const Expression> Cands) {
-    std::vector<std::uint32_t> ByExpr(K);
-    for (std::uint32_t C = 0; C != K; ++C)
-      ByExpr[C] = C;
-    std::sort(ByExpr.begin(), ByExpr.end(),
-              [&](std::uint32_t A, std::uint32_t B) {
-                return Cands[A] < Cands[B];
-              });
-    assert(std::adjacent_find(ByExpr.begin(), ByExpr.end(),
-                              [&](std::uint32_t A, std::uint32_t B) {
-                                return Cands[A] == Cands[B];
-                              }) == ByExpr.end() &&
-           "candidates must be distinct");
-    auto CandidateOf = [&](const Instruction &I) {
-      std::optional<Expression> X = expressionOf(I);
-      if (!X)
-        return NoCand;
-      auto It = std::lower_bound(
-          ByExpr.begin(), ByExpr.end(), *X,
-          [&](std::uint32_t C, const Expression &X) { return Cands[C] < X; });
-      return It != ByExpr.end() && Cands[*It] == *X ? *It : NoCand;
-    };
-
-    InstCand.reserve(F.numInstructions());
+  /// One scan of the instructions fills TRANSP, ANTLOC and COMP.
+  void scanLocalProps() {
     Word *Killed = Tmp;
+    std::size_t Idx = 0;
     for (const auto &BB : F.blocks()) {
       unsigned B = BB->id();
       Word *T = row(Transp, B), *A = row(AntLoc, B), *C = row(Comp, B);
       fill(T, Top);
       clear(Killed);
       for (const auto &I : BB->instructions()) {
-        std::uint32_t Cand = CandidateOf(*I);
-        InstCand.push_back(Cand);
-        if (Cand != NoCand) {
+        std::uint32_t Cand = Cands.computedBy(*I, unsigned(Idx++));
+        if (Cand != CandidateSet::None) {
           if (!testBit(Killed, Cand))
             setBit(A, Cand);
           setBit(C, Cand);
         }
         if (const auto *D = dyn_cast<DefInst>(I.get()))
-          for (std::uint32_t KC : kills(D->def())) {
+          for (std::uint32_t KC : Cands.readers(D->def())) {
             setBit(Killed, KC);
             resetBit(C, KC);
             resetBit(T, KC);
           }
       }
-    }
-  }
-
-  /// Transposes the per-candidate ANT vectors into one row per CFG edge,
-  /// and derives ANT at each block's entry (any in-edge; a block without
-  /// in-edges needs one backward transfer from its out-edges).
-  void loadAnt(std::span<const std::vector<bool>> Ants) {
-    assert(Ants.size() == K && "one ANT vector per candidate");
-    for (std::uint32_t C = 0; C != K; ++C) {
-      assert(Ants[C].size() == E.size() && "ANT is per CFG edge");
-      for (unsigned EId = 0; EId != E.size(); ++EId)
-        if (Ants[C][EId])
-          setBit(antRow(EId), C);
-    }
-    for (const auto &BB : F.blocks()) {
-      unsigned B = BB->id();
-      Word *In = row(AntIn, B);
-      if (!E.inEdges(BB.get()).empty()) {
-        fill(In, antRow(E.inEdges(BB.get())[0]));
-        continue;
-      }
-      // ANTIN = ANTLOC ∨ (TRANSP ∧ ANTOUT).
-      Word *AntOut = Tmp;
-      if (E.outEdges(BB.get()).empty())
-        clear(AntOut);
-      else
-        fill(AntOut, Top);
-      for (unsigned EId : E.outEdges(BB.get()))
-        for (unsigned I = 0; I != W; ++I)
-          AntOut[I] &= antRow(EId)[I];
-      const Word *A = row(AntLoc, B), *T = row(Transp, B);
-      for (unsigned I = 0; I != W; ++I)
-        In[I] = A[I] | (T[I] & AntOut[I]);
     }
   }
 
@@ -321,19 +241,45 @@ private:
     for (const auto &BB : F.blocks()) {
       CoveredAtIn(BB->id(), Covered);
       for (const auto &I : BB->instructions()) {
-        std::uint32_t Cand = InstCand[Idx++];
-        if (Cand != NoCand) {
+        std::uint32_t Cand = Cands.computedBy(*I, unsigned(Idx++));
+        if (Cand != CandidateSet::None) {
           if (testBit(Covered, Cand))
             Out[Cand].Deletes.push_back(I.get());
           setBit(Covered, Cand);
         }
         if (const auto *D = dyn_cast<DefInst>(I.get()))
-          for (std::uint32_t KC : kills(D->def()))
+          for (std::uint32_t KC : Cands.readers(D->def()))
             resetBit(Covered, KC);
       }
     }
   }
 };
+
+/// Derives ANT at each block's entry from the per-CFG-edge rows (any
+/// in-edge; a block without in-edges needs one backward transfer from its
+/// out-edges).
+void PlacementBatch::deriveAntIn() {
+  for (const auto &BB : F.blocks()) {
+    unsigned B = BB->id();
+    Word *In = row(AntIn, B);
+    if (!E.inEdges(BB.get()).empty()) {
+      fill(In, antRow(E.inEdges(BB.get())[0]));
+      continue;
+    }
+    // ANTIN = ANTLOC ∨ (TRANSP ∧ ANTOUT).
+    Word *AntOut = Tmp;
+    if (E.outEdges(BB.get()).empty())
+      clear(AntOut);
+    else
+      fill(AntOut, Top);
+    for (unsigned EId : E.outEdges(BB.get()))
+      for (unsigned I = 0; I != W; ++I)
+        AntOut[I] &= antRow(EId)[I];
+    const Word *A = row(AntLoc, B), *T = row(Transp, B);
+    for (unsigned I = 0; I != W; ++I)
+      In[I] = A[I] | (T[I] & AntOut[I]);
+  }
+}
 
 Status PlacementBatch::busyCodeMotion(std::vector<PREDecisions> &Out) {
   solveAvailability(/*Must=*/true, AvIn, AvOut, NumPREAvailEvals);
@@ -423,14 +369,16 @@ bool computes(const Instruction &I, const Expression &Expr) {
 } // namespace
 
 Status depflow::runPRE(Function &F, const CFGEdges &E,
-                       std::span<const Expression> Candidates,
-                       std::span<const std::vector<bool>> Ants,
-                       PREStrategy Strategy, std::vector<PREDecisions> &Out) {
-  Out.assign(Candidates.size(), PREDecisions());
-  if (Candidates.empty())
+                       const CandidateSet &Cands,
+                       std::span<const Word> AntRows, PREStrategy Strategy,
+                       std::vector<PREDecisions> &Out) {
+  Out.assign(Cands.size(), PREDecisions());
+  if (AntRows.size() != std::size_t(E.size()) * Cands.words())
+    return Status::error("pre: ANT rows do not fit the edges and candidates");
+  if (!Cands.size())
     return Status::success();
   F.recomputePreds();
-  PlacementBatch Batch(F, E, Candidates, Ants);
+  PlacementBatch Batch(F, E, Cands, AntRows.data());
   return Strategy == PREStrategy::Busy ? Batch.busyCodeMotion(Out)
                                        : Batch.morelRenvoise(Out);
 }
@@ -438,9 +386,13 @@ Status depflow::runPRE(Function &F, const CFGEdges &E,
 Status depflow::runPRE(Function &F, const CFGEdges &E, const Expression &Expr,
                        const std::vector<bool> &AntEdges,
                        PREStrategy Strategy, PREDecisions &Out) {
-  std::vector<PREDecisions> One;
-  Status S = runPRE(F, E, {&Expr, 1}, {&AntEdges, 1}, Strategy, One);
-  Out = std::move(One.front());
+  if (AntEdges.size() != E.size())
+    return Status::error("pre: ANT does not fit the edges");
+  const CandidateSet One(F, {&Expr, 1});
+  std::vector<Word> Rows(AntEdges.begin(), AntEdges.end());
+  std::vector<PREDecisions> Decisions;
+  Status S = runPRE(F, E, One, Rows, Strategy, Decisions);
+  Out = std::move(Decisions.front());
   return S;
 }
 

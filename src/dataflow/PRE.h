@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Elimination of partial redundancies (Section 5.2). Two placement
-/// strategies over a pluggable anticipatability engine (CFG Figure 5a or
-/// DFG Figure 5b + projection), selected through one Status-returning
+/// strategies over ANT from either anticipatability engine (CFG Figure 5a
+/// or DFG Figure 5b + projection), selected through one Status-returning
 /// entry point:
 ///
 ///  * `PREStrategy::Busy` — the strategy the paper describes first: insert
@@ -20,11 +20,12 @@
 ///    fixed point, which only moves code when a partial redundancy exists.
 ///
 /// `runPRE` places every candidate of a function in one solve: candidate k
-/// is bit k of a word, one scan of the instructions fills the local
-/// properties (TRANSP, ANTLOC, COMP) of all candidates, and AV, PAV and PP
-/// run word-parallel. Bit-vector problems are separable, so each
-/// candidate's decisions equal those of a solo solve; the single-expression
-/// overload is a batch of one.
+/// is bit k of a word, ANT comes in as the per-CFG-edge rows that
+/// `runBatchedAnticipatability` writes, one scan of the instructions fills
+/// the local properties (TRANSP, ANTLOC, COMP) of all candidates, and AV,
+/// PAV and PP run word-parallel. Bit-vector problems are separable, so
+/// each candidate's decisions equal those of a solo solve; the
+/// single-expression overload is a batch of one.
 ///
 /// Both strategies require critical edges to be split first
 /// (ir/Transforms.h), the same preprocessing [MR79] itself calls for; an
@@ -35,11 +36,13 @@
 #ifndef DEPFLOW_DATAFLOW_PRE_H
 #define DEPFLOW_DATAFLOW_PRE_H
 
+#include "dataflow/Anticipatability.h"
 #include "ir/CFGEdges.h"
 #include "ir/Expression.h"
 #include "ir/Function.h"
 #include "support/Error.h"
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -59,19 +62,20 @@ struct PREDecisions {
 
 enum class PREStrategy : std::uint8_t { Busy, MorelRenvoise };
 
-/// Computes placement decisions for every expression of \p Candidates
-/// (which must be distinct) under \p Strategy, in one word-parallel solve.
-/// \p Ants[k] is ANT of candidate k per CFG edge id, from either
-/// anticipatability engine. \p Out[k] receives candidate k's decisions:
-/// inserts in block (busy: edge) order, deletes in block and then
-/// instruction order. Fails (leaving \p Out partial) when busy code motion
-/// meets an unsplit critical edge.
-Status runPRE(Function &F, const CFGEdges &E,
-              std::span<const Expression> Candidates,
-              std::span<const std::vector<bool>> Ants, PREStrategy Strategy,
+/// Computes placement decisions for every candidate of \p Cands under
+/// \p Strategy, in one word-parallel solve. \p AntRows is ANT per CFG
+/// edge in `runBatchedAnticipatability`'s layout (row c is `Cands.words()`
+/// words from `AntRows[c * words]`), from either engine. \p Out[k]
+/// receives candidate k's decisions: inserts in block (busy: edge) order,
+/// deletes in block and then instruction order. Fails (leaving \p Out
+/// partial) when the rows do not fit \p E and \p Cands, or busy code
+/// motion meets an unsplit critical edge.
+Status runPRE(Function &F, const CFGEdges &E, const CandidateSet &Cands,
+              std::span<const std::uint64_t> AntRows, PREStrategy Strategy,
               std::vector<PREDecisions> &Out);
 
-/// The decisions for \p Expr alone: a batch of one.
+/// The decisions for \p Expr alone, from its ANT per CFG edge id: a batch
+/// of one.
 Status runPRE(Function &F, const CFGEdges &E, const Expression &Expr,
               const std::vector<bool> &AntEdges, PREStrategy Strategy,
               PREDecisions &Out);

@@ -110,7 +110,7 @@ struct DenseEngineCounters {
 /// Counter hooks for SparseBackwardEngine. All optional.
 struct BackwardEngineCounters {
   Statistic *Evals = nullptr; // edge evaluations (worklist pops)
-  Statistic *Flips = nullptr; // edge value changes
+  Statistic *Flips = nullptr; // facts changed (see `distance`)
 };
 
 namespace detail {
@@ -643,7 +643,10 @@ public:
 /// Backward client contract:
 /// \code
 ///   using Value;
-///   static bool equal(const Value &, const Value &);
+///   // How many facts differ between two values (0: equal). A word of
+///   // separable bit problems counts its changed bits, so the flip
+///   // counter of a batched solve equals the sum of its solo solves.
+///   static unsigned distance(const Value &, const Value &);
 ///   Value evalEdge(const DepFlowGraph &, unsigned EId,
 ///                  const EdgeSlice<Value> &EdgeVal) const;
 /// \endcode
@@ -682,10 +685,11 @@ public:
       unsigned EId = First + WL.pop();
       detail::bump(Ctr.Evals);
       Value New = C.evalEdge(G, EId, View);
-      if (Client::equal(New, View[EId]))
+      const unsigned Changed = Client::distance(View[EId], New);
+      if (!Changed)
         continue;
       Vals[EId - Base] = New;
-      detail::bump(Ctr.Flips);
+      detail::bump(Ctr.Flips, Changed);
       for (unsigned InId : G.inEdges(G.edge(EId).Src))
         WL.push(InId - First);
     }

@@ -226,31 +226,47 @@ bool depflow::bruteForceDominates(const Digraph &G, unsigned Root, unsigned A,
   return true;
 }
 
-std::vector<std::vector<unsigned>>
-depflow::dominanceFrontiers(const DomTree &DT) {
+DominanceFrontiers depflow::dominanceFrontiers(const DomTree &DT) {
   // Note: no |preds| >= 2 guard. For a single-pred node b, idom(b) is that
   // pred and the walk adds nothing — except when b is the root (idom -1),
   // where back edges into the root legitimately put the root into its own
   // ancestors' frontiers.
-  std::vector<std::vector<unsigned>> DF(DT.numNodes());
-  for (unsigned B = 0, N = DT.numNodes(); B != N; ++B) {
-    if (!DT.isReachable(B))
-      continue;
-    for (unsigned P : DT.preds(B)) {
-      if (!DT.isReachable(P))
+  //
+  // Two walks over the same pairs, one to count and one to fill. A walk
+  // for b stops at a node already stamped with b: the walk that stamped it
+  // went on up the same idom chain, so each frontier gets b at most once,
+  // and since b ascends each frontier comes out sorted.
+  const unsigned N = DT.numNodes();
+  DominanceFrontiers DF;
+  DF.Off.assign(N + 1, 0);
+  std::vector<unsigned> Stamp(N, N);
+  auto ForEachPair = [&](auto Visit) {
+    std::fill(Stamp.begin(), Stamp.end(), N);
+    for (unsigned B = 0; B != N; ++B) {
+      if (!DT.isReachable(B))
         continue;
-      int Runner = int(P);
-      while (Runner >= 0 && Runner != DT.idom(B)) {
-        DF[unsigned(Runner)].push_back(B);
-        Runner = DT.idom(unsigned(Runner));
+      for (unsigned P : DT.preds(B)) {
+        if (!DT.isReachable(P))
+          continue;
+        for (int Runner = int(P); Runner >= 0 && Runner != DT.idom(B);
+             Runner = DT.idom(unsigned(Runner))) {
+          if (Stamp[unsigned(Runner)] == B)
+            break;
+          Stamp[unsigned(Runner)] = B;
+          Visit(unsigned(Runner), B);
+        }
       }
     }
-  }
-  // Deduplicate (a node can reach the same frontier through several preds).
-  for (auto &Frontier : DF) {
-    std::sort(Frontier.begin(), Frontier.end());
-    Frontier.erase(std::unique(Frontier.begin(), Frontier.end()),
-                   Frontier.end());
-  }
+  };
+  ForEachPair([&](unsigned Runner, unsigned) { ++DF.Off[Runner + 1]; });
+  for (unsigned K = 0; K != N; ++K)
+    DF.Off[K + 1] += DF.Off[K];
+  DF.Nodes.resize(DF.Off[N]);
+  // Fill with each node's start as its cursor, then shift the offsets back.
+  ForEachPair([&](unsigned Runner, unsigned B) {
+    DF.Nodes[DF.Off[Runner]++] = B;
+  });
+  std::copy_backward(DF.Off.begin(), DF.Off.end() - 1, DF.Off.end());
+  DF.Off[0] = 0;
   return DF;
 }

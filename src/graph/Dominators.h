@@ -105,9 +105,23 @@ public:
 bool bruteForceDominates(const Digraph &G, unsigned Root, unsigned A,
                          unsigned B);
 
-/// Dominance frontiers (Cytron et al.) of \p DT's graph: DF[n] = nodes w
-/// such that n dominates a predecessor of w but not strictly w itself.
-std::vector<std::vector<unsigned>> dominanceFrontiers(const DomTree &DT);
+/// Dominance frontiers (Cytron et al.) of a graph, in one CSR: `DF[n]` is
+/// the ascending list of nodes w such that n dominates a predecessor of w
+/// but not strictly w itself.
+class DominanceFrontiers {
+  std::vector<unsigned> Off;   // node n's frontier starts at Off[n]
+  std::vector<unsigned> Nodes; // all frontiers, back to back
+
+  friend DominanceFrontiers dominanceFrontiers(const DomTree &DT);
+
+public:
+  std::span<const unsigned> operator[](unsigned N) const {
+    return {Nodes.data() + Off[N], Nodes.data() + Off[N + 1]};
+  }
+};
+
+/// The dominance frontiers of \p DT's graph.
+DominanceFrontiers dominanceFrontiers(const DomTree &DT);
 
 } // namespace depflow
 

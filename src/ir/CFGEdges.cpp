@@ -8,6 +8,7 @@
 #include "ir/CFGEdges.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace depflow;
 
@@ -44,4 +45,39 @@ CFGEdges::CFGEdges(const Function &F) {
   }
   std::copy_backward(InOff.begin(), InOff.end() - 1, InOff.end());
   InOff[0] = 0;
+}
+
+std::size_t depflow::blockReversePostorder(const Function &F,
+                                           const CFGEdges &E,
+                                           std::span<unsigned> Order,
+                                           std::span<std::uint32_t> Stack,
+                                           std::span<std::uint8_t> Reached) {
+  assert(Order.size() >= F.numBlocks() &&
+         Stack.size() >= 2 * std::size_t(F.numBlocks()) &&
+         Reached.size() >= F.numBlocks() && "scratch too small");
+  // The stack holds (block, next out-edge to examine) pairs. Traversing
+  // edge ids avoids materializing successor vectors per block. The
+  // postorder is written into Order and reversed in place.
+  std::size_t NumDone = 0, Top = 0;
+  auto Enter = [&](unsigned B) {
+    Reached[B] = 1;
+    Stack[2 * Top] = B;
+    Stack[2 * Top++ + 1] = 0;
+  };
+  Enter(F.entry()->id());
+  while (Top) {
+    const unsigned B = Stack[2 * Top - 2];
+    std::uint32_t &Cursor = Stack[2 * Top - 1];
+    std::span<const std::uint32_t> Out = E.outEdges(F.block(B));
+    if (Cursor < Out.size()) {
+      const unsigned Next = E.edge(Out[Cursor++]).To->id();
+      if (!Reached[Next])
+        Enter(Next);
+    } else {
+      Order[NumDone++] = B;
+      --Top;
+    }
+  }
+  std::reverse(Order.begin(), Order.begin() + std::ptrdiff_t(NumDone));
+  return NumDone;
 }

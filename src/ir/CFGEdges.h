@@ -27,6 +27,7 @@
 
 #include "ir/Function.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -76,6 +77,17 @@ public:
     return OutIdx[OutOff[From->id()] + SuccIdx];
   }
 };
+
+/// The block order the DFG is built in and its projection reads back: a
+/// depth-first search from the entry taking successors in out-edge order,
+/// its postorder reversed. Writes the ids of the reachable blocks to
+/// \p Order in reverse postorder (RPO) and returns their count. \p Stack
+/// holds two words per block. \p Reached holds one flag per block, 0 on
+/// entry; the reachable blocks' flags are 1 on return. Allocates nothing.
+std::size_t blockReversePostorder(const Function &F, const CFGEdges &E,
+                                  std::span<unsigned> Order,
+                                  std::span<std::uint32_t> Stack,
+                                  std::span<std::uint8_t> Reached);
 
 } // namespace depflow
 

@@ -19,15 +19,31 @@
 
 #include "ir/Instruction.h"
 
-#include <vector>
-
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 
 namespace depflow {
 
 class Function;
+
+/// The variables an expression reads: at most two, held inline, so asking
+/// for them allocates nothing. Iterates like a container and converts to a
+/// span.
+class ExprVars {
+  VarId Vars[2] = {};
+  std::uint8_t Count = 0;
+
+public:
+  void push_back(VarId V) { Vars[Count++] = V; }
+  const VarId *begin() const { return Vars; }
+  const VarId *end() const { return Vars + Count; }
+  std::size_t size() const { return Count; }
+  bool empty() const { return Count == 0; }
+  operator std::span<const VarId>() const { return {Vars, Count}; }
+};
 
 /// A syntactic binary expression: op, left operand, right operand.
 struct Expression {
@@ -52,8 +68,8 @@ struct Expression {
   }
 
   /// Variables the expression reads (0, 1, or 2 entries, deduplicated).
-  std::vector<VarId> variables() const {
-    std::vector<VarId> Vs;
+  ExprVars variables() const {
+    ExprVars Vs;
     if (Lhs.isVar())
       Vs.push_back(Lhs.var());
     if (Rhs.isVar() && !(Lhs.isVar() && Lhs.var() == Rhs.var()))

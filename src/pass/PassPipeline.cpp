@@ -212,29 +212,27 @@ Status runPassBody(Function &F, PassId P, FunctionAnalysisManager &AM,
     // computations in place. No computation of another candidate e2
     // appears, moves or disappears, and neither does any assignment to
     // one of e2's operands, so ANT(e2) is the same on every CFG edge
-    // before and after the motion. Hence every candidate's ANT is solved
-    // up front against one DFG and one projection context, and the
-    // motions then run in candidate order on the current function. A
-    // failing solve fails the pass before any motion is applied.
+    // before and after the motion. The same holds for every candidate's
+    // local properties, AV, PAV and PP. Hence one call solves every
+    // candidate's ANT against one DFG and one word-parallel placement
+    // solve serves them all; the motions then run in candidate order on
+    // the current function. A failing solve fails the pass before any
+    // motion is applied.
     std::vector<Expression> Candidates = collectExpressions(F);
     if (Candidates.empty())
       break;
     const CFGEdges &E = AM.getResult<CFGEdgesAnalysis>();
     const DepFlowGraph &G = AM.getResult<DFGAnalysis>();
-    ProjectionContext Ctx(F, E);
-    std::vector<std::vector<bool>> Ants(Candidates.size());
-    for (std::size_t K = 0; K != Candidates.size(); ++K) {
-      ++NumExpressionsConsidered;
-      Status S = runExpressionAnticipatability(F, E, &G, Candidates[K],
-                                               EvalMode::SparseDFG, Ants[K],
-                                               /*Pan=*/nullptr, &Ctx);
-      if (!S.ok())
-        return S;
-    }
-    // The same invariance holds for every candidate's local properties,
-    // AV, PAV and PP, so one word-parallel placement solve serves them all.
+    const ProgramStructureTree &PST = AM.getResult<PSTAnalysis>();
+    NumExpressionsConsidered += Candidates.size();
+    const CandidateSet Cands(F, Candidates);
+    std::vector<std::uint64_t> Ant(std::size_t(E.size()) * Cands.words());
+    if (Status S = runBatchedAnticipatability(F, E, &G, Cands,
+                                              EvalMode::SparseDFG, Ant, &PST);
+        !S.ok())
+      return S;
     std::vector<PREDecisions> Decisions;
-    if (Status S = runPRE(F, E, Candidates, Ants,
+    if (Status S = runPRE(F, E, Cands, Ant,
                           P == PassId::PREBusy ? PREStrategy::Busy
                                                : PREStrategy::MorelRenvoise,
                           Decisions);

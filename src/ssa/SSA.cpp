@@ -10,6 +10,7 @@
 #include "dataflow/Liveness.h"
 #include "graph/Dominators.h"
 #include "support/Arena.h"
+#include "support/BitVector.h"
 #include "support/Worklist.h"
 
 #include <algorithm>
@@ -98,7 +99,7 @@ PhiPlacement depflow::cytronPhiPlacement(Function &F, bool Pruned,
       }
     }
     for (int B = InIDF.findFirst(); B >= 0; B = InIDF.findNext(unsigned(B)))
-      if (!Pruned || Live.LiveIn[unsigned(B)].test(V))
+      if (!Pruned || Live.liveIn(unsigned(B), V))
         Phis.push_back({unsigned(B), V});
   }
   return PhiPlacement(NB, Phis);

@@ -14,6 +14,7 @@
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "structure/CycleEquivalence.h"
+#include "structure/SESE.h"
 
 #include <algorithm>
 #include <map>
@@ -323,6 +324,58 @@ static void checkDFG(Function &F, const CFGEdges &E, const ReachingDefs &RD,
   }
 }
 
+/// The invariant the ANT projection inherits through (dataflow/
+/// Anticipatability.h): a canonical SESE region that assigns X in no
+/// reachable block, and whose exit edge carries X, carries it from the
+/// same source as its entry edge — the bypass redirect. Only SESE-bypass
+/// graphs promise it.
+static void checkBypassInheritance(Function &F, const CFGEdges &E,
+                                   const DepFlowGraph &G, Status &S) {
+  const ProgramStructureTree PST(F, E, cycleEquivalenceClasses(F, E));
+  const unsigned NumVars = G.controlVar() + 1;
+
+  // The variables each region assigns in a reachable block, nested
+  // regions included.
+  std::vector<bool> Reached(F.numBlocks(), false);
+  std::vector<const BasicBlock *> Stack{F.entry()};
+  Reached[F.entry()->id()] = true;
+  while (!Stack.empty()) {
+    const BasicBlock *BB = Stack.back();
+    Stack.pop_back();
+    for (const BasicBlock *Succ : BB->successors())
+      if (!Reached[Succ->id()]) {
+        Reached[Succ->id()] = true;
+        Stack.push_back(Succ);
+      }
+  }
+  std::vector<bool> Assigns(std::size_t(PST.numRegions()) * NumVars, false);
+  for (const auto &BB : F.blocks()) {
+    if (!Reached[BB->id()])
+      continue;
+    for (const auto &I : BB->instructions())
+      if (const auto *D = dyn_cast<DefInst>(I.get()))
+        for (int R = int(PST.regionOfBlock(BB->id())); R >= 0;
+             R = PST.region(unsigned(R)).Parent)
+          Assigns[std::size_t(R) * NumVars + D->def()] = true;
+  }
+
+  for (unsigned R = 1; R != PST.numRegions(); ++R) {
+    const SESERegion &Reg = PST.region(R);
+    for (VarId V = 0; V != NumVars; ++V) {
+      auto [ExitNode, ExitPort] = G.depAtEdge(unsigned(Reg.ExitEdge), V);
+      if (ExitNode < 0 || Assigns[std::size_t(R) * NumVars + V])
+        continue;
+      auto [EntryNode, EntryPort] = G.depAtEdge(unsigned(Reg.EntryEdge), V);
+      if (EntryNode != ExitNode || EntryPort != ExitPort)
+        S.addError("sese DFG: region " + std::to_string(R) +
+                   " assigns no '" +
+                   (G.isControl(V) ? std::string("ctrl") : F.varName(V)) +
+                   "' but its exit edge does not carry its entry edge's "
+                   "value");
+    }
+  }
+}
+
 Status depflow::verifyDFGWellFormed(Function &F) {
   Status S = Status::fromMessages(verifyFunction(F));
   if (!S.ok())
@@ -335,8 +388,10 @@ Status depflow::verifyDFGWellFormed(Function &F) {
   ReachingDefs RD(F);
   // Both bypass modes: the passes use SESE bypassing, and the no-bypass
   // graph exercises the builder with no region redirects at all.
-  checkDFG(F, E, RD, DepFlowGraph::build(F, E, DepFlowGraph::BypassMode::SESE),
-           "sese DFG: ", S);
+  const DepFlowGraph Bypassing =
+      DepFlowGraph::build(F, E, DepFlowGraph::BypassMode::SESE);
+  checkDFG(F, E, RD, Bypassing, "sese DFG: ", S);
+  checkBypassInheritance(F, E, Bypassing, S);
   checkDFG(F, E, RD, DepFlowGraph::build(F, E, DepFlowGraph::BypassMode::None),
            "no-bypass DFG: ", S);
   return S;

@@ -20,7 +20,10 @@
 ///    (the dead-edge-removal invariant); each variable's edges form one
 ///    contiguous id range that `edgesOfVar` returns exactly (the sparse
 ///    backward engine and the ANT projection visit only that range); the
-///    per-CFG-edge dependence map is consistent with the node table.
+///    per-CFG-edge dependence map is consistent with the node table; and,
+///    on the SESE graph, a region assigning X in no reachable block whose
+///    exit edge carries X carries it from its entry edge's source (the
+///    ANT projection inherits exit values through such regions).
 ///  * `crossCheckCycleEquivalence` — the O(E) bracket-list result equals
 ///    the naive O(E^2·(N+E)) Definition 7 evaluation on the augmented CFG
 ///    (validates Claims 1-2 on this exact input).

@@ -83,8 +83,7 @@ TEST(Anticipatability, Figure6SingleVariable) {
   DepFlowGraph G = DepFlowGraph::build(*F);
   DFGAntResult R;
   ASSERT_TRUE(runRelativeAnticipatability(*F, G, XPlus1, X, R).ok());
-  std::vector<bool> Proj =
-      projectRelativeAnt(*F, E, G, R, X, ProjectionContext(*F, E));
+  std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X);
   for (unsigned C = 0; C != E.size(); ++C)
     EXPECT_EQ(Proj[C], CFG.ANT[C]) << "projected edge " << C;
 
@@ -306,7 +305,13 @@ out:
 
 class AntPropertyTest : public ::testing::TestWithParam<int> {};
 
+/// Params 30 to 49 are a ladder of random CFGs (irreducible ones
+/// included) from 12 to 50 blocks; the others alternate structured
+/// programs and 10-block random CFGs.
 std::unique_ptr<Function> antProgram(int Param) {
+  if (Param >= 30 && Param < 50)
+    return generateRandomCFGProgram(std::uint64_t(Param) * 53 + 7,
+                                    12 + 2 * unsigned(Param - 30), 45, 4, 2);
   if (Param % 2 == 0) {
     GenOptions Opts;
     Opts.Seed = std::uint64_t(Param) * 17 + 3;
@@ -323,18 +328,14 @@ TEST_P(AntPropertyTest, ProjectionMatchesCFGRelativeANT) {
   auto F = antProgram(GetParam());
   CFGEdges E(*F);
   DepFlowGraph G = DepFlowGraph::build(*F, E);
-  ProjectionContext Ctx(*F, E);
-  std::vector<Expression> Exprs = collectExpressions(*F);
-  unsigned Tested = 0;
-  for (const Expression &Expr : Exprs) {
-    if (++Tested > 4)
-      break;
+  const ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
+  for (const Expression &Expr : collectExpressions(*F)) {
     for (VarId X : Expr.variables()) {
       CFGAntResult CFG;
       ASSERT_TRUE(runCFGRelativeAnticipatability(*F, E, Expr, X, CFG).ok());
       DFGAntResult R;
       ASSERT_TRUE(runRelativeAnticipatability(*F, G, Expr, X, R).ok());
-      std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X, Ctx);
+      std::vector<bool> Proj = projectRelativeAnt(*F, E, G, R, X, &PST);
       for (unsigned C = 0; C != E.size(); ++C)
         EXPECT_EQ(Proj[C], CFG.ANT[C])
             << "edge " << C << " (" << E.edge(C).From->label() << "->"
@@ -350,17 +351,14 @@ TEST_P(AntPropertyTest, PanProjectionMatchesCFGRelativePAN) {
   auto F = antProgram(GetParam());
   CFGEdges E(*F);
   DepFlowGraph G = DepFlowGraph::build(*F, E);
-  ProjectionContext Ctx(*F, E);
-  unsigned Tested = 0;
+  const ProgramStructureTree PST(*F, E, cycleEquivalenceClasses(*F, E));
   for (const Expression &Expr : collectExpressions(*F)) {
-    if (++Tested > 3)
-      break;
     for (VarId X : Expr.variables()) {
       CFGAntResult CFG;
       ASSERT_TRUE(runCFGRelativeAnticipatability(*F, E, Expr, X, CFG).ok());
       DFGAntResult R;
       ASSERT_TRUE(runRelativeAnticipatability(*F, G, Expr, X, R).ok());
-      std::vector<bool> Proj = projectRelativePan(*F, E, G, R, X, Ctx);
+      std::vector<bool> Proj = projectRelativePan(*F, E, G, R, X, &PST);
       for (unsigned C = 0; C != E.size(); ++C)
         EXPECT_EQ(Proj[C], CFG.PAN[C])
             << "edge " << C << " expr " << printExpression(*F, Expr)
@@ -394,10 +392,7 @@ TEST_P(AntPropertyTest, DFGExpressionAntMatchesCFG) {
   auto F = antProgram(GetParam());
   CFGEdges E(*F);
   DepFlowGraph G = DepFlowGraph::build(*F, E);
-  unsigned Tested = 0;
   for (const Expression &Expr : collectExpressions(*F)) {
-    if (++Tested > 4)
-      break;
     CFGAntResult Full;
     ASSERT_TRUE(runCFGAnticipatability(*F, E, Expr, Full).ok());
     std::vector<bool> ViaDFG;
@@ -419,53 +414,161 @@ std::vector<std::vector<unsigned>> successorLists(const Function &F) {
   return Succs;
 }
 
-// A projection context depends only on the CFG shape, which motions keep.
-// Replay a motion loop: after each motion, ANT through the context built
-// before the first one must equal ANT through a context built fresh for
-// the edited function.
-TEST_P(AntPropertyTest, SharedProjectionContextMatchesFresh) {
+/// Bit \p K of CFG edge \p C's row in \p Rows (\p W words per row).
+bool rowBit(const std::vector<std::uint64_t> &Rows, unsigned W, unsigned C,
+            unsigned K) {
+  return Rows[std::size_t(C) * W + K / 64] >> (K % 64) & 1;
+}
+
+/// Every candidate's ANT in one batched sparse call.
+std::vector<std::uint64_t> batchedAnt(Function &F, const CFGEdges &E,
+                                      const DepFlowGraph &G,
+                                      const CandidateSet &Cands) {
+  std::vector<std::uint64_t> Rows(std::size_t(E.size()) * Cands.words());
+  Status S = runBatchedAnticipatability(F, E, &G, Cands, EvalMode::SparseDFG,
+                                        Rows);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return Rows;
+}
+
+// One batched call must give every candidate exactly the ANT of a
+// per-expression sparse solve, and of the Figure 5a equations.
+TEST_P(AntPropertyTest, BatchedAntMatchesPerExpressionAnt) {
   auto F = antProgram(GetParam());
   splitCriticalEdges(*F);
-  std::optional<ProjectionContext> Shared;
-  for (const Expression &Expr : collectExpressions(*F)) {
-    CFGEdges E(*F);
-    DepFlowGraph G = DepFlowGraph::build(*F, E);
-    if (!Shared)
-      Shared.emplace(*F, E);
-    std::vector<bool> ViaShared, ViaFresh;
-    ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Expr,
-                                              EvalMode::SparseDFG, ViaShared,
-                                              /*Pan=*/nullptr, &*Shared)
+  CFGEdges E(*F);
+  DepFlowGraph G = DepFlowGraph::build(*F, E);
+  const std::vector<Expression> Exprs = collectExpressions(*F);
+  const CandidateSet Cands(*F, Exprs);
+  const std::vector<std::uint64_t> Rows = batchedAnt(*F, E, G, Cands);
+  for (unsigned K = 0; K != Exprs.size(); ++K) {
+    std::vector<bool> Solo;
+    ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Exprs[K],
+                                              EvalMode::SparseDFG, Solo)
                     .ok());
-    ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Expr,
-                                              EvalMode::SparseDFG, ViaFresh)
-                    .ok());
-    EXPECT_EQ(ViaShared, ViaFresh)
-        << "expr " << printExpression(*F, Expr) << "\n"
-        << printFunction(*F);
-    PREDecisions D;
-    ASSERT_TRUE(
-        runPRE(*F, E, Expr, ViaFresh, PREStrategy::MorelRenvoise, D).ok());
-    applyPRE(*F, Expr, D);
+    CFGAntResult Full;
+    ASSERT_TRUE(runCFGAnticipatability(*F, E, Exprs[K], Full).ok());
+    for (unsigned C = 0; C != E.size(); ++C) {
+      EXPECT_EQ(rowBit(Rows, Cands.words(), C, K), Solo[C])
+          << "edge " << C << " expr " << printExpression(*F, Exprs[K]);
+      EXPECT_EQ(Solo[C], Full.ANT[C])
+          << "edge " << C << " expr " << printExpression(*F, Exprs[K]);
+    }
   }
 }
 
-// The premise of sharing the context: code motion edits instructions only.
-TEST_P(AntPropertyTest, ApplyPREKeepsSuccessorLists) {
+// The PRE pass solves every candidate's ANT once, before its first
+// motion. Replay busy code motion in candidate order (it inserts at every
+// frontier edge, the most edits): each motion keeps the CFG shape, and
+// before each motion every candidate not yet moved has, solved afresh on
+// a DFG of the edited function, the batched ANT from before the first.
+TEST_P(AntPropertyTest, AntIsInvariantAcrossMotions) {
   auto F = antProgram(GetParam());
   splitCriticalEdges(*F);
   const std::vector<std::vector<unsigned>> Shape = successorLists(*F);
-  for (const Expression &Expr : collectExpressions(*F)) {
-    CFGEdges E(*F);
-    CFGAntResult Ant;
-    ASSERT_TRUE(runCFGAnticipatability(*F, E, Expr, Ant).ok());
-    // Busy code motion inserts at every frontier edge: the most edits.
+  const std::vector<Expression> Exprs = collectExpressions(*F);
+  const CandidateSet Cands(*F, Exprs);
+  CFGEdges E(*F);
+  std::vector<std::uint64_t> Before;
+  {
+    DepFlowGraph G = DepFlowGraph::build(*F, E);
+    Before = batchedAnt(*F, E, G, Cands);
+  }
+  for (unsigned Moved = 0; Moved != Exprs.size(); ++Moved) {
+    DepFlowGraph G = DepFlowGraph::build(*F, E);
+    for (unsigned K = Moved; K != Exprs.size(); ++K) {
+      std::vector<bool> Now;
+      ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Exprs[K],
+                                                EvalMode::SparseDFG, Now)
+                      .ok());
+      for (unsigned C = 0; C != E.size(); ++C)
+        ASSERT_EQ(Now[C], rowBit(Before, Cands.words(), C, K))
+            << "edge " << C << " expr " << printExpression(*F, Exprs[K])
+            << " after " << Moved << " motions\n"
+            << printFunction(*F);
+    }
+    std::vector<bool> Ant;
+    ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Exprs[Moved],
+                                              EvalMode::SparseDFG, Ant)
+                    .ok());
     PREDecisions D;
-    ASSERT_TRUE(runPRE(*F, E, Expr, Ant.ANT, PREStrategy::Busy, D).ok());
-    applyPRE(*F, Expr, D);
+    ASSERT_TRUE(runPRE(*F, E, Exprs[Moved], Ant, PREStrategy::Busy, D).ok());
+    applyPRE(*F, Exprs[Moved], D);
     ASSERT_EQ(successorLists(*F), Shape)
-        << "expr " << printExpression(*F, Expr) << "\n"
+        << "expr " << printExpression(*F, Exprs[Moved]) << "\n"
         << printFunction(*F);
+  }
+}
+
+// The batched sparse rows must equal the Figure 5a equations bit for bit
+// on every edge, for batches that end inside a word, fill one, spill one
+// bit into the next, and span three. The program has two variables, so at
+// 130 candidates one variable is read by more than 64 of them and its
+// solve runs in two words. Sparse and dense PRE decisions must agree for
+// both strategies, and a batch must flip exactly as many DFG bits as the
+// solo solves of its candidates together.
+TEST(AntPre, BatchedRowsMatchCFGAcrossWords) {
+  GenOptions Opts;
+  Opts.Seed = 11;
+  Opts.NumVars = 2;
+  Opts.TargetStmts = 1500;
+  auto F = generateStructuredProgram(Opts);
+  splitCriticalEdges(*F);
+  CFGEdges E(*F);
+  DepFlowGraph G = DepFlowGraph::build(*F, E);
+  const std::vector<Expression> All = collectExpressions(*F);
+  ASSERT_GE(All.size(), 130u);
+
+  auto Flips = [] { return statisticValue("ant", "NumAntDFGBitsFlipped"); };
+  for (unsigned K : {63u, 64u, 65u, 130u}) {
+    std::vector<Expression> Cands(All.begin(), All.begin() + K);
+    std::reverse(Cands.begin(), Cands.end());
+    const CandidateSet CS(*F, Cands);
+    std::size_t MostReaders = 0;
+    for (VarId V = 0; V != F->numVars(); ++V)
+      MostReaders = std::max(MostReaders, CS.readers(V).size());
+    if (K == 130) {
+      EXPECT_GT(MostReaders, 64u) << "no variable solved in two words";
+    }
+
+    std::uint64_t Before = Flips();
+    const std::vector<std::uint64_t> Rows = batchedAnt(*F, E, G, CS);
+    const std::uint64_t BatchFlips = Flips() - Before;
+    std::uint64_t SoloFlips = 0;
+    for (unsigned C = 0; C != K; ++C) {
+      Before = Flips();
+      std::vector<bool> Solo;
+      ASSERT_TRUE(runExpressionAnticipatability(*F, E, &G, Cands[C],
+                                                EvalMode::SparseDFG, Solo)
+                      .ok());
+      SoloFlips += Flips() - Before;
+      CFGAntResult Full;
+      ASSERT_TRUE(runCFGAnticipatability(*F, E, Cands[C], Full).ok());
+      for (unsigned Edge = 0; Edge != E.size(); ++Edge)
+        ASSERT_EQ(rowBit(Rows, CS.words(), Edge, C), Full.ANT[Edge])
+            << "K " << K << " edge " << Edge << " expr "
+            << printExpression(*F, Cands[C]);
+    }
+    EXPECT_EQ(BatchFlips, SoloFlips) << "K " << K;
+
+    std::vector<std::uint64_t> DenseRows(Rows.size());
+    ASSERT_TRUE(runBatchedAnticipatability(*F, E, nullptr, CS,
+                                           EvalMode::DenseCFG, DenseRows)
+                    .ok());
+    EXPECT_EQ(Rows, DenseRows) << "K " << K;
+    for (PREStrategy S : {PREStrategy::Busy, PREStrategy::MorelRenvoise}) {
+      std::vector<PREDecisions> Sparse, Dense;
+      ASSERT_TRUE(runPRE(*F, E, CS, Rows, S, Sparse).ok());
+      ASSERT_TRUE(runPRE(*F, E, CS, DenseRows, S, Dense).ok());
+      for (unsigned C = 0; C != K; ++C) {
+        EXPECT_EQ(Sparse[C].Deletes, Dense[C].Deletes) << "K " << K;
+        ASSERT_EQ(Sparse[C].Inserts.size(), Dense[C].Inserts.size());
+        for (unsigned I = 0; I != Dense[C].Inserts.size(); ++I) {
+          EXPECT_EQ(Sparse[C].Inserts[I].Block, Dense[C].Inserts[I].Block);
+          EXPECT_EQ(Sparse[C].Inserts[I].AtEnd, Dense[C].Inserts[I].AtEnd);
+        }
+      }
+    }
   }
 }
 
@@ -541,6 +644,11 @@ TEST(PRE, BatchMatchesOneCandidateAtATime) {
   for (unsigned K : {1u, 63u, 64u, 65u, 130u}) {
     std::vector<Expression> Cands(All.begin(), All.begin() + K);
     std::reverse(Cands.begin(), Cands.end());
+    const CandidateSet CS(*F, Cands);
+    std::vector<std::uint64_t> Rows(std::size_t(E.size()) * CS.words());
+    ASSERT_TRUE(runBatchedAnticipatability(*F, E, nullptr, CS,
+                                           EvalMode::DenseCFG, Rows)
+                    .ok());
     std::vector<std::vector<bool>> Ants(K);
     for (unsigned C = 0; C != K; ++C)
       ASSERT_TRUE(runExpressionAnticipatability(*F, E, nullptr, Cands[C],
@@ -549,7 +657,7 @@ TEST(PRE, BatchMatchesOneCandidateAtATime) {
     for (PREStrategy S : {PREStrategy::Busy, PREStrategy::MorelRenvoise}) {
       std::uint64_t Before = Flips();
       std::vector<PREDecisions> Batch;
-      ASSERT_TRUE(runPRE(*F, E, Cands, Ants, S, Batch).ok());
+      ASSERT_TRUE(runPRE(*F, E, CS, Rows, S, Batch).ok());
       const std::uint64_t BatchFlips = Flips() - Before;
       ASSERT_EQ(Batch.size(), K);
 
@@ -634,6 +742,6 @@ TEST_P(AntPropertyTest, MorelRenvoiseWithDFGAntIsSafe) {
   checkPRESafety(GetParam(), /*UseMR=*/true, /*UseDFGAnt=*/true);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, AntPropertyTest, ::testing::Range(0, 30));
+INSTANTIATE_TEST_SUITE_P(Seeds, AntPropertyTest, ::testing::Range(0, 50));
 
 } // namespace

@@ -248,7 +248,9 @@ TEST(DominanceFrontier, MatchesDefinitionOnRandomGraphs) {
           if (DominatesAPred && !DT.strictlyDominates(Node, W))
             Expected.push_back(W);
         }
-        EXPECT_EQ(DF[Node], Expected) << "node " << Node << " seed " << Seed;
+        EXPECT_EQ(std::vector<unsigned>(DF[Node].begin(), DF[Node].end()),
+                  Expected)
+            << "node " << Node << " seed " << Seed;
       }
     }
   }
